@@ -9,7 +9,7 @@ the cap is cosmetic only.
 
 from __future__ import annotations
 
-from .report import MetricCell, ProportionalityReport, format_value
+from .report import GROUPS, METRIC_ROWS, OVERALL, MetricCell, ProportionalityReport, format_value
 
 _BAR_H = 18
 _ROW_H = 26
@@ -61,20 +61,16 @@ def _panel(title: str, rows: list[tuple[str, MetricCell, float | None]],
     return out, y
 
 
+def _percent_rows(report: ProportionalityReport, section: str):
+    """(label, cell, value in percent) for each metric row of a report section."""
+    return [(row.label, report.cells[row.key], report.cells[row.key].metric.value * 100.0)
+            for row in METRIC_ROWS if row.section == section]
+
+
 def emit_chart(report: ProportionalityReport) -> str:
     """Render the report as a standalone SVG document."""
-    pct = 100.0
-
-    overall_rows = [
-        ("FR", report.fr, report.fr.metric.value * pct),
-        ("HFP", report.hfp, report.hfp.metric.value * pct),
-    ]
-    group_rows = [
-        ("Group 0 FR", report.group0_fr, report.group0_fr.metric.value * pct),
-        ("Group 0 HFP", report.group0_hfp, report.group0_hfp.metric.value * pct),
-        ("Group 1 FR", report.group1_fr, report.group1_fr.metric.value * pct),
-        ("Group 1 HFP", report.group1_hfp, report.group1_hfp.metric.value * pct),
-    ]
+    overall_rows = _percent_rows(report, OVERALL)
+    group_rows = _percent_rows(report, GROUPS)
 
     prop_cells = report.proportionality_cells()
     finite = [c.metric.value for c in prop_cells.values() if not c.metric.is_infinite]
@@ -114,7 +110,3 @@ def emit_chart(report: ProportionalityReport) -> str:
     ]
     return "\n".join(svg) + "\n"
 
-
-def write_chart(report: ProportionalityReport, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(emit_chart(report))

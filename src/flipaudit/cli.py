@@ -62,15 +62,12 @@ def _add_mapping_args(p: argparse.ArgumentParser):
                    help="raw value meaning the privileged group")
 
 
-def _mapping(args, need_true=False) -> ColumnMapping:
-    true_col = args.true_col
-    if need_true and true_col is None:
-        true_col = "true"
+def _mapping(args) -> ColumnMapping:
     return ColumnMapping(
         pred_col=args.pred_col,
         corr_col=args.corr_col,
         group_col=args.group_col,
-        true_col=true_col,
+        true_col=args.true_col,
         favorable=args.favorable,
         privileged=args.privileged,
     )
@@ -175,7 +172,7 @@ def _cmd_debias(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    frame = ingest(args.input, _mapping(args, need_true=False))
+    frame = ingest(args.input, _mapping(args))
     outcome = run_audit_pipeline(
         frame.y_predicted,
         frame.group,

@@ -9,6 +9,8 @@ balanced split between the two when several minimal solutions exist.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .frame import ValidationError, _as_binary_vector
@@ -53,8 +55,8 @@ def _minimal_flip_split(pos_over: int, n_over: int, pos_under: int, n_under: int
 
 def sp_equalizing_debiaser(y_predicted, group, epsilon: float, rng_seed: int = 0) -> np.ndarray:
     """Return corrected labels with |SP difference| <= epsilon, flipping minimally."""
-    if epsilon <= 0:
-        raise ValidationError("epsilon must be positive", code="bad_epsilon")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValidationError("epsilon must be a positive finite number", code="bad_epsilon")
     labels = _as_binary_vector(y_predicted, "y_predicted").copy()
     grp = _as_binary_vector(group, "group")
     if labels.size != grp.size:

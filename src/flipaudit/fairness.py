@@ -4,9 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .frame import ValidationError, _as_binary_vector
+from .frame import ValidationError, _as_binary_vector, tally
 
 DEFAULT_FAIR_INTERVAL = (-0.1, 0.1)
 
@@ -46,9 +44,8 @@ def statistical_parity_difference(labels, group) -> float:
     outcomes.
     """
     labels, group = _group_vectors(labels, group)
-    p_unpriv = labels[group == 0].mean()
-    p_priv = labels[group == 1].mean()
-    return float(p_unpriv - p_priv)
+    (neg_unpriv, pos_unpriv), (neg_priv, pos_priv) = tally(group, labels).tolist()
+    return pos_unpriv / (neg_unpriv + pos_unpriv) - pos_priv / (neg_priv + pos_priv)
 
 
 def equalized_odds_difference(y_true, labels, group) -> float:
@@ -72,11 +69,13 @@ def _equalized_odds(y_true, labels, group) -> tuple[float, str]:
             code="length_mismatch",
         )
 
+    counts = tally(group, y_true, labels)
+
     def rate(gid, positive_class):
-        mask = (group == gid) & (y_true == positive_class)
-        if not mask.any():
+        negative, positive = counts[gid, positive_class].tolist()
+        if negative + positive == 0:
             return None
-        return float(labels[mask].mean())
+        return positive / (negative + positive)
 
     tprs = [rate(0, 1), rate(1, 1)]
     fprs = [rate(0, 0), rate(1, 0)]

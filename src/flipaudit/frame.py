@@ -50,6 +50,19 @@ def _as_binary_vector(values, name: str) -> np.ndarray:
     return as_int
 
 
+def tally(*vectors) -> np.ndarray:
+    """Joint counts of aligned binary vectors, as a ``(2,) * len(vectors)`` array.
+
+    ``tally(a, b)[i, j]`` is the number of positions where ``a == i`` and
+    ``b == j``. Every count the audit reports is read from such a table.
+    """
+    key = np.zeros(len(vectors[0]), dtype=np.int64)
+    for vec in vectors:
+        key <<= 1
+        key |= vec
+    return np.bincount(key, minlength=1 << len(vectors)).reshape((2,) * len(vectors))
+
+
 @dataclass(frozen=True)
 class AuditFrame:
     """Aligned predicted/corrected labels plus group membership.

@@ -11,15 +11,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .frame import AuditFrame, PRIVILEGED, UNPRIVILEGED, ValidationError
+import numpy as np
+
+from .frame import AuditFrame, PRIVILEGED, UNPRIVILEGED, ValidationError, tally
 from .metrics import (
     BOTH_ZERO,
     NO_FLIPS,
+    NO_HARMFUL,
     ONE_ZERO,
     REGULAR,
     FlipSummary,
     MetricValue,
-    summarize_flips,
+    summarize_counts,
 )
 
 
@@ -42,16 +45,21 @@ class ProportionalityMetrics:
     rhfd: MetricValue
 
 
-def split_by_group(frame: AuditFrame) -> tuple[GroupFlipSummary, GroupFlipSummary]:
-    """Return (privileged, unprivileged) flip summaries; both groups required."""
+def group_summaries(table: np.ndarray) -> tuple[GroupFlipSummary, GroupFlipSummary]:
+    """(privileged, unprivileged) summaries of a (group, predicted, corrected) count table."""
     result = []
     for gid in (PRIVILEGED, UNPRIVILEGED):
-        mask = frame.group == gid
-        size = int(mask.sum())
+        size = int(table[gid].sum())
         if size == 0:
             raise ValidationError(f"group {gid} has no instances", code="missing_group")
-        result.append(GroupFlipSummary(group_id=gid, size=size, summary=summarize_flips(frame, mask)))
+        result.append(GroupFlipSummary(group_id=gid, size=size,
+                                       summary=summarize_counts(table[gid])))
     return result[0], result[1]
+
+
+def split_by_group(frame: AuditFrame) -> tuple[GroupFlipSummary, GroupFlipSummary]:
+    """Return (privileged, unprivileged) flip summaries; both groups required."""
+    return group_summaries(tally(frame.group, frame.y_predicted, frame.y_corrected))
 
 
 def rate_difference(rate_priv: MetricValue, rate_unpriv: MetricValue) -> MetricValue:
@@ -93,16 +101,18 @@ def relative_disparity(
     """Gap normalized by the sum of the group rates (serves RFD and RHFD)."""
     total = rate_priv.value + rate_unpriv.value
     if total == 0.0:
-        return MetricValue.finite(0.0, NO_FLIPS)
+        # A zero HFP of a group that did flip carries NO_HARMFUL.
+        flipped = NO_HARMFUL in (rate_priv.annotation, rate_unpriv.annotation)
+        return MetricValue.finite(0.0, BOTH_ZERO if flipped else NO_FLIPS)
     return MetricValue.finite(diff.value / total, REGULAR)
 
 
-def compute_proportionality(frame: AuditFrame) -> ProportionalityMetrics:
-    """Evaluate all eight proportionality metrics for a frame."""
-    priv, unpriv = split_by_group(frame)
-    overall = summarize_flips(frame)
-    fr_p, fr_u = priv.summary.flip_rate, unpriv.summary.flip_rate
-    hfp_p, hfp_u = priv.summary.hfp, unpriv.summary.hfp
+def proportionality(
+    priv: FlipSummary, unpriv: FlipSummary, overall: FlipSummary
+) -> ProportionalityMetrics:
+    """The eight proportionality metrics from the group and overall summaries."""
+    fr_p, fr_u = priv.flip_rate, unpriv.flip_rate
+    hfp_p, hfp_u = priv.hfp, unpriv.hfp
 
     frd = rate_difference(fr_p, fr_u)
     hfpd = rate_difference(hfp_p, hfp_u)
@@ -116,3 +126,10 @@ def compute_proportionality(frame: AuditFrame) -> ProportionalityMetrics:
         rfd=relative_disparity(frd, fr_p, fr_u),
         rhfd=relative_disparity(hfpd, hfp_p, hfp_u),
     )
+
+
+def compute_proportionality(frame: AuditFrame) -> ProportionalityMetrics:
+    """Evaluate all eight proportionality metrics for a frame."""
+    table = tally(frame.group, frame.y_predicted, frame.y_corrected)
+    priv, unpriv = group_summaries(table)
+    return proportionality(priv.summary, unpriv.summary, summarize_counts(table.sum(axis=0)))

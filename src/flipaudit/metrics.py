@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frame import AuditFrame, ValidationError
+from .frame import AuditFrame, ValidationError, tally
 
 # Annotation strings, shared by every metric producer.
 REGULAR = "Regular calculation"
@@ -133,23 +133,10 @@ def harmful_flip_proportion(n_unfavorable: int, n_flips: int) -> MetricValue:
     return MetricValue.finite(value, REGULAR)
 
 
-def summarize_flips(frame: AuditFrame, mask: np.ndarray | None = None) -> FlipSummary:
-    """Compute the flip characterization, optionally over a subset of instances."""
-    pred = frame.y_predicted
-    corr = frame.y_corrected
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.size != frame.n:
-            raise ValidationError(
-                f"mask has length {mask.size}, expected {frame.n}", code="length_mismatch"
-            )
-        if not mask.any():
-            raise ValidationError("empty group", code="empty_group")
-        pred = pred[mask]
-        corr = corr[mask]
-    n = int(pred.size)
-    n_favorable = int(np.count_nonzero((pred == 0) & (corr == 1)))
-    n_unfavorable = int(np.count_nonzero((pred == 1) & (corr == 0)))
+def summarize_counts(counts: np.ndarray) -> FlipSummary:
+    """Flip characterization from a 2x2 (predicted, corrected) count table."""
+    (_, n_favorable), (n_unfavorable, _) = counts.tolist()
+    n = int(counts.sum())
     n_flips = n_favorable + n_unfavorable
     return FlipSummary(
         n=n,
@@ -160,3 +147,18 @@ def summarize_flips(frame: AuditFrame, mask: np.ndarray | None = None) -> FlipSu
         dfr=directional_flip_ratio(n_favorable, n_unfavorable),
         hfp=harmful_flip_proportion(n_unfavorable, n_flips),
     )
+
+
+def summarize_flips(frame: AuditFrame, mask: np.ndarray | None = None) -> FlipSummary:
+    """Compute the flip characterization, optionally over a subset of instances."""
+    if mask is None:
+        return summarize_counts(tally(frame.y_predicted, frame.y_corrected))
+    mask = np.asarray(mask, dtype=bool)
+    if mask.size != frame.n:
+        raise ValidationError(
+            f"mask has length {mask.size}, expected {frame.n}", code="length_mismatch"
+        )
+    counts = tally(mask, frame.y_predicted, frame.y_corrected)[1]
+    if not counts.any():
+        raise ValidationError("empty group", code="empty_group")
+    return summarize_counts(counts)

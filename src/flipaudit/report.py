@@ -1,21 +1,33 @@
 """Proportionality report assembly and rendering.
 
-The report mirrors the structure of the audit output tables: dataset
-information, overall flip metrics, per-group flips, directional flip
-ratios, then the flip and harmful-flip proportionality metric families.
-Every metric cell keeps its full-precision value, its annotation, and its
-threshold band; rendering handles display rounding.
+Every report row is one entry of ``ROWS``: JSON key, text label, section,
+threshold name and the audit value it shows. Count rows (no threshold) go
+to ``ProportionalityReport.counts``, metric rows to ``.cells``; both are
+keyed by JSON key, in spec order::
+
+    report.counts["total_flips"]             # int
+    report.cells["hdi"].metric.annotation    # "One value is zero"
+    report.cells["fr"].band                  # Band.MODERATE
+
+The text report lists the rows in spec order under their section headers;
+the JSON report lists the count rows, then the metric rows. Every metric
+cell keeps its full-precision value, its annotation and its threshold band;
+rendering handles display rounding.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import groupby
+from operator import attrgetter
+from types import SimpleNamespace
+from typing import NamedTuple
 
 from .fairness import FairnessResult
-from .frame import AuditFrame
-from .groups import compute_proportionality, split_by_group
-from .metrics import MetricValue, summarize_flips
+from .frame import AuditFrame, tally
+from .groups import group_summaries, proportionality
+from .metrics import MetricValue, summarize_counts
 from .thresholds import Band, ThresholdConfig, classify
 
 SCHEMA_VERSION = "1"
@@ -26,9 +38,56 @@ VERDICT_BY_BAND = {
     Band.DISPROPORTIONATE: "Disproportionate",
 }
 
-# Aliases seen elsewhere for the same metrics: HFPD ~ "HFRD", RFD ~ "NFD",
-# RHFD ~ "NHFD".
-METRIC_ALIASES = {"HFPD": "HFRD", "RFD": "NFD", "RHFD": "NHFD"}
+
+class Row(NamedTuple):
+    key: str
+    label: str
+    section: str
+    threshold: str | None  # None marks a count row
+    source: str  # attribute path into the audit values built by build_report
+
+
+DATASET = "Dataset information"
+OVERALL = "Overall Metrics"
+GROUPS = "Flips by Groups"
+DIRECTIONAL = "Directional flip ratio"
+FLIP_PROPORTIONALITY = "Flip Proportionality Metrics"
+HARM_PROPORTIONALITY = "Harmful Flip Proportionality Metrics"
+
+ROWS = (
+    Row("total_samples", "Total samples", DATASET, None, "overall.n"),
+    Row("group0_samples", "Group 0 samples", DATASET, None, "group0.n"),
+    Row("group1_samples", "Group 1 samples", DATASET, None, "group1.n"),
+    Row("total_flips", "Total flips", OVERALL, None, "overall.n_flips"),
+    Row("fr", "FR", OVERALL, "FR", "overall.flip_rate"),
+    Row("harmful_flips", "Harmful Flips", OVERALL, None, "overall.n_unfavorable"),
+    Row("hfp", "HFP", OVERALL, "HFP", "overall.hfp"),
+    Row("group0_flips", "Group 0 Flips", GROUPS, None, "group0.n_flips"),
+    Row("group0_fr", "Group 0 FR", GROUPS, "FR", "group0.flip_rate"),
+    Row("group0_harmful_flips", "Group 0 Harmful flips", GROUPS, None, "group0.n_unfavorable"),
+    Row("group0_hfp", "Group 0 HFP", GROUPS, "HFP", "group0.hfp"),
+    Row("group1_flips", "Group 1 Flips", GROUPS, None, "group1.n_flips"),
+    Row("group1_fr", "Group 1 FR", GROUPS, "FR", "group1.flip_rate"),
+    Row("group1_harmful_flips", "Group 1 Harmful flips", GROUPS, None, "group1.n_unfavorable"),
+    Row("group1_hfp", "Group 1 HFP", GROUPS, "HFP", "group1.hfp"),
+    Row("dfr", "DFR", DIRECTIONAL, "DFR", "overall.dfr"),
+    Row("group0_dfr", "Group 0 DFR", DIRECTIONAL, "DFR", "group0.dfr"),
+    Row("group1_dfr", "Group 1 DFR", DIRECTIONAL, "DFR", "group1.dfr"),
+    Row("frd", "FRD", FLIP_PROPORTIONALITY, "FRD", "prop.frd"),
+    Row("di", "DI", FLIP_PROPORTIONALITY, "DI", "prop.di"),
+    Row("fd", "FD", FLIP_PROPORTIONALITY, "FD", "prop.fd"),
+    Row("rfd", "RFD", FLIP_PROPORTIONALITY, "RFD", "prop.rfd"),
+    Row("hfpd", "HFPD", HARM_PROPORTIONALITY, "HFPD", "prop.hfpd"),
+    Row("hdi", "HDI", HARM_PROPORTIONALITY, "HDI", "prop.hdi"),
+    Row("hfd", "HFD", HARM_PROPORTIONALITY, "HFD", "prop.hfd"),
+    Row("rhfd", "RHFD", HARM_PROPORTIONALITY, "RHFD", "prop.rhfd"),
+)
+COUNT_ROWS = tuple(row for row in ROWS if row.threshold is None)
+METRIC_ROWS = tuple(row for row in ROWS if row.threshold is not None)
+# The verdict is the worst band among these rows.
+PROPORTIONALITY_ROWS = tuple(
+    row for row in METRIC_ROWS if row.section in (FLIP_PROPORTIONALITY, HARM_PROPORTIONALITY)
+)
 
 
 @dataclass(frozen=True)
@@ -40,47 +99,15 @@ class MetricCell:
 @dataclass(frozen=True)
 class ProportionalityReport:
     schema_version: str
-    total_samples: int
-    group0_samples: int
-    group1_samples: int
-    total_flips: int
-    harmful_flips: int
-    fr: MetricCell
-    hfp: MetricCell
-    group0_flips: int
-    group0_harmful_flips: int
-    group0_fr: MetricCell
-    group0_hfp: MetricCell
-    group1_flips: int
-    group1_harmful_flips: int
-    group1_fr: MetricCell
-    group1_hfp: MetricCell
-    dfr: MetricCell
-    group0_dfr: MetricCell
-    group1_dfr: MetricCell
-    frd: MetricCell
-    di: MetricCell
-    fd: MetricCell
-    rfd: MetricCell
-    hfpd: MetricCell
-    hdi: MetricCell
-    hfd: MetricCell
-    rhfd: MetricCell
+    counts: dict[str, int]
+    cells: dict[str, MetricCell]
     fairness_pre: FairnessResult | None
     fairness_post: FairnessResult | None
     verdict: str
 
     def proportionality_cells(self) -> dict[str, MetricCell]:
-        return {
-            "FRD": self.frd,
-            "DI": self.di,
-            "FD": self.fd,
-            "RFD": self.rfd,
-            "HFPD": self.hfpd,
-            "HDI": self.hdi,
-            "HFD": self.hfd,
-            "RHFD": self.rhfd,
-        }
+        """The eight proportionality cells, keyed by metric name."""
+        return {row.label: self.cells[row.key] for row in PROPORTIONALITY_ROWS}
 
 
 def build_report(
@@ -91,53 +118,26 @@ def build_report(
 ) -> ProportionalityReport:
     """Audit a frame and assemble the full banded report."""
     config = config or ThresholdConfig.default()
-    overall = summarize_flips(frame)
-    priv, unpriv = split_by_group(frame)
-    prop = compute_proportionality(frame)
+    table = tally(frame.group, frame.y_predicted, frame.y_corrected)
+    priv, unpriv = group_summaries(table)
+    overall = summarize_counts(table.sum(axis=0))
+    values = SimpleNamespace(
+        overall=overall,
+        group0=unpriv.summary,
+        group1=priv.summary,
+        prop=proportionality(priv.summary, unpriv.summary, overall),
+    )
 
-    def cell(name: str, value: MetricValue) -> MetricCell:
-        return MetricCell(metric=value, band=classify(name, value, config))
+    def cell(row: Row) -> MetricCell:
+        value = attrgetter(row.source)(values)
+        return MetricCell(metric=value, band=classify(row.threshold, value, config))
 
-    prop_cells = {
-        "FRD": cell("FRD", prop.frd),
-        "DI": cell("DI", prop.di),
-        "FD": cell("FD", prop.fd),
-        "RFD": cell("RFD", prop.rfd),
-        "HFPD": cell("HFPD", prop.hfpd),
-        "HDI": cell("HDI", prop.hdi),
-        "HFD": cell("HFD", prop.hfd),
-        "RHFD": cell("RHFD", prop.rhfd),
-    }
-    worst = max(c.band for c in prop_cells.values())
-
+    cells = {row.key: cell(row) for row in METRIC_ROWS}
+    worst = max(cells[row.key].band for row in PROPORTIONALITY_ROWS)
     return ProportionalityReport(
         schema_version=SCHEMA_VERSION,
-        total_samples=frame.n,
-        group0_samples=unpriv.size,
-        group1_samples=priv.size,
-        total_flips=overall.n_flips,
-        harmful_flips=overall.n_unfavorable,
-        fr=cell("FR", overall.flip_rate),
-        hfp=cell("HFP", overall.hfp),
-        group0_flips=unpriv.summary.n_flips,
-        group0_harmful_flips=unpriv.summary.n_unfavorable,
-        group0_fr=cell("FR", unpriv.summary.flip_rate),
-        group0_hfp=cell("HFP", unpriv.summary.hfp),
-        group1_flips=priv.summary.n_flips,
-        group1_harmful_flips=priv.summary.n_unfavorable,
-        group1_fr=cell("FR", priv.summary.flip_rate),
-        group1_hfp=cell("HFP", priv.summary.hfp),
-        dfr=cell("DFR", overall.dfr),
-        group0_dfr=cell("DFR", unpriv.summary.dfr),
-        group1_dfr=cell("DFR", priv.summary.dfr),
-        frd=prop_cells["FRD"],
-        di=prop_cells["DI"],
-        fd=prop_cells["FD"],
-        rfd=prop_cells["RFD"],
-        hfpd=prop_cells["HFPD"],
-        hdi=prop_cells["HDI"],
-        hfd=prop_cells["HFD"],
-        rhfd=prop_cells["RHFD"],
+        counts={row.key: attrgetter(row.source)(values) for row in COUNT_ROWS},
+        cells=cells,
         fairness_pre=fairness_pre,
         fairness_post=fairness_post,
         verdict=VERDICT_BY_BAND[worst],
@@ -165,58 +165,18 @@ def render_text(report: ProportionalityReport) -> str:
         lines.append(title)
         lines.append("-" * len(title))
 
-    def count_row(label: str, value: int):
-        lines.append(f"{label:<22} {value}")
-
-    def metric_row(label: str, c: MetricCell):
-        lines.append(
-            f"{label:<22} {format_value(c.metric):>6}  "
-            f"{c.metric.annotation:<24} {c.band.label}"
-        )
-
-    header("Dataset information")
-    count_row("Total samples", report.total_samples)
-    count_row("Group 0 samples", report.group0_samples)
-    count_row("Group 1 samples", report.group1_samples)
-    lines.append("")
-
-    header("Overall Metrics")
-    count_row("Total flips", report.total_flips)
-    metric_row("FR", report.fr)
-    count_row("Harmful Flips", report.harmful_flips)
-    metric_row("HFP", report.hfp)
-    lines.append("")
-
-    header("Flips by Groups")
-    count_row("Group 0 Flips", report.group0_flips)
-    metric_row("Group 0 FR", report.group0_fr)
-    count_row("Group 0 Harmful flips", report.group0_harmful_flips)
-    metric_row("Group 0 HFP", report.group0_hfp)
-    count_row("Group 1 Flips", report.group1_flips)
-    metric_row("Group 1 FR", report.group1_fr)
-    count_row("Group 1 Harmful flips", report.group1_harmful_flips)
-    metric_row("Group 1 HFP", report.group1_hfp)
-    lines.append("")
-
-    header("Directional flip ratio")
-    metric_row("DFR", report.dfr)
-    metric_row("Group 0 DFR", report.group0_dfr)
-    metric_row("Group 1 DFR", report.group1_dfr)
-    lines.append("")
-
-    header("Flip Proportionality Metrics")
-    metric_row("FRD", report.frd)
-    metric_row("DI", report.di)
-    metric_row("FD", report.fd)
-    metric_row("RFD", report.rfd)
-    lines.append("")
-
-    header("Harmful Flip Proportionality Metrics")
-    metric_row("HFPD", report.hfpd)
-    metric_row("HDI", report.hdi)
-    metric_row("HFD", report.hfd)
-    metric_row("RHFD", report.rhfd)
-    lines.append("")
+    for section, rows in groupby(ROWS, key=attrgetter("section")):
+        header(section)
+        for row in rows:
+            if row.threshold is None:
+                lines.append(f"{row.label:<22} {report.counts[row.key]}")
+                continue
+            c = report.cells[row.key]
+            lines.append(
+                f"{row.label:<22} {format_value(c.metric):>6}  "
+                f"{c.metric.annotation:<24} {c.band.label}"
+            )
+        lines.append("")
 
     for tag, fres in (("pre", report.fairness_pre), ("post", report.fairness_post)):
         if fres is None:
@@ -280,43 +240,26 @@ def _fairness_from_dict(d: dict | None) -> FairnessResult | None:
     )
 
 
-_CELL_FIELDS = [
-    "fr", "hfp",
-    "group0_fr", "group0_hfp", "group1_fr", "group1_hfp",
-    "dfr", "group0_dfr", "group1_dfr",
-    "frd", "di", "fd", "rfd",
-    "hfpd", "hdi", "hfd", "rhfd",
-]
-_COUNT_FIELDS = [
-    "total_samples", "group0_samples", "group1_samples",
-    "total_flips", "harmful_flips",
-    "group0_flips", "group0_harmful_flips",
-    "group1_flips", "group1_harmful_flips",
-]
-
-
 def report_to_dict(report: ProportionalityReport) -> dict:
-    out: dict = {"schema_version": report.schema_version}
-    for name in _COUNT_FIELDS:
-        out[name] = getattr(report, name)
-    for name in _CELL_FIELDS:
-        out[name] = _cell_to_dict(getattr(report, name))
-    out["fairness_pre"] = _fairness_to_dict(report.fairness_pre)
-    out["fairness_post"] = _fairness_to_dict(report.fairness_post)
-    out["verdict"] = report.verdict
-    return out
+    return {
+        "schema_version": report.schema_version,
+        **{row.key: report.counts[row.key] for row in COUNT_ROWS},
+        **{row.key: _cell_to_dict(report.cells[row.key]) for row in METRIC_ROWS},
+        "fairness_pre": _fairness_to_dict(report.fairness_pre),
+        "fairness_post": _fairness_to_dict(report.fairness_post),
+        "verdict": report.verdict,
+    }
 
 
 def report_from_dict(data: dict) -> ProportionalityReport:
-    kwargs: dict = {"schema_version": data["schema_version"]}
-    for name in _COUNT_FIELDS:
-        kwargs[name] = data[name]
-    for name in _CELL_FIELDS:
-        kwargs[name] = _cell_from_dict(data[name])
-    kwargs["fairness_pre"] = _fairness_from_dict(data.get("fairness_pre"))
-    kwargs["fairness_post"] = _fairness_from_dict(data.get("fairness_post"))
-    kwargs["verdict"] = data["verdict"]
-    return ProportionalityReport(**kwargs)
+    return ProportionalityReport(
+        schema_version=data["schema_version"],
+        counts={row.key: data[row.key] for row in COUNT_ROWS},
+        cells={row.key: _cell_from_dict(data[row.key]) for row in METRIC_ROWS},
+        fairness_pre=_fairness_from_dict(data.get("fairness_pre")),
+        fairness_post=_fairness_from_dict(data.get("fairness_post")),
+        verdict=data["verdict"],
+    )
 
 
 def render_structured(report: ProportionalityReport) -> str:

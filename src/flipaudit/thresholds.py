@@ -90,7 +90,7 @@ class ThresholdConfig:
     def dumps(self) -> str:
         lines = ["# metric  ideal  acceptable_delta  moderate_delta"]
         for name, e in self.entries.items():
-            lines.append(f"{name} {e.ideal:g} {e.acceptable_delta:g} {e.moderate_delta:g}")
+            lines.append(f"{name} {e.ideal!r} {e.acceptable_delta!r} {e.moderate_delta!r}")
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -106,6 +106,10 @@ class ThresholdConfig:
                     f"line {lineno}: expected 'name ideal acceptable moderate', got {raw!r}"
                 )
             name = parts[0]
+            if name not in _DEFAULTS:
+                raise ConfigError(f"line {lineno}: unknown metric {name!r}")
+            if name in entries:
+                raise ConfigError(f"line {lineno}: duplicate metric {name!r}")
             try:
                 ideal, acc, mod = (float(p) for p in parts[1:])
             except ValueError:

@@ -272,7 +272,7 @@ def test_criterion_6_pipeline_semantics():
     group = np.array([0, 0, 1, 1])
     fair = run_audit_pipeline(pred, group, make_sp_debiaser(0.1))
     assert fair.decision is Decision.NO_DEBIAS_NEEDED
-    assert fair.report.total_flips == 0
+    assert fair.report.counts["total_flips"] == 0
 
     frame = generate_scenario(REFERENCE_EXAMPLE)
     outcome = run_audit_pipeline(
@@ -335,8 +335,8 @@ def test_criterion_8_io_and_rendering(tmp_path):
     panels = [el for el in root.iter() if el.get("class") == "panel"]
     assert len(panels) == 3
     expected_cells = (
-        [report.fr, report.hfp],
-        [report.group0_fr, report.group0_hfp, report.group1_fr, report.group1_hfp],
+        [report.cells[k] for k in ("fr", "hfp")],
+        [report.cells[k] for k in ("group0_fr", "group0_hfp", "group1_fr", "group1_hfp")],
         list(report.proportionality_cells().values()),
     )
     ns = "{http://www.w3.org/2000/svg}"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -98,8 +100,10 @@ class TestSpEqualizingDebiaser:
         assert exc.value.best_gap == pytest.approx(1 / 6)
 
     def test_bad_epsilon(self):
-        with pytest.raises(ValidationError):
-            sp_equalizing_debiaser([1, 0], [0, 1], epsilon=0.0)
+        for epsilon in (0.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValidationError) as exc:
+                sp_equalizing_debiaser([1, 0], [0, 1], epsilon=epsilon)
+            assert exc.value.code == "bad_epsilon"
 
     def test_missing_group(self):
         with pytest.raises(ValidationError):

@@ -105,6 +105,9 @@ class TestRelativeDisparity:
         mv = relative_disparity(fin(0.0), fin(0.0), fin(0.0))
         assert mv.value == 0.0
         assert mv.annotation == NO_FLIPS
+        # Both groups flipped, but only favorably: both HFPs are zero.
+        rhfd = compute_proportionality(AuditFrame([0, 0, 0, 0], [1, 0, 1, 0], [0, 0, 1, 1])).rhfd
+        assert (rhfd.value, rhfd.annotation) == (0.0, BOTH_ZERO)
 
 
 class TestComputeProportionality:

@@ -35,7 +35,7 @@ class TestRunAuditPipeline:
 
         outcome = run_audit_pipeline(pred, group, exploding)
         assert outcome.decision is Decision.NO_DEBIAS_NEEDED
-        assert outcome.report.total_flips == 0
+        assert outcome.report.counts["total_flips"] == 0
         assert outcome.post_fairness == outcome.pre_fairness
 
     def test_reference_scenario_is_fair_but_disproportionate(self, reference_frame):

@@ -38,10 +38,10 @@ class TestBuildReport:
         assert reference_report.verdict == "Disproportionate"
 
     def test_reference_counts(self, reference_report):
-        r = reference_report
-        assert (r.total_samples, r.group0_samples, r.group1_samples) == (1320, 799, 521)
-        assert (r.total_flips, r.group0_flips, r.group1_flips) == (174, 136, 38)
-        assert r.harmful_flips == 136
+        c = reference_report.counts
+        assert (c["total_samples"], c["group0_samples"], c["group1_samples"]) == (1320, 799, 521)
+        assert (c["total_flips"], c["group0_flips"], c["group1_flips"]) == (174, 136, 38)
+        assert c["harmful_flips"] == 136
 
     def test_every_cell_carries_annotation_and_band(self, reference_report):
         d = report_to_dict(reference_report)
@@ -53,16 +53,16 @@ class TestBuildReport:
     def test_identity_frame_proportionate(self, identity_frame):
         r = build_report(identity_frame)
         assert r.verdict == "Proportionate"
-        assert r.total_flips == 0
-        assert r.dfr.metric.value == 1.0
+        assert r.counts["total_flips"] == 0
+        assert r.cells["dfr"].metric.value == 1.0
 
     def test_one_group_all_harmful_gives_infinite_hdi(self):
         pred = [1, 1, 1, 0, 1, 0]
         corr = [0, 0, 1, 1, 1, 0]
         group = [0, 0, 0, 1, 1, 1]
         r = build_report(AuditFrame(pred, corr, group))
-        assert r.hdi.metric.is_infinite
-        assert r.hdi.metric.annotation == "One value is zero"
+        assert r.cells["hdi"].metric.is_infinite
+        assert r.cells["hdi"].metric.annotation == "One value is zero"
         assert r.verdict == "Disproportionate"
 
 

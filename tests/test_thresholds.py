@@ -71,6 +71,14 @@ class TestConfig:
     def test_parse_rejects_malformed_line(self):
         with pytest.raises(ConfigError, match="line 1"):
             ThresholdConfig.loads("FR 0 0.1\n")
+        with pytest.raises(ConfigError, match="line 2: duplicate metric 'FR'"):
+            ThresholdConfig.loads("FR 0 0.1 0.3\nFR 0 0.2 0.4\n")
+        with pytest.raises(ConfigError, match="line 2: unknown metric 'FDR'"):
+            ThresholdConfig.loads("FR 0 0.1 0.3\nFDR 0 0.1 0.3\n")
+
+    def test_round_trip_is_lossless(self):
+        cfg = ThresholdConfig({"FR": ThresholdEntry(0.1234567891, 0.1234567891, 0.3)})
+        assert ThresholdConfig.loads(cfg.dumps()) == cfg
 
     def test_parse_skips_comments(self):
         cfg = ThresholdConfig.loads("# comment\nFR 0 0.1 0.3\n")
