@@ -38,22 +38,17 @@ _VERDICT_CODES = {
 }
 
 
-def _verdict_code(verdict: str) -> int:
-    return _VERDICT_CODES[verdict]
-
-
 def _decision_code(decision: Decision, verdict: str) -> int:
     if decision in (Decision.NO_DEBIAS_NEEDED, Decision.FAIR_AND_PROPORTIONATE):
         return EXIT_OK
     if decision is Decision.STILL_UNFAIR:
         return EXIT_DISPROPORTIONATE
     # Fair but disproportionate: severity comes from the report verdict.
-    return _verdict_code(verdict)
+    return _VERDICT_CODES[verdict]
 
 
 def _add_mapping_args(p: argparse.ArgumentParser):
     p.add_argument("--pred-col", default="pred", help="predicted-label column name")
-    p.add_argument("--corr-col", default="corr", help="corrected-label column name")
     p.add_argument("--group-col", default="group", help="group membership column name")
     p.add_argument("--true-col", default=None, help="true-label column name (optional)")
     p.add_argument("--favorable", type=int, default=1, choices=(0, 1),
@@ -63,9 +58,10 @@ def _add_mapping_args(p: argparse.ArgumentParser):
 
 
 def _mapping(args) -> ColumnMapping:
+    # Only audit reads corrected labels; debias and pipeline ingest corr = pred.
     return ColumnMapping(
         pred_col=args.pred_col,
-        corr_col=args.corr_col,
+        corr_col=getattr(args, "corr_col", None),
         group_col=args.group_col,
         true_col=args.true_col,
         favorable=args.favorable,
@@ -113,6 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", "-o", default=None)
     p.add_argument("--format", choices=("text", "structured"), default="text")
     p.add_argument("--thresholds", default=None, help="threshold config file")
+    p.add_argument("--corr-col", default="corr", help="corrected-label column name")
     _add_mapping_args(p)
 
     p = sub.add_parser("plot", help="render a structured report as SVG")
@@ -153,7 +150,7 @@ def _cmd_audit(args) -> int:
     report = build_report(frame, _load_config(args))
     text = render_text(report) if args.format == "text" else render_structured(report)
     _write_output(text, args.output)
-    return _verdict_code(report.verdict)
+    return _VERDICT_CODES[report.verdict]
 
 
 def _cmd_plot(args) -> int:
@@ -207,7 +204,8 @@ def main(argv=None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except (ValidationError, ConfigError, DebiasError, PipelineError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        code = getattr(exc, "code", None)
+        print(f"error [{code}]: {exc}" if code else f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
 

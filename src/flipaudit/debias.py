@@ -13,8 +13,8 @@ import math
 
 import numpy as np
 
-from .frame import ValidationError, _as_binary_vector
-from .fairness import statistical_parity_difference
+from .frame import ValidationError, binary_vectors, group_tally
+from .fairness import sp_from_counts
 
 
 class DebiasError(ValueError):
@@ -57,35 +57,28 @@ def sp_equalizing_debiaser(y_predicted, group, epsilon: float, rng_seed: int = 0
     """Return corrected labels with |SP difference| <= epsilon, flipping minimally."""
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValidationError("epsilon must be a positive finite number", code="bad_epsilon")
-    labels = _as_binary_vector(y_predicted, "y_predicted").copy()
-    grp = _as_binary_vector(group, "group")
-    if labels.size != grp.size:
-        raise ValidationError(
-            f"group has length {grp.size}, expected {labels.size}", code="length_mismatch"
-        )
-    for gid in (0, 1):
-        if not (grp == gid).any():
-            raise ValidationError(f"group {gid} has no instances", code="missing_group")
-
-    sp = statistical_parity_difference(labels, grp)
+    labels, grp = binary_vectors(y_predicted=y_predicted, group=group)
+    labels = labels.copy()
+    table = group_tally(grp, labels)
+    sp = sp_from_counts(table)
     if abs(sp) <= epsilon:
         return labels
 
     # sp > 0 means group 0 is over-favored.
     over, under = (0, 1) if sp > 0 else (1, 0)
-    over_mask = grp == over
-    under_mask = grp == under
+    neg_over, pos_over = table[over].tolist()
+    neg_under, pos_under = table[under].tolist()
     down, up = _minimal_flip_split(
-        pos_over=int(labels[over_mask].sum()),
-        n_over=int(over_mask.sum()),
-        pos_under=int(labels[under_mask].sum()),
-        n_under=int(under_mask.sum()),
+        pos_over=pos_over,
+        n_over=neg_over + pos_over,
+        pos_under=pos_under,
+        n_under=neg_under + pos_under,
         epsilon=epsilon,
     )
 
     rng = np.random.default_rng(rng_seed)
-    down_candidates = np.flatnonzero(over_mask & (labels == 1))
-    up_candidates = np.flatnonzero(under_mask & (labels == 0))
+    down_candidates = np.flatnonzero((grp == over) & (labels == 1))
+    up_candidates = np.flatnonzero((grp == under) & (labels == 0))
     labels[rng.permutation(down_candidates)[:down]] = 0
     labels[rng.permutation(up_candidates)[:up]] = 1
     return labels

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .frame import ValidationError, _as_binary_vector, tally
+import numpy as np
+
+from .frame import ValidationError, binary_vectors, group_tally
 
 DEFAULT_FAIR_INTERVAL = (-0.1, 0.1)
 
@@ -23,56 +25,17 @@ class FairnessResult:
         return self.sp_pass and self.eo_pass
 
 
-def _group_vectors(labels, group):
-    labels = _as_binary_vector(labels, "labels")
-    group = _as_binary_vector(group, "group")
-    if labels.size != group.size:
-        raise ValidationError(
-            f"labels has length {labels.size}, group has length {group.size}",
-            code="length_mismatch",
-        )
-    for gid in (0, 1):
-        if not (group == gid).any():
-            raise ValidationError(f"group {gid} has no instances", code="missing_group")
-    return labels, group
-
-
-def statistical_parity_difference(labels, group) -> float:
-    """P(label=1 | unprivileged) - P(label=1 | privileged).
-
-    Negative values mean the unprivileged group receives fewer favorable
-    outcomes.
-    """
-    labels, group = _group_vectors(labels, group)
-    (neg_unpriv, pos_unpriv), (neg_priv, pos_priv) = tally(group, labels).tolist()
+def sp_from_counts(table: np.ndarray) -> float:
+    """SP difference from a (group, label) count table."""
+    (neg_unpriv, pos_unpriv), (neg_priv, pos_priv) = table.tolist()
     return pos_unpriv / (neg_unpriv + pos_unpriv) - pos_priv / (neg_priv + pos_priv)
 
 
-def equalized_odds_difference(y_true, labels, group) -> float:
-    """max(|TPR gap|, |FPR gap|) between the two groups.
-
-    If a group has no true positives (or no true negatives), that rate gap
-    is undefined and is skipped; the remaining gap is used alone.
-    """
-    value, _ = _equalized_odds(y_true, labels, group)
-    return value
-
-
-def _equalized_odds(y_true, labels, group) -> tuple[float, str]:
-    if y_true is None:
-        raise ValidationError("EO requires true labels", code="missing_true")
-    labels, group = _group_vectors(labels, group)
-    y_true = _as_binary_vector(y_true, "y_true")
-    if y_true.size != labels.size:
-        raise ValidationError(
-            f"y_true has length {y_true.size}, expected {labels.size}",
-            code="length_mismatch",
-        )
-
-    counts = tally(group, y_true, labels)
+def eo_from_counts(table: np.ndarray) -> tuple[float, str]:
+    """EO difference and its note from a (group, true, label) count table."""
 
     def rate(gid, positive_class):
-        negative, positive = counts[gid, positive_class].tolist()
+        negative, positive = table[gid, positive_class].tolist()
         if negative + positive == 0:
             return None
         return positive / (negative + positive)
@@ -96,6 +59,29 @@ def _equalized_odds(y_true, labels, group) -> tuple[float, str]:
     return max(gaps), "; ".join(note_parts)
 
 
+def statistical_parity_difference(labels, group) -> float:
+    """P(label=1 | unprivileged) - P(label=1 | privileged).
+
+    Negative values mean the unprivileged group receives fewer favorable
+    outcomes.
+    """
+    labels, group = binary_vectors(labels=labels, group=group)
+    return sp_from_counts(group_tally(group, labels))
+
+
+def equalized_odds_difference(y_true, labels, group) -> float:
+    """max(|TPR gap|, |FPR gap|) between the two groups.
+
+    If a group has no true positives (or no true negatives), that rate gap
+    is undefined and is skipped; the remaining gap is used alone.
+    """
+    if y_true is None:
+        raise ValidationError("EO requires true labels", code="missing_true")
+    labels, group, y_true = binary_vectors(labels=labels, group=group, y_true=y_true)
+    value, _ = eo_from_counts(group_tally(group, y_true, labels))
+    return value
+
+
 def evaluate_fairness(
     labels,
     group,
@@ -104,23 +90,19 @@ def evaluate_fairness(
 ) -> FairnessResult:
     """Run the SP gate, and the EO gate when true labels are available."""
     lo, hi = fair_interval
-    sp = statistical_parity_difference(labels, group)
-    sp_pass = lo <= sp <= hi
+    labels, group, y_true = binary_vectors(labels=labels, group=group, y_true=y_true)
     if y_true is None:
-        return FairnessResult(
-            sp_difference=sp,
-            eo_difference=None,
-            fair_interval=fair_interval,
-            sp_pass=sp_pass,
-            eo_pass=True,
-            note="EO skipped: no true labels",
-        )
-    eo, note = _equalized_odds(y_true, labels, group)
+        sp = sp_from_counts(group_tally(group, labels))
+        eo, note = None, "EO skipped: no true labels"
+    else:
+        table = group_tally(group, y_true, labels)
+        sp = sp_from_counts(table.sum(axis=1))
+        eo, note = eo_from_counts(table)
     return FairnessResult(
         sp_difference=sp,
         eo_difference=eo,
         fair_interval=fair_interval,
-        sp_pass=sp_pass,
-        eo_pass=eo <= hi,
+        sp_pass=lo <= sp <= hi,
+        eo_pass=eo is None or eo <= hi,
         note=note,
     )

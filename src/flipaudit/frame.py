@@ -50,6 +50,24 @@ def _as_binary_vector(values, name: str) -> np.ndarray:
     return as_int
 
 
+def binary_vectors(**named) -> tuple[np.ndarray | None, ...]:
+    """Validate aligned label vectors, in argument order.
+
+    Each vector must be binary, one-dimensional, non-empty and as long as the
+    first; a ``None`` value passes through as ``None``. Every label vector the
+    package reads from outside is checked here, once.
+    """
+    arrays = {name: None if values is None else _as_binary_vector(values, name)
+              for name, values in named.items()}
+    n = next(iter(arrays.values())).size
+    for name, arr in arrays.items():
+        if arr is not None and arr.size != n:
+            raise ValidationError(
+                f"{name} has length {arr.size}, expected {n}", code="length_mismatch"
+            )
+    return tuple(arrays.values())
+
+
 def tally(*vectors) -> np.ndarray:
     """Joint counts of aligned binary vectors, as a ``(2,) * len(vectors)`` array.
 
@@ -61,6 +79,15 @@ def tally(*vectors) -> np.ndarray:
         key <<= 1
         key |= vec
     return np.bincount(key, minlength=1 << len(vectors)).reshape((2,) * len(vectors))
+
+
+def group_tally(group, *vectors) -> np.ndarray:
+    """``tally(group, *vectors)``, requiring both groups to have instances."""
+    table = tally(group, *vectors)
+    for gid in (UNPRIVILEGED, PRIVILEGED):
+        if not table[gid].any():
+            raise ValidationError(f"group {gid} has no instances", code="missing_group")
+    return table
 
 
 @dataclass(frozen=True)
@@ -79,25 +106,10 @@ class AuditFrame:
     y_true: np.ndarray | None = field(default=None)
 
     def __post_init__(self):
-        pred = _as_binary_vector(self.y_predicted, "y_predicted")
-        corr = _as_binary_vector(self.y_corrected, "y_corrected")
-        grp = _as_binary_vector(self.group, "group")
-        object.__setattr__(self, "y_predicted", pred)
-        object.__setattr__(self, "y_corrected", corr)
-        object.__setattr__(self, "group", grp)
-        n = pred.size
-        for name, vec in (("y_corrected", corr), ("group", grp)):
-            if vec.size != n:
-                raise ValidationError(
-                    f"{name} has length {vec.size}, expected {n}", code="length_mismatch"
-                )
-        if self.y_true is not None:
-            true = _as_binary_vector(self.y_true, "y_true")
-            if true.size != n:
-                raise ValidationError(
-                    f"y_true has length {true.size}, expected {n}", code="length_mismatch"
-                )
-            object.__setattr__(self, "y_true", true)
+        names = ("y_predicted", "y_corrected", "group", "y_true")
+        vectors = binary_vectors(**{name: getattr(self, name) for name in names})
+        for name, vec in zip(names, vectors):
+            object.__setattr__(self, name, vec)
 
     @property
     def n(self) -> int:

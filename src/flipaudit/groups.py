@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frame import AuditFrame, PRIVILEGED, UNPRIVILEGED, ValidationError, tally
+from .frame import AuditFrame, PRIVILEGED, UNPRIVILEGED, group_tally
 from .metrics import (
     BOTH_ZERO,
     NO_FLIPS,
@@ -47,19 +47,17 @@ class ProportionalityMetrics:
 
 def group_summaries(table: np.ndarray) -> tuple[GroupFlipSummary, GroupFlipSummary]:
     """(privileged, unprivileged) summaries of a (group, predicted, corrected) count table."""
-    result = []
-    for gid in (PRIVILEGED, UNPRIVILEGED):
-        size = int(table[gid].sum())
-        if size == 0:
-            raise ValidationError(f"group {gid} has no instances", code="missing_group")
-        result.append(GroupFlipSummary(group_id=gid, size=size,
-                                       summary=summarize_counts(table[gid])))
-    return result[0], result[1]
+    priv, unpriv = (
+        GroupFlipSummary(group_id=gid, size=int(table[gid].sum()),
+                         summary=summarize_counts(table[gid]))
+        for gid in (PRIVILEGED, UNPRIVILEGED)
+    )
+    return priv, unpriv
 
 
 def split_by_group(frame: AuditFrame) -> tuple[GroupFlipSummary, GroupFlipSummary]:
     """Return (privileged, unprivileged) flip summaries; both groups required."""
-    return group_summaries(tally(frame.group, frame.y_predicted, frame.y_corrected))
+    return group_summaries(group_tally(frame.group, frame.y_predicted, frame.y_corrected))
 
 
 def rate_difference(rate_priv: MetricValue, rate_unpriv: MetricValue) -> MetricValue:
@@ -130,6 +128,6 @@ def proportionality(
 
 def compute_proportionality(frame: AuditFrame) -> ProportionalityMetrics:
     """Evaluate all eight proportionality metrics for a frame."""
-    table = tally(frame.group, frame.y_predicted, frame.y_corrected)
+    table = group_tally(frame.group, frame.y_predicted, frame.y_corrected)
     priv, unpriv = group_summaries(table)
     return proportionality(priv.summary, unpriv.summary, summarize_counts(table.sum(axis=0)))

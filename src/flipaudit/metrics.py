@@ -10,12 +10,11 @@ visible all the way into reports and charts.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .frame import AuditFrame, ValidationError, tally
+from .frame import AuditFrame, ValidationError, binary_vectors, tally
 
 # Annotation strings, shared by every metric producer.
 REGULAR = "Regular calculation"
@@ -67,9 +66,6 @@ class MetricValue:
     def is_infinite(self) -> bool:
         return self.kind == "inf"
 
-    def as_float(self) -> float:
-        return math.inf if self.is_infinite else self.value
-
 
 @dataclass(frozen=True)
 class FlipSummary:
@@ -86,15 +82,10 @@ class FlipSummary:
 
 def classify_flips(frame: AuditFrame) -> list[FlipKind]:
     """Tag each instance as no flip, favorable flip, or unfavorable flip."""
-    out = []
-    for p, c in zip(frame.y_predicted, frame.y_corrected):
-        if p == c:
-            out.append(FlipKind.NO_FLIP)
-        elif p == 0:
-            out.append(FlipKind.FAVORABLE)
-        else:
-            out.append(FlipKind.UNFAVORABLE)
-    return out
+    # Indexed by 2 * predicted + corrected.
+    kinds = np.array([FlipKind.NO_FLIP, FlipKind.FAVORABLE,
+                      FlipKind.UNFAVORABLE, FlipKind.NO_FLIP], dtype=object)
+    return kinds[2 * frame.y_predicted + frame.y_corrected].tolist()
 
 
 def flip_rate(n_flips: int, n: int) -> MetricValue:
@@ -153,11 +144,7 @@ def summarize_flips(frame: AuditFrame, mask: np.ndarray | None = None) -> FlipSu
     """Compute the flip characterization, optionally over a subset of instances."""
     if mask is None:
         return summarize_counts(tally(frame.y_predicted, frame.y_corrected))
-    mask = np.asarray(mask, dtype=bool)
-    if mask.size != frame.n:
-        raise ValidationError(
-            f"mask has length {mask.size}, expected {frame.n}", code="length_mismatch"
-        )
+    _, mask = binary_vectors(group=frame.group, mask=np.asarray(mask, dtype=bool))
     counts = tally(mask, frame.y_predicted, frame.y_corrected)[1]
     if not counts.any():
         raise ValidationError("empty group", code="empty_group")

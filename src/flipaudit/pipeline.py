@@ -53,29 +53,22 @@ def run_audit_pipeline(
     ``debiaser`` is a callable ``(y_predicted, group) -> y_corrected``.
     """
     pre = evaluate_fairness(y_predicted, group, y_true, fair_interval)
-
     if pre.passed:
-        frame = AuditFrame(y_predicted=y_predicted, y_corrected=y_predicted,
-                           group=group, y_true=y_true)
-        report = build_report(frame, config, fairness_pre=pre, fairness_post=pre)
-        return PipelineOutcome(
-            pre_fairness=pre,
-            post_fairness=pre,
-            report=report,
-            decision=Decision.NO_DEBIAS_NEEDED,
-        )
+        y_corrected, post = y_predicted, pre
+    else:
+        try:
+            y_corrected = debiaser(y_predicted, group)
+        except Exception as exc:
+            raise PipelineError(f"debiaser failed: {exc}", pre_fairness=pre) from exc
+        post = evaluate_fairness(y_corrected, group, y_true, fair_interval)
 
-    try:
-        y_corrected = debiaser(y_predicted, group)
-    except Exception as exc:
-        raise PipelineError(f"debiaser failed: {exc}", pre_fairness=pre) from exc
-
-    post = evaluate_fairness(y_corrected, group, y_true, fair_interval)
     frame = AuditFrame(y_predicted=y_predicted, y_corrected=y_corrected,
                        group=group, y_true=y_true)
     report = build_report(frame, config, fairness_pre=pre, fairness_post=post)
 
-    if not post.passed:
+    if pre.passed:
+        decision = Decision.NO_DEBIAS_NEEDED
+    elif not post.passed:
         decision = Decision.STILL_UNFAIR
     elif report.verdict == "Proportionate":
         decision = Decision.FAIR_AND_PROPORTIONATE

@@ -25,7 +25,7 @@ from types import SimpleNamespace
 from typing import NamedTuple
 
 from .fairness import FairnessResult
-from .frame import AuditFrame, tally
+from .frame import AuditFrame, group_tally
 from .groups import group_summaries, proportionality
 from .metrics import MetricValue, summarize_counts
 from .thresholds import Band, ThresholdConfig, classify
@@ -118,7 +118,7 @@ def build_report(
 ) -> ProportionalityReport:
     """Audit a frame and assemble the full banded report."""
     config = config or ThresholdConfig.default()
-    table = tally(frame.group, frame.y_predicted, frame.y_corrected)
+    table = group_tally(frame.group, frame.y_predicted, frame.y_corrected)
     priv, unpriv = group_summaries(table)
     overall = summarize_counts(table.sum(axis=0))
     values = SimpleNamespace(

@@ -94,20 +94,20 @@ def generate_scenario(spec: ScenarioSpec) -> AuditFrame:
     n = spec.group0.size + spec.group1.size
     placement = rng.permutation(n)
 
-    group = np.empty(n, dtype=np.int64)
-    pred = np.empty(n, dtype=np.int64)
-    corr = np.empty(n, dtype=np.int64)
-    group[placement[: spec.group0.size]] = 0
-    group[placement[spec.group0.size:]] = 1
-    pred[placement[: spec.group0.size]] = pred0
-    pred[placement[spec.group0.size:]] = pred1
-    corr[placement[: spec.group0.size]] = corr0
-    corr[placement[spec.group0.size:]] = corr1
+    def place(part0, part1) -> np.ndarray:
+        out = np.empty(n, dtype=np.int64)
+        out[placement] = np.concatenate((part0, part1))
+        return out
 
+    group = place(np.zeros(spec.group0.size, dtype=np.int64),
+                  np.ones(spec.group1.size, dtype=np.int64))
+    pred = place(pred0, pred1)
+    corr = place(corr0, corr1)
     return AuditFrame(y_predicted=pred, y_corrected=corr, group=group, y_true=corr.copy())
 
 
 _SCENARIO_KEYS = ("size", "positive_predictions", "favorable_flips", "unfavorable_flips")
+_SPEC_KEYS = {"seed"} | {f"group{gid}.{key}" for gid in (0, 1) for key in _SCENARIO_KEYS}
 
 
 def dumps_spec(spec: ScenarioSpec) -> str:
@@ -130,8 +130,13 @@ def loads_spec(text: str) -> ScenarioSpec:
                 code="bad_scenario",
             )
         key, _, val = line.partition("=")
+        key = key.strip()
+        if key not in _SPEC_KEYS:
+            raise ValidationError(
+                f"scenario line {lineno}: unknown key {key!r}", code="bad_scenario"
+            )
         try:
-            values[key.strip()] = int(val.strip())
+            values[key] = int(val.strip())
         except ValueError:
             raise ValidationError(
                 f"scenario line {lineno}: non-integer value in {raw!r}",

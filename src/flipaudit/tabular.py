@@ -19,22 +19,25 @@ from .frame import AuditFrame, ValidationError
 @dataclass(frozen=True)
 class ColumnMapping:
     pred_col: str = "pred"
-    corr_col: str = "corr"
+    corr_col: str | None = "corr"  # None: no corrected labels, corr = pred
     group_col: str = "group"
     true_col: str | None = None
     favorable: int = 1    # raw value that maps to the favorable label 1
     privileged: int = 1   # raw value that maps to the privileged group 1
 
     def __post_init__(self):
-        cols = [self.pred_col, self.corr_col, self.group_col]
-        if self.true_col is not None:
-            cols.append(self.true_col)
+        cols = self.columns()
         if len(set(cols)) != len(cols):
             raise ValidationError("mapped columns must be distinct", code="bad_mapping")
         if self.favorable not in (0, 1) or self.privileged not in (0, 1):
             raise ValidationError(
                 "favorable and privileged values must be 0 or 1", code="bad_mapping"
             )
+
+    def columns(self) -> list[str]:
+        """The mapped column names, leaving out unmapped optional ones."""
+        cols = [self.pred_col, self.corr_col, self.group_col, self.true_col]
+        return [c for c in cols if c is not None]
 
 
 def _parse_cell(raw: str, row: int, col: str) -> int:
@@ -54,9 +57,7 @@ def ingest_rows(rows, mapping: ColumnMapping) -> AuditFrame:
     except StopIteration:
         raise ValidationError("input has no header row", code="empty")
     columns = [h.strip() for h in header]
-    wanted = [mapping.pred_col, mapping.corr_col, mapping.group_col]
-    if mapping.true_col is not None:
-        wanted.append(mapping.true_col)
+    wanted = mapping.columns()
     indices = {}
     for name in wanted:
         if name not in columns:
@@ -77,16 +78,19 @@ def ingest_rows(rows, mapping: ColumnMapping) -> AuditFrame:
     if not data[mapping.pred_col]:
         raise ValidationError("file contains no data rows", code="empty")
 
-    def vec(name: str, flip_when: int) -> np.ndarray:
+    def vec(name: str | None, flip_when: int) -> np.ndarray | None:
+        if name is None:
+            return None
         arr = np.asarray(data[name], dtype=np.int64)
         return (1 - arr) if flip_when == 0 else arr
 
+    y_predicted = vec(mapping.pred_col, mapping.favorable)
+    y_corrected = vec(mapping.corr_col, mapping.favorable)
     return AuditFrame(
-        y_predicted=vec(mapping.pred_col, mapping.favorable),
-        y_corrected=vec(mapping.corr_col, mapping.favorable),
+        y_predicted=y_predicted,
+        y_corrected=y_predicted if y_corrected is None else y_corrected,
         group=vec(mapping.group_col, mapping.privileged),
-        y_true=(vec(mapping.true_col, mapping.favorable)
-                if mapping.true_col is not None else None),
+        y_true=vec(mapping.true_col, mapping.favorable),
     )
 
 

@@ -82,10 +82,11 @@ class ThresholdConfig:
         return cls(entries=dict(_DEFAULTS))
 
     def entry(self, metric_name: str) -> ThresholdEntry:
-        try:
-            return self.entries[metric_name]
-        except KeyError:
+        """The configured entry, or the default for a metric the config leaves out."""
+        entry = self.entries.get(metric_name, _DEFAULTS.get(metric_name))
+        if entry is None:
             raise ConfigError(f"no threshold entry for metric {metric_name!r}")
+        return entry
 
     def dumps(self) -> str:
         lines = ["# metric  ideal  acceptable_delta  moderate_delta"]

@@ -106,6 +106,23 @@ class TestSynthAudit:
         path = tmp_path / "bad.csv"
         path.write_text("pred,corr,group\n1,0,2\n")
         assert main(["audit", "-i", str(path)]) == 1
+        assert "error [non_binary]: " in capsys.readouterr().err
+
+    def test_partial_thresholds_keep_defaults(self, reference_csv, tmp_path, capsys):
+        path = tmp_path / "fr-only.txt"
+        path.write_text("FR 0 0.2 0.4\n")
+        default_code = main(["audit", "-i", str(reference_csv), "--format", "structured"])
+        default = json.loads(capsys.readouterr().out)
+        code = main(["audit", "-i", str(reference_csv), "--format", "structured",
+                     "--thresholds", str(path)])
+        report = json.loads(capsys.readouterr().out)
+        # Overall FR 174/1320 is Moderate under the default 0.1 band, Acceptable under 0.2.
+        assert (default["fr"]["band"], report["fr"]["band"]) == ("Moderate", "Acceptable")
+        for key, value in report.items():
+            if key not in ("fr", "group0_fr", "group1_fr"):
+                assert value == default[key], key
+        assert report["verdict"] == "Disproportionate"
+        assert code == default_code == 3
 
     def test_usage_error_exits_one(self):
         assert main(["audit"]) == 1
@@ -155,6 +172,23 @@ class TestDebiasCommand:
         p0 = corr[group == 0].mean()
         p1 = corr[group == 1].mean()
         assert abs(p0 - p1) <= 0.1
+
+
+@pytest.fixture
+def raw_csv(tmp_path, reference_frame):
+    """The reference frame without corrected labels: pred, group, true."""
+    path = tmp_path / "raw.csv"
+    rows = zip(reference_frame.y_predicted, reference_frame.group, reference_frame.y_true)
+    path.write_text("pred,group,true\n" + "".join(f"{p},{g},{t}\n" for p, g, t in rows))
+    return path
+
+
+@pytest.mark.parametrize("argv", [["debias"], ["pipeline", "--true-col", "true"]])
+def test_corr_column_not_required(argv, raw_csv, reference_csv, capsys):
+    code = main([*argv, "-i", str(reference_csv)])
+    expected = capsys.readouterr().out
+    assert main([*argv, "-i", str(raw_csv)]) == code
+    assert capsys.readouterr().out == expected
 
 
 class TestPipelineCommand:

@@ -30,6 +30,11 @@ class TestStatisticalParity:
         with pytest.raises(ValidationError):
             statistical_parity_difference([1, 0], [1, 1])
 
+    def test_length_mismatch(self):
+        with pytest.raises(ValidationError, match="group has length 2, expected 3") as exc:
+            statistical_parity_difference([1, 0, 1], [0, 1])
+        assert exc.value.code == "length_mismatch"
+
     def test_antisymmetric_under_relabeling(self):
         rng = np.random.default_rng(3)
         for _ in range(20):

@@ -82,6 +82,13 @@ class TestSpecFiles:
                        "group0.favorable_flips = 0\n"
                        "group0.unfavorable_flips = 0\n")
 
+    def test_unknown_key_rejected(self):
+        text = dumps_spec(REFERENCE_EXAMPLE).replace("group1.size", "group1.sizee")
+        with pytest.raises(ValidationError, match="scenario line 6: unknown key 'group1.sizee'") \
+                as exc:
+            loads_spec(text)
+        assert exc.value.code == "bad_scenario"
+
     def test_non_integer_rejected(self):
         with pytest.raises(ValidationError, match="non-integer"):
             loads_spec("group0.size = many\n")
