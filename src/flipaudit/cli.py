@@ -178,7 +178,7 @@ def _cmd_pipeline(args) -> int:
         config=_load_config(args),
     )
     if args.format == "structured":
-        text = render_structured(outcome.report)
+        text = render_structured(outcome.report, decision=outcome.decision.value)
     else:
         text = render_text(outcome.report) + f"Decision: {outcome.decision.value}\n"
     _write_output(text, args.output)

@@ -23,40 +23,128 @@ class DebiasError(ValueError):
         self.best_gap = best_gap
 
 
+# The float gap test rounds three times, so it differs from the exact gap by
+# less than 2**-51; the exact prefilter widens epsilon by 2**-_ROUNDING_BITS.
+_ROUNDING_BITS = 50
+
+
 def _minimal_flip_split(pos_over: int, n_over: int, pos_under: int, n_under: int,
                         epsilon: float) -> tuple[int, int]:
     """Smallest (down, up) flip counts bringing the rate gap within epsilon.
 
     ``down`` removes positives from the over-favored group, ``up`` adds
     positives to the under-favored group. Among equal-total solutions the
-    most balanced split wins.
+    most balanced split wins: the first in ``(|down - up|, down)`` order.
+
+    A split passes when its float gap
+    ``abs((pos_over - down) / n_over - (pos_under + up) / n_under)`` is at
+    most epsilon. Times ``n_over * n_under`` the gap is the integer
+    ``p - down * n_under - up * n_over``, so for a fixed total the passing
+    ``down`` values lie in an interval. Exact integer bounds, widened past
+    the float rounding, pick the totals and splits that might pass; the float
+    test decides among them, so ties on the epsilon boundary resolve as a
+    split-by-split float search would.
     """
     max_down = pos_over
     max_up = n_under - pos_under
-    best_gap = abs(pos_over / n_over - pos_under / n_under)
-    for total in range(0, max_down + max_up + 1):
-        splits = sorted(
-            (
-                (a, total - a)
-                for a in range(max(0, total - max_up), min(max_down, total) + 1)
-            ),
-            key=lambda ab: (abs(ab[0] - ab[1]), ab[0]),
-        )
-        for a, b in splits:
-            gap = abs((pos_over - a) / n_over - (pos_under + b) / n_under)
-            best_gap = min(best_gap, gap)
-            if gap <= epsilon:
-                return a, b
+    p = pos_over * n_under - pos_under * n_over
+    num, den = float(epsilon).as_integer_ratio()
+    scale = den << _ROUNDING_BITS
+    # |gap integer| * scale <= outer: the float test may pass; <= inner: it does.
+    outer = ((num << _ROUNDING_BITS) + den) * n_over * n_under
+    inner = ((num << _ROUNDING_BITS) - den) * n_over * n_under
+
+    def float_gap(down, up):
+        return np.abs((pos_over - down) / n_over - (pos_under + up) / n_under)
+
+    # Scan the flip kind with fewer choices; the other solves to an interval.
+    swap = max_up < max_down
+    x_max, x_coef, y_max, y_coef = ((max_up, n_over, max_down, n_under) if swap
+                                    else (max_down, n_under, max_up, n_over))
+    lo_total, hi_total = _total_ranges(p, x_max, x_coef, y_max, y_coef,
+                                       (epsilon + 2.0 ** -_ROUNDING_BITS) * n_over * n_under)
+    total = _next_total(lo_total, hi_total, 0)
+    while total is not None:
+        lo = max(0, total - max_up)
+        hi = min(max_down, total)
+        offset = (p - total * n_over) * scale
+        slope = (n_over - n_under) * scale
+        first, last = _interval(offset, slope, outer, lo, hi)
+        sure_first, sure_last = _interval(offset, slope, inner, first, last)
+        if sure_first <= sure_last:
+            # Only splits ordered before the first sure pass can win.
+            sure = min(max(total // 2, sure_first), sure_last)
+            if 2 * sure < total:
+                first, last = max(first, sure), min(last, total - sure - 1)
+            else:
+                first, last = max(first, total - sure), min(last, sure)
+        down = np.arange(first, last + 1, dtype=np.int64)
+        down = down[np.lexsort((down, np.abs(2 * down - total)))]
+        passed = np.flatnonzero(float_gap(down, total - down) <= epsilon)
+        if passed.size:
+            a = int(down[passed[0]])
+            return a, total - a
+        total = _next_total(lo_total, hi_total, total + 1)
+
+    # Unreachable: for each value of the scanned count, the float gap is
+    # smallest at one of the two values of the other count around the exact
+    # zero, because rounding keeps the difference's sign and monotonicity.
+    x = np.arange(x_max + 1, dtype=np.int64)
+    y_floor = (p - x * x_coef) // y_coef
+    best_gap = math.inf
+    for y in (np.clip(y_floor, 0, y_max), np.clip(y_floor + 1, 0, y_max)):
+        gaps = float_gap(y, x) if swap else float_gap(x, y)
+        best_gap = min(best_gap, float(gaps.min()))
     raise DebiasError(
         f"cannot reach |SP| <= {epsilon}; best achievable gap is {best_gap:.6g}",
         best_gap=best_gap,
     )
 
 
-def sp_equalizing_debiaser(y_predicted, group, epsilon: float, rng_seed: int = 0) -> np.ndarray:
-    """Return corrected labels with |SP difference| <= epsilon, flipping minimally."""
+def _total_ranges(p: int, x_max: int, x_coef: int, y_max: int, y_coef: int,
+                  half_width: float) -> tuple[np.ndarray, np.ndarray]:
+    """Flip totals that might satisfy ``|p - x*x_coef - y*y_coef| <= half_width``.
+
+    For each x in ``[0, x_max]`` the y in ``[0, y_max]`` meeting the bound
+    form an interval, so x's totals ``x + y`` do too. The float bounds are
+    padded far beyond their rounding error, so every total with a passing
+    split lies in some returned range ``[lo[i], hi[i]]``.
+    """
+    x = np.arange(x_max + 1, dtype=np.int64)
+    centre = (p - x * x_coef) / y_coef
+    reach = half_width / y_coef
+    reach += (max(abs(p), abs(p - x_max * x_coef)) / y_coef + reach + 1) * 2.0 ** -40
+    lo = np.maximum(np.ceil(centre - reach), 0)
+    hi = np.minimum(np.floor(centre + reach), y_max)
+    keep = lo <= hi
+    return (x[keep] + lo[keep]).astype(np.int64), (x[keep] + hi[keep]).astype(np.int64)
+
+
+def _next_total(lo: np.ndarray, hi: np.ndarray, start: int) -> int | None:
+    """Smallest total >= start inside one of the ranges, or None."""
+    reach = hi >= start
+    if not reach.any():
+        return None
+    return int(np.maximum(lo[reach], start).min())
+
+
+def _interval(offset: int, slope: int, bound: int, lo: int, hi: int) -> tuple[int, int]:
+    """The integers a in [lo, hi] with ``|offset + a*slope| <= bound``, as (first, last)."""
+    if slope < 0:
+        offset, slope = -offset, -slope
+    if slope == 0:
+        return (lo, hi) if abs(offset) <= bound else (lo, lo - 1)
+    return max(lo, -((bound + offset) // slope)), min(hi, (bound - offset) // slope)
+
+
+def _check_epsilon(epsilon: float):
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValidationError("epsilon must be a positive finite number", code="bad_epsilon")
+
+
+def sp_equalizing_debiaser(y_predicted, group, epsilon: float, rng_seed: int = 0) -> np.ndarray:
+    """Return corrected labels with |SP difference| <= epsilon, flipping minimally."""
+    _check_epsilon(epsilon)
     labels, grp = binary_vectors(y_predicted=y_predicted, group=group)
     labels = labels.copy()
     table = group_tally(grp, labels)
@@ -85,7 +173,12 @@ def sp_equalizing_debiaser(y_predicted, group, epsilon: float, rng_seed: int = 0
 
 
 def make_sp_debiaser(epsilon: float, rng_seed: int = 0):
-    """Bind epsilon and seed into the two-argument debiaser the pipeline expects."""
+    """Bind epsilon and seed into the two-argument debiaser the pipeline expects.
+
+    Epsilon is checked here, so a bad value fails even when the pipeline's
+    first gate passes and the debiaser never runs.
+    """
+    _check_epsilon(epsilon)
 
     def debias(y_predicted, group):
         return sp_equalizing_debiaser(y_predicted, group, epsilon, rng_seed)

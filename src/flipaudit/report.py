@@ -262,9 +262,15 @@ def report_from_dict(data: dict) -> ProportionalityReport:
     )
 
 
-def render_structured(report: ProportionalityReport) -> str:
-    """JSON with fixed key order; infinities appear as kind "inf"."""
-    return json.dumps(report_to_dict(report), indent=2) + "\n"
+def render_structured(report: ProportionalityReport, decision: str | None = None) -> str:
+    """JSON with fixed key order; infinities appear as kind "inf".
+
+    A pipeline ``decision`` goes last; ``parse_structured`` ignores it.
+    """
+    data = report_to_dict(report)
+    if decision is not None:
+        data["decision"] = decision
+    return json.dumps(data, indent=2) + "\n"
 
 
 def parse_structured(text: str) -> ProportionalityReport:

@@ -139,3 +139,30 @@ def min_sp_flips(labels, group, epsilon):
                 if best is None or down + up < best:
                     best = down + up
     return best
+
+
+def minimal_flip_split(pos_over, n_over, pos_under, n_under, epsilon):
+    """The debiaser's flip split, by visiting every total and every split.
+
+    Totals are tried from 0 up. Within a total, the split that passes the
+    float test ``|gap| <= epsilon`` and comes first in ``(|down - up|, down)``
+    order wins. Returns ``((down, up), None)``, or ``(None, best_gap)`` with
+    the smallest float gap over all splits when no split passes.
+    """
+    max_down = pos_over
+    max_up = n_under - pos_under
+    best_gap = abs(pos_over / n_over - pos_under / n_under)
+    for total in range(max_down + max_up + 1):
+        winner = None
+        for down in range(max(0, total - max_up), min(max_down, total) + 1):
+            up = total - down
+            gap = abs((pos_over - down) / n_over - (pos_under + up) / n_under)
+            if gap < best_gap:
+                best_gap = gap
+            if gap <= epsilon:
+                key = (abs(down - up), down)
+                if winner is None or key < winner[0]:
+                    winner = (key, (down, up))
+        if winner is not None:
+            return winner[1], None
+    return None, best_gap

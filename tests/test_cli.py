@@ -201,3 +201,19 @@ class TestPipelineCommand:
         out = capsys.readouterr().out
         assert "Decision:" in out
         assert code in (0, 2, 3)
+
+    @pytest.mark.parametrize("epsilon", ["nan", "-5"])
+    @pytest.mark.parametrize("fixture", ["identity_csv", "reference_csv"])
+    def test_bad_epsilon_exits_one(self, fixture, epsilon, request, capsys):
+        path = request.getfixturevalue(fixture)
+        assert main(["pipeline", "-i", str(path), "--epsilon", epsilon]) == 1
+        assert capsys.readouterr().err.startswith("error [bad_epsilon]: ")
+
+    def test_structured_output_carries_decision(self, reference_csv, tmp_path, capsys):
+        out = tmp_path / "pipeline.json"
+        main(["pipeline", "-i", str(reference_csv), "--true-col", "true",
+              "--format", "structured", "-o", str(out)])
+        data = json.loads(out.read_text())
+        assert list(data)[-1] == "decision"
+        assert data["decision"] == "StillUnfair"
+        assert main(["plot", "-i", str(out), "-o", str(tmp_path / "chart.svg")]) == 0

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import oracle
 from flipaudit import (
@@ -10,6 +11,10 @@ from flipaudit import (
     sp_equalizing_debiaser,
     statistical_parity_difference,
 )
+from flipaudit.debias import _minimal_flip_split, make_sp_debiaser
+
+# Epsilons that land exactly on rate grids, where float rounding decides ties.
+GRID_EPSILONS = (0.05, 0.15, 0.3, 0.125)
 
 
 def random_labeled_groups(rng, max_n):
@@ -100,11 +105,96 @@ class TestSpEqualizingDebiaser:
         assert exc.value.best_gap == pytest.approx(1 / 6)
 
     def test_bad_epsilon(self):
-        for epsilon in (0.0, math.nan, math.inf, -math.inf):
+        for epsilon in (0.0, -5.0, math.nan, math.inf, -math.inf):
             with pytest.raises(ValidationError) as exc:
                 sp_equalizing_debiaser([1, 0], [0, 1], epsilon=epsilon)
+            assert exc.value.code == "bad_epsilon"
+            # The pipeline's binding checks too, before any gate runs.
+            with pytest.raises(ValidationError) as exc:
+                make_sp_debiaser(epsilon)
             assert exc.value.code == "bad_epsilon"
 
     def test_missing_group(self):
         with pytest.raises(ValidationError):
             sp_equalizing_debiaser([1, 0], [1, 1], epsilon=0.1)
+
+    def test_skewed_frame_flip_count_matches_oracle(self):
+        # 100,000 rows at rate 1/2 against 3 rows at rate 0: the repair has to
+        # bring the large group down to the small group's 1/3 grid point.
+        labels = np.r_[np.ones(50_000, int), np.zeros(50_003, int)]
+        group = np.r_[np.zeros(100_000, int), np.ones(3, int)]
+        corrected = sp_equalizing_debiaser(labels, group, 1e-3, rng_seed=5)
+        (down, up), _ = oracle.minimal_flip_split(50_000, 100_000, 0, 3, 1e-3)
+        assert int((corrected != labels).sum()) == down + up
+        assert int(corrected[group == 1].sum()) == up
+
+
+def split_or_best_gap(pos_over, n_over, pos_under, n_under, epsilon):
+    """``_minimal_flip_split`` in the oracle's return convention."""
+    try:
+        return _minimal_flip_split(pos_over, n_over, pos_under, n_under, epsilon), None
+    except DebiasError as exc:
+        return None, exc.best_gap
+
+
+@st.composite
+def flip_counts(draw):
+    n_over = draw(st.integers(1, 40))
+    n_under = draw(st.one_of(st.just(n_over), st.integers(1, 40)))
+    pos_over = draw(st.integers(0, n_over))
+    pos_under = draw(st.integers(0, n_under))
+    epsilon = draw(st.one_of(st.sampled_from(GRID_EPSILONS),
+                             st.floats(1e-4, 0.6, allow_nan=False)))
+    return pos_over, n_over, pos_under, n_under, epsilon
+
+
+class TestMinimalFlipSplit:
+    @given(flip_counts())
+    def test_matches_oracle(self, counts):
+        assert split_or_best_gap(*counts) == oracle.minimal_flip_split(*counts)
+
+    def test_matches_oracle_on_random_counts(self):
+        rng = np.random.default_rng(53)
+        for _ in range(3000):
+            n_over, n_under = (int(v) for v in rng.integers(1, 70, size=2))
+            if rng.random() < 0.3:
+                n_under = n_over
+            counts = (int(rng.integers(0, n_over + 1)), n_over,
+                      int(rng.integers(0, n_under + 1)), n_under,
+                      float(rng.choice(GRID_EPSILONS)) if rng.random() < 0.6
+                      else float(rng.uniform(1e-4, 0.6)))
+            assert split_or_best_gap(*counts) == oracle.minimal_flip_split(*counts), counts
+
+    @pytest.mark.parametrize("counts, split", [
+        # Equal group sizes: every split of the winning total sits exactly on
+        # epsilon, and float rounding passes some of them and not others.
+        ((18, 20, 4, 20, 0.15), (6, 5)),
+        ((15, 20, 1, 20, 0.3), (3, 5)),
+        ((40, 40, 19, 40, 0.05), (11, 8)),
+    ])
+    def test_float_tie_breaks(self, counts, split):
+        assert _minimal_flip_split(*counts) == split
+        assert oracle.minimal_flip_split(*counts) == (split, None)
+
+    @pytest.mark.parametrize("counts", [
+        (1, 2, 1, 3, 0.05),
+        (5, 7, 2, 3, 0.01),
+        (2, 9, 1, 11, 0.001),
+        (40, 41, 3, 4, 0.001),
+    ])
+    def test_unreachable_best_gap_is_exact(self, counts):
+        want, best_gap = oracle.minimal_flip_split(*counts)
+        assert want is None
+        with pytest.raises(DebiasError) as exc:
+            _minimal_flip_split(*counts)
+        assert exc.value.best_gap == best_gap
+
+    @pytest.mark.parametrize("counts, split", [
+        # Flips must go to the large group; the small one overshoots.
+        ((50_000, 100_000, 0, 3, 1e-3), (16_567, 1)),
+        ((3, 3, 10_000, 100_000, 0.01), (2, 22_334)),
+        ((500_000, 999_997, 0, 3, 1e-4), (166_568, 1)),
+    ])
+    def test_skewed_shapes(self, counts, split):
+        assert _minimal_flip_split(*counts) == split
+        assert oracle.minimal_flip_split(*counts) == (split, None)
