@@ -18,6 +18,10 @@ from .fairness import sp_from_counts
 
 
 class DebiasError(ValueError):
+    """No split of flips reaches epsilon; ``best_gap`` is the closest |SP|."""
+
+    code = "unreachable_epsilon"
+
     def __init__(self, message: str, best_gap: float):
         super().__init__(message)
         self.best_gap = best_gap

@@ -30,8 +30,11 @@ def _as_binary_vector(values, name: str) -> np.ndarray:
         raise ValidationError(f"{name} must be one-dimensional", code="bad_shape")
     if arr.size == 0:
         raise ValidationError(f"{name} is empty", code="empty")
+    # A read-only int64 array that owns its data cannot change under the
+    # frame, so it is checked but not copied.
+    frozen = arr.dtype == np.int64 and not arr.flags.writeable and arr.flags.owndata
     try:
-        as_int = arr.astype(np.int64)
+        as_int = arr.astype(np.int64, copy=not frozen)
     except (TypeError, ValueError):
         raise ValidationError(f"{name} contains non-numeric values", code="non_binary")
     if not np.array_equal(as_int, arr):

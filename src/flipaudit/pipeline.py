@@ -33,11 +33,15 @@ class PipelineOutcome:
 
 
 class PipelineError(RuntimeError):
-    """Debiaser failure; carries the fairness result computed before it ran."""
+    """Debiaser failure; carries the fairness result computed before it ran.
 
-    def __init__(self, message: str, pre_fairness: FairnessResult):
+    ``code`` is the failure's own ``code``, or None when it has none.
+    """
+
+    def __init__(self, message: str, pre_fairness: FairnessResult, code: str | None = None):
         super().__init__(message)
         self.pre_fairness = pre_fairness
+        self.code = code
 
 
 def run_audit_pipeline(
@@ -59,7 +63,8 @@ def run_audit_pipeline(
         try:
             y_corrected = debiaser(y_predicted, group)
         except Exception as exc:
-            raise PipelineError(f"debiaser failed: {exc}", pre_fairness=pre) from exc
+            raise PipelineError(f"debiaser failed: {exc}", pre_fairness=pre,
+                                code=getattr(exc, "code", None)) from exc
         post = evaluate_fairness(y_corrected, group, y_true, fair_interval)
 
     frame = AuditFrame(y_predicted=y_predicted, y_corrected=y_corrected,

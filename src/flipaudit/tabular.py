@@ -3,6 +3,10 @@
 Rows are never dropped or coerced: a single non-binary cell or ragged row
 rejects the whole file, with the offending row and column named. Dropping
 rows silently would change n and therefore every rate downstream.
+
+A file of bare 0/1 cells is parsed with numpy over its bytes; any other
+file goes through ``csv.reader`` and ``ingest_rows``, the one place that
+reports data errors.
 """
 
 from __future__ import annotations
@@ -14,6 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frame import AuditFrame, ValidationError
+
+_ZERO = ord("0")
 
 
 @dataclass(frozen=True)
@@ -77,12 +83,20 @@ def ingest_rows(rows, mapping: ColumnMapping) -> AuditFrame:
             data[name].append(_parse_cell(row[idx], rownum, name))
     if not data[mapping.pred_col]:
         raise ValidationError("file contains no data rows", code="empty")
+    return _frame(mapping, {name: np.asarray(cells, dtype=np.int64)
+                            for name, cells in data.items()})
 
+
+def _frame(mapping: ColumnMapping, vectors: dict[str, np.ndarray]) -> AuditFrame:
+    """The frame of the mapped columns, given as new int64 0/1 vectors by name."""
     def vec(name: str | None, flip_when: int) -> np.ndarray | None:
         if name is None:
             return None
-        arr = np.asarray(data[name], dtype=np.int64)
-        return (1 - arr) if flip_when == 0 else arr
+        arr = vectors[name]
+        if flip_when == 0:
+            np.subtract(1, arr, out=arr)
+        arr.setflags(write=False)  # read-only and owning: AuditFrame keeps it uncopied
+        return arr
 
     y_predicted = vec(mapping.pred_col, mapping.favorable)
     y_corrected = vec(mapping.corr_col, mapping.favorable)
@@ -94,30 +108,101 @@ def ingest_rows(rows, mapping: ColumnMapping) -> AuditFrame:
     )
 
 
+def _ingest_strict(data: bytes, mapping: ColumnMapping) -> AuditFrame | None:
+    """The frame of a file of bare 0/1 cells, parsed as bytes; None for any other file.
+
+    It takes only files that ``ingest_rows`` would read the same way: an
+    ASCII header with no quote, stray CR or NUL, then rows of exactly
+    ``d,d,...,d`` with each ``d`` 0 or 1, each ended by the header's
+    terminator (the last row may lack it). Anything else, valid or not, is
+    declined, never rejected, so ``ingest_rows`` stays the one place that
+    reports data errors and accepts lenient input.
+    """
+    end = data.find(b"\n")
+    if end < 0:
+        return None
+    header, term = data[:end], b"\n"
+    if header.endswith(b"\r"):
+        header, term = header[:-1], b"\r\n"
+    if not header or not header.isascii() or any(c in header for c in (b'"', b"\r", b"\0")):
+        return None
+    columns = [h.strip() for h in header.decode("ascii").split(",")]
+    if any(name not in columns for name in mapping.columns()):
+        return None
+
+    width = 2 * len(columns) - 1  # cells and commas, without the terminator
+    row_len = width + len(term)
+    body = np.frombuffer(data, np.uint8, offset=end + 1)
+    n = -(-body.size // row_len)
+    cut = (n - 1) * row_len
+    if n == 0 or body.size - cut not in (width, row_len):
+        return None
+    # A byte b matches its pattern byte p when b & mask == p; masking the
+    # low bit lets a cell's pattern "0" match both "0" and "1".
+    pattern = np.frombuffer(b",".join([b"0"] * len(columns)) + term, np.uint8)
+    mask = np.full(row_len, 0xFF, np.uint8)
+    mask[:width:2] = 0xFE
+    rows = body[:cut].reshape(n - 1, row_len)
+    last = body[cut:]
+    if not (((rows & mask) == pattern).all()
+            and ((last & mask[:last.size]) == pattern[:last.size]).all()):
+        return None
+
+    vectors = {}
+    for name in mapping.columns():
+        j = 2 * columns.index(name)
+        vectors[name] = np.concatenate((rows[:, j], last[j:j + 1]), dtype=np.int64)
+        vectors[name] -= _ZERO
+    return _frame(mapping, vectors)
+
+
+def _check_utf8(data: bytes) -> None:
+    """Reject a file that is not UTF-8, naming the row of its first bad byte."""
+    if data.isascii():
+        return
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        row = data.count(b"\n", 0, exc.start) + 1
+        raise ValidationError(
+            f"row {row}: byte {data[exc.start]:#04x} is not valid UTF-8",
+            code="bad_encoding",
+        ) from None
+
+
 def ingest(path, mapping: ColumnMapping | None = None) -> AuditFrame:
-    """Read a header-bearing CSV file into a validated frame."""
+    """Read a header-bearing UTF-8 CSV file into a validated frame."""
     mapping = mapping or ColumnMapping()
     try:
-        fh = open(path, newline="")
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}", code="unreadable")
-    with fh:
-        return ingest_rows(csv.reader(fh), mapping)
+    frame = _ingest_strict(data, mapping)
+    if frame is not None:
+        return frame
+    _check_utf8(data)
+    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
+    return ingest_rows(csv.reader(text), mapping)
 
 
 def frame_to_csv(frame: AuditFrame) -> str:
     """Emit a frame in the canonical column layout (pred, corr, group[, true])."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    header = ["pred", "corr", "group"]
+    names = ["pred", "corr", "group"]
     cols = [frame.y_predicted, frame.y_corrected, frame.group]
     if frame.y_true is not None:
-        header.append("true")
+        names.append("true")
         cols.append(frame.y_true)
-    writer.writerow(header)
-    for row in zip(*cols):
-        writer.writerow([int(v) for v in row])
-    return buf.getvalue()
+    header = (",".join(names) + "\n").encode("ascii")
+    # Header and rows share one buffer, decoded once: joining them would copy it all.
+    buf = np.empty(len(header) + frame.n * 2 * len(cols), np.uint8)
+    buf[:len(header)] = np.frombuffer(header, np.uint8)
+    rows = buf[len(header):].reshape(frame.n, 2 * len(cols))
+    rows[:, 1::2] = ord(",")
+    rows[:, -1] = ord("\n")
+    for j, col in enumerate(cols):
+        np.add(col, _ZERO, out=rows[:, 2 * j], casting="unsafe")
+    return str(memoryview(buf), "ascii")
 
 
 def write_frame(frame: AuditFrame, path) -> None:

@@ -108,6 +108,12 @@ class TestSynthAudit:
         assert main(["audit", "-i", str(path)]) == 1
         assert "error [non_binary]: " in capsys.readouterr().err
 
+    def test_non_utf8_input_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"pred,corr,group\n1,0,0\n0,1,\xff\n")
+        assert main(["audit", "-i", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error [bad_encoding]: row 3: ")
+
     def test_partial_thresholds_keep_defaults(self, reference_csv, tmp_path, capsys):
         path = tmp_path / "fr-only.txt"
         path.write_text("FR 0 0.2 0.4\n")
@@ -189,6 +195,14 @@ def test_corr_column_not_required(argv, raw_csv, reference_csv, capsys):
     expected = capsys.readouterr().out
     assert main([*argv, "-i", str(raw_csv)]) == code
     assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("command", ["debias", "pipeline"])
+def test_unreachable_epsilon_has_code(command, tmp_path, capsys):
+    path = tmp_path / "five.csv"
+    path.write_text("pred,group\n1,0\n0,0\n1,1\n0,1\n0,1\n")
+    assert main([command, "-i", str(path), "--epsilon", "0.05"]) == 1
+    assert capsys.readouterr().err.startswith("error [unreachable_epsilon]: ")
 
 
 class TestPipelineCommand:

@@ -61,6 +61,26 @@ class TestFrameValidation:
         with pytest.raises(ValidationError):
             AuditFrame([1.0, 0.5], [1, 0], [0, 1])
 
+    def test_read_only_owning_vector_still_checked(self):
+        group = np.array([0, 1, 2], dtype=np.int64)
+        group.setflags(write=False)
+        with pytest.raises(ValidationError, match=r"group\[2\]") as exc:
+            AuditFrame([1, 0, 1], [1, 0, 1], group)
+        assert exc.value.code == "non_binary"
+
+    def test_writable_vector_copied(self):
+        pred = np.array([1, 0, 1], dtype=np.int64)
+        frame = AuditFrame(pred, [1, 0, 1], [0, 1, 0])
+        pred[0] = 0
+        assert frame.y_predicted.tolist() == [1, 0, 1]
+
+    def test_with_corrected_shares_validated_vectors(self):
+        frame = AuditFrame([1, 0, 1], [1, 0, 1], [0, 1, 0], [0, 0, 1])
+        other = frame.with_corrected([0, 0, 1])
+        assert other.y_predicted is frame.y_predicted
+        assert other.group is frame.group
+        assert other.y_true is frame.y_true
+
 
 class TestFlipRate:
     def test_reference_value(self):

@@ -1,0 +1,132 @@
+"""CSV ingest and emit: the byte fast path must agree with the csv-module path."""
+
+import csv
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from flipaudit import AuditFrame, ValidationError, ingest
+from flipaudit.tabular import ColumnMapping, _ingest_strict, ingest_rows, write_frame
+
+DEFAULT = ColumnMapping()
+REMAPPED = ColumnMapping(favorable=0, privileged=0)
+WITH_TRUE = ColumnMapping(true_col="true")
+NO_CORR = ColumnMapping(corr_col=None)
+MAPPINGS = [DEFAULT, REMAPPED, WITH_TRUE, NO_CORR]
+
+HEADERS = [
+    "pred,corr,group",
+    "pred,corr,group,true",
+    "group, pred ,corr",
+    "pred,pred,corr,group",
+    "\ufeffpred,corr,group",
+    '"pred",corr,group',
+    "pred,corr",
+    "",
+]
+
+# Cells, separators, quotes and both line ends: what the csv module reads leniently.
+ALPHABET = '012, "\n\r'
+
+
+def outcome(read):
+    """The frame ``read()`` returns, or the code and message of its error."""
+    try:
+        return read()
+    except ValidationError as exc:
+        return exc.code, str(exc)
+
+
+def reference(path, mapping):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return outcome(lambda: ingest_rows(csv.reader(fh), mapping))
+
+
+@st.composite
+def csv_files(draw):
+    """A file and a mapping; half the headers hold exactly the mapped columns."""
+    mapping = draw(st.sampled_from(MAPPINGS))
+    header = draw(st.one_of(st.permutations(mapping.columns()).map(",".join),
+                            st.sampled_from(HEADERS)))
+    term = draw(st.sampled_from(["\n", "\r\n"]))
+    width = len(header.split(","))
+    row = st.lists(st.sampled_from("01"), min_size=width, max_size=width).map(",".join)
+    body = "".join(r + term for r in draw(st.lists(row, max_size=6)))
+    if body and draw(st.booleans()):
+        body = body[:-len(term)]
+    change = draw(st.sampled_from(["none", "byte", "byte", "slice", "all"]))
+    if change == "byte" and body:  # keeps the shape, so only the byte check can decline
+        pos = draw(st.integers(0, len(body) - 1))
+        body = body[:pos] + draw(st.sampled_from(ALPHABET)) + body[pos + 1:]
+    elif change == "slice":  # replace up to two bytes, or none, with up to three
+        start = draw(st.integers(0, len(body)))
+        stop = draw(st.integers(start, min(start + 2, len(body))))
+        body = body[:start] + draw(st.text(ALPHABET, max_size=3)) + body[stop:]
+    elif change == "all":
+        body = draw(st.text(ALPHABET, max_size=30))
+    return (header + term + body).encode("utf-8"), mapping
+
+
+@settings(max_examples=400)
+@given(case=csv_files())
+def test_ingest_matches_csv_reader(tmp_path_factory, case):
+    data, mapping = case
+    path = tmp_path_factory.getbasetemp() / "hypothesis.csv"
+    path.write_bytes(data)
+    assert outcome(lambda: ingest(path, mapping)) == reference(path, mapping)
+
+
+@pytest.mark.parametrize("term", ["\n", "\r\n"])
+def test_every_byte_change_matches_csv_reader(term, tmp_path):
+    header = "group,pred,corr" + term
+    body = "1,0,0" + term + "0,1,1" + term
+    path = tmp_path / "d.csv"
+    for pos in range(len(body)):
+        for char in ALPHABET:
+            path.write_bytes((header + body[:pos] + char + body[pos + 1:]).encode())
+            for mapping in (DEFAULT, REMAPPED):
+                assert outcome(lambda: ingest(path, mapping)) == reference(path, mapping)
+
+
+# (file bytes, mapping, whether the byte fast path takes the file)
+NAMED = {
+    "crlf": (b"pred,corr,group\r\n1,0,0\r\n0,1,1\r\n", DEFAULT, True),
+    "no_final_newline": (b"pred,corr,group\n1,0,0\n0,1,1", DEFAULT, True),
+    "crlf_no_final_newline": (b"pred,corr,group\r\n1,0,0\r\n0,1,1", DEFAULT, True),
+    "spaced_header": (b" pred , corr,group\n1,0,0\n", DEFAULT, True),
+    "spaced_cell": (b"pred,corr,group\n1,0,0\n0, 1,1\n", DEFAULT, False),
+    "quoted_cell": (b'pred,corr,group\n1,0,0\n0,"1",1\n', DEFAULT, False),
+    "trailing_blank_line": (b"pred,corr,group\n1,0,0\n\n", DEFAULT, False),
+    "bom_header": (b"\xef\xbb\xbfpred,corr,group\n1,0,0\n", DEFAULT, False),
+    "duplicate_columns": (b"pred,corr,pred,group\n1,0,0,1\n0,1,1,0\n", DEFAULT, True),
+    "header_only": (b"pred,corr,group\n", DEFAULT, False),
+    "header_without_newline": (b"pred,corr,group", DEFAULT, False),
+    "empty_file": (b"", DEFAULT, False),
+    "remapped": (b"pred,corr,group\n1,0,0\n0,1,1\n", REMAPPED, True),
+    "no_corr_column": (b"pred,group\n1,0\n0,1\n", NO_CORR, True),
+    "missing_true": (b"pred,corr,group\n1,0,0\n", WITH_TRUE, False),
+    "non_binary": (b"pred,corr,group\n1,0,0\n1,2,0\n", DEFAULT, False),
+    "ragged": (b"pred,corr,group\n1,0,0\n1,0\n", DEFAULT, False),
+    "mixed_terminators": (b"pred,corr,group\r\n1,0,0\n0,1,1\r\n", DEFAULT, False),
+}
+
+
+@pytest.mark.parametrize("name", NAMED)
+def test_named_case(name, tmp_path):
+    data, mapping, fast = NAMED[name]
+    path = tmp_path / "d.csv"
+    path.write_bytes(data)
+    assert (_ingest_strict(data, mapping) is not None) == fast
+    assert outcome(lambda: ingest(path, mapping)) == reference(path, mapping)
+
+
+@pytest.mark.parametrize("n", [1, 2, 100_000])
+@pytest.mark.parametrize("with_true", [False, True])
+def test_round_trip(n, with_true, tmp_path):
+    pred, corr, group, true = np.random.default_rng(n).integers(0, 2, size=(4, n))
+    frame = AuditFrame(pred, corr, group, true if with_true else None)
+    path = tmp_path / "rt.csv"
+    write_frame(frame, path)
+    assert ingest(path, ColumnMapping(true_col="true" if with_true else None)) == frame
+
