@@ -20,6 +20,7 @@ from . import __version__
 from .chart import emit_chart
 from .debias import DebiasError, sp_equalizing_debiaser, make_sp_debiaser
 from .fairness import ValidationError
+from .frame import decode_utf8
 from .pipeline import Decision, PipelineError, run_audit_pipeline
 from .report import build_report, parse_structured, render_structured, render_text
 from .scenario import BUILTIN_SCENARIOS, generate_scenario, load_spec
@@ -83,11 +84,11 @@ def _write_output(text: str, path: str | None):
             fh.write(text)
 
 
-def _read_input(path: str):
+def _read_input(path: str) -> str:
     if path == "-":
-        return sys.stdin.read()
-    with open(path) as fh:
-        return fh.read()
+        return decode_utf8(sys.stdin.buffer.read())
+    with open(path, "rb") as fh:
+        return decode_utf8(fh.read())
 
 
 def build_parser() -> argparse.ArgumentParser:

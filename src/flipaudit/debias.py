@@ -147,13 +147,18 @@ def _check_epsilon(epsilon: float):
 
 
 def sp_equalizing_debiaser(y_predicted, group, epsilon: float, rng_seed: int = 0) -> np.ndarray:
-    """Return corrected labels with |SP difference| <= epsilon, flipping minimally."""
+    """Return corrected labels with |SP difference| <= epsilon, flipping minimally.
+
+    The result is a new read-only int64 vector, so a frame built from it
+    shares it instead of copying it.
+    """
     _check_epsilon(epsilon)
     labels, grp = binary_vectors(y_predicted=y_predicted, group=group)
     labels = labels.copy()
     table = group_tally(grp, labels)
     sp = sp_from_counts(table)
     if abs(sp) <= epsilon:
+        labels.setflags(write=False)
         return labels
 
     # sp > 0 means group 0 is over-favored.
@@ -173,6 +178,7 @@ def sp_equalizing_debiaser(y_predicted, group, epsilon: float, rng_seed: int = 0
     up_candidates = np.flatnonzero((grp == under) & (labels == 0))
     labels[rng.permutation(down_candidates)[:down]] = 0
     labels[rng.permutation(up_candidates)[:up]] = 1
+    labels.setflags(write=False)
     return labels
 
 

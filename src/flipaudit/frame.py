@@ -24,17 +24,34 @@ class ValidationError(ValueError):
         self.code = code
 
 
+def decode_utf8(data: bytes, unit: str = "line") -> str:
+    """The text of UTF-8 ``data``; a bad byte fails naming its ``unit`` (line or row)."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        number = data.count(b"\n", 0, exc.start) + 1
+        raise ValidationError(
+            f"{unit} {number}: byte {data[exc.start]:#04x} is not valid UTF-8",
+            code="bad_encoding",
+        ) from None
+
+
 def _as_binary_vector(values, name: str) -> np.ndarray:
     arr = np.asarray(values)
     if arr.ndim != 1:
         raise ValidationError(f"{name} must be one-dimensional", code="bad_shape")
     if arr.size == 0:
         raise ValidationError(f"{name} is empty", code="empty")
-    # A read-only int64 array that owns its data cannot change under the
-    # frame, so it is checked but not copied.
-    frozen = arr.dtype == np.int64 and not arr.flags.writeable and arr.flags.owndata
+    if arr.dtype == np.int64 and arr.view(np.uint64).max() <= 1:
+        # astype cannot change an int64 value, so one range pass checks it
+        # (a negative one reads above 1 as uint64). A read-only int64 array
+        # that owns its data cannot change under the frame, so it is not copied.
+        if arr.flags.writeable or not arr.flags.owndata:
+            arr = arr.copy()
+            arr.setflags(write=False)
+        return arr
     try:
-        as_int = arr.astype(np.int64, copy=not frozen)
+        as_int = arr.astype(np.int64)
     except (TypeError, ValueError):
         raise ValidationError(f"{name} contains non-numeric values", code="non_binary")
     if not np.array_equal(as_int, arr):
@@ -77,8 +94,8 @@ def tally(*vectors) -> np.ndarray:
     ``tally(a, b)[i, j]`` is the number of positions where ``a == i`` and
     ``b == j``. Every count the audit reports is read from such a table.
     """
-    key = np.zeros(len(vectors[0]), dtype=np.int64)
-    for vec in vectors:
+    key = np.array(vectors[0], dtype=np.int64)
+    for vec in vectors[1:]:
         key <<= 1
         key |= vec
     return np.bincount(key, minlength=1 << len(vectors)).reshape((2,) * len(vectors))
@@ -132,7 +149,11 @@ class AuditFrame:
         return self.y_true is None or np.array_equal(self.y_true, other.y_true)
 
     def with_corrected(self, y_corrected) -> "AuditFrame":
-        """Return a copy with a different corrected-label vector."""
+        """Return a copy with a different corrected-label vector.
+
+        The other vectors are shared, and so is ``y_corrected`` when it is a
+        read-only int64 array that owns its data.
+        """
         return AuditFrame(
             y_predicted=self.y_predicted,
             y_corrected=y_corrected,

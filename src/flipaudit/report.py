@@ -25,7 +25,7 @@ from types import SimpleNamespace
 from typing import NamedTuple
 
 from .fairness import FairnessResult
-from .frame import AuditFrame, group_tally
+from .frame import AuditFrame, ValidationError, group_tally
 from .groups import group_summaries, proportionality
 from .metrics import MetricValue, summarize_counts
 from .thresholds import Band, ThresholdConfig, classify
@@ -274,4 +274,13 @@ def render_structured(report: ProportionalityReport, decision: str | None = None
 
 
 def parse_structured(text: str) -> ProportionalityReport:
-    return report_from_dict(json.loads(text))
+    """The report in ``render_structured`` output; other text fails as ``bad_report``."""
+    try:
+        return report_from_dict(json.loads(text))
+    except json.JSONDecodeError as exc:
+        problem = f"not JSON: {exc}"
+    except KeyError as exc:
+        problem = f"missing key {exc}"
+    except (AttributeError, TypeError, ValueError) as exc:
+        problem = str(exc)
+    raise ValidationError(f"not a structured report: {problem}", code="bad_report")

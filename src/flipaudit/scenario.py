@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frame import AuditFrame, ValidationError
+from .frame import AuditFrame, ValidationError, decode_utf8
 
 
 @dataclass(frozen=True)
@@ -157,5 +157,5 @@ def loads_spec(text: str) -> ScenarioSpec:
 
 
 def load_spec(path) -> ScenarioSpec:
-    with open(path) as fh:
-        return loads_spec(fh.read())
+    with open(path, "rb") as fh:
+        return loads_spec(decode_utf8(fh.read()))

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .frame import AuditFrame, ValidationError
+from .frame import AuditFrame, ValidationError, decode_utf8
 
 _ZERO = ord("0")
 
@@ -142,32 +143,24 @@ def _ingest_strict(data: bytes, mapping: ColumnMapping) -> AuditFrame | None:
     pattern = np.frombuffer(b",".join([b"0"] * len(columns)) + term, np.uint8)
     mask = np.full(row_len, 0xFF, np.uint8)
     mask[:width:2] = 0xFE
-    rows = body[:cut].reshape(n - 1, row_len)
-    last = body[cut:]
-    if not (((rows & mask) == pattern).all()
-            and ((last & mask[:last.size]) == pattern[:last.size]).all()):
+    # A period holds whole rows and whole 8-byte words, so the body's whole
+    # periods are checked a word at a time against the masks tiled to one
+    # period, and the bytes after them a byte at a time. Only whole rows
+    # precede the last one, so a last row without its terminator is in the tail.
+    period = math.lcm(row_len, 8)
+    words = body.size // period * period
+    tiles = period // row_len
+    wide = body[:words].view(np.uint64).reshape(-1, period // 8)
+    tail = body[words:]
+    if not (((wide & np.tile(mask, tiles).view(np.uint64))
+             == np.tile(pattern, tiles).view(np.uint64)).all()
+            and ((tail & np.resize(mask, tail.size)) == np.resize(pattern, tail.size)).all()):
         return None
 
-    vectors = {}
-    for name in mapping.columns():
-        j = 2 * columns.index(name)
-        vectors[name] = np.concatenate((rows[:, j], last[j:j + 1]), dtype=np.int64)
-        vectors[name] -= _ZERO
+    # Column j's cells sit at bytes 2j, 2j + row_len, ..., the last row's too.
+    vectors = {name: np.subtract(body[2 * columns.index(name)::row_len], _ZERO, dtype=np.int64)
+               for name in mapping.columns()}
     return _frame(mapping, vectors)
-
-
-def _check_utf8(data: bytes) -> None:
-    """Reject a file that is not UTF-8, naming the row of its first bad byte."""
-    if data.isascii():
-        return
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        row = data.count(b"\n", 0, exc.start) + 1
-        raise ValidationError(
-            f"row {row}: byte {data[exc.start]:#04x} is not valid UTF-8",
-            code="bad_encoding",
-        ) from None
 
 
 def ingest(path, mapping: ColumnMapping | None = None) -> AuditFrame:
@@ -181,8 +174,7 @@ def ingest(path, mapping: ColumnMapping | None = None) -> AuditFrame:
     frame = _ingest_strict(data, mapping)
     if frame is not None:
         return frame
-    _check_utf8(data)
-    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
+    text = io.StringIO(decode_utf8(data, "row"), newline="")
     return ingest_rows(csv.reader(text), mapping)
 
 

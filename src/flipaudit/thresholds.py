@@ -13,11 +13,14 @@ import math
 from dataclasses import dataclass
 
 from . import metrics as _metrics
+from .frame import decode_utf8
 from .metrics import MetricValue
 
 
 class ConfigError(ValueError):
-    pass
+    """A threshold config or entry is malformed."""
+
+    code = "bad_thresholds"
 
 
 class Band(enum.IntEnum):
@@ -126,8 +129,8 @@ class ThresholdConfig:
 
     @classmethod
     def load(cls, path) -> "ThresholdConfig":
-        with open(path) as fh:
-            return cls.loads(fh.read())
+        with open(path, "rb") as fh:
+            return cls.loads(decode_utf8(fh.read()))
 
 
 def classify(metric_name: str, value: MetricValue, config: ThresholdConfig) -> Band:

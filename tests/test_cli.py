@@ -205,6 +205,42 @@ def test_unreachable_epsilon_has_code(command, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error [unreachable_epsilon]: ")
 
 
+# The file named last on the command line; "{tmp}" is the test's directory.
+@pytest.mark.parametrize("argv, data, line", [
+    (["plot", "-o", "{tmp}/chart.svg", "-i"], b'{"a": "\xff"}', 1),
+    (["synth", "--scenario"], b"seed = 0\n# caf\xff\n", 2),
+    (["audit", "-i", "{tmp}/d.csv", "--thresholds"], b"FR 0 0.1 0.3\nFR\xff\n", 2),
+], ids=["plot", "synth_scenario", "audit_thresholds"])
+def test_non_utf8_text_input_has_code(argv, data, line, tmp_path, capsys):
+    (tmp_path / "d.csv").write_text("pred,corr,group\n1,0,0\n0,1,1\n")
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    assert main([arg.format(tmp=tmp_path) for arg in argv] + [str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error [bad_encoding]: line {line}: byte 0xff is not valid UTF-8\n"
+    )
+
+
+@pytest.mark.parametrize("text, problem", [
+    ("pred,corr,group\n1,0,0\n", "not JSON: Expecting value: line 1 column 1 (char 0)"),
+    ("{}", "missing key 'schema_version'"),
+], ids=["csv", "empty_object"])
+def test_plot_rejects_text_that_is_not_a_report(text, problem, tmp_path, capsys):
+    path = tmp_path / "report.json"
+    path.write_text(text)
+    assert main(["plot", "-i", str(path), "-o", str(tmp_path / "chart.svg")]) == 1
+    assert capsys.readouterr().err == (
+        f"error [bad_report]: not a structured report: {problem}\n"
+    )
+
+
+def test_malformed_thresholds_have_code(reference_csv, tmp_path, capsys):
+    path = tmp_path / "thresholds.txt"
+    path.write_text("FR 0 0.1\n")
+    assert main(["audit", "-i", str(reference_csv), "--thresholds", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error [bad_thresholds]: line 1: ")
+
+
 class TestPipelineCommand:
     def test_fair_input_no_debias(self, identity_csv, capsys):
         assert main(["pipeline", "-i", str(identity_csv)]) == 0

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 import oracle
 from flipaudit import (
+    AuditFrame,
     DebiasError,
     ValidationError,
     sp_equalizing_debiaser,
@@ -41,6 +42,16 @@ class TestSpEqualizingDebiaser:
         group = np.array([0, 0, 1, 1])
         corrected = sp_equalizing_debiaser(labels, group, epsilon=0.1)
         assert np.array_equal(corrected, labels)
+
+    @pytest.mark.parametrize("epsilon", [0.1, 1.0])  # flips, and the early return
+    def test_result_is_read_only_and_kept_by_frame(self, epsilon):
+        labels = np.array([1, 1, 1, 1, 0, 1, 1, 1, 0, 0])
+        group = np.array([1, 1, 1, 1, 1, 0, 0, 0, 0, 0])
+        corrected = sp_equalizing_debiaser(labels, group, epsilon)
+        with pytest.raises(ValueError, match="read-only"):
+            corrected[0] = 0
+        frame = AuditFrame(labels, labels, group)
+        assert frame.with_corrected(corrected).y_corrected is corrected
 
     def test_epsilon_one_never_flips(self):
         rng = np.random.default_rng(9)

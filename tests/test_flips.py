@@ -68,6 +68,22 @@ class TestFrameValidation:
             AuditFrame([1, 0, 1], [1, 0, 1], group)
         assert exc.value.code == "non_binary"
 
+    @pytest.mark.parametrize("frozen", [False, True])
+    @pytest.mark.parametrize("index", [0, 3, 6])
+    @pytest.mark.parametrize("value", [-1, 2, np.iinfo(np.int64).min, np.iinfo(np.int64).max])
+    def test_int64_out_of_range_names_first_index(self, value, index, frozen):
+        group = np.array([0, 1, 0, 1, 0, 1, 0], dtype=np.int64)
+        group[index] = value
+        group[index + 1:] = 5  # later bad values must not be the one reported
+        group.setflags(write=not frozen)
+        pred = np.ones(group.size, dtype=np.int64)
+        with pytest.raises(ValidationError) as exc:
+            AuditFrame(pred, pred, group)
+        assert exc.value.code == "non_binary"
+        assert str(exc.value) == (
+            f"group[{index}] = {value} is not a binary value (expected 0 or 1)"
+        )
+
     def test_writable_vector_copied(self):
         pred = np.array([1, 0, 1], dtype=np.int64)
         frame = AuditFrame(pred, [1, 0, 1], [0, 1, 0])

@@ -1,6 +1,7 @@
 """CSV ingest and emit: the byte fast path must agree with the csv-module path."""
 
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -89,6 +90,45 @@ def test_every_byte_change_matches_csv_reader(term, tmp_path):
                 assert outcome(lambda: ingest(path, mapping)) == reference(path, mapping)
 
 
+# Headers of 1 to 5 columns and the mapping each is read with. One column
+# cannot hold the mapped pred and group, so that file is always declined.
+WIDE = {
+    1: ("pred", NO_CORR),
+    2: ("pred,group", NO_CORR),
+    3: ("group,pred,corr", DEFAULT),
+    4: ("pred,corr,group,true", WITH_TRUE),
+    5: ("pred,corr,group,true,extra", REMAPPED),
+}
+
+
+def period_rows(ncols, term):
+    """Rows in one period: the fewest whole rows that are whole 8-byte words."""
+    row_len = 2 * ncols - 1 + len(term)
+    return math.lcm(row_len, 8) // row_len
+
+
+def strict_file(ncols, term, start, rows, terminated=True):
+    """Random 0/1 rows whose body starts at byte ``start`` mod 8, and their mapping.
+
+    The header's first name is padded with spaces to move the start.
+    """
+    header, mapping = WIDE[ncols]
+    header = " " * ((start - len(header) - len(term)) % 8) + header
+    cells = np.random.default_rng(rows).integers(0, 2, size=(rows, ncols))
+    body = "".join(",".join(map(str, row)) + term for row in cells)
+    if not terminated:
+        body = body[:-len(term)]
+    return (header + term + body).encode(), mapping
+
+
+def with_byte(data, pos, char):
+    return data[:pos] + bytes([char]) + data[pos + 1:]
+
+
+# Three LF columns make 4 rows to a 24-byte period; five CRLF columns, 8 to 88 bytes.
+WHOLE_PERIODS = strict_file(3, "\n", 5, 3 * 4)
+FIRST_CELL = WHOLE_PERIODS[0].index(b"\n") + 1
+
 # (file bytes, mapping, whether the byte fast path takes the file)
 NAMED = {
     "crlf": (b"pred,corr,group\r\n1,0,0\r\n0,1,1\r\n", DEFAULT, True),
@@ -109,6 +149,17 @@ NAMED = {
     "non_binary": (b"pred,corr,group\n1,0,0\n1,2,0\n", DEFAULT, False),
     "ragged": (b"pred,corr,group\n1,0,0\n1,0\n", DEFAULT, False),
     "mixed_terminators": (b"pred,corr,group\r\n1,0,0\n0,1,1\r\n", DEFAULT, False),
+    "whole_periods": (*WHOLE_PERIODS, True),
+    "whole_periods_and_one_row": (*strict_file(3, "\n", 5, 3 * 4 + 1), True),
+    "whole_periods_less_one_row": (*strict_file(3, "\n", 5, 3 * 4 - 1), True),
+    "whole_periods_unterminated": (*strict_file(3, "\n", 5, 3 * 4, False), True),
+    "whole_periods_crlf_aligned": (*strict_file(5, "\r\n", 0, 3 * 8), True),
+    "whole_periods_crlf_and_one_unterminated_row":
+        (*strict_file(5, "\r\n", 0, 3 * 8 + 1, False), True),
+    "whole_periods_crlf_less_one_row": (*strict_file(5, "\r\n", 0, 3 * 8 - 1), True),
+    "non_binary_in_first_period":
+        (with_byte(WHOLE_PERIODS[0], FIRST_CELL, ord("2")), DEFAULT, False),
+    "non_binary_in_last_row": (with_byte(WHOLE_PERIODS[0], -2, ord("2")), DEFAULT, False),
 }
 
 
@@ -119,6 +170,34 @@ def test_named_case(name, tmp_path):
     path.write_bytes(data)
     assert (_ingest_strict(data, mapping) is not None) == fast
     assert outcome(lambda: ingest(path, mapping)) == reference(path, mapping)
+
+
+@pytest.mark.parametrize("start", [0, 5])  # a body aligned to 8 bytes, and one not
+@pytest.mark.parametrize("term", ["\n", "\r\n"])
+@pytest.mark.parametrize("ncols", [1, 2, 3, 4, 5])
+def test_whole_periods_match_csv_reader(ncols, term, start, tmp_path):
+    path = tmp_path / "d.csv"
+    for rows in (3 * period_rows(ncols, term) + k for k in (-1, 0, 1, 5)):
+        for terminated in (True, False):
+            data, mapping = strict_file(ncols, term, start, rows, terminated)
+            assert (data.index(b"\n") + 1) % 8 == start
+            path.write_bytes(data)
+            assert (_ingest_strict(data, mapping) is not None) == (ncols > 1)
+            assert outcome(lambda: ingest(path, mapping)) == reference(path, mapping)
+
+
+@pytest.mark.parametrize("ncols, term, start", [(3, "\n", 5), (4, "\n", 0), (5, "\r\n", 3)])
+def test_every_byte_change_in_whole_periods(ncols, term, start, tmp_path):
+    data, mapping = strict_file(ncols, term, start, 3 * period_rows(ncols, term) + 1)
+    path = tmp_path / "d.csv"
+    for pos in range(data.index(b"\n") + 1, len(data)):
+        for char in ALPHABET.encode():
+            changed = with_byte(data, pos, char)
+            # Only a cell changed to the other digit leaves the file strict.
+            fast = changed == data or (data[pos] in b"01" and char in b"01")
+            assert (_ingest_strict(changed, mapping) is not None) == fast
+            path.write_bytes(changed)
+            assert outcome(lambda: ingest(path, mapping)) == reference(path, mapping)
 
 
 @pytest.mark.parametrize("n", [1, 2, 100_000])
