@@ -24,7 +24,7 @@ from .frame import decode_utf8
 from .pipeline import Decision, PipelineError, run_audit_pipeline
 from .report import build_report, parse_structured, render_structured, render_text
 from .scenario import BUILTIN_SCENARIOS, generate_scenario, load_spec
-from .tabular import ColumnMapping, frame_to_csv, ingest
+from .tabular import ColumnMapping, frame_to_csv_bytes, ingest
 from .thresholds import ConfigError, ThresholdConfig
 
 EXIT_OK = 0
@@ -76,12 +76,14 @@ def _load_config(args) -> ThresholdConfig:
     return ThresholdConfig.default()
 
 
-def _write_output(text: str, path: str | None):
+def _write_output(data: bytes | memoryview, path: str | None):
+    """Write bytes-like ``data`` as it is: output never depends on the locale."""
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.flush()
+        sys.stdout.buffer.write(data)
     else:
-        with open(path, "w") as fh:
-            fh.write(text)
+        with open(path, "wb") as fh:
+            fh.write(data)
 
 
 def _read_input(path: str) -> str:
@@ -142,7 +144,7 @@ def _cmd_synth(args) -> int:
     else:
         spec = load_spec(args.scenario)
     frame = generate_scenario(spec)
-    _write_output(frame_to_csv(frame), args.output)
+    _write_output(frame_to_csv_bytes(frame), args.output)
     return EXIT_OK
 
 
@@ -150,13 +152,13 @@ def _cmd_audit(args) -> int:
     frame = ingest(args.input, _mapping(args))
     report = build_report(frame, _load_config(args))
     text = render_text(report) if args.format == "text" else render_structured(report)
-    _write_output(text, args.output)
+    _write_output(text.encode(), args.output)
     return _VERDICT_CODES[report.verdict]
 
 
 def _cmd_plot(args) -> int:
     report = parse_structured(_read_input(args.input))
-    _write_output(emit_chart(report), args.output)
+    _write_output(emit_chart(report).encode(), args.output)
     return EXIT_OK
 
 
@@ -165,7 +167,7 @@ def _cmd_debias(args) -> int:
     corrected = sp_equalizing_debiaser(
         frame.y_predicted, frame.group, args.epsilon, args.seed
     )
-    _write_output(frame_to_csv(frame.with_corrected(corrected)), args.output)
+    _write_output(frame_to_csv_bytes(frame.with_corrected(corrected)), args.output)
     return EXIT_OK
 
 
@@ -182,7 +184,7 @@ def _cmd_pipeline(args) -> int:
         text = render_structured(outcome.report, decision=outcome.decision.value)
     else:
         text = render_text(outcome.report) + f"Decision: {outcome.decision.value}\n"
-    _write_output(text, args.output)
+    _write_output(text.encode(), args.output)
     return _decision_code(outcome.decision, outcome.report.verdict)
 
 

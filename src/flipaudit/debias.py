@@ -149,7 +149,7 @@ def _check_epsilon(epsilon: float):
 def sp_equalizing_debiaser(y_predicted, group, epsilon: float, rng_seed: int = 0) -> np.ndarray:
     """Return corrected labels with |SP difference| <= epsilon, flipping minimally.
 
-    The result is a new read-only int64 vector, so a frame built from it
+    The result is a new read-only int8 vector, so a frame built from it
     shares it instead of copying it.
     """
     _check_epsilon(epsilon)
@@ -174,10 +174,14 @@ def sp_equalizing_debiaser(y_predicted, group, epsilon: float, rng_seed: int = 0
     )
 
     rng = np.random.default_rng(rng_seed)
+    # Shuffle the down candidates even when down is 0: the up shuffle's draws
+    # follow it. The up shuffle is the generator's last use, so it is skipped
+    # when up is 0 without changing a bit.
     down_candidates = np.flatnonzero((grp == over) & (labels == 1))
-    up_candidates = np.flatnonzero((grp == under) & (labels == 0))
     labels[rng.permutation(down_candidates)[:down]] = 0
-    labels[rng.permutation(up_candidates)[:up]] = 1
+    if up:
+        up_candidates = np.flatnonzero((grp == under) & (labels == 0))
+        labels[rng.permutation(up_candidates)[:up]] = 1
     labels.setflags(write=False)
     return labels
 

@@ -42,12 +42,14 @@ def _as_binary_vector(values, name: str) -> np.ndarray:
         raise ValidationError(f"{name} must be one-dimensional", code="bad_shape")
     if arr.size == 0:
         raise ValidationError(f"{name} is empty", code="empty")
-    if arr.dtype == np.int64 and arr.view(np.uint64).max() <= 1:
-        # astype cannot change an int64 value, so one range pass checks it
-        # (a negative one reads above 1 as uint64). A read-only int64 array
-        # that owns its data cannot change under the frame, so it is not copied.
-        if arr.flags.writeable or not arr.flags.owndata:
-            arr = arr.copy()
+    dtype = arr.dtype
+    if dtype.kind in "biu" and dtype.isnative and arr.view(f"u{dtype.itemsize}").max() <= 1:
+        # A bool or integer vector whose values read as unsigned are at most 1
+        # (a negative one reads above it) is 0/1, so one range pass checks it.
+        # A read-only int8 array that owns its data cannot change under the
+        # frame, so it is not copied.
+        if dtype != np.int8 or arr.flags.writeable or not arr.flags.owndata:
+            arr = arr.astype(np.int8)
             arr.setflags(write=False)
         return arr
     try:
@@ -66,8 +68,9 @@ def _as_binary_vector(values, name: str) -> np.ndarray:
             f"{name}[{bad}] = {as_int[bad]} is not a binary value (expected 0 or 1)",
             code="non_binary",
         )
-    as_int.setflags(write=False)
-    return as_int
+    labels = as_int.astype(np.int8)
+    labels.setflags(write=False)
+    return labels
 
 
 def binary_vectors(**named) -> tuple[np.ndarray | None, ...]:
@@ -93,8 +96,10 @@ def tally(*vectors) -> np.ndarray:
 
     ``tally(a, b)[i, j]`` is the number of positions where ``a == i`` and
     ``b == j``. Every count the audit reports is read from such a table.
+    The key is built in int8, which holds it for up to seven vectors; the
+    package tallies at most four, so it stays below 16.
     """
-    key = np.array(vectors[0], dtype=np.int64)
+    key = np.array(vectors[0], dtype=np.int8)
     for vec in vectors[1:]:
         key <<= 1
         key |= vec
@@ -152,7 +157,7 @@ class AuditFrame:
         """Return a copy with a different corrected-label vector.
 
         The other vectors are shared, and so is ``y_corrected`` when it is a
-        read-only int64 array that owns its data.
+        read-only int8 array that owns its data.
         """
         return AuditFrame(
             y_predicted=self.y_predicted,

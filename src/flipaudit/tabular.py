@@ -58,7 +58,19 @@ def _parse_cell(raw: str, row: int, col: str) -> int:
 
 
 def ingest_rows(rows, mapping: ColumnMapping) -> AuditFrame:
+    """The frame of ``rows``, a ``csv.reader`` or any iterable of cell lists."""
     rows = iter(rows)
+    try:
+        return _ingest_rows(rows, mapping)
+    except csv.Error as exc:
+        # A reader fails this way on, say, an unclosed quote whose field
+        # outgrows csv.field_size_limit(); line_num is where it stopped.
+        line = getattr(rows, "line_num", None)
+        raise ValidationError(f"row {line}: {exc}" if line else str(exc),
+                              code="bad_csv") from None
+
+
+def _ingest_rows(rows, mapping: ColumnMapping) -> AuditFrame:
     try:
         header = next(rows)
     except StopIteration:
@@ -84,12 +96,12 @@ def ingest_rows(rows, mapping: ColumnMapping) -> AuditFrame:
             data[name].append(_parse_cell(row[idx], rownum, name))
     if not data[mapping.pred_col]:
         raise ValidationError("file contains no data rows", code="empty")
-    return _frame(mapping, {name: np.asarray(cells, dtype=np.int64)
+    return _frame(mapping, {name: np.asarray(cells, dtype=np.int8)
                             for name, cells in data.items()})
 
 
 def _frame(mapping: ColumnMapping, vectors: dict[str, np.ndarray]) -> AuditFrame:
-    """The frame of the mapped columns, given as new int64 0/1 vectors by name."""
+    """The frame of the mapped columns, given as new int8 0/1 vectors by name."""
     def vec(name: str | None, flip_when: int) -> np.ndarray | None:
         if name is None:
             return None
@@ -158,7 +170,7 @@ def _ingest_strict(data: bytes, mapping: ColumnMapping) -> AuditFrame | None:
         return None
 
     # Column j's cells sit at bytes 2j, 2j + row_len, ..., the last row's too.
-    vectors = {name: np.subtract(body[2 * columns.index(name)::row_len], _ZERO, dtype=np.int64)
+    vectors = {name: np.subtract(body[2 * columns.index(name)::row_len], _ZERO, dtype=np.int8)
                for name in mapping.columns()}
     return _frame(mapping, vectors)
 
@@ -178,15 +190,15 @@ def ingest(path, mapping: ColumnMapping | None = None) -> AuditFrame:
     return ingest_rows(csv.reader(text), mapping)
 
 
-def frame_to_csv(frame: AuditFrame) -> str:
-    """Emit a frame in the canonical column layout (pred, corr, group[, true])."""
+def frame_to_csv_bytes(frame: AuditFrame) -> memoryview:
+    """The bytes of a frame in the canonical column layout (pred, corr, group[, true])."""
     names = ["pred", "corr", "group"]
     cols = [frame.y_predicted, frame.y_corrected, frame.group]
     if frame.y_true is not None:
         names.append("true")
         cols.append(frame.y_true)
     header = (",".join(names) + "\n").encode("ascii")
-    # Header and rows share one buffer, decoded once: joining them would copy it all.
+    # Header and rows share one buffer: joining them would copy it all.
     buf = np.empty(len(header) + frame.n * 2 * len(cols), np.uint8)
     buf[:len(header)] = np.frombuffer(header, np.uint8)
     rows = buf[len(header):].reshape(frame.n, 2 * len(cols))
@@ -194,9 +206,14 @@ def frame_to_csv(frame: AuditFrame) -> str:
     rows[:, -1] = ord("\n")
     for j, col in enumerate(cols):
         np.add(col, _ZERO, out=rows[:, 2 * j], casting="unsafe")
-    return str(memoryview(buf), "ascii")
+    return memoryview(buf)
+
+
+def frame_to_csv(frame: AuditFrame) -> str:
+    """``frame_to_csv_bytes(frame)`` as text."""
+    return str(frame_to_csv_bytes(frame), "ascii")
 
 
 def write_frame(frame: AuditFrame, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(frame_to_csv(frame))
+    with open(path, "wb") as fh:
+        fh.write(frame_to_csv_bytes(frame))

@@ -1,4 +1,5 @@
 import json
+import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -239,6 +240,30 @@ def test_malformed_thresholds_have_code(reference_csv, tmp_path, capsys):
     path.write_text("FR 0 0.1\n")
     assert main(["audit", "-i", str(reference_csv), "--thresholds", str(path)]) == 1
     assert capsys.readouterr().err.startswith("error [bad_thresholds]: line 1: ")
+
+
+def test_unclosed_quote_has_code(tmp_path, capsys):
+    # Row 7 opens a quote that swallows the rest of the file and outgrows
+    # the csv module's field limit.
+    lines = ["pred,corr,group"] + ["0,1,1"] * 30_000
+    lines[7] = '1,"0,0'
+    path = tmp_path / "d.csv"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["audit", "-i", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error \[bad_csv\]: row \d+: field larger than field limit "
+                        r"\(\d+\)\n", err)
+
+
+@pytest.mark.parametrize("command", [["synth", "--scenario", "reference-example"],
+                                     ["debias", "-i", "{csv}", "--true-col", "true"]],
+                         ids=["synth", "debias"])
+def test_csv_to_stdout_equals_csv_to_file(command, reference_csv, tmp_path, capsysbinary):
+    argv = [arg.format(csv=reference_csv) for arg in command]
+    out = tmp_path / "out.csv"
+    assert main([*argv, "-o", str(out)]) == 0
+    assert main([*argv, "-o", "-"]) == 0
+    assert capsysbinary.readouterr().out == out.read_bytes()
 
 
 class TestPipelineCommand:

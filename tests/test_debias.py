@@ -106,6 +106,38 @@ class TestSpEqualizingDebiaser:
         b = sp_equalizing_debiaser(labels, group, 0.05, rng_seed=7)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("idle", ["up", "down"])
+    def test_placement_matches_full_shuffle_reference(self, idle):
+        # With no up-flips the up shuffle is skipped; the bits must stay those
+        # of shuffling both candidate sets, in order, from one seeded generator.
+        rng = np.random.default_rng(11)
+        checked = 0
+        for seed in range(400):
+            labels, group = random_labeled_groups(rng, 60)
+            epsilon = float(rng.choice(GRID_EPSILONS))
+            try:
+                corrected = sp_equalizing_debiaser(labels, group, epsilon, rng_seed=seed)
+            except DebiasError:
+                continue
+            down = int(np.sum((labels == 1) & (corrected == 0)))
+            up = int(np.sum((labels == 0) & (corrected == 1)))
+            if (up, down)[idle == "down"] != 0 or down + up == 0:
+                continue
+            over = int(labels[group == 1].mean() > labels[group == 0].mean())
+            reference = labels.copy()
+            draw = np.random.default_rng(seed)
+            reference[draw.permutation(np.flatnonzero((group == over) & (labels == 1)))[:down]] = 0
+            reference[draw.permutation(np.flatnonzero((group != over) & (labels == 0)))[:up]] = 1
+            assert np.array_equal(corrected, reference)
+            checked += 1
+        assert checked >= 20
+
+    @pytest.mark.parametrize("epsilon", [0.1, 1.0])  # flips, and the early return
+    def test_result_is_int8(self, epsilon):
+        labels = np.array([1, 1, 1, 1, 0, 1, 1, 1, 0, 0], dtype=np.int64)
+        group = np.array([1, 1, 1, 1, 1, 0, 0, 0, 0, 0], dtype=np.int64)
+        assert sp_equalizing_debiaser(labels, group, epsilon).dtype == np.int8
+
     def test_unreachable_epsilon_reports_best_gap(self):
         # Rate grids 1/2 and 1/3 share no pair within 0.05 given the
         # one-directional flip constraint.

@@ -11,6 +11,7 @@ from flipaudit import (
     harmful_flip_proportion,
     summarize_flips,
 )
+from flipaudit.frame import tally
 from flipaudit.metrics import (
     NO_FLIPS,
     NO_HARMFUL,
@@ -83,6 +84,64 @@ class TestFrameValidation:
         assert str(exc.value) == (
             f"group[{index}] = {value} is not a binary value (expected 0 or 1)"
         )
+
+    @pytest.mark.parametrize("frozen", [False, True])
+    @pytest.mark.parametrize("index", [0, 3, 6])
+    @pytest.mark.parametrize("dtype, value", [
+        (np.int8, -1), (np.int8, 2), (np.int8, -128), (np.int8, 127),
+        (np.uint8, 2), (np.uint8, 255),
+        (np.int32, -1), (np.int32, 2), (np.int32, np.iinfo(np.int32).min),
+        (np.int32, np.iinfo(np.int32).max),
+    ])
+    def test_narrow_int_out_of_range_names_first_index(self, dtype, value, index, frozen):
+        group = np.array([0, 1, 0, 1, 0, 1, 0], dtype=dtype)
+        group[index] = value
+        group[index + 1:] = 5  # later bad values must not be the one reported
+        group.setflags(write=not frozen)
+        pred = np.ones(group.size, dtype=dtype)
+        with pytest.raises(ValidationError) as exc:
+            AuditFrame(pred, pred, group)
+        assert exc.value.code == "non_binary"
+        assert str(exc.value) == (
+            f"group[{index}] = {value} is not a binary value (expected 0 or 1)"
+        )
+
+    @pytest.mark.parametrize("values", [
+        [1, 0, 1], [True, False, True], np.array([1, 0, 1], np.uint16),
+        np.array([1, 0, 1], np.int64), np.array([1.0, 0.0, 1.0]),
+        np.array([1, 0, 1, 1], np.int8)[::-1][1:],
+    ], ids=["list", "bool", "uint16", "int64", "float", "int8_view"])
+    def test_vectors_are_read_only_int8(self, values):
+        frame = AuditFrame(values, values, [0, 1, 0], values)
+        other = frame.with_corrected(values)
+        for vec in (frame.y_predicted, frame.y_corrected, frame.group, frame.y_true,
+                    other.y_corrected):
+            assert vec.dtype == np.int8 and not vec.flags.writeable
+        assert frame.y_predicted.tolist() == [1, 0, 1]
+
+    def test_big_endian_checked_by_value(self):
+        # Big-endian 1 << 56 has the bytes of a native 1; big-endian 1 does not.
+        group = np.array([0, 1, 0], dtype=">i8")
+        assert AuditFrame(group, group, group).group.tolist() == [0, 1, 0]
+        group[1] = 1 << 56
+        with pytest.raises(ValidationError) as exc:
+            AuditFrame([1, 0, 1], [1, 0, 1], group)
+        assert str(exc.value) == (
+            f"group[1] = {1 << 56} is not a binary value (expected 0 or 1)"
+        )
+
+    def test_frozen_owning_int8_shared(self):
+        pred = np.array([1, 0, 1], dtype=np.int8)
+        pred.setflags(write=False)
+        frame = AuditFrame(pred, pred, [0, 1, 0])
+        assert frame.y_predicted is pred and frame.y_corrected is pred
+        assert frame.with_corrected(pred).y_corrected is pred
+
+    def test_writable_int8_copied(self):
+        pred = np.array([1, 0, 1], dtype=np.int8)
+        frame = AuditFrame(pred, pred, [0, 1, 0])
+        pred[0] = 0
+        assert frame.y_predicted.tolist() == [1, 0, 1]
 
     def test_writable_vector_copied(self):
         pred = np.array([1, 0, 1], dtype=np.int64)
@@ -184,3 +243,11 @@ class TestSummarizeFlips:
     def test_empty_selection_rejected(self, identity_frame):
         with pytest.raises(ValidationError, match="empty group"):
             summarize_flips(identity_frame, np.zeros(identity_frame.n, dtype=bool))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_tally_int8_equals_int64(k):
+    vectors = np.random.default_rng(k).integers(0, 2, size=(k, 1000))
+    narrow = [vec.astype(np.int8) for vec in vectors]
+    assert np.array_equal(tally(*narrow), tally(*vectors))
+    assert tally(*narrow).sum() == 1000

@@ -5,10 +5,14 @@ counting changes that alter a single byte of a report, chart or synthesized
 CSV fail here.
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import flipaudit
 from flipaudit.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -34,3 +38,24 @@ def test_cli_output_matches_fixture(name, tmp_path, monkeypatch):
     out = tmp_path / name
     assert main([*argv, "-o", str(out)]) == exit_code
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+# A locale whose encoding cannot hold the reports' "∞" and "≤".
+ASCII_LOCALE = {"PYTHONUTF8": "0", "LC_ALL": "C", "PYTHONIOENCODING": "ascii"}
+
+
+@pytest.mark.parametrize("name", ["audit.txt", "chart.svg"])
+@pytest.mark.parametrize("to_stdout", [False, True])
+def test_output_bytes_do_not_depend_on_locale(name, to_stdout, tmp_path):
+    argv, exit_code = CASES[name]
+    out = tmp_path / name
+    src = Path(flipaudit.__file__).parent.parent
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, **ASCII_LOCALE, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-m", "flipaudit.cli", *argv, "-o", "-" if to_stdout else str(out)],
+        cwd=GOLDEN, env=env, capture_output=True,
+    )
+    assert (proc.returncode, proc.stderr) == (exit_code, b"")
+    written = proc.stdout if to_stdout else out.read_bytes()
+    assert written == (GOLDEN / name).read_bytes()

@@ -1,7 +1,9 @@
 """CSV ingest and emit: the byte fast path must agree with the csv-module path."""
 
 import csv
+import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -209,3 +211,37 @@ def test_round_trip(n, with_true, tmp_path):
     write_frame(frame, path)
     assert ingest(path, ColumnMapping(true_col="true" if with_true else None)) == frame
 
+
+
+def unclosed_quote_csv(rows=30_000, bad_row=7):
+    """A CSV whose row ``bad_row`` opens a quote no later row closes."""
+    lines = ["pred,corr,group"] + ["0,1,1"] * rows
+    lines[bad_row] = '1,"0,0'
+    return "\n".join(lines) + "\n"
+
+
+def test_csv_error_has_code_and_row():
+    # The open field swallows every later line and outgrows the csv module's limit.
+    text = unclosed_quote_csv()
+    with pytest.raises(ValidationError) as exc:
+        ingest_rows(csv.reader(io.StringIO(text, newline="")), DEFAULT)
+    assert exc.value.code == "bad_csv"
+    match = re.fullmatch(r"row (\d+): field larger than field limit \(\d+\)", str(exc.value))
+    assert match and 8 < int(match[1]) <= 30_001
+
+
+@pytest.mark.parametrize("mapping", MAPPINGS)
+@pytest.mark.parametrize("strict", [True, False])
+def test_ingested_vectors_are_read_only_int8(mapping, strict, tmp_path):
+    pred, corr, group, true = np.random.default_rng(3).integers(0, 2, size=(4, 50))
+    path = tmp_path / "d.csv"
+    write_frame(AuditFrame(pred, corr, group, true), path)
+    data = path.read_bytes()
+    if not strict:  # a quoted header is valid but goes to ingest_rows
+        data = b'"pred"' + data.removeprefix(b"pred")
+    path.write_bytes(data)
+    assert (_ingest_strict(data, mapping) is not None) == strict
+    frame = ingest(path, mapping)
+    vectors = [frame.y_predicted, frame.y_corrected, frame.group, frame.y_true]
+    for vec in vectors[:3] + ([vectors[3]] if mapping.true_col else []):
+        assert vec.dtype == np.int8 and not vec.flags.writeable
