@@ -24,7 +24,7 @@ from .frame import decode_utf8
 from .pipeline import Decision, PipelineError, run_audit_pipeline
 from .report import build_report, parse_structured, render_structured, render_text
 from .scenario import BUILTIN_SCENARIOS, generate_scenario, load_spec
-from .tabular import ColumnMapping, frame_to_csv_bytes, ingest
+from .tabular import ColumnMapping, frame_to_csv_blocks, ingest
 from .thresholds import ConfigError, ThresholdConfig
 
 EXIT_OK = 0
@@ -76,14 +76,19 @@ def _load_config(args) -> ThresholdConfig:
     return ThresholdConfig.default()
 
 
-def _write_output(data: bytes | memoryview, path: str | None):
-    """Write bytes-like ``data`` as it is: output never depends on the locale."""
+def _write_output(data, path: str | None):
+    """Write ``data``, bytes or an iterable of bytes-like blocks, as it is.
+
+    Output never depends on the locale. Each block is written before the
+    next is drawn, so a generator may reuse one buffer for all of them.
+    """
+    blocks = [data] if isinstance(data, bytes) else data
     if path is None or path == "-":
         sys.stdout.flush()
-        sys.stdout.buffer.write(data)
+        sys.stdout.buffer.writelines(blocks)
     else:
         with open(path, "wb") as fh:
-            fh.write(data)
+            fh.writelines(blocks)
 
 
 def _read_input(path: str) -> str:
@@ -144,7 +149,7 @@ def _cmd_synth(args) -> int:
     else:
         spec = load_spec(args.scenario)
     frame = generate_scenario(spec)
-    _write_output(frame_to_csv_bytes(frame), args.output)
+    _write_output(frame_to_csv_blocks(frame), args.output)
     return EXIT_OK
 
 
@@ -167,7 +172,7 @@ def _cmd_debias(args) -> int:
     corrected = sp_equalizing_debiaser(
         frame.y_predicted, frame.group, args.epsilon, args.seed
     )
-    _write_output(frame_to_csv_bytes(frame.with_corrected(corrected)), args.output)
+    _write_output(frame_to_csv_blocks(frame.with_corrected(corrected)), args.output)
     return EXIT_OK
 
 

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .frame import ValidationError, binary_vectors, group_tally
+from .frame import BLOCK, ValidationError, binary_vectors, group_tally
 from .fairness import sp_from_counts
 
 
@@ -65,9 +65,8 @@ def _minimal_flip_split(pos_over: int, n_over: int, pos_under: int, n_under: int
     swap = max_up < max_down
     x_max, x_coef, y_max, y_coef = ((max_up, n_over, max_down, n_under) if swap
                                     else (max_down, n_under, max_up, n_over))
-    lo_total, hi_total = _total_ranges(p, x_max, x_coef, y_max, y_coef,
-                                       (epsilon + 2.0 ** -_ROUNDING_BITS) * n_over * n_under)
-    total = _next_total(lo_total, hi_total, 0)
+    half_width = (epsilon + 2.0 ** -_ROUNDING_BITS) * n_over * n_under
+    total = _next_total(p, x_max, x_coef, y_max, y_coef, half_width, 0)
     while total is not None:
         lo = max(0, total - max_up)
         hi = min(max_down, total)
@@ -88,48 +87,57 @@ def _minimal_flip_split(pos_over: int, n_over: int, pos_under: int, n_under: int
         if passed.size:
             a = int(down[passed[0]])
             return a, total - a
-        total = _next_total(lo_total, hi_total, total + 1)
+        total = _next_total(p, x_max, x_coef, y_max, y_coef, half_width, total + 1)
 
     # Unreachable: for each value of the scanned count, the float gap is
     # smallest at one of the two values of the other count around the exact
     # zero, because rounding keeps the difference's sign and monotonicity.
-    x = np.arange(x_max + 1, dtype=np.int64)
-    y_floor = (p - x * x_coef) // y_coef
     best_gap = math.inf
-    for y in (np.clip(y_floor, 0, y_max), np.clip(y_floor + 1, 0, y_max)):
-        gaps = float_gap(y, x) if swap else float_gap(x, y)
-        best_gap = min(best_gap, float(gaps.min()))
+    for first in range(0, x_max + 1, BLOCK):
+        x = np.arange(first, min(first + BLOCK, x_max + 1), dtype=np.int64)
+        y_floor = (p - x * x_coef) // y_coef
+        for y in (np.clip(y_floor, 0, y_max), np.clip(y_floor + 1, 0, y_max)):
+            gaps = float_gap(y, x) if swap else float_gap(x, y)
+            best_gap = min(best_gap, float(gaps.min()))
     raise DebiasError(
         f"cannot reach |SP| <= {epsilon}; best achievable gap is {best_gap:.6g}",
         best_gap=best_gap,
     )
 
 
-def _total_ranges(p: int, x_max: int, x_coef: int, y_max: int, y_coef: int,
-                  half_width: float) -> tuple[np.ndarray, np.ndarray]:
-    """Flip totals that might satisfy ``|p - x*x_coef - y*y_coef| <= half_width``.
+def _next_total(p: int, x_max: int, x_coef: int, y_max: int, y_coef: int,
+                half_width: float, start: int) -> int | None:
+    """Smallest flip total >= start that might satisfy ``|p - x*x_coef - y*y_coef| <= half_width``.
 
     For each x in ``[0, x_max]`` the y in ``[0, y_max]`` meeting the bound
     form an interval, so x's totals ``x + y`` do too. The float bounds are
-    padded far beyond their rounding error, so every total with a passing
-    split lies in some returned range ``[lo[i], hi[i]]``.
+    padded far beyond their rounding error, so no total with a passing split
+    is skipped. Returns None when no such total is at least ``start``.
+
+    x is scanned in blocks. A total is at least its x, so the scan stops at
+    the first block whose x values are all at least the best total found.
     """
-    x = np.arange(x_max + 1, dtype=np.int64)
-    centre = (p - x * x_coef) / y_coef
     reach = half_width / y_coef
     reach += (max(abs(p), abs(p - x_max * x_coef)) / y_coef + reach + 1) * 2.0 ** -40
-    lo = np.maximum(np.ceil(centre - reach), 0)
-    hi = np.minimum(np.floor(centre + reach), y_max)
-    keep = lo <= hi
-    return (x[keep] + lo[keep]).astype(np.int64), (x[keep] + hi[keep]).astype(np.int64)
-
-
-def _next_total(lo: np.ndarray, hi: np.ndarray, start: int) -> int | None:
-    """Smallest total >= start inside one of the ranges, or None."""
-    reach = hi >= start
-    if not reach.any():
-        return None
-    return int(np.maximum(lo[reach], start).min())
+    best = None
+    for first in range(0, x_max + 1, BLOCK):
+        if best is not None and first >= best:
+            break
+        x = np.arange(first, min(first + BLOCK, x_max + 1), dtype=np.int64)
+        centre = (p - x * x_coef) / y_coef
+        lo = np.subtract(centre, reach)
+        np.maximum(np.ceil(lo, out=lo), 0, out=lo)
+        hi = np.add(centre, reach, out=centre)
+        np.minimum(np.floor(hi, out=hi), y_max, out=hi)
+        keep = lo <= hi
+        lo += x  # from here on, the totals x + y
+        hi += x
+        keep &= hi >= start
+        least = lo.min(where=keep, initial=math.inf)
+        if least < math.inf:
+            found = max(int(least), start)
+            best = found if best is None else min(best, found)
+    return best
 
 
 def _interval(offset: int, slope: int, bound: int, lo: int, hi: int) -> tuple[int, int]:
@@ -146,6 +154,12 @@ def _check_epsilon(epsilon: float):
         raise ValidationError("epsilon must be a positive finite number", code="bad_epsilon")
 
 
+def _check_seed(rng_seed: int):
+    if not (isinstance(rng_seed, (int, np.integer)) and rng_seed >= 0):
+        raise ValidationError(f"seed must be a non-negative integer, got {rng_seed!r}",
+                              code="bad_seed")
+
+
 def sp_equalizing_debiaser(y_predicted, group, epsilon: float, rng_seed: int = 0) -> np.ndarray:
     """Return corrected labels with |SP difference| <= epsilon, flipping minimally.
 
@@ -153,6 +167,7 @@ def sp_equalizing_debiaser(y_predicted, group, epsilon: float, rng_seed: int = 0
     shares it instead of copying it.
     """
     _check_epsilon(epsilon)
+    _check_seed(rng_seed)
     labels, grp = binary_vectors(y_predicted=y_predicted, group=group)
     labels = labels.copy()
     table = group_tally(grp, labels)
@@ -176,23 +191,40 @@ def sp_equalizing_debiaser(y_predicted, group, epsilon: float, rng_seed: int = 0
     rng = np.random.default_rng(rng_seed)
     # Shuffle the down candidates even when down is 0: the up shuffle's draws
     # follow it. The up shuffle is the generator's last use, so it is skipped
-    # when up is 0 without changing a bit.
-    down_candidates = np.flatnonzero((grp == over) & (labels == 1))
-    labels[rng.permutation(down_candidates)[:down]] = 0
+    # when up is 0 without changing a bit. One bool array holds each
+    # candidate mask in turn; ``positive`` is the 0/1 labels read as bools.
+    positive = labels.view(np.bool_)
+    mask = np.equal(grp, over)
+    mask &= positive
+    _flip_some(labels, mask, down, 0, rng)
     if up:
-        up_candidates = np.flatnonzero((grp == under) & (labels == 0))
-        labels[rng.permutation(up_candidates)[:up]] = 1
+        np.equal(grp, under, out=mask)
+        np.greater(mask, positive, out=mask)  # in group under and not positive
+        _flip_some(labels, mask, up, 1, rng)
     labels.setflags(write=False)
     return labels
+
+
+def _flip_some(labels: np.ndarray, mask: np.ndarray, k: int, value: int,
+               rng: np.random.Generator):
+    """Set ``k`` of the labels where ``mask`` holds to ``value``: the first k after a shuffle.
+
+    The shuffle is in place; ``Generator.permutation`` would copy the
+    candidates and shuffle the copy the same way, drawing the same bits.
+    """
+    candidates = np.flatnonzero(mask)
+    rng.shuffle(candidates)
+    labels[candidates[:k]] = value
 
 
 def make_sp_debiaser(epsilon: float, rng_seed: int = 0):
     """Bind epsilon and seed into the two-argument debiaser the pipeline expects.
 
-    Epsilon is checked here, so a bad value fails even when the pipeline's
-    first gate passes and the debiaser never runs.
+    Epsilon and seed are checked here, so a bad value fails even when the
+    pipeline's first gate passes and the debiaser never runs.
     """
     _check_epsilon(epsilon)
+    _check_seed(rng_seed)
 
     def debias(y_predicted, group):
         return sp_equalizing_debiaser(y_predicted, group, epsilon, rng_seed)

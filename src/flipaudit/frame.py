@@ -11,6 +11,11 @@ FAVORABLE = 1
 UNPRIVILEGED = 0
 PRIVILEGED = 1
 
+# Rows (or values) a pass over a long vector handles at a time. Every pass
+# that would otherwise make a temporary as long as the data works in blocks
+# of this size, so its scratch memory does not grow with n.
+BLOCK = 1 << 16
+
 
 class ValidationError(ValueError):
     """Input data violates a structural requirement.
@@ -97,13 +102,21 @@ def tally(*vectors) -> np.ndarray:
     ``tally(a, b)[i, j]`` is the number of positions where ``a == i`` and
     ``b == j``. Every count the audit reports is read from such a table.
     The key is built in int8, which holds it for up to seven vectors; the
-    package tallies at most four, so it stays below 16.
+    package tallies at most four, so it stays below 16. It is built and
+    counted one block at a time, since ``np.bincount`` copies its input to
+    ``intp``.
     """
-    key = np.array(vectors[0], dtype=np.int8)
-    for vec in vectors[1:]:
-        key <<= 1
-        key |= vec
-    return np.bincount(key, minlength=1 << len(vectors)).reshape((2,) * len(vectors))
+    n = len(vectors[0])
+    counts = np.zeros(1 << len(vectors), np.int64)
+    scratch = np.empty(min(n, BLOCK), np.int8)
+    for start in range(0, n, BLOCK):
+        key = scratch[:min(n - start, BLOCK)]
+        key[...] = vectors[0][start:start + BLOCK]
+        for vec in vectors[1:]:
+            key <<= 1
+            key |= vec[start:start + BLOCK]
+        counts += np.bincount(key, minlength=counts.size)
+    return counts.reshape((2,) * len(vectors))
 
 
 def group_tally(group, *vectors) -> np.ndarray:

@@ -135,11 +135,20 @@ def loads_spec(text: str) -> ScenarioSpec:
             raise ValidationError(
                 f"scenario line {lineno}: unknown key {key!r}", code="bad_scenario"
             )
+        if key in values:
+            raise ValidationError(
+                f"scenario line {lineno}: duplicate key {key!r}", code="bad_scenario"
+            )
         try:
             values[key] = int(val.strip())
         except ValueError:
             raise ValidationError(
                 f"scenario line {lineno}: non-integer value in {raw!r}",
+                code="bad_scenario",
+            )
+        if key == "seed" and values[key] < 0:
+            raise ValidationError(
+                f"scenario line {lineno}: seed must be a non-negative integer, got {raw!r}",
                 code="bad_scenario",
             )
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frame import AuditFrame, ValidationError, decode_utf8
+from .frame import BLOCK, AuditFrame, ValidationError, decode_utf8
 
 _ZERO = ord("0")
 
@@ -159,14 +159,24 @@ def _ingest_strict(data: bytes, mapping: ColumnMapping) -> AuditFrame | None:
     # periods are checked a word at a time against the masks tiled to one
     # period, and the bytes after them a byte at a time. Only whole rows
     # precede the last one, so a last row without its terminator is in the tail.
+    # The periods go through one scratch array a block at a time: masked, then
+    # XORed with the pattern, which leaves it all zero when the block matches.
     period = math.lcm(row_len, 8)
     words = body.size // period * period
     tiles = period // row_len
     wide = body[:words].view(np.uint64).reshape(-1, period // 8)
+    wide_mask = np.tile(mask, tiles).view(np.uint64)
+    wide_pattern = np.tile(pattern, tiles).view(np.uint64)
+    step = BLOCK // tiles  # periods per block; tiles, a power of two, divides BLOCK
+    scratch = np.empty((min(step, len(wide)), period // 8), np.uint64)
+    for start in range(0, len(wide), step):
+        block = scratch[:min(step, len(wide) - start)]
+        np.bitwise_and(wide[start:start + step], wide_mask, out=block)
+        block ^= wide_pattern
+        if block.any():
+            return None
     tail = body[words:]
-    if not (((wide & np.tile(mask, tiles).view(np.uint64))
-             == np.tile(pattern, tiles).view(np.uint64)).all()
-            and ((tail & np.resize(mask, tail.size)) == np.resize(pattern, tail.size)).all()):
+    if not ((tail & np.resize(mask, tail.size)) == np.resize(pattern, tail.size)).all():
         return None
 
     # Column j's cells sit at bytes 2j, 2j + row_len, ..., the last row's too.
@@ -190,23 +200,35 @@ def ingest(path, mapping: ColumnMapping | None = None) -> AuditFrame:
     return ingest_rows(csv.reader(text), mapping)
 
 
-def frame_to_csv_bytes(frame: AuditFrame) -> memoryview:
-    """The bytes of a frame in the canonical column layout (pred, corr, group[, true])."""
+def frame_to_csv_blocks(frame: AuditFrame):
+    """The bytes of a frame in the canonical column layout (pred, corr, group[, true]).
+
+    They come as the header and then blocks of up to ``BLOCK`` rows. The row
+    blocks are views of one reused buffer, so each is valid only until the
+    next is drawn: write it, or copy it, first.
+    """
     names = ["pred", "corr", "group"]
     cols = [frame.y_predicted, frame.y_corrected, frame.group]
     if frame.y_true is not None:
         names.append("true")
         cols.append(frame.y_true)
-    header = (",".join(names) + "\n").encode("ascii")
-    # Header and rows share one buffer: joining them would copy it all.
-    buf = np.empty(len(header) + frame.n * 2 * len(cols), np.uint8)
-    buf[:len(header)] = np.frombuffer(header, np.uint8)
-    rows = buf[len(header):].reshape(frame.n, 2 * len(cols))
-    rows[:, 1::2] = ord(",")
-    rows[:, -1] = ord("\n")
-    for j, col in enumerate(cols):
-        np.add(col, _ZERO, out=rows[:, 2 * j], casting="unsafe")
-    return memoryview(buf)
+    yield (",".join(names) + "\n").encode("ascii")
+    scratch = np.empty((min(frame.n, BLOCK), 2 * len(cols)), np.uint8)
+    scratch[:, 1::2] = ord(",")
+    scratch[:, -1] = ord("\n")
+    for start in range(0, frame.n, BLOCK):
+        rows = scratch[:min(frame.n - start, BLOCK)]
+        for j, col in enumerate(cols):
+            np.add(col[start:start + BLOCK], _ZERO, out=rows[:, 2 * j], casting="unsafe")
+        yield memoryview(rows).cast("B")
+
+
+def frame_to_csv_bytes(frame: AuditFrame) -> bytes:
+    """The bytes of ``frame_to_csv_blocks(frame)``, joined."""
+    # BytesIO copies each block as it comes and hands its buffer over uncopied.
+    out = io.BytesIO()
+    out.writelines(frame_to_csv_blocks(frame))
+    return out.getvalue()
 
 
 def frame_to_csv(frame: AuditFrame) -> str:
@@ -216,4 +238,4 @@ def frame_to_csv(frame: AuditFrame) -> str:
 
 def write_frame(frame: AuditFrame, path) -> None:
     with open(path, "wb") as fh:
-        fh.write(frame_to_csv_bytes(frame))
+        fh.writelines(frame_to_csv_blocks(frame))

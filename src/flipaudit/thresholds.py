@@ -51,6 +51,8 @@ class ThresholdEntry:
     moderate_delta: float
 
     def __post_init__(self):
+        if not math.isfinite(self.ideal):
+            raise ConfigError(f"ideal must be finite, got {self.ideal}")
         if not (0 < self.acceptable_delta < self.moderate_delta):
             raise ConfigError(
                 f"need 0 < acceptable_delta < moderate_delta, got "
@@ -118,7 +120,10 @@ class ThresholdConfig:
                 ideal, acc, mod = (float(p) for p in parts[1:])
             except ValueError:
                 raise ConfigError(f"line {lineno}: non-numeric threshold in {raw!r}")
-            entries[name] = ThresholdEntry(ideal, acc, mod)
+            try:
+                entries[name] = ThresholdEntry(ideal, acc, mod)
+            except ConfigError as exc:
+                raise ConfigError(f"line {lineno}: {exc}") from None
         if not entries:
             raise ConfigError("threshold config is empty")
         return cls(entries=entries)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,25 @@ def random_frame(rng, max_n=200, with_true=False) -> AuditFrame:
         group=group,
         y_true=rng.integers(0, 2, size=n) if with_true else None,
     )
+
+
+@pytest.fixture
+def traced_peak():
+    """Call ``fn(*args)``; return its result and the most its allocations held at once.
+
+    The peak counts only memory the call allocated (numpy reports its
+    buffers to ``tracemalloc``), so a bound on it bounds the call's scratch.
+    """
+    def run(fn, *args):
+        tracemalloc.start()
+        try:
+            result = fn(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return result, peak
+
+    return run
 
 
 @pytest.fixture(scope="session")

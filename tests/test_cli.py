@@ -284,6 +284,13 @@ class TestPipelineCommand:
         assert main(["pipeline", "-i", str(path), "--epsilon", epsilon]) == 1
         assert capsys.readouterr().err.startswith("error [bad_epsilon]: ")
 
+    @pytest.mark.parametrize("command", ["debias", "pipeline"])
+    @pytest.mark.parametrize("fixture", ["identity_csv", "reference_csv"])
+    def test_bad_seed_exits_one(self, command, fixture, request, capsys):
+        path = request.getfixturevalue(fixture)
+        assert main([command, "-i", str(path), "--seed", "-1", "-o", "-"]) == 1
+        assert capsys.readouterr().err.startswith("error [bad_seed]: ")
+
     def test_structured_output_carries_decision(self, reference_csv, tmp_path, capsys):
         out = tmp_path / "pipeline.json"
         main(["pipeline", "-i", str(reference_csv), "--true-col", "true",

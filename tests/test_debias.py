@@ -157,6 +157,35 @@ class TestSpEqualizingDebiaser:
                 make_sp_debiaser(epsilon)
             assert exc.value.code == "bad_epsilon"
 
+    def test_bad_seed(self):
+        fair = ([1, 0, 1, 0], [0, 0, 1, 1])
+        unfair = ([1, 1, 0, 0], [0, 0, 1, 1])
+        for seed in (-1, 1.5, "7", None):
+            for labels, group in (fair, unfair):
+                with pytest.raises(ValidationError) as exc:
+                    sp_equalizing_debiaser(labels, group, 0.1, rng_seed=seed)
+                assert exc.value.code == "bad_seed"
+            with pytest.raises(ValidationError) as exc:
+                make_sp_debiaser(0.1, seed)
+            assert exc.value.code == "bad_seed"
+
+    def test_scratch_does_not_grow_with_rows(self, traced_peak):
+        # debias-1m's counts: group 0 over-favored, and a 401-flip repair.
+        pos_over, n_over, pos_under, n_under = 300_000, 599_999, 159_600, 400_001
+        group = np.repeat(np.array([0, 1], np.int8), [n_over, n_under])
+        labels = np.concatenate([np.arange(n_over) < pos_over,
+                                 np.arange(n_under) < pos_under]).astype(np.int8)
+        order = np.random.default_rng(0).permutation(group.size)
+        group, labels = group[order], labels[order]
+        for vec in (group, labels):  # frozen and owning: shared, not copied
+            vec.setflags(write=False)
+        corrected, peak = traced_peak(sp_equalizing_debiaser, labels, group, 0.1)
+        assert int(np.count_nonzero(corrected != labels)) == 401
+        # The corrected copy and one candidate mask, the larger candidate set's
+        # indices, and fixed scratch.
+        candidates = max(pos_over, n_under - pos_under)
+        assert peak <= 2 * group.size + 8 * candidates + 2**20
+
     def test_missing_group(self):
         with pytest.raises(ValidationError):
             sp_equalizing_debiaser([1, 0], [1, 1], epsilon=0.1)
@@ -180,6 +209,18 @@ def split_or_best_gap(pos_over, n_over, pos_under, n_under, epsilon):
         return None, exc.best_gap
 
 
+def random_flip_counts(rng, cases):
+    """``cases`` random (pos_over, n_over, pos_under, n_under, epsilon) of up to 69 rows a group."""
+    for _ in range(cases):
+        n_over, n_under = (int(v) for v in rng.integers(1, 70, size=2))
+        if rng.random() < 0.3:
+            n_under = n_over
+        yield (int(rng.integers(0, n_over + 1)), n_over,
+               int(rng.integers(0, n_under + 1)), n_under,
+               float(rng.choice(GRID_EPSILONS)) if rng.random() < 0.6
+               else float(rng.uniform(1e-4, 0.6)))
+
+
 @st.composite
 def flip_counts(draw):
     n_over = draw(st.integers(1, 40))
@@ -197,15 +238,15 @@ class TestMinimalFlipSplit:
         assert split_or_best_gap(*counts) == oracle.minimal_flip_split(*counts)
 
     def test_matches_oracle_on_random_counts(self):
-        rng = np.random.default_rng(53)
-        for _ in range(3000):
-            n_over, n_under = (int(v) for v in rng.integers(1, 70, size=2))
-            if rng.random() < 0.3:
-                n_under = n_over
-            counts = (int(rng.integers(0, n_over + 1)), n_over,
-                      int(rng.integers(0, n_under + 1)), n_under,
-                      float(rng.choice(GRID_EPSILONS)) if rng.random() < 0.6
-                      else float(rng.uniform(1e-4, 0.6)))
+        for counts in random_flip_counts(np.random.default_rng(53), 3000):
+            assert split_or_best_gap(*counts) == oracle.minimal_flip_split(*counts), counts
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_matches_oracle_across_blocks(self, block, monkeypatch):
+        # Blocks this small make both scans, for a total and for the best
+        # unreachable gap, span many blocks.
+        monkeypatch.setattr("flipaudit.debias.BLOCK", block)
+        for counts in random_flip_counts(np.random.default_rng(block), 1000):
             assert split_or_best_gap(*counts) == oracle.minimal_flip_split(*counts), counts
 
     @pytest.mark.parametrize("counts, split", [
@@ -241,3 +282,13 @@ class TestMinimalFlipSplit:
     def test_skewed_shapes(self, counts, split):
         assert _minimal_flip_split(*counts) == split
         assert oracle.minimal_flip_split(*counts) == (split, None)
+
+    @pytest.mark.parametrize("scale", [1, 10])
+    def test_scratch_does_not_grow_with_counts(self, scale, traced_peak):
+        # debias-1m's counts, and ten times them: 240,401 and 2,404,010 up
+        # choices against 300,000 and 3,000,000 down choices.
+        counts = (300_000 * scale, 599_999 * scale, 159_600 * scale, 400_001 * scale, 0.1)
+        split, peak = traced_peak(_minimal_flip_split, *counts)
+        if scale == 1:
+            assert (split, None) == oracle.minimal_flip_split(*counts)
+        assert peak < 2 * 2**20

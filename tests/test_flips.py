@@ -11,7 +11,7 @@ from flipaudit import (
     harmful_flip_proportion,
     summarize_flips,
 )
-from flipaudit.frame import tally
+from flipaudit.frame import BLOCK, tally
 from flipaudit.metrics import (
     NO_FLIPS,
     NO_HARMFUL,
@@ -251,3 +251,18 @@ def test_tally_int8_equals_int64(k):
     narrow = [vec.astype(np.int8) for vec in vectors]
     assert np.array_equal(tally(*narrow), tally(*vectors))
     assert tally(*narrow).sum() == 1000
+
+
+@pytest.mark.parametrize("n", [2 * BLOCK - 1, 2 * BLOCK, 2 * BLOCK + 1])
+def test_tally_across_blocks_matches_bincount(n):
+    vectors = np.random.default_rng(n).integers(0, 2, size=(3, n), dtype=np.int8)
+    key = 4 * vectors[0].astype(np.int64) + 2 * vectors[1] + vectors[2]
+    assert np.array_equal(tally(*vectors), np.bincount(key, minlength=8).reshape(2, 2, 2))
+
+
+def test_tally_scratch_does_not_grow_with_rows(traced_peak):
+    n = 1_000_000
+    a, b = np.random.default_rng(0).integers(0, 2, size=(2, n), dtype=np.int8)
+    table, peak = traced_peak(tally, a, b)
+    assert table.sum() == n
+    assert peak <= n + 2**20

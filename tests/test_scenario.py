@@ -89,6 +89,20 @@ class TestSpecFiles:
             loads_spec(text)
         assert exc.value.code == "bad_scenario"
 
+    def test_duplicate_key_rejected(self):
+        text = dumps_spec(REFERENCE_EXAMPLE) + "group0.size = 5\n"
+        with pytest.raises(ValidationError, match="scenario line 10: duplicate key 'group0.size'") \
+                as exc:
+            loads_spec(text)
+        assert exc.value.code == "bad_scenario"
+
+    def test_negative_seed_rejected(self):
+        text = dumps_spec(REFERENCE_EXAMPLE).replace("seed = 0", "seed = -1")
+        with pytest.raises(ValidationError, match="scenario line 1: seed must be a "
+                                                  "non-negative integer") as exc:
+            loads_spec(text)
+        assert exc.value.code == "bad_scenario"
+
     def test_non_integer_rejected(self):
         with pytest.raises(ValidationError, match="non-integer"):
             loads_spec("group0.size = many\n")

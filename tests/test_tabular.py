@@ -10,7 +10,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flipaudit import AuditFrame, ValidationError, ingest
-from flipaudit.tabular import ColumnMapping, _ingest_strict, ingest_rows, write_frame
+from flipaudit.frame import BLOCK
+from flipaudit.tabular import (
+    ColumnMapping,
+    _ingest_strict,
+    frame_to_csv_bytes,
+    ingest_rows,
+    write_frame,
+)
 
 DEFAULT = ColumnMapping()
 REMAPPED = ColumnMapping(favorable=0, privileged=0)
@@ -200,6 +207,57 @@ def test_every_byte_change_in_whole_periods(ncols, term, start, tmp_path):
             assert (_ingest_strict(changed, mapping) is not None) == fast
             path.write_bytes(changed)
             assert outcome(lambda: ingest(path, mapping)) == reference(path, mapping)
+
+
+BLOCK_EDGES = [2 * BLOCK - 1, 2 * BLOCK, 2 * BLOCK + 1]
+
+
+@pytest.mark.parametrize("rows", BLOCK_EDGES)
+@pytest.mark.parametrize("ncols, term, start", [(3, "\n", 5), (5, "\r\n", 0)])
+def test_strict_ingest_across_blocks(rows, ncols, term, start):
+    data, mapping = strict_file(ncols, term, start, rows)
+    text = io.StringIO(data.decode(), newline="")
+    assert _ingest_strict(data, mapping) == ingest_rows(csv.reader(text), mapping)
+    # A bad cell at either side of a block boundary, or in the last rows, declines it.
+    first_cell = data.index(b"\n") + 1
+    row_len = 2 * ncols - 1 + len(term)
+    for row in (BLOCK - 1, BLOCK, rows - 2, rows - 1):
+        bad = with_byte(data, first_cell + row * row_len + 2, ord("2"))
+        assert _ingest_strict(bad, mapping) is None
+
+
+def csv_of(names, vectors):
+    """The CSV bytes of 0/1 vectors, built in one buffer."""
+    rows = np.full((len(vectors[0]), 2 * len(names)), ord(","), np.uint8)
+    rows[:, -1] = ord("\n")
+    rows[:, ::2] = np.stack(vectors, axis=1) + ord("0")
+    return (",".join(names) + "\n").encode() + rows.tobytes()
+
+
+def test_strict_ingest_scratch_does_not_grow_with_rows(traced_peak):
+    names = ["pred", "corr", "group", "true"]
+    data = csv_of(names, np.random.default_rng(0).integers(0, 2, size=(4, 1_000_000)))
+    frame, peak = traced_peak(_ingest_strict, data, WITH_TRUE)
+    assert frame is not None
+    assert peak <= 4 * frame.n + 2**20  # the four vectors it returns, and fixed scratch
+
+
+@pytest.mark.parametrize("n", BLOCK_EDGES)
+def test_emit_across_blocks(n, tmp_path):
+    vectors = np.random.default_rng(n).integers(0, 2, size=(4, n))
+    want = csv_of(["pred", "corr", "group", "true"], vectors)
+    frame = AuditFrame(*vectors)
+    assert frame_to_csv_bytes(frame) == want
+    write_frame(frame, tmp_path / "out.csv")
+    assert (tmp_path / "out.csv").read_bytes() == want
+
+
+def test_emit_scratch_does_not_grow_with_rows(traced_peak, tmp_path):
+    frame = AuditFrame(*np.random.default_rng(0).integers(0, 2, size=(4, 1_000_000)))
+    path = tmp_path / "out.csv"
+    _, peak = traced_peak(write_frame, frame, path)
+    assert path.stat().st_size == len("pred,corr,group,true\n") + 8 * frame.n
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("n", [1, 2, 100_000])

@@ -76,6 +76,15 @@ class TestConfig:
         with pytest.raises(ConfigError, match="line 2: unknown metric 'FDR'"):
             ThresholdConfig.loads("FR 0 0.1 0.3\nFDR 0 0.1 0.3\n")
 
+    def test_bad_entry_names_its_line(self):
+        with pytest.raises(ConfigError, match="line 2: need 0 < acceptable_delta"):
+            ThresholdConfig.loads("DI 1 0.1 0.3\nFR 0 0.3 0.1\n")
+
+    @pytest.mark.parametrize("ideal", ["nan", "inf", "-inf"])
+    def test_non_finite_ideal_rejected(self, ideal):
+        with pytest.raises(ConfigError, match=f"line 1: ideal must be finite, got {ideal}"):
+            ThresholdConfig.loads(f"FR {ideal} 0.1 0.3\n")
+
     def test_round_trip_is_lossless(self):
         cfg = ThresholdConfig({"FR": ThresholdEntry(0.1234567891, 0.1234567891, 0.3)})
         assert ThresholdConfig.loads(cfg.dumps()) == cfg
