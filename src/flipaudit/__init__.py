@@ -4,31 +4,18 @@ __version__ = "0.1.0"
 
 from .frame import AuditFrame, ValidationError
 from .metrics import (
-    FlipKind,
     FlipSummary,
     MetricValue,
-    classify_flips,
-    directional_flip_ratio,
-    flip_rate,
-    harmful_flip_proportion,
-    summarize_flips,
-)
-from .groups import (
-    GroupFlipSummary,
     ProportionalityMetrics,
-    compute_proportionality,
+    directional_flip_ratio,
     disparity_index,
     flip_disparity,
+    flip_rate,
+    harmful_flip_proportion,
     rate_difference,
     relative_disparity,
-    split_by_group,
 )
-from .fairness import (
-    FairnessResult,
-    equalized_odds_difference,
-    evaluate_fairness,
-    statistical_parity_difference,
-)
+from .fairness import FairnessResult, evaluate_fairness
 from .thresholds import Band, ThresholdConfig, ThresholdEntry, classify
 from .report import (
     ProportionalityReport,
@@ -55,9 +42,7 @@ __all__ = [
     "Decision",
     "DebiasError",
     "FairnessResult",
-    "FlipKind",
     "FlipSummary",
-    "GroupFlipSummary",
     "GroupScenario",
     "MetricValue",
     "REFERENCE_EXAMPLE",
@@ -70,12 +55,9 @@ __all__ = [
     "ValidationError",
     "build_report",
     "classify",
-    "classify_flips",
-    "compute_proportionality",
     "directional_flip_ratio",
     "disparity_index",
     "emit_chart",
-    "equalized_odds_difference",
     "evaluate_fairness",
     "flip_disparity",
     "flip_rate",
@@ -91,7 +73,4 @@ __all__ = [
     "render_text",
     "run_audit_pipeline",
     "sp_equalizing_debiaser",
-    "split_by_group",
-    "statistical_parity_difference",
-    "summarize_flips",
 ]

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .frame import ValidationError, binary_vectors, group_tally
+from .frame import AuditFrame, ValidationError, group_tally
 
 DEFAULT_FAIR_INTERVAL = (-0.1, 0.1)
 
@@ -26,13 +27,21 @@ class FairnessResult:
 
 
 def sp_from_counts(table: np.ndarray) -> float:
-    """SP difference from a (group, label) count table."""
+    """SP difference from a (group, label) count table.
+
+    P(label=1 | unprivileged) - P(label=1 | privileged): negative values
+    mean the unprivileged group receives fewer favorable outcomes.
+    """
     (neg_unpriv, pos_unpriv), (neg_priv, pos_priv) = table.tolist()
     return pos_unpriv / (neg_unpriv + pos_unpriv) - pos_priv / (neg_priv + pos_priv)
 
 
 def eo_from_counts(table: np.ndarray) -> tuple[float, str]:
-    """EO difference and its note from a (group, true, label) count table."""
+    """EO difference and its note from a (group, true, label) count table.
+
+    The difference is max(|TPR gap|, |FPR gap|). A gap undefined because a
+    group has no true positives (or negatives) is skipped and noted.
+    """
 
     def rate(gid, positive_class):
         negative, positive = table[gid, positive_class].tolist()
@@ -59,49 +68,41 @@ def eo_from_counts(table: np.ndarray) -> tuple[float, str]:
     return max(gaps), "; ".join(note_parts)
 
 
-def statistical_parity_difference(labels, group) -> float:
-    """P(label=1 | unprivileged) - P(label=1 | privileged).
-
-    Negative values mean the unprivileged group receives fewer favorable
-    outcomes.
-    """
-    labels, group = binary_vectors(labels=labels, group=group)
-    return sp_from_counts(group_tally(group, labels))
-
-
-def equalized_odds_difference(y_true, labels, group) -> float:
-    """max(|TPR gap|, |FPR gap|) between the two groups.
-
-    If a group has no true positives (or no true negatives), that rate gap
-    is undefined and is skipped; the remaining gap is used alone.
-    """
-    if y_true is None:
-        raise ValidationError("EO requires true labels", code="missing_true")
-    labels, group, y_true = binary_vectors(labels=labels, group=group, y_true=y_true)
-    value, _ = eo_from_counts(group_tally(group, y_true, labels))
-    return value
+def _check_fair_interval(fair_interval) -> tuple[float, float]:
+    try:
+        lo, hi = fair_interval
+        valid = math.isfinite(lo) and math.isfinite(hi) and lo <= 0 <= hi
+    except (TypeError, ValueError):
+        valid = False
+    if not valid:
+        raise ValidationError(
+            f"fair interval must be two finite numbers lo <= 0 <= hi, got {fair_interval!r}",
+            code="bad_fair_interval",
+        )
+    return lo, hi
 
 
 def evaluate_fairness(
-    labels,
-    group,
-    y_true=None,
+    frame: AuditFrame,
     fair_interval: tuple[float, float] = DEFAULT_FAIR_INTERVAL,
 ) -> FairnessResult:
-    """Run the SP gate, and the EO gate when true labels are available."""
-    lo, hi = fair_interval
-    labels, group, y_true = binary_vectors(labels=labels, group=group, y_true=y_true)
-    if y_true is None:
-        sp = sp_from_counts(group_tally(group, labels))
+    """Gate the frame's corrected labels: SP, and EO when it has true labels.
+
+    A fair interval must be two finite numbers ``lo <= 0 <= hi``; any other
+    fails with ``bad_fair_interval``, since it would fail perfect parity.
+    """
+    lo, hi = _check_fair_interval(fair_interval)
+    if frame.y_true is None:
+        sp = sp_from_counts(group_tally(frame.group, frame.y_corrected))
         eo, note = None, "EO skipped: no true labels"
     else:
-        table = group_tally(group, y_true, labels)
+        table = group_tally(frame.group, frame.y_true, frame.y_corrected)
         sp = sp_from_counts(table.sum(axis=1))
         eo, note = eo_from_counts(table)
     return FairnessResult(
         sp_difference=sp,
         eo_difference=eo,
-        fair_interval=fair_interval,
+        fair_interval=(lo, hi),
         sp_pass=lo <= sp <= hi,
         eo_pass=eo is None or eo <= hi,
         note=note,

@@ -1,20 +1,26 @@
-"""Flip classification and the overall flip-characterization metrics.
+"""Every audit metric: the flip characterization and the proportionality metrics.
 
 A flip is any disagreement between a predicted label and its corrected
 label. Favorable flips grant the favorable outcome (0 -> 1); unfavorable
 (harmful) flips withdraw it (1 -> 0). Every metric result carries a short
 annotation so degenerate cases (no flips, all flips harmful, ...) stay
 visible all the way into reports and charts.
+
+The eight proportionality metrics compare the privileged and unprivileged
+groups' flip rates and harmful flip proportions: absolute differences,
+max/min ratios, gaps normalized by the overall flip rate, and gaps
+normalized by the sum of the group rates. Degenerate cases follow fixed
+conventions (infinity when exactly one rate is zero, neutral values when
+both are).
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
 
-from .frame import AuditFrame, ValidationError, binary_vectors, tally
+from .frame import ValidationError
 
 # Annotation strings, shared by every metric producer.
 REGULAR = "Regular calculation"
@@ -24,12 +30,6 @@ ONLY_BENEFICIAL = "Only beneficial flips"
 NO_HARMFUL = "No harmful flips"
 ONE_ZERO = "One value is zero"
 BOTH_ZERO = "Both values are zero"
-
-
-class FlipKind(enum.Enum):
-    NO_FLIP = "no_flip"
-    FAVORABLE = "favorable"
-    UNFAVORABLE = "unfavorable"
 
 
 @dataclass(frozen=True)
@@ -78,14 +78,6 @@ class FlipSummary:
     flip_rate: MetricValue
     dfr: MetricValue
     hfp: MetricValue
-
-
-def classify_flips(frame: AuditFrame) -> list[FlipKind]:
-    """Tag each instance as no flip, favorable flip, or unfavorable flip."""
-    # Indexed by 2 * predicted + corrected.
-    kinds = np.array([FlipKind.NO_FLIP, FlipKind.FAVORABLE,
-                      FlipKind.UNFAVORABLE, FlipKind.NO_FLIP], dtype=object)
-    return kinds[2 * frame.y_predicted + frame.y_corrected].tolist()
 
 
 def flip_rate(n_flips: int, n: int) -> MetricValue:
@@ -140,12 +132,80 @@ def summarize_counts(counts: np.ndarray) -> FlipSummary:
     )
 
 
-def summarize_flips(frame: AuditFrame, mask: np.ndarray | None = None) -> FlipSummary:
-    """Compute the flip characterization, optionally over a subset of instances."""
-    if mask is None:
-        return summarize_counts(tally(frame.y_predicted, frame.y_corrected))
-    _, mask = binary_vectors(group=frame.group, mask=np.asarray(mask, dtype=bool))
-    counts = tally(mask, frame.y_predicted, frame.y_corrected)[1]
-    if not counts.any():
-        raise ValidationError("empty group", code="empty_group")
-    return summarize_counts(counts)
+@dataclass(frozen=True)
+class ProportionalityMetrics:
+    frd: MetricValue
+    hfpd: MetricValue
+    di: MetricValue
+    hdi: MetricValue
+    fd: MetricValue
+    hfd: MetricValue
+    rfd: MetricValue
+    rhfd: MetricValue
+
+
+def rate_difference(rate_priv: MetricValue, rate_unpriv: MetricValue) -> MetricValue:
+    """Absolute difference of two group rates (serves FRD and HFPD)."""
+    return MetricValue.finite(abs(rate_priv.value - rate_unpriv.value), REGULAR)
+
+
+def disparity_index(rate_a: MetricValue, rate_b: MetricValue) -> MetricValue:
+    """max/min ratio of two group rates (serves DI and HDI)."""
+    a, b = rate_a.value, rate_b.value
+    if a == 0.0 and b == 0.0:
+        return MetricValue.finite(1.0, BOTH_ZERO)
+    if a == 0.0 or b == 0.0:
+        return MetricValue.infinite(ONE_ZERO)
+    return MetricValue.finite(max(a, b) / min(a, b), REGULAR)
+
+
+def flip_disparity(
+    rate_priv: MetricValue, rate_unpriv: MetricValue, overall_fr: MetricValue
+) -> MetricValue:
+    """Between-group gap normalized by the overall flip rate (serves FD and HFD).
+
+    When exactly one group rate is zero the result is +inf by convention,
+    even though the raw formula would stay finite; when both are zero the
+    result is 1.
+    """
+    a, b = rate_priv.value, rate_unpriv.value
+    if a == 0.0 and b == 0.0:
+        return MetricValue.finite(1.0, BOTH_ZERO)
+    if a == 0.0 or b == 0.0:
+        return MetricValue.infinite(ONE_ZERO)
+    fr = overall_fr.value
+    return MetricValue.finite(abs(a / fr - b / fr), REGULAR)
+
+
+def relative_disparity(
+    diff: MetricValue, rate_priv: MetricValue, rate_unpriv: MetricValue
+) -> MetricValue:
+    """Gap normalized by the sum of the group rates (serves RFD and RHFD)."""
+    total = rate_priv.value + rate_unpriv.value
+    if total == 0.0:
+        # A zero HFP of a group that did flip carries NO_HARMFUL.
+        flipped = NO_HARMFUL in (rate_priv.annotation, rate_unpriv.annotation)
+        return MetricValue.finite(0.0, BOTH_ZERO if flipped else NO_FLIPS)
+    return MetricValue.finite(diff.value / total, REGULAR)
+
+
+def proportionality(
+    priv: FlipSummary, unpriv: FlipSummary, overall: FlipSummary
+) -> ProportionalityMetrics:
+    """The eight proportionality metrics from the group and overall summaries."""
+    fr_p, fr_u = priv.flip_rate, unpriv.flip_rate
+    hfp_p, hfp_u = priv.hfp, unpriv.hfp
+
+    frd = rate_difference(fr_p, fr_u)
+    hfpd = rate_difference(hfp_p, hfp_u)
+    return ProportionalityMetrics(
+        frd=frd,
+        hfpd=hfpd,
+        di=disparity_index(fr_p, fr_u),
+        hdi=disparity_index(hfp_p, hfp_u),
+        fd=flip_disparity(fr_p, fr_u, overall.flip_rate),
+        hfd=flip_disparity(hfp_p, hfp_u, overall.flip_rate),
+        rfd=relative_disparity(frd, fr_p, fr_u),
+        rhfd=relative_disparity(hfpd, hfp_p, hfp_u),
+    )
+

@@ -1,9 +1,11 @@
 """The audit loop: fairness gate, debias, re-gate, proportionality audit.
 
-The loop runs one debias pass. If the first gate already passes, no
-corrected labels are produced and the audit runs on an identity frame.
-Whether to iterate with a different debiasing strategy after an
-unsatisfactory outcome is left to the caller.
+The inputs are validated once, into an identity frame (corrected labels =
+predictions) that the first gate reads. If it fails, ``with_corrected``
+swaps in the debiaser's labels, validating only them, and the second gate
+and the audit read that frame; otherwise the audit reads the identity
+frame. The loop runs one debias pass; whether to iterate with a different
+debiasing strategy after an unsatisfactory outcome is left to the caller.
 """
 
 from __future__ import annotations
@@ -54,21 +56,23 @@ def run_audit_pipeline(
 ) -> PipelineOutcome:
     """Gate the predictions, debias if needed, re-gate, and audit the flips.
 
-    ``debiaser`` is a callable ``(y_predicted, group) -> y_corrected``.
+    ``debiaser`` is a callable ``(y_predicted, group) -> y_corrected``; it
+    is given the validated read-only ``int8`` vectors, and what it returns
+    is validated as ``y_corrected``.
     """
-    pre = evaluate_fairness(y_predicted, group, y_true, fair_interval)
-    if pre.passed:
-        y_corrected, post = y_predicted, pre
-    else:
+    frame = AuditFrame(y_predicted=y_predicted, y_corrected=y_predicted,
+                       group=group, y_true=y_true)
+    pre = evaluate_fairness(frame, fair_interval)
+    post = pre
+    if not pre.passed:
         try:
-            y_corrected = debiaser(y_predicted, group)
+            y_corrected = debiaser(frame.y_predicted, frame.group)
         except Exception as exc:
             raise PipelineError(f"debiaser failed: {exc}", pre_fairness=pre,
                                 code=getattr(exc, "code", None)) from exc
-        post = evaluate_fairness(y_corrected, group, y_true, fair_interval)
+        frame = frame.with_corrected(y_corrected)
+        post = evaluate_fairness(frame, fair_interval)
 
-    frame = AuditFrame(y_predicted=y_predicted, y_corrected=y_corrected,
-                       group=group, y_true=y_true)
     report = build_report(frame, config, fairness_pre=pre, fairness_post=post)
 
     if pre.passed:

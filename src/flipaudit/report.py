@@ -25,9 +25,8 @@ from types import SimpleNamespace
 from typing import NamedTuple
 
 from .fairness import FairnessResult
-from .frame import AuditFrame, ValidationError, group_tally
-from .groups import group_summaries, proportionality
-from .metrics import MetricValue, summarize_counts
+from .frame import AuditFrame, PRIVILEGED, UNPRIVILEGED, ValidationError, group_tally
+from .metrics import MetricValue, proportionality, summarize_counts
 from .thresholds import Band, ThresholdConfig, classify
 
 SCHEMA_VERSION = "1"
@@ -119,13 +118,14 @@ def build_report(
     """Audit a frame and assemble the full banded report."""
     config = config or ThresholdConfig.default()
     table = group_tally(frame.group, frame.y_predicted, frame.y_corrected)
-    priv, unpriv = group_summaries(table)
     overall = summarize_counts(table.sum(axis=0))
+    unpriv = summarize_counts(table[UNPRIVILEGED])
+    priv = summarize_counts(table[PRIVILEGED])
     values = SimpleNamespace(
         overall=overall,
-        group0=unpriv.summary,
-        group1=priv.summary,
-        prop=proportionality(priv.summary, unpriv.summary, overall),
+        group0=unpriv,
+        group1=priv,
+        prop=proportionality(priv, unpriv, overall),
     )
 
     def cell(row: Row) -> MetricCell:

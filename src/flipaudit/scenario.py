@@ -56,6 +56,12 @@ class ScenarioSpec:
     group1: GroupScenario
     seed: int = 0
 
+    def __post_init__(self):
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise ValidationError(
+                f"seed must be a non-negative integer, got {self.seed!r}", code="bad_scenario"
+            )
+
 
 # Reconstructs the published worked example's count structure: 1320 samples,
 # all 136 of group 0's flips harmful, all 38 of group 1's flips beneficial.

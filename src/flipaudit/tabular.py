@@ -223,17 +223,13 @@ def frame_to_csv_blocks(frame: AuditFrame):
         yield memoryview(rows).cast("B")
 
 
-def frame_to_csv_bytes(frame: AuditFrame) -> bytes:
-    """The bytes of ``frame_to_csv_blocks(frame)``, joined."""
+def frame_to_csv(frame: AuditFrame) -> str:
+    """The text of ``frame_to_csv_blocks(frame)``, joined."""
+    # The blocks share one buffer, so a list of them would not hold the rows.
     # BytesIO copies each block as it comes and hands its buffer over uncopied.
     out = io.BytesIO()
     out.writelines(frame_to_csv_blocks(frame))
-    return out.getvalue()
-
-
-def frame_to_csv(frame: AuditFrame) -> str:
-    """``frame_to_csv_bytes(frame)`` as text."""
-    return str(frame_to_csv_bytes(frame), "ascii")
+    return str(out.getvalue(), "ascii")
 
 
 def write_frame(frame: AuditFrame, path) -> None:

@@ -3,7 +3,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from flipaudit import AuditFrame, REFERENCE_EXAMPLE, generate_scenario
+from flipaudit import (
+    AuditFrame,
+    REFERENCE_EXAMPLE,
+    build_report,
+    evaluate_fairness,
+    generate_scenario,
+)
+from flipaudit.frame import group_tally
+from flipaudit.metrics import summarize_counts
 
 
 def random_frame(rng, max_n=200, with_true=False) -> AuditFrame:
@@ -19,6 +27,22 @@ def random_frame(rng, max_n=200, with_true=False) -> AuditFrame:
         group=group,
         y_true=rng.integers(0, 2, size=n) if with_true else None,
     )
+
+
+def flip_summaries(frame):
+    """(overall, group 0, group 1) flip summaries of the frame's (group, pred, corr) table."""
+    table = group_tally(frame.group, frame.y_predicted, frame.y_corrected)
+    return tuple(map(summarize_counts, (table.sum(axis=0), table[0], table[1])))
+
+
+def report_metrics(frame) -> dict:
+    """Every metric of the frame's report, keyed as in the JSON report."""
+    return {key: cell.metric for key, cell in build_report(frame).cells.items()}
+
+
+def sp_of(labels, group) -> float:
+    """The SP gate's difference for ``labels``."""
+    return evaluate_fairness(AuditFrame(labels, labels, group)).sp_difference
 
 
 @pytest.fixture

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import oracle
-from conftest import random_frame
+from conftest import flip_summaries, random_frame, report_metrics, sp_of
 from flipaudit import (
     AuditFrame,
     Decision,
@@ -21,7 +21,6 @@ from flipaudit import (
     ThresholdConfig,
     build_report,
     classify,
-    compute_proportionality,
     emit_chart,
     generate_scenario,
     make_sp_debiaser,
@@ -29,9 +28,6 @@ from flipaudit import (
     render_structured,
     run_audit_pipeline,
     sp_equalizing_debiaser,
-    split_by_group,
-    statistical_parity_difference,
-    summarize_flips,
 )
 from flipaudit import DebiasError, evaluate_fairness, ingest
 from flipaudit.cli import main
@@ -99,41 +95,40 @@ def _frame(pred, corr, group):
 
 def test_criterion_2_edge_case_matrix():
     # DFR degeneracies.
-    only_beneficial = summarize_flips(_frame([0, 1, 0, 1], [1, 1, 0, 1], [0, 0, 1, 1]))
-    assert only_beneficial.dfr.is_infinite
-    assert only_beneficial.dfr.annotation == ONLY_BENEFICIAL
+    only_beneficial = report_metrics(_frame([0, 1, 0, 1], [1, 1, 0, 1], [0, 0, 1, 1]))
+    assert only_beneficial["dfr"].is_infinite
+    assert only_beneficial["dfr"].annotation == ONLY_BENEFICIAL
 
-    only_harmful = summarize_flips(_frame([1, 1, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]))
-    assert only_harmful.dfr == MetricValue.finite(0.0, ONLY_HARMFUL)
+    only_harmful = report_metrics(_frame([1, 1, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]))
+    assert only_harmful["dfr"] == MetricValue.finite(0.0, ONLY_HARMFUL)
 
     identity = _frame([1, 0, 1, 0], [1, 0, 1, 0], [0, 0, 1, 1])
-    no_flips = summarize_flips(identity)
-    assert no_flips.dfr == MetricValue.finite(1.0, NO_FLIPS)
+    idle = report_metrics(identity)
+    assert idle["dfr"] == MetricValue.finite(1.0, NO_FLIPS)
 
     # DI / HDI: infinity when exactly one group rate is zero, 1 when both are.
-    g0_only = compute_proportionality(_frame([1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1]))
-    assert g0_only.di.is_infinite and g0_only.di.annotation == ONE_ZERO
-    assert g0_only.hdi.is_infinite and g0_only.hdi.annotation == ONE_ZERO
+    g0_only = report_metrics(_frame([1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1]))
+    assert g0_only["di"].is_infinite and g0_only["di"].annotation == ONE_ZERO
+    assert g0_only["hdi"].is_infinite and g0_only["hdi"].annotation == ONE_ZERO
 
-    idle = compute_proportionality(identity)
-    assert idle.di == MetricValue.finite(1.0, BOTH_ZERO)
-    assert idle.hdi == MetricValue.finite(1.0, BOTH_ZERO)
+    assert idle["di"] == MetricValue.finite(1.0, BOTH_ZERO)
+    assert idle["hdi"] == MetricValue.finite(1.0, BOTH_ZERO)
 
     # HDI both-zero with flips present: all flips beneficial in both groups.
-    benign = compute_proportionality(_frame([0, 1, 0, 1], [1, 1, 1, 1], [0, 0, 1, 1]))
-    assert benign.hdi == MetricValue.finite(1.0, BOTH_ZERO)
+    benign = report_metrics(_frame([0, 1, 0, 1], [1, 1, 1, 1], [0, 0, 1, 1]))
+    assert benign["hdi"] == MetricValue.finite(1.0, BOTH_ZERO)
 
     # FD / HFD conventions mirror DI / HDI.
-    assert g0_only.fd.is_infinite and g0_only.fd.annotation == ONE_ZERO
-    assert g0_only.hfd.is_infinite and g0_only.hfd.annotation == ONE_ZERO
-    assert idle.fd == MetricValue.finite(1.0, BOTH_ZERO)
-    assert idle.hfd == MetricValue.finite(1.0, BOTH_ZERO)
+    assert g0_only["fd"].is_infinite and g0_only["fd"].annotation == ONE_ZERO
+    assert g0_only["hfd"].is_infinite and g0_only["hfd"].annotation == ONE_ZERO
+    assert idle["fd"] == MetricValue.finite(1.0, BOTH_ZERO)
+    assert idle["hfd"] == MetricValue.finite(1.0, BOTH_ZERO)
 
     # RFD / RHFD: 1 when one rate is zero, 0 when there are no flips.
-    assert g0_only.rfd.value == pytest.approx(1.0)
-    assert g0_only.rhfd.value == pytest.approx(1.0)
-    assert idle.rfd == MetricValue.finite(0.0, NO_FLIPS)
-    assert idle.rhfd == MetricValue.finite(0.0, NO_FLIPS)
+    assert g0_only["rfd"].value == pytest.approx(1.0)
+    assert g0_only["rhfd"].value == pytest.approx(1.0)
+    assert idle["rfd"] == MetricValue.finite(0.0, NO_FLIPS)
+    assert idle["rhfd"] == MetricValue.finite(0.0, NO_FLIPS)
 
     announce(2, "all degenerate-value conventions and annotations exact")
 
@@ -147,23 +142,22 @@ def test_criterion_3_oracle_equivalence():
             frame.y_corrected.tolist(),
             frame.group.tolist(),
         )
-        s = summarize_flips(frame)
+        s, unpriv, priv = flip_summaries(frame)
         assert s.n_flips == expected["total"]["flips"]
         assert s.n_favorable == expected["total"]["fav"]
         assert s.n_unfavorable == expected["total"]["unfav"]
         assert abs(s.flip_rate.value - expected["fr"]) <= 1e-12
         assert abs(s.hfp.value - expected["hfp"]) <= 1e-12
 
-        priv, unpriv = split_by_group(frame)
-        assert abs(priv.summary.flip_rate.value - expected["fr1"]) <= 1e-12
-        assert abs(unpriv.summary.flip_rate.value - expected["fr0"]) <= 1e-12
+        assert abs(priv.flip_rate.value - expected["fr1"]) <= 1e-12
+        assert abs(unpriv.flip_rate.value - expected["fr0"]) <= 1e-12
 
-        p = compute_proportionality(frame)
-        assert abs(p.frd.value - expected["frd"]) <= 1e-12
-        assert abs(p.hfpd.value - expected["hfpd"]) <= 1e-12
+        p = report_metrics(frame)
+        assert abs(p["frd"].value - expected["frd"]) <= 1e-12
+        assert abs(p["hfpd"].value - expected["hfpd"]) <= 1e-12
         for name in ("di", "hdi", "fd", "hfd", "rfd", "rhfd"):
             kind, value = expected[name]
-            mv = getattr(p, name)
+            mv = p[name]
             assert mv.kind == kind, (i, name)
             if kind == "finite":
                 assert abs(mv.value - value) <= 1e-12, (i, name)
@@ -175,19 +169,17 @@ def test_criterion_4_invariant_suite():
     cfg = ThresholdConfig.default()
     for _ in range(300):
         frame = random_frame(rng, max_n=80)
-        s = summarize_flips(frame)
-        priv, unpriv = split_by_group(frame)
+        s, unpriv, priv = flip_summaries(frame)
 
         # Partition and aggregation identities.
         assert s.n_favorable + s.n_unfavorable == s.n_flips
-        assert priv.summary.n_flips + unpriv.summary.n_flips == s.n_flips
+        assert priv.n_flips + unpriv.n_flips == s.n_flips
         lhs = frame.n * s.flip_rate.value
-        rhs = (priv.size * priv.summary.flip_rate.value
-               + unpriv.size * unpriv.summary.flip_rate.value)
+        rhs = priv.n * priv.flip_rate.value + unpriv.n * unpriv.flip_rate.value
         assert math.isclose(lhs, rhs, abs_tol=1e-9)
 
         # pred/corr swap law for DFR.
-        swapped = summarize_flips(
+        swapped, _, _ = flip_summaries(
             AuditFrame(frame.y_corrected, frame.y_predicted, frame.group)
         )
         if s.dfr.is_infinite:
@@ -198,12 +190,10 @@ def test_criterion_4_invariant_suite():
             assert math.isclose(swapped.dfr.value, 1.0 / s.dfr.value)
 
         # Group-swap symmetry of all eight proportionality metrics.
-        p = compute_proportionality(frame)
-        q = compute_proportionality(
-            AuditFrame(frame.y_predicted, frame.y_corrected, 1 - frame.group)
-        )
+        p = report_metrics(frame)
+        q = report_metrics(AuditFrame(frame.y_predicted, frame.y_corrected, 1 - frame.group))
         for name in ("frd", "hfpd", "di", "hdi", "fd", "hfd", "rfd", "rhfd"):
-            a, b = getattr(p, name), getattr(q, name)
+            a, b = p[name], q[name]
             assert a.kind == b.kind
             if a.kind == "finite":
                 assert math.isclose(a.value, b.value, abs_tol=1e-12)
@@ -211,9 +201,9 @@ def test_criterion_4_invariant_suite():
         # Bounds.
         assert 0.0 <= s.flip_rate.value <= 1.0
         assert 0.0 <= s.hfp.value <= 1.0
-        assert 0.0 <= p.rfd.value <= 1.0 + 1e-12
-        assert 0.0 <= p.rhfd.value <= 1.0 + 1e-12
-        for mv in (p.di, p.hdi):
+        assert 0.0 <= p["rfd"].value <= 1.0 + 1e-12
+        assert 0.0 <= p["rhfd"].value <= 1.0 + 1e-12
+        for mv in (p["di"], p["hdi"]):
             if not mv.is_infinite:
                 assert mv.value >= 1.0
 
@@ -242,9 +232,9 @@ def test_criterion_5_debiaser_contract():
             assert oracle.min_sp_flips(labels.tolist(), group.tolist(), epsilon) is None
             continue
         contract_checked += 1
-        assert abs(statistical_parity_difference(corrected, group)) <= epsilon
+        assert abs(sp_of(corrected, group)) <= epsilon
         changed = np.flatnonzero(corrected != labels)
-        sp = statistical_parity_difference(labels, group)
+        sp = sp_of(labels, group)
         if abs(sp) <= epsilon:
             assert changed.size == 0
         if frame.n <= 20:
@@ -302,8 +292,8 @@ def test_criterion_7_gate_transition_on_reference_scenario():
     # instead: it fails the fairness gates before debiasing and passes them
     # after, exercising the same loop.
     frame = generate_scenario(REFERENCE_EXAMPLE)
-    pre = evaluate_fairness(frame.y_predicted, frame.group, frame.y_true)
-    post = evaluate_fairness(frame.y_corrected, frame.group, frame.y_true)
+    pre = evaluate_fairness(frame.with_corrected(frame.y_predicted))
+    post = evaluate_fairness(frame)
     assert not pre.passed
     assert post.passed
     assert abs(post.sp_difference) <= 0.1

@@ -1,14 +1,25 @@
+import math
+
 import numpy as np
 import pytest
 
 import oracle
 from flipaudit import (
+    AuditFrame,
     ValidationError,
-    equalized_odds_difference,
+    build_report,
     evaluate_fairness,
-    statistical_parity_difference,
+    make_sp_debiaser,
+    parse_structured,
+    render_structured,
+    run_audit_pipeline,
 )
-from conftest import random_frame
+from conftest import random_frame, sp_of
+
+
+def eo_of(y_true, labels, group):
+    """The EO gate's difference for ``labels``."""
+    return evaluate_fairness(AuditFrame(labels, labels, group, y_true)).eo_difference
 
 
 class TestStatisticalParity:
@@ -16,31 +27,31 @@ class TestStatisticalParity:
         # One group 4/5 positive, the other 3/5: gap magnitude 0.20.
         labels = [1, 1, 1, 1, 0, 1, 1, 1, 0, 0]
         group = [1, 1, 1, 1, 1, 0, 0, 0, 0, 0]
-        assert statistical_parity_difference(labels, group) == pytest.approx(-0.2)
+        assert sp_of(labels, group) == pytest.approx(-0.2)
 
     def test_equal_rates(self):
         labels = [1, 0, 1, 0]
         group = [0, 0, 1, 1]
-        assert statistical_parity_difference(labels, group) == 0.0
+        assert sp_of(labels, group) == 0.0
 
     def test_extreme_disparity(self):
-        assert statistical_parity_difference([1, 1, 0, 0], [1, 1, 0, 0]) == -1.0
+        assert sp_of([1, 1, 0, 0], [1, 1, 0, 0]) == -1.0
 
     def test_missing_group(self):
         with pytest.raises(ValidationError):
-            statistical_parity_difference([1, 0], [1, 1])
+            sp_of([1, 0], [1, 1])
 
     def test_length_mismatch(self):
         with pytest.raises(ValidationError, match="group has length 2, expected 3") as exc:
-            statistical_parity_difference([1, 0, 1], [0, 1])
+            sp_of([1, 0, 1], [0, 1])
         assert exc.value.code == "length_mismatch"
 
     def test_antisymmetric_under_relabeling(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             frame = random_frame(rng, max_n=50)
-            sp = statistical_parity_difference(frame.y_predicted, frame.group)
-            swapped = statistical_parity_difference(frame.y_predicted, 1 - frame.group)
+            sp = sp_of(frame.y_predicted, frame.group)
+            swapped = sp_of(frame.y_predicted, 1 - frame.group)
             assert sp == pytest.approx(-swapped)
 
 
@@ -49,18 +60,19 @@ class TestEqualizedOdds:
         y_true = [1, 0, 1, 0]
         labels = [1, 0, 1, 0]
         group = [0, 0, 1, 1]
-        assert equalized_odds_difference(y_true, labels, group) == 0.0
+        assert eo_of(y_true, labels, group) == 0.0
 
     def test_maximal_tpr_gap(self):
         # Group 0 TPR 1, group 1 TPR 0; both FPRs 0.
         y_true = [1, 0, 1, 0]
         labels = [1, 0, 0, 0]
         group = [0, 0, 1, 1]
-        assert equalized_odds_difference(y_true, labels, group) == 1.0
+        assert eo_of(y_true, labels, group) == 1.0
 
     def test_missing_true_labels(self):
-        with pytest.raises(ValidationError, match="true labels"):
-            equalized_odds_difference(None, [1, 0], [0, 1])
+        res = evaluate_fairness(AuditFrame([1, 0], [1, 0], [0, 1]))
+        assert res.eo_difference is None and res.eo_pass
+        assert "no true labels" in res.note
 
     def test_matches_confusion_matrix_oracle(self):
         rng = np.random.default_rng(17)
@@ -74,7 +86,7 @@ class TestEqualizedOdds:
             )
             if expected is None:
                 continue
-            got = equalized_odds_difference(frame.y_true, frame.y_predicted, frame.group)
+            got = eo_of(frame.y_true, frame.y_predicted, frame.group)
             assert got == pytest.approx(expected, abs=1e-12)
             assert 0.0 <= got <= 1.0
             checked += 1
@@ -85,28 +97,72 @@ class TestEqualizedOdds:
         y_true = [1, 0, 0, 0]
         labels = [1, 1, 0, 1]
         group = [0, 0, 1, 1]
-        got = equalized_odds_difference(y_true, labels, group)
+        got = eo_of(y_true, labels, group)
         assert got == pytest.approx(abs(1.0 - 0.5))
+
+
+def gate(labels, group, y_true=None, **kwargs):
+    """``evaluate_fairness`` on a frame whose corrected labels are ``labels``."""
+    return evaluate_fairness(AuditFrame([0] * len(labels), labels, group, y_true), **kwargs)
 
 
 class TestEvaluateFairness:
     def test_default_interval_pass(self):
-        res = evaluate_fairness([1, 0, 1, 0], [0, 0, 1, 1])
+        res = gate([1, 0, 1, 0], [0, 0, 1, 1])
         assert res.sp_pass and res.eo_pass and res.passed
         assert res.eo_difference is None
 
     def test_sp_fail(self):
-        res = evaluate_fairness([1, 1, 0, 0], [1, 1, 0, 0])
+        res = gate([1, 1, 0, 0], [1, 1, 0, 0])
         assert not res.sp_pass
         assert not res.passed
 
     def test_eo_gate_uses_upper_bound(self):
         y_true = [1, 0, 1, 0]
         labels = [1, 0, 0, 0]
-        res = evaluate_fairness(labels, [0, 0, 1, 1], y_true=y_true)
+        res = gate(labels, [0, 0, 1, 1], y_true=y_true)
         assert res.eo_difference == 1.0
         assert not res.eo_pass
 
     def test_custom_interval(self):
-        res = evaluate_fairness([1, 1, 0, 0], [1, 1, 0, 0], fair_interval=(-1.0, 1.0))
+        res = gate([1, 1, 0, 0], [1, 1, 0, 0], fair_interval=(-1.0, 1.0))
         assert res.sp_pass
+
+    def test_gates_corrected_labels(self):
+        # Predictions at perfect parity, corrected labels maximally unfair.
+        frame = AuditFrame([1, 0, 1, 0], [1, 1, 0, 0], [1, 1, 0, 0], [1, 0, 1, 0])
+        res = evaluate_fairness(frame)
+        assert (res.sp_difference, res.eo_difference) == (-1.0, 1.0)
+
+    @pytest.mark.parametrize("interval", [
+        (0.2, -0.2), (math.nan, 0.1), (-0.1, math.inf), (-0.5, -0.3), (0.3, 0.5),
+        (-0.1,), (-0.1, 0.0, 0.1), None, ("a", "b"),
+    ])
+    def test_bad_interval_rejected(self, interval):
+        # None of these intervals would pass perfect parity.
+        with pytest.raises(ValidationError) as exc:
+            gate([1, 0, 1, 0], [0, 0, 1, 1], fair_interval=interval)
+        assert exc.value.code == "bad_fair_interval"
+
+    @pytest.mark.parametrize("interval", [(0.0, 0.0), (-1, 1), [0.0, 0.2]])
+    def test_interval_holding_zero_accepted(self, interval):
+        res = gate([1, 0, 1, 0], [0, 0, 1, 1], fair_interval=interval)
+        assert res.passed and res.fair_interval == tuple(interval)
+        # The result is a value: hashable, and kept by a structured round trip.
+        hash(res)
+        report = build_report(AuditFrame([1, 0, 1, 0], [1, 0, 1, 0], [0, 0, 1, 1]),
+                              fairness_pre=res)
+        assert parse_structured(render_structured(report)) == report
+
+    def test_bad_interval_rejected_before_pipeline_debiases(self):
+        def exploding(y_predicted, group):
+            raise AssertionError("debiaser must not run with a bad fair interval")
+
+        with pytest.raises(ValidationError) as exc:
+            run_audit_pipeline([1, 1, 0, 0], [0, 0, 1, 1], exploding,
+                               fair_interval=(0.2, -0.2))
+        assert exc.value.code == "bad_fair_interval"
+        with pytest.raises(ValidationError) as exc:
+            run_audit_pipeline([1, 0, 1, 0], [0, 0, 1, 1], make_sp_debiaser(0.1),
+                               fair_interval=(-0.5, -0.3))
+        assert exc.value.code == "bad_fair_interval"

@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
+from conftest import flip_summaries
 from flipaudit import (
     AuditFrame,
-    FlipKind,
     ValidationError,
-    classify_flips,
+    build_report,
     directional_flip_ratio,
     flip_rate,
     harmful_flip_proportion,
-    summarize_flips,
 )
 from flipaudit.frame import BLOCK, tally
 from flipaudit.metrics import (
@@ -21,28 +20,22 @@ from flipaudit.metrics import (
 )
 
 
-class TestClassifyFlips:
+class TestFlipDirections:
     def test_definitional_cases(self):
-        frame = AuditFrame([1, 0], [0, 1], [0, 1])
-        assert classify_flips(frame) == [FlipKind.UNFAVORABLE, FlipKind.FAVORABLE]
+        # 1 -> 0 in group 0 is an unfavorable flip, 0 -> 1 in group 1 a favorable one.
+        counts = build_report(AuditFrame([1, 0], [0, 1], [0, 1])).counts
+        assert (counts["group0_flips"], counts["group0_harmful_flips"]) == (1, 1)
+        assert (counts["group1_flips"], counts["group1_harmful_flips"]) == (1, 0)
 
     def test_identity_case(self):
-        frame = AuditFrame([1, 1, 0], [1, 1, 0], [0, 1, 0])
-        assert classify_flips(frame) == [FlipKind.NO_FLIP] * 3
+        counts = build_report(AuditFrame([1, 1, 0], [1, 1, 0], [0, 1, 0])).counts
+        assert (counts["total_flips"], counts["harmful_flips"]) == (0, 0)
 
     def test_reference_scenario_flip_placement(self, reference_frame):
-        kinds = classify_flips(reference_frame)
-        unfav_g0 = sum(
-            1 for k, g in zip(kinds, reference_frame.group)
-            if k is FlipKind.UNFAVORABLE and g == 0
-        )
-        fav_g1 = sum(
-            1 for k, g in zip(kinds, reference_frame.group)
-            if k is FlipKind.FAVORABLE and g == 1
-        )
-        assert unfav_g0 == 136
-        assert fav_g1 == 38
-        assert sum(1 for k in kinds if k is not FlipKind.NO_FLIP) == 174
+        overall, group0, group1 = flip_summaries(reference_frame)
+        assert (group0.n_unfavorable, group0.n_favorable) == (136, 0)
+        assert (group1.n_favorable, group1.n_unfavorable) == (38, 0)
+        assert overall.n_flips == 174
 
 
 class TestFrameValidation:
@@ -222,27 +215,23 @@ class TestHarmfulFlipProportion:
         assert mv.annotation == NO_FLIPS
 
 
-class TestSummarizeFlips:
+class TestSummarizeCounts:
     def test_reference_overall(self, reference_frame):
-        s = summarize_flips(reference_frame)
+        s, _, _ = flip_summaries(reference_frame)
         assert s.n_flips == 174
         assert s.flip_rate.value == pytest.approx(0.1318, abs=1e-4)
         assert s.hfp.value == pytest.approx(0.782, abs=1e-3)
 
-    def test_reference_group1_mask(self, reference_frame):
-        s = summarize_flips(reference_frame, reference_frame.group == 1)
+    def test_reference_group1(self, reference_frame):
+        _, _, s = flip_summaries(reference_frame)
         assert s.n_flips == 38
         assert s.flip_rate.value == pytest.approx(0.0729, abs=1e-4)
 
     def test_identity(self, identity_frame):
-        s = summarize_flips(identity_frame)
+        s, _, _ = flip_summaries(identity_frame)
         assert s.n_flips == 0
         assert s.dfr.value == 1.0
         assert s.hfp.value == 0.0
-
-    def test_empty_selection_rejected(self, identity_frame):
-        with pytest.raises(ValidationError, match="empty group"):
-            summarize_flips(identity_frame, np.zeros(identity_frame.n, dtype=bool))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])

@@ -7,35 +7,34 @@ from flipaudit import (
     AuditFrame,
     MetricValue,
     ValidationError,
-    compute_proportionality,
+    build_report,
     disparity_index,
     flip_disparity,
     rate_difference,
     relative_disparity,
-    split_by_group,
 )
 from flipaudit.metrics import BOTH_ZERO, NO_FLIPS, ONE_ZERO, REGULAR
-from conftest import random_frame
+from conftest import random_frame, report_metrics
 
 fin = MetricValue.finite
 
 
-class TestSplitByGroup:
+class TestGroupCounts:
     def test_reference_sizes_and_flips(self, reference_frame):
-        priv, unpriv = split_by_group(reference_frame)
-        assert (unpriv.group_id, unpriv.size, unpriv.summary.n_flips) == (0, 799, 136)
-        assert (priv.group_id, priv.size, priv.summary.n_flips) == (1, 521, 38)
+        counts = build_report(reference_frame).counts
+        assert (counts["group0_samples"], counts["group0_flips"]) == (799, 136)
+        assert (counts["group1_samples"], counts["group1_flips"]) == (521, 38)
 
     def test_missing_group_rejected(self):
         frame = AuditFrame([1, 0], [1, 0], [1, 1])
         with pytest.raises(ValidationError, match="no instances"):
-            split_by_group(frame)
+            build_report(frame)
 
     def test_sizes_partition(self):
         rng = np.random.default_rng(5)
         frame = random_frame(rng, max_n=100)
-        priv, unpriv = split_by_group(frame)
-        assert priv.size + unpriv.size == frame.n
+        counts = build_report(frame).counts
+        assert counts["group1_samples"] + counts["group0_samples"] == frame.n
 
 
 class TestRateDifference:
@@ -106,35 +105,35 @@ class TestRelativeDisparity:
         assert mv.value == 0.0
         assert mv.annotation == NO_FLIPS
         # Both groups flipped, but only favorably: both HFPs are zero.
-        rhfd = compute_proportionality(AuditFrame([0, 0, 0, 0], [1, 0, 1, 0], [0, 0, 1, 1])).rhfd
+        rhfd = report_metrics(AuditFrame([0, 0, 0, 0], [1, 0, 1, 0], [0, 0, 1, 1]))["rhfd"]
         assert (rhfd.value, rhfd.annotation) == (0.0, BOTH_ZERO)
 
 
-class TestComputeProportionality:
+class TestProportionalityCells:
     def test_reference_values(self, reference_frame):
-        p = compute_proportionality(reference_frame)
-        assert p.frd.value == pytest.approx(0.097, abs=0.005)
-        assert p.di.value == pytest.approx(2.33, abs=0.005)
-        assert p.fd.value == pytest.approx(0.74, abs=0.005)
-        assert p.rfd.value == pytest.approx(0.40, abs=0.005)
-        assert p.hfpd.value == 1.0
-        assert p.hdi.is_infinite and p.hdi.annotation == ONE_ZERO
-        assert p.hfd.is_infinite and p.hfd.annotation == ONE_ZERO
-        assert p.rhfd.value == 1.0
+        p = report_metrics(reference_frame)
+        assert p["frd"].value == pytest.approx(0.097, abs=0.005)
+        assert p["di"].value == pytest.approx(2.33, abs=0.005)
+        assert p["fd"].value == pytest.approx(0.74, abs=0.005)
+        assert p["rfd"].value == pytest.approx(0.40, abs=0.005)
+        assert p["hfpd"].value == 1.0
+        assert p["hdi"].is_infinite and p["hdi"].annotation == ONE_ZERO
+        assert p["hfd"].is_infinite and p["hfd"].annotation == ONE_ZERO
+        assert p["rhfd"].value == 1.0
 
     def test_symmetric_identical_flips(self):
         # Both groups: 4 instances, one favorable and one unfavorable flip each.
         pred = [1, 0, 0, 0, 1, 0, 0, 0]
         corr = [0, 1, 0, 0, 0, 1, 0, 0]
         group = [0, 0, 0, 0, 1, 1, 1, 1]
-        p = compute_proportionality(AuditFrame(pred, corr, group))
-        assert p.frd.value == 0.0
-        assert p.hfpd.value == 0.0
-        assert p.di.value == 1.0
-        assert p.hdi.value == 1.0
-        assert p.fd.value == 0.0
-        assert p.rfd.value == 0.0
-        assert p.rhfd.value == 0.0
+        p = report_metrics(AuditFrame(pred, corr, group))
+        assert p["frd"].value == 0.0
+        assert p["hfpd"].value == 0.0
+        assert p["di"].value == 1.0
+        assert p["hdi"].value == 1.0
+        assert p["fd"].value == 0.0
+        assert p["rfd"].value == 0.0
+        assert p["rhfd"].value == 0.0
 
     def test_matches_brute_force_on_random_frames(self):
         rng = np.random.default_rng(11)
@@ -145,12 +144,12 @@ class TestComputeProportionality:
                 frame.y_corrected.tolist(),
                 frame.group.tolist(),
             )
-            p = compute_proportionality(frame)
+            p = report_metrics(frame)
             for name in ("frd", "hfpd"):
-                assert getattr(p, name).value == pytest.approx(expected[name], abs=1e-12)
+                assert p[name].value == pytest.approx(expected[name], abs=1e-12)
             for name in ("di", "hdi", "fd", "hfd", "rfd", "rhfd"):
                 kind, value = expected[name]
-                mv = getattr(p, name)
+                mv = p[name]
                 assert mv.kind == kind
                 if kind == "finite":
                     assert mv.value == pytest.approx(value, abs=1e-12)

@@ -4,6 +4,7 @@ import pytest
 from flipaudit import (
     Decision,
     REFERENCE_EXAMPLE,
+    ValidationError,
     generate_scenario,
     make_sp_debiaser,
     render_structured,
@@ -82,6 +83,17 @@ class TestRunAuditPipeline:
         with pytest.raises(PipelineError) as exc:
             run_audit_pipeline(pred, group, broken)
         assert exc.value.pre_fairness.sp_difference == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("result, code", [
+        ([1, 0, 1], "length_mismatch"),
+        ([2, 0, 1, 0, 1, 0], "non_binary"),
+    ])
+    def test_debiaser_result_validated_as_y_corrected(self, result, code):
+        pred = np.array([1, 1, 1, 0, 0, 0])
+        group = np.array([0, 0, 0, 1, 1, 1])
+        with pytest.raises(ValidationError, match="y_corrected") as exc:
+            run_audit_pipeline(pred, group, lambda y_predicted, g: result)
+        assert exc.value.code == code
 
     def test_determinism_under_fixed_seed(self):
         frame = generate_scenario(REFERENCE_EXAMPLE)

@@ -2,17 +2,14 @@ import math
 
 from hypothesis import assume, given, settings, strategies as st
 
+import oracle
+from conftest import flip_summaries, report_metrics
 from flipaudit import (
     AuditFrame,
     Band,
-    FlipKind,
     MetricValue,
     ThresholdConfig,
     classify,
-    classify_flips,
-    compute_proportionality,
-    split_by_group,
-    summarize_flips,
 )
 
 CFG = ThresholdConfig.default()
@@ -31,18 +28,19 @@ def frames(draw):
 
 @given(frames())
 def test_flip_partition(frame):
-    kinds = classify_flips(frame)
-    assert len(kinds) == frame.n
-    s = summarize_flips(frame)
-    assert kinds.count(FlipKind.FAVORABLE) == s.n_favorable
-    assert kinds.count(FlipKind.UNFAVORABLE) == s.n_unfavorable
-    assert kinds.count(FlipKind.NO_FLIP) == frame.n - s.n_flips
+    counts = oracle.counts(frame.y_predicted.tolist(), frame.y_corrected.tolist(),
+                           frame.group.tolist())
+    s, _, _ = flip_summaries(frame)
+    assert counts["n"] == s.n == frame.n
+    assert counts["fav"] == s.n_favorable
+    assert counts["unfav"] == s.n_unfavorable
+    assert counts["flips"] == s.n_flips
     assert s.n_favorable + s.n_unfavorable == s.n_flips
 
 
 @given(frames())
 def test_fr_bounds_and_zero_iff_identity(frame):
-    s = summarize_flips(frame)
+    s, _, _ = flip_summaries(frame)
     assert 0.0 <= s.flip_rate.value <= 1.0
     identical = (frame.y_predicted == frame.y_corrected).all()
     assert (s.flip_rate.value == 0.0) == identical
@@ -50,7 +48,7 @@ def test_fr_bounds_and_zero_iff_identity(frame):
 
 @given(frames())
 def test_hfp_complement(frame):
-    s = summarize_flips(frame)
+    s, _, _ = flip_summaries(frame)
     assert 0.0 <= s.hfp.value <= 1.0
     if s.n_flips > 0:
         assert math.isclose(s.hfp.value + s.n_favorable / s.n_flips, 1.0)
@@ -58,8 +56,8 @@ def test_hfp_complement(frame):
 
 @given(frames())
 def test_pred_corr_swap_law(frame):
-    s = summarize_flips(frame)
-    swapped = summarize_flips(
+    s, _, _ = flip_summaries(frame)
+    swapped, _, _ = flip_summaries(
         AuditFrame(frame.y_corrected, frame.y_predicted, frame.group)
     )
     assert swapped.n_flips == s.n_flips
@@ -77,11 +75,9 @@ def test_pred_corr_swap_law(frame):
 
 @given(frames())
 def test_fr_aggregation_identity(frame):
-    s = summarize_flips(frame)
-    priv, unpriv = split_by_group(frame)
+    s, unpriv, priv = flip_summaries(frame)
     lhs = frame.n * s.flip_rate.value
-    rhs = (priv.size * priv.summary.flip_rate.value
-           + unpriv.size * unpriv.summary.flip_rate.value)
+    rhs = priv.n * priv.flip_rate.value + unpriv.n * unpriv.flip_rate.value
     assert math.isclose(lhs, rhs, abs_tol=1e-9)
 
 
@@ -91,26 +87,24 @@ def _metric_key(mv: MetricValue):
 
 @given(frames())
 def test_group_swap_symmetry(frame):
-    p = compute_proportionality(frame)
-    q = compute_proportionality(
-        AuditFrame(frame.y_predicted, frame.y_corrected, 1 - frame.group)
-    )
+    p = report_metrics(frame)
+    q = report_metrics(AuditFrame(frame.y_predicted, frame.y_corrected, 1 - frame.group))
     for name in ("frd", "hfpd", "di", "hdi", "fd", "hfd", "rfd", "rhfd"):
-        assert _metric_key(getattr(p, name)) == _metric_key(getattr(q, name))
+        assert _metric_key(p[name]) == _metric_key(q[name])
 
 
 @given(frames())
 def test_proportionality_bounds(frame):
-    p = compute_proportionality(frame)
+    p = report_metrics(frame)
     for name in ("frd", "hfpd", "rfd", "rhfd"):
-        mv = getattr(p, name)
+        mv = p[name]
         assert 0.0 <= mv.value <= 1.0 + 1e-12
     for name in ("di", "hdi"):
-        mv = getattr(p, name)
+        mv = p[name]
         if not mv.is_infinite:
             assert mv.value >= 1.0
     for name in ("fd", "hfd"):
-        mv = getattr(p, name)
+        mv = p[name]
         if not mv.is_infinite:
             assert mv.value >= 0.0
 
@@ -118,12 +112,11 @@ def test_proportionality_bounds(frame):
 @given(frames())
 def test_one_sided_relative_disparity_is_one(frame):
     # |a - 0| / (a + 0) = 1 whenever exactly one group rate is positive.
-    p = compute_proportionality(frame)
-    priv, unpriv = split_by_group(frame)
-    a = priv.summary.flip_rate.value
-    b = unpriv.summary.flip_rate.value
+    p = report_metrics(frame)
+    a = p["group1_fr"].value
+    b = p["group0_fr"].value
     if (a == 0.0) != (b == 0.0):
-        assert math.isclose(p.rfd.value, 1.0)
+        assert math.isclose(p["rfd"].value, 1.0)
 
 
 @given(

@@ -86,10 +86,8 @@ class TestRenderText:
         assert "∞" in render_text(reference_report)
 
     def test_fairness_sections_rendered(self, reference_frame):
-        pre = evaluate_fairness(reference_frame.y_predicted, reference_frame.group,
-                                reference_frame.y_true)
-        post = evaluate_fairness(reference_frame.y_corrected, reference_frame.group,
-                                 reference_frame.y_true)
+        pre = evaluate_fairness(reference_frame.with_corrected(reference_frame.y_predicted))
+        post = evaluate_fairness(reference_frame)
         text = render_text(build_report(reference_frame, fairness_pre=pre,
                                         fairness_post=post))
         assert "Fairness (pre-debias)" in text
@@ -106,7 +104,8 @@ class TestRenderStructured:
         assert parse_structured(render_structured(reference_report)) == reference_report
 
     def test_round_trip_with_fairness(self, reference_frame):
-        pre = evaluate_fairness(reference_frame.y_predicted, reference_frame.group)
+        pre = evaluate_fairness(AuditFrame(reference_frame.y_predicted,
+                                           reference_frame.y_predicted, reference_frame.group))
         r = build_report(reference_frame, fairness_pre=pre)
         assert parse_structured(render_structured(r)) == r
 

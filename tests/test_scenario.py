@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
+from conftest import flip_summaries
 from flipaudit import (
     GroupScenario,
     REFERENCE_EXAMPLE,
     ScenarioSpec,
     ValidationError,
     generate_scenario,
-    split_by_group,
-    summarize_flips,
 )
 from flipaudit.scenario import dumps_spec, load_spec, loads_spec
 
@@ -30,7 +29,7 @@ def random_spec(rng) -> ScenarioSpec:
 class TestGenerateScenario:
     def test_reference_example_totals(self, reference_frame):
         assert reference_frame.n == 1320
-        assert summarize_flips(reference_frame).n_flips == 174
+        assert flip_summaries(reference_frame)[0].n_flips == 174
 
     def test_zero_flip_spec_is_identity(self):
         spec = ScenarioSpec(
@@ -46,16 +45,23 @@ class TestGenerateScenario:
         for _ in range(100):
             spec = random_spec(rng)
             frame = generate_scenario(spec)
-            priv, unpriv = split_by_group(frame)
-            for g, spec_g in ((unpriv, spec.group0), (priv, spec.group1)):
-                assert g.size == spec_g.size
-                assert g.summary.n_favorable == spec_g.favorable_flips
-                assert g.summary.n_unfavorable == spec_g.unfavorable_flips
+            _, group0, group1 = flip_summaries(frame)
+            for g, spec_g in ((group0, spec.group0), (group1, spec.group1)):
+                assert g.n == spec_g.size
+                assert g.n_favorable == spec_g.favorable_flips
+                assert g.n_unfavorable == spec_g.unfavorable_flips
 
     def test_deterministic_under_seed(self):
         a = generate_scenario(REFERENCE_EXAMPLE)
         b = generate_scenario(REFERENCE_EXAMPLE)
         assert a == b
+
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(ValidationError, match="seed must be a non-negative integer") \
+                as exc:
+            ScenarioSpec(GroupScenario(5, 2, 0, 0), GroupScenario(5, 3, 0, 0), seed=seed)
+        assert exc.value.code == "bad_scenario"
 
     def test_inconsistent_spec_rejected(self):
         with pytest.raises(ValidationError, match="unfavorable_flips"):

@@ -14,7 +14,7 @@ from flipaudit.frame import BLOCK
 from flipaudit.tabular import (
     ColumnMapping,
     _ingest_strict,
-    frame_to_csv_bytes,
+    frame_to_csv,
     ingest_rows,
     write_frame,
 )
@@ -247,7 +247,7 @@ def test_emit_across_blocks(n, tmp_path):
     vectors = np.random.default_rng(n).integers(0, 2, size=(4, n))
     want = csv_of(["pred", "corr", "group", "true"], vectors)
     frame = AuditFrame(*vectors)
-    assert frame_to_csv_bytes(frame) == want
+    assert frame_to_csv(frame).encode() == want
     write_frame(frame, tmp_path / "out.csv")
     assert (tmp_path / "out.csv").read_bytes() == want
 
