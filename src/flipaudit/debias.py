@@ -191,28 +191,38 @@ def sp_equalizing_debiaser(y_predicted, group, epsilon: float, rng_seed: int = 0
     rng = np.random.default_rng(rng_seed)
     # Shuffle the down candidates even when down is 0: the up shuffle's draws
     # follow it. The up shuffle is the generator's last use, so it is skipped
-    # when up is 0 without changing a bit. One bool array holds each
-    # candidate mask in turn; ``positive`` is the 0/1 labels read as bools.
-    positive = labels.view(np.bool_)
-    mask = np.equal(grp, over)
-    mask &= positive
-    _flip_some(labels, mask, down, 0, rng)
+    # when up is 0 without changing a bit.
+    _flip_some(labels, grp, over, down, 0, pos_over, rng)
     if up:
-        np.equal(grp, under, out=mask)
-        np.greater(mask, positive, out=mask)  # in group under and not positive
-        _flip_some(labels, mask, up, 1, rng)
+        _flip_some(labels, grp, under, up, 1, neg_under, rng)
     labels.setflags(write=False)
     return labels
 
 
-def _flip_some(labels: np.ndarray, mask: np.ndarray, k: int, value: int,
-               rng: np.random.Generator):
-    """Set ``k`` of the labels where ``mask`` holds to ``value``: the first k after a shuffle.
+def _flip_some(labels: np.ndarray, grp: np.ndarray, gid: int, k: int, value: int,
+               count: int, rng: np.random.Generator):
+    """Set ``k`` of group ``gid``'s ``count`` labels that differ from ``value`` to it.
 
-    The shuffle is in place; ``Generator.permutation`` would copy the
-    candidates and shuffle the copy the same way, drawing the same bits.
+    The candidates' indices are gathered in order, one block of rows at a
+    time, into one array of ``count`` entries; the first k after an in-place
+    shuffle are set. A shuffle's draws depend only on its length, so the
+    index dtype does not change which rows are picked, and
+    ``Generator.permutation`` would copy the indices and shuffle the copy
+    the same way.
     """
-    candidates = np.flatnonzero(mask)
+    n = labels.size
+    candidates = np.empty(count, np.int32 if n < 2**31 else np.intp)
+    in_group = np.empty(min(n, BLOCK), np.bool_)
+    is_other = np.empty_like(in_group)
+    filled = 0
+    for start in range(0, n, BLOCK):
+        stop = min(start + BLOCK, n)
+        rows = in_group[:stop - start]
+        np.equal(grp[start:stop], gid, out=rows)
+        rows &= np.not_equal(labels[start:stop], value, out=is_other[:rows.size])
+        found = np.flatnonzero(rows)
+        np.add(found, start, out=candidates[filled:filled + found.size])
+        filled += found.size
     rng.shuffle(candidates)
     labels[candidates[:k]] = value
 

@@ -83,10 +83,15 @@ def binary_vectors(**named) -> tuple[np.ndarray | None, ...]:
 
     Each vector must be binary, one-dimensional, non-empty and as long as the
     first; a ``None`` value passes through as ``None``. Every label vector the
-    package reads from outside is checked here, once.
+    package reads from outside is checked here, once: an object passed under
+    two names is checked and converted once, and both get the result.
     """
-    arrays = {name: None if values is None else _as_binary_vector(values, name)
-              for name, values in named.items()}
+    checked = {}  # id of each object given, to its vector; ``named`` keeps them alive
+    arrays = {}
+    for name, values in named.items():
+        if values is not None and id(values) not in checked:
+            checked[id(values)] = _as_binary_vector(values, name)
+        arrays[name] = None if values is None else checked[id(values)]
     n = next(iter(arrays.values())).size
     for name, arr in arrays.items():
         if arr is not None and arr.size != n:

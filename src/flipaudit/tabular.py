@@ -4,9 +4,9 @@ Rows are never dropped or coerced: a single non-binary cell or ragged row
 rejects the whole file, with the offending row and column named. Dropping
 rows silently would change n and therefore every rate downstream.
 
-A file of bare 0/1 cells is parsed with numpy over its bytes; any other
-file goes through ``csv.reader`` and ``ingest_rows``, the one place that
-reports data errors.
+A file of bare 0/1 cells is parsed with numpy, one block of rows at a time;
+any other file goes through ``csv.reader`` and ``ingest_rows``, the one
+place that reports data errors.
 """
 
 from __future__ import annotations
@@ -121,20 +121,21 @@ def _frame(mapping: ColumnMapping, vectors: dict[str, np.ndarray]) -> AuditFrame
     )
 
 
-def _ingest_strict(data: bytes, mapping: ColumnMapping) -> AuditFrame | None:
-    """The frame of a file of bare 0/1 cells, parsed as bytes; None for any other file.
+def _ingest_strict(fh, mapping: ColumnMapping) -> AuditFrame | None:
+    """The frame of a file of bare 0/1 cells, read in blocks of rows; None for any other file.
 
-    It takes only files that ``ingest_rows`` would read the same way: an
-    ASCII header with no quote, stray CR or NUL, then rows of exactly
-    ``d,d,...,d`` with each ``d`` 0 or 1, each ended by the header's
-    terminator (the last row may lack it). Anything else, valid or not, is
-    declined, never rejected, so ``ingest_rows`` stays the one place that
-    reports data errors and accepts lenient input.
+    ``fh`` is a seekable binary file at its start. The file is taken only
+    when ``ingest_rows`` would read it the same way: an ASCII header with no
+    quote, stray CR or NUL, then rows of exactly ``d,d,...,d`` with each
+    ``d`` 0 or 1, each ended by the header's terminator (the last row may
+    lack it). Anything else, valid or not, is declined, never rejected, so
+    ``ingest_rows`` stays the one place that reports data errors and accepts
+    lenient input. A file that changes size while it is read is declined too.
     """
-    end = data.find(b"\n")
-    if end < 0:
+    line = fh.readline()
+    if not line.endswith(b"\n"):
         return None
-    header, term = data[:end], b"\n"
+    header, term = line[:-1], b"\n"
     if header.endswith(b"\r"):
         header, term = header[:-1], b"\r\n"
     if not header or not header.isascii() or any(c in header for c in (b'"', b"\r", b"\0")):
@@ -145,57 +146,75 @@ def _ingest_strict(data: bytes, mapping: ColumnMapping) -> AuditFrame | None:
 
     width = 2 * len(columns) - 1  # cells and commas, without the terminator
     row_len = width + len(term)
-    body = np.frombuffer(data, np.uint8, offset=end + 1)
-    n = -(-body.size // row_len)
-    cut = (n - 1) * row_len
-    if n == 0 or body.size - cut not in (width, row_len):
+    start = fh.tell()
+    size = fh.seek(0, io.SEEK_END) - start
+    fh.seek(start)
+    n = -(-size // row_len)
+    if n < 1 or size - (n - 1) * row_len not in (width, row_len):
         return None
     # A byte b matches its pattern byte p when b & mask == p; masking the
     # low bit lets a cell's pattern "0" match both "0" and "1".
     pattern = np.frombuffer(b",".join([b"0"] * len(columns)) + term, np.uint8)
     mask = np.full(row_len, 0xFF, np.uint8)
     mask[:width:2] = 0xFE
-    # A period holds whole rows and whole 8-byte words, so the body's whole
-    # periods are checked a word at a time against the masks tiled to one
-    # period, and the bytes after them a byte at a time. Only whole rows
-    # precede the last one, so a last row without its terminator is in the tail.
-    # The periods go through one scratch array a block at a time: masked, then
-    # XORed with the pattern, which leaves it all zero when the block matches.
+    # A period holds whole rows and whole 8-byte words, and a block of BLOCK
+    # rows holds whole periods (tiles, a power of two, divides BLOCK). So each
+    # block's whole periods are checked a word at a time against the masks
+    # tiled to one period, and only the last block has bytes after them
+    # (fewer rows than a period, and a last row that may lack its
+    # terminator), checked a byte at a time.
     period = math.lcm(row_len, 8)
-    words = body.size // period * period
     tiles = period // row_len
-    wide = body[:words].view(np.uint64).reshape(-1, period // 8)
     wide_mask = np.tile(mask, tiles).view(np.uint64)
     wide_pattern = np.tile(pattern, tiles).view(np.uint64)
-    step = BLOCK // tiles  # periods per block; tiles, a power of two, divides BLOCK
-    scratch = np.empty((min(step, len(wide)), period // 8), np.uint64)
-    for start in range(0, len(wide), step):
-        block = scratch[:min(step, len(wide) - start)]
-        np.bitwise_and(wide[start:start + step], wide_mask, out=block)
-        block ^= wide_pattern
-        if block.any():
-            return None
-    tail = body[words:]
-    if not ((tail & np.resize(mask, tail.size)) == np.resize(pattern, tail.size)).all():
-        return None
 
-    # Column j's cells sit at bytes 2j, 2j + row_len, ..., the last row's too.
-    vectors = {name: np.subtract(body[2 * columns.index(name)::row_len], _ZERO, dtype=np.int8)
-               for name in mapping.columns()}
+    # Each block is read into one reused buffer. Its columns are copied out
+    # first; then it is masked and XORed with the pattern in place, which
+    # leaves it all zero when the block matches.
+    vectors = {name: np.empty(n, np.int8) for name in mapping.columns()}
+    offsets = {name: 2 * columns.index(name) for name in vectors}
+    buffer = np.empty(min(n, BLOCK) * row_len, np.uint8)
+    for first in range(0, n, BLOCK):
+        block = buffer[:min(size - first * row_len, buffer.size)]
+        if fh.readinto(block) != block.size:
+            return None
+        # Column j's cells sit at bytes 2j, 2j + row_len, ..., the last row's too.
+        for name, vec in vectors.items():
+            np.subtract(block[offsets[name]::row_len], _ZERO,
+                        out=vec[first:first + BLOCK], dtype=np.int8)
+        words = block.size // period * period
+        wide = block[:words].view(np.uint64).reshape(-1, period // 8)
+        wide &= wide_mask
+        wide ^= wide_pattern
+        tail = block[words:]
+        tail &= np.resize(mask, tail.size)
+        tail ^= np.resize(pattern, tail.size)
+        if wide.any() or tail.any():
+            return None
+    if fh.read(1):
+        return None
     return _frame(mapping, vectors)
 
 
 def ingest(path, mapping: ColumnMapping | None = None) -> AuditFrame:
-    """Read a header-bearing UTF-8 CSV file into a validated frame."""
+    """Read a header-bearing UTF-8 CSV file into a validated frame.
+
+    A file of bare 0/1 cells is read in blocks of rows, so its bytes are
+    never all in memory; any other file is read again, whole, for
+    ``csv.reader``. An input that cannot seek, such as a pipe, is read
+    whole first.
+    """
     mapping = mapping or ColumnMapping()
     try:
         with open(path, "rb") as fh:
-            data = fh.read()
+            source = fh if fh.seekable() else io.BytesIO(fh.read())
+            frame = _ingest_strict(source, mapping)
+            if frame is not None:
+                return frame
+            source.seek(0)
+            data = source.read()
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}", code="unreadable")
-    frame = _ingest_strict(data, mapping)
-    if frame is not None:
-        return frame
     text = io.StringIO(decode_utf8(data, "row"), newline="")
     return ingest_rows(csv.reader(text), mapping)
 

@@ -169,22 +169,38 @@ class TestSpEqualizingDebiaser:
                 make_sp_debiaser(0.1, seed)
             assert exc.value.code == "bad_seed"
 
-    def test_scratch_does_not_grow_with_rows(self, traced_peak):
-        # debias-1m's counts: group 0 over-favored, and a 401-flip repair.
+    @staticmethod
+    def debias_1m():
+        """debias-1m's counts, shuffled: group 0 over-favored, and a 401-flip repair.
+
+        Returns the frozen, owning labels and group (shared, not copied, by
+        the debiaser) and the size of the larger candidate set.
+        """
         pos_over, n_over, pos_under, n_under = 300_000, 599_999, 159_600, 400_001
         group = np.repeat(np.array([0, 1], np.int8), [n_over, n_under])
         labels = np.concatenate([np.arange(n_over) < pos_over,
                                  np.arange(n_under) < pos_under]).astype(np.int8)
         order = np.random.default_rng(0).permutation(group.size)
         group, labels = group[order], labels[order]
-        for vec in (group, labels):  # frozen and owning: shared, not copied
+        for vec in (group, labels):
             vec.setflags(write=False)
+        return labels, group, max(pos_over, n_under - pos_under)
+
+    def test_scratch_does_not_grow_with_rows(self, traced_peak):
+        labels, group, candidates = self.debias_1m()
         corrected, peak = traced_peak(sp_equalizing_debiaser, labels, group, 0.1)
         assert int(np.count_nonzero(corrected != labels)) == 401
         # The corrected copy and one candidate mask, the larger candidate set's
         # indices, and fixed scratch.
-        candidates = max(pos_over, n_under - pos_under)
         assert peak <= 2 * group.size + 8 * candidates + 2**20
+
+    def test_placement_holds_no_row_mask_or_wide_indices(self, traced_peak):
+        labels, group, candidates = self.debias_1m()
+        corrected, peak = traced_peak(sp_equalizing_debiaser, labels, group, 0.1)
+        assert int(np.count_nonzero(corrected != labels)) == 401
+        # The corrected copy, the larger candidate set's int32 indices, and
+        # fixed scratch: no mask over all rows, no int64 indices.
+        assert peak <= group.size + 4 * candidates + 2**20
 
     def test_missing_group(self):
         with pytest.raises(ValidationError):

@@ -130,6 +130,19 @@ class TestFrameValidation:
         assert frame.y_predicted is pred and frame.y_corrected is pred
         assert frame.with_corrected(pred).y_corrected is pred
 
+    @pytest.mark.parametrize("kind", ["list", "int64"])
+    def test_vector_given_twice_checked_once(self, kind):
+        pred = [1, 0, 1, 1] if kind == "list" else np.array([1, 0, 1, 1])
+        frame = AuditFrame(pred, pred, [0, 1, 0, 1])
+        assert frame.y_predicted is frame.y_corrected
+        assert frame.y_predicted.tolist() == [1, 0, 1, 1]
+
+    def test_vector_given_twice_copied_once(self, traced_peak):
+        pred, group = np.random.default_rng(0).integers(0, 2, size=(2, 1_000_000))
+        frame, peak = traced_peak(AuditFrame, pred, pred, group)
+        assert frame.y_predicted is frame.y_corrected
+        assert peak < 2.5 * frame.n  # one int8 copy each of pred and group
+
     def test_writable_int8_copied(self):
         pred = np.array([1, 0, 1], dtype=np.int8)
         frame = AuditFrame(pred, pred, [0, 1, 0])

@@ -3,7 +3,9 @@
 import csv
 import io
 import math
+import os
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -46,6 +48,11 @@ def outcome(read):
         return read()
     except ValidationError as exc:
         return exc.code, str(exc)
+
+
+def strict_frame(data, mapping):
+    """The byte fast path's frame of the file ``data``, or None where it declines."""
+    return _ingest_strict(io.BytesIO(data), mapping)
 
 
 def reference(path, mapping):
@@ -177,7 +184,7 @@ def test_named_case(name, tmp_path):
     data, mapping, fast = NAMED[name]
     path = tmp_path / "d.csv"
     path.write_bytes(data)
-    assert (_ingest_strict(data, mapping) is not None) == fast
+    assert (strict_frame(data, mapping) is not None) == fast
     assert outcome(lambda: ingest(path, mapping)) == reference(path, mapping)
 
 
@@ -191,7 +198,7 @@ def test_whole_periods_match_csv_reader(ncols, term, start, tmp_path):
             data, mapping = strict_file(ncols, term, start, rows, terminated)
             assert (data.index(b"\n") + 1) % 8 == start
             path.write_bytes(data)
-            assert (_ingest_strict(data, mapping) is not None) == (ncols > 1)
+            assert (strict_frame(data, mapping) is not None) == (ncols > 1)
             assert outcome(lambda: ingest(path, mapping)) == reference(path, mapping)
 
 
@@ -204,7 +211,7 @@ def test_every_byte_change_in_whole_periods(ncols, term, start, tmp_path):
             changed = with_byte(data, pos, char)
             # Only a cell changed to the other digit leaves the file strict.
             fast = changed == data or (data[pos] in b"01" and char in b"01")
-            assert (_ingest_strict(changed, mapping) is not None) == fast
+            assert (strict_frame(changed, mapping) is not None) == fast
             path.write_bytes(changed)
             assert outcome(lambda: ingest(path, mapping)) == reference(path, mapping)
 
@@ -217,13 +224,13 @@ BLOCK_EDGES = [2 * BLOCK - 1, 2 * BLOCK, 2 * BLOCK + 1]
 def test_strict_ingest_across_blocks(rows, ncols, term, start):
     data, mapping = strict_file(ncols, term, start, rows)
     text = io.StringIO(data.decode(), newline="")
-    assert _ingest_strict(data, mapping) == ingest_rows(csv.reader(text), mapping)
+    assert strict_frame(data, mapping) == ingest_rows(csv.reader(text), mapping)
     # A bad cell at either side of a block boundary, or in the last rows, declines it.
     first_cell = data.index(b"\n") + 1
     row_len = 2 * ncols - 1 + len(term)
     for row in (BLOCK - 1, BLOCK, rows - 2, rows - 1):
         bad = with_byte(data, first_cell + row * row_len + 2, ord("2"))
-        assert _ingest_strict(bad, mapping) is None
+        assert strict_frame(bad, mapping) is None
 
 
 def csv_of(names, vectors):
@@ -237,9 +244,72 @@ def csv_of(names, vectors):
 def test_strict_ingest_scratch_does_not_grow_with_rows(traced_peak):
     names = ["pred", "corr", "group", "true"]
     data = csv_of(names, np.random.default_rng(0).integers(0, 2, size=(4, 1_000_000)))
-    frame, peak = traced_peak(_ingest_strict, data, WITH_TRUE)
+    frame, peak = traced_peak(_ingest_strict, io.BytesIO(data), WITH_TRUE)
     assert frame is not None
     assert peak <= 4 * frame.n + 2**20  # the four vectors it returns, and fixed scratch
+
+
+def test_ingest_holds_no_file_bytes(traced_peak, tmp_path):
+    names = ["pred", "corr", "group", "true"]
+    path = tmp_path / "d.csv"
+    path.write_bytes(csv_of(names, np.random.default_rng(0).integers(0, 2, size=(4, 1_000_000))))
+    frame, peak = traced_peak(ingest, path, WITH_TRUE)
+    assert frame.n == 1_000_000
+    assert peak <= 4 * frame.n + 2**20  # the four vectors it returns, and fixed scratch
+
+
+class Resized(io.BytesIO):
+    """A file whose end, sought at the start, is ``delta`` bytes off its content's end."""
+
+    def __init__(self, data, delta):
+        super().__init__(data)
+        self.delta = delta
+
+    def seek(self, pos, whence=io.SEEK_SET):
+        end = super().seek(pos, whence)
+        return end + self.delta if whence == io.SEEK_END else end
+
+
+@pytest.mark.parametrize("rows", [5, 2 * BLOCK + 1])
+def test_strict_ingest_declines_a_file_that_changes_size(rows):
+    data, mapping = strict_file(3, "\n", 5, rows)
+    assert _ingest_strict(Resized(data, 0), mapping) == strict_frame(data, mapping)
+    # One row more than the size taken at the start, one fewer (a short read),
+    # or a byte either way: each declines, so the csv path reads the file as it is.
+    for delta in (-6, 6, -1, 1):
+        assert _ingest_strict(Resized(data, delta), mapping) is None
+
+
+FIFO_CASES = {
+    "strict": strict_file(3, "\n", 5, 2 * BLOCK + 1),
+    "crlf": NAMED["crlf"][:2],
+    "quoted_header": (b'"pred",corr,group\n1,0,0\n0,1,1\n', DEFAULT),
+    "non_binary": NAMED["non_binary"][:2],
+}
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+@pytest.mark.parametrize("name", FIFO_CASES)
+def test_fifo_matches_regular_file(name, tmp_path):
+    data, mapping = FIFO_CASES[name]
+    path = tmp_path / "d.csv"
+    path.write_bytes(data)
+    fifo = tmp_path / "d.fifo"
+    os.mkfifo(fifo)
+
+    def write():
+        with open(fifo, "wb") as fh:
+            fh.write(data)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    try:
+        got = outcome(lambda: ingest(fifo, mapping))
+    finally:
+        writer.join(timeout=30)
+    assert not writer.is_alive()
+    assert got == outcome(lambda: ingest(path, mapping))
+    assert isinstance(got, AuditFrame) == (name != "non_binary")
 
 
 @pytest.mark.parametrize("n", BLOCK_EDGES)
@@ -298,7 +368,7 @@ def test_ingested_vectors_are_read_only_int8(mapping, strict, tmp_path):
     if not strict:  # a quoted header is valid but goes to ingest_rows
         data = b'"pred"' + data.removeprefix(b"pred")
     path.write_bytes(data)
-    assert (_ingest_strict(data, mapping) is not None) == strict
+    assert (strict_frame(data, mapping) is not None) == strict
     frame = ingest(path, mapping)
     vectors = [frame.y_predicted, frame.y_corrected, frame.group, frame.y_true]
     for vec in vectors[:3] + ([vectors[3]] if mapping.true_col else []):
