@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .frame import AuditFrame, ValidationError
+from .frame import AuditFrame, FlipCounts, ValidationError
 from .metrics import (
     FlipSummary,
     MetricValue,
@@ -32,7 +32,7 @@ from .scenario import (
 )
 from .debias import DebiasError, make_sp_debiaser, sp_equalizing_debiaser
 from .pipeline import Decision, PipelineOutcome, run_audit_pipeline
-from .tabular import ColumnMapping, frame_to_csv, ingest
+from .tabular import ColumnMapping, frame_to_csv, ingest, ingest_counts
 from .chart import emit_chart
 
 __all__ = [
@@ -42,6 +42,7 @@ __all__ = [
     "Decision",
     "DebiasError",
     "FairnessResult",
+    "FlipCounts",
     "FlipSummary",
     "GroupScenario",
     "MetricValue",
@@ -65,6 +66,7 @@ __all__ = [
     "generate_scenario",
     "harmful_flip_proportion",
     "ingest",
+    "ingest_counts",
     "make_sp_debiaser",
     "parse_structured",
     "rate_difference",

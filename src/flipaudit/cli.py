@@ -24,7 +24,7 @@ from .frame import decode_utf8
 from .pipeline import Decision, PipelineError, run_audit_pipeline
 from .report import build_report, parse_structured, render_structured, render_text
 from .scenario import BUILTIN_SCENARIOS, generate_scenario, load_spec
-from .tabular import ColumnMapping, frame_to_csv_blocks, ingest
+from .tabular import ColumnMapping, frame_to_csv_blocks, ingest, ingest_counts
 from .thresholds import ConfigError, ThresholdConfig
 
 EXIT_OK = 0
@@ -154,8 +154,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    frame = ingest(args.input, _mapping(args))
-    report = build_report(frame, _load_config(args))
+    counts = ingest_counts(args.input, _mapping(args))
+    report = build_report(counts, _load_config(args))
     text = render_text(report) if args.format == "text" else render_structured(report)
     _write_output(text.encode(), args.output)
     return _VERDICT_CODES[report.verdict]

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frame import AuditFrame, ValidationError, group_tally
+from .frame import FlipCounts, ValidationError
 
 DEFAULT_FAIR_INTERVAL = (-0.1, 0.1)
 
@@ -83,22 +83,22 @@ def _check_fair_interval(fair_interval) -> tuple[float, float]:
 
 
 def evaluate_fairness(
-    frame: AuditFrame,
+    counts: FlipCounts,
     fair_interval: tuple[float, float] = DEFAULT_FAIR_INTERVAL,
 ) -> FairnessResult:
-    """Gate the frame's corrected labels: SP, and EO when it has true labels.
+    """Gate the corrected labels: SP, and EO when the counts have true labels.
 
-    A fair interval must be two finite numbers ``lo <= 0 <= hi``; any other
-    fails with ``bad_fair_interval``, since it would fail perfect parity.
+    SP reads the (group, corr) margin of the table, EO its
+    (group, true, corr) margin. A fair interval must be two finite numbers
+    ``lo <= 0 <= hi``; any other fails with ``bad_fair_interval``, since it
+    would fail perfect parity.
     """
     lo, hi = _check_fair_interval(fair_interval)
-    if frame.y_true is None:
-        sp = sp_from_counts(group_tally(frame.group, frame.y_corrected))
-        eo, note = None, "EO skipped: no true labels"
+    sp = sp_from_counts(counts.flip_table.sum(axis=1))
+    if counts.has_true:
+        eo, note = eo_from_counts(counts.table.sum(axis=1).transpose(0, 2, 1))
     else:
-        table = group_tally(frame.group, frame.y_true, frame.y_corrected)
-        sp = sp_from_counts(table.sum(axis=1))
-        eo, note = eo_from_counts(table)
+        eo, note = None, "EO skipped: no true labels"
     return FairnessResult(
         sp_difference=sp,
         eo_difference=eo,

@@ -1,4 +1,4 @@
-"""Validated container for the label vectors an audit operates on."""
+"""Validated label vectors, and the count table an audit reads from them."""
 
 from __future__ import annotations
 
@@ -107,9 +107,10 @@ def tally(*vectors) -> np.ndarray:
     ``tally(a, b)[i, j]`` is the number of positions where ``a == i`` and
     ``b == j``. Every count the audit reports is read from such a table.
     The key is built in int8, which holds it for up to seven vectors; the
-    package tallies at most four, so it stays below 16. It is built and
-    counted one block at a time, since ``np.bincount`` copies its input to
-    ``intp``.
+    package tallies at most four, so it stays below 16. It is built one
+    block at a time and counted in slices of ``BLOCK // 8`` values:
+    ``np.bincount`` copies its input to ``intp``, 8 bytes a value, so that
+    copy is no larger than the block's key.
     """
     n = len(vectors[0])
     counts = np.zeros(1 << len(vectors), np.int64)
@@ -120,17 +121,69 @@ def tally(*vectors) -> np.ndarray:
         for vec in vectors[1:]:
             key <<= 1
             key |= vec[start:start + BLOCK]
-        counts += np.bincount(key, minlength=counts.size)
+        for first in range(0, key.size, BLOCK // 8):
+            counts += np.bincount(key[first:first + BLOCK // 8], minlength=counts.size)
     return counts.reshape((2,) * len(vectors))
+
+
+def _require_groups(table: np.ndarray) -> None:
+    """Fail unless both groups, the first axis of ``table``, have instances."""
+    for gid in (UNPRIVILEGED, PRIVILEGED):
+        if not table[gid].any():
+            raise ValidationError(f"group {gid} has no instances", code="missing_group")
 
 
 def group_tally(group, *vectors) -> np.ndarray:
     """``tally(group, *vectors)``, requiring both groups to have instances."""
     table = tally(group, *vectors)
-    for gid in (UNPRIVILEGED, PRIVILEGED):
-        if not table[gid].any():
-            raise ValidationError(f"group {gid} has no instances", code="missing_group")
+    _require_groups(table)
     return table
+
+
+@dataclass(frozen=True)
+class FlipCounts:
+    """The count table every audit number is read from.
+
+    ``table[g, p, c]`` (or ``table[g, p, c, t]`` with true labels) is the
+    number of instances in group ``g`` with predicted label ``p``,
+    corrected label ``c`` and true label ``t``: at most 16 cells, whatever
+    the number of rows. The table is held as a read-only ``int64`` copy,
+    and both groups must have instances.
+    """
+
+    table: np.ndarray
+
+    def __post_init__(self):
+        table = np.asarray(self.table)
+        if table.shape not in ((2,) * 3, (2,) * 4) or table.dtype.kind not in "iu":
+            raise ValidationError(
+                f"counts must be a 2x2x2 or 2x2x2x2 integer table, got shape "
+                f"{table.shape} of {table.dtype}", code="bad_counts",
+            )
+        table = table.astype(np.int64)
+        if (table < 0).any():
+            raise ValidationError("counts must not be negative", code="bad_counts")
+        table.setflags(write=False)
+        _require_groups(table)
+        object.__setattr__(self, "table", table)
+
+    @property
+    def n(self) -> int:
+        return int(self.table.sum())
+
+    @property
+    def has_true(self) -> bool:
+        return self.table.ndim == 4
+
+    @property
+    def flip_table(self) -> np.ndarray:
+        """The (group, pred, corr) table, summed over true labels."""
+        return self.table.sum(axis=3) if self.has_true else self.table
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FlipCounts):
+            return NotImplemented
+        return self.table.shape == other.table.shape and np.array_equal(self.table, other.table)
 
 
 @dataclass(frozen=True)
@@ -170,6 +223,11 @@ class AuditFrame:
         if (self.y_true is None) != (other.y_true is None):
             return False
         return self.y_true is None or np.array_equal(self.y_true, other.y_true)
+
+    def counts(self) -> FlipCounts:
+        """The frame's (group, pred, corr[, true]) count table."""
+        vectors = [self.group, self.y_predicted, self.y_corrected, self.y_true]
+        return FlipCounts(tally(*(vec for vec in vectors if vec is not None)))
 
     def with_corrected(self, y_corrected) -> "AuditFrame":
         """Return a copy with a different corrected-label vector.

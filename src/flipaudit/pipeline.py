@@ -1,10 +1,11 @@
 """The audit loop: fairness gate, debias, re-gate, proportionality audit.
 
 The inputs are validated once, into an identity frame (corrected labels =
-predictions) that the first gate reads. If it fails, ``with_corrected``
-swaps in the debiaser's labels, validating only them, and the second gate
-and the audit read that frame; otherwise the audit reads the identity
-frame. The loop runs one debias pass; whether to iterate with a different
+predictions) whose counts the first gate reads. If it fails,
+``with_corrected`` swaps in the debiaser's labels, validating only them,
+and the second gate and the audit read the counts of that frame; otherwise
+the audit reads the identity frame's counts. Each frame is counted once.
+The loop runs one debias pass; whether to iterate with a different
 debiasing strategy after an unsatisfactory outcome is left to the caller.
 """
 
@@ -13,7 +14,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .fairness import DEFAULT_FAIR_INTERVAL, FairnessResult, evaluate_fairness
+from .fairness import (
+    DEFAULT_FAIR_INTERVAL, FairnessResult, _check_fair_interval, evaluate_fairness,
+)
 from .frame import AuditFrame
 from .report import ProportionalityReport, build_report
 from .thresholds import ThresholdConfig
@@ -62,7 +65,9 @@ def run_audit_pipeline(
     """
     frame = AuditFrame(y_predicted=y_predicted, y_corrected=y_predicted,
                        group=group, y_true=y_true)
-    pre = evaluate_fairness(frame, fair_interval)
+    _check_fair_interval(fair_interval)  # before counting, as the gate checks it
+    counts = frame.counts()
+    pre = evaluate_fairness(counts, fair_interval)
     post = pre
     if not pre.passed:
         try:
@@ -70,10 +75,10 @@ def run_audit_pipeline(
         except Exception as exc:
             raise PipelineError(f"debiaser failed: {exc}", pre_fairness=pre,
                                 code=getattr(exc, "code", None)) from exc
-        frame = frame.with_corrected(y_corrected)
-        post = evaluate_fairness(frame, fair_interval)
+        counts = frame.with_corrected(y_corrected).counts()
+        post = evaluate_fairness(counts, fair_interval)
 
-    report = build_report(frame, config, fairness_pre=pre, fairness_post=post)
+    report = build_report(counts, config, fairness_pre=pre, fairness_post=post)
 
     if pre.passed:
         decision = Decision.NO_DEBIAS_NEEDED

@@ -25,7 +25,7 @@ from types import SimpleNamespace
 from typing import NamedTuple
 
 from .fairness import FairnessResult
-from .frame import AuditFrame, PRIVILEGED, UNPRIVILEGED, ValidationError, group_tally
+from .frame import PRIVILEGED, UNPRIVILEGED, FlipCounts, ValidationError
 from .metrics import MetricValue, proportionality, summarize_counts
 from .thresholds import Band, ThresholdConfig, classify
 
@@ -110,14 +110,14 @@ class ProportionalityReport:
 
 
 def build_report(
-    frame: AuditFrame,
+    counts: FlipCounts,
     config: ThresholdConfig | None = None,
     fairness_pre: FairnessResult | None = None,
     fairness_post: FairnessResult | None = None,
 ) -> ProportionalityReport:
-    """Audit a frame and assemble the full banded report."""
+    """Assemble the full banded report of a count table, such as ``frame.counts()``."""
     config = config or ThresholdConfig.default()
-    table = group_tally(frame.group, frame.y_predicted, frame.y_corrected)
+    table = counts.flip_table
     overall = summarize_counts(table.sum(axis=0))
     unpriv = summarize_counts(table[UNPRIVILEGED])
     priv = summarize_counts(table[PRIVILEGED])

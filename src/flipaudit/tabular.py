@@ -4,9 +4,11 @@ Rows are never dropped or coerced: a single non-binary cell or ragged row
 rejects the whole file, with the offending row and column named. Dropping
 rows silently would change n and therefore every rate downstream.
 
-A file of bare 0/1 cells is parsed with numpy, one block of rows at a time;
-any other file goes through ``csv.reader`` and ``ingest_rows``, the one
-place that reports data errors.
+A file of bare 0/1 cells is parsed with numpy, one block of rows at a time,
+into label vectors (``ingest``) or straight into a count table
+(``ingest_counts``); any other file goes through ``csv.reader`` and
+``ingest_rows``, the one place that reports data errors. One leading UTF-8
+byte order mark is skipped on either path.
 """
 
 from __future__ import annotations
@@ -18,9 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frame import BLOCK, AuditFrame, ValidationError, decode_utf8
+from .frame import BLOCK, AuditFrame, FlipCounts, ValidationError, decode_utf8, tally
 
 _ZERO = ord("0")
+_BOM = "\ufeff"
 
 
 @dataclass(frozen=True)
@@ -121,18 +124,70 @@ def _frame(mapping: ColumnMapping, vectors: dict[str, np.ndarray]) -> AuditFrame
     )
 
 
-def _ingest_strict(fh, mapping: ColumnMapping) -> AuditFrame | None:
-    """The frame of a file of bare 0/1 cells, read in blocks of rows; None for any other file.
+class _Vectors:
+    """Copies each block's mapped columns into n-long vectors; gives the frame."""
 
-    ``fh`` is a seekable binary file at its start. The file is taken only
-    when ``ingest_rows`` would read it the same way: an ASCII header with no
-    quote, stray CR or NUL, then rows of exactly ``d,d,...,d`` with each
-    ``d`` 0 or 1, each ended by the header's terminator (the last row may
-    lack it). Anything else, valid or not, is declined, never rejected, so
-    ``ingest_rows`` stays the one place that reports data errors and accepts
-    lenient input. A file that changes size while it is read is declined too.
+    def __init__(self, mapping: ColumnMapping, n: int):
+        self.mapping = mapping
+        self.vectors = {name: np.empty(n, np.int8) for name in mapping.columns()}
+
+    def add(self, first: int, cells: dict[str, np.ndarray]):
+        for name, vec in self.vectors.items():
+            np.subtract(cells[name], _ZERO, out=vec[first:first + BLOCK], dtype=np.int8)
+
+    def result(self) -> AuditFrame:
+        return _frame(self.mapping, self.vectors)
+
+
+class _Counts:
+    """Adds the tally of each block's mapped columns to one count table; gives it.
+
+    The cells go through block-sized scratch, so nothing grows with n. The
+    table is tallied over raw values; ``result`` flips the axes that a 0
+    ``favorable`` or ``privileged`` value remaps.
     """
-    line = fh.readline()
+
+    def __init__(self, mapping: ColumnMapping, n: int):
+        self.mapping = mapping
+        self.scratch = {name: np.empty(min(n, BLOCK), np.int8) for name in mapping.columns()}
+        # Table axes: (group, pred, corr[, true]); corr = pred when it is unmapped.
+        self.axes = [mapping.group_col, mapping.pred_col, mapping.corr_col or mapping.pred_col]
+        if mapping.true_col is not None:
+            self.axes.append(mapping.true_col)
+        self.table = np.zeros((2,) * len(self.axes), np.int64)
+
+    def add(self, first: int, cells: dict[str, np.ndarray]):
+        # A cell's value is the low bit of "0" or "1". The block is checked
+        # after this, so any other byte declines the file, and the table with it.
+        for name, col in self.scratch.items():
+            np.bitwise_and(cells[name], 1, out=col[:cells[name].size], casting="unsafe")
+        rows = cells[self.mapping.pred_col].size
+        self.table += tally(*(self.scratch[name][:rows] for name in self.axes))
+
+    def result(self) -> FlipCounts:
+        table = self.table
+        if self.mapping.privileged == 0:
+            table = table[::-1]
+        if self.mapping.favorable == 0:
+            table = np.flip(table, axis=tuple(range(1, table.ndim)))
+        return FlipCounts(table)
+
+
+def _ingest_strict(fh, mapping: ColumnMapping,
+                   sink=_Vectors) -> AuditFrame | FlipCounts | None:
+    """A file of bare 0/1 cells, read in blocks of rows into ``sink``; None for any other file.
+
+    ``fh`` is a seekable binary file at its start. ``sink`` is ``_Vectors``,
+    which gives the frame, or ``_Counts``, which gives its count table.
+    The file is taken only when ``ingest_rows`` would read it the same way:
+    an ASCII header with no quote, stray CR or NUL, then rows of exactly
+    ``d,d,...,d`` with each ``d`` 0 or 1, each ended by the header's
+    terminator (the last row may lack it). Anything else, valid or not, is
+    declined, never rejected, so ``ingest_rows`` stays the one place that
+    reports data errors and accepts lenient input. A file that changes size
+    while it is read is declined too.
+    """
+    line = fh.readline().removeprefix(_BOM.encode())
     if not line.endswith(b"\n"):
         return None
     header, term = line[:-1], b"\n"
@@ -168,20 +223,18 @@ def _ingest_strict(fh, mapping: ColumnMapping) -> AuditFrame | None:
     wide_mask = np.tile(mask, tiles).view(np.uint64)
     wide_pattern = np.tile(pattern, tiles).view(np.uint64)
 
-    # Each block is read into one reused buffer. Its columns are copied out
-    # first; then it is masked and XORed with the pattern in place, which
-    # leaves it all zero when the block matches.
-    vectors = {name: np.empty(n, np.int8) for name in mapping.columns()}
-    offsets = {name: 2 * columns.index(name) for name in vectors}
+    # Each block is read into one reused buffer. The sink takes its mapped
+    # columns first; then it is masked and XORed with the pattern in place,
+    # which leaves it all zero when the block matches.
+    into = sink(mapping, n)
+    offsets = {name: 2 * columns.index(name) for name in mapping.columns()}
     buffer = np.empty(min(n, BLOCK) * row_len, np.uint8)
     for first in range(0, n, BLOCK):
         block = buffer[:min(size - first * row_len, buffer.size)]
         if fh.readinto(block) != block.size:
             return None
         # Column j's cells sit at bytes 2j, 2j + row_len, ..., the last row's too.
-        for name, vec in vectors.items():
-            np.subtract(block[offsets[name]::row_len], _ZERO,
-                        out=vec[first:first + BLOCK], dtype=np.int8)
+        into.add(first, {name: block[offset::row_len] for name, offset in offsets.items()})
         words = block.size // period * period
         wide = block[:words].view(np.uint64).reshape(-1, period // 8)
         wide &= wide_mask
@@ -193,7 +246,28 @@ def _ingest_strict(fh, mapping: ColumnMapping) -> AuditFrame | None:
             return None
     if fh.read(1):
         return None
-    return _frame(mapping, vectors)
+    return into.result()
+
+
+def _ingest(path, mapping: ColumnMapping, sink) -> AuditFrame | FlipCounts:
+    """``_ingest_strict(file, mapping, sink)``, or the frame ``ingest_rows`` reads.
+
+    A file the strict path declines is read again, whole, for
+    ``csv.reader``. An input that cannot seek, such as a pipe, is read whole
+    first.
+    """
+    try:
+        with open(path, "rb") as fh:
+            source = fh if fh.seekable() else io.BytesIO(fh.read())
+            result = _ingest_strict(source, mapping, sink)
+            if result is not None:
+                return result
+            source.seek(0)
+            data = source.read()
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc}", code="unreadable")
+    text = io.StringIO(decode_utf8(data, "row").removeprefix(_BOM), newline="")
+    return ingest_rows(csv.reader(text), mapping)
 
 
 def ingest(path, mapping: ColumnMapping | None = None) -> AuditFrame:
@@ -204,19 +278,19 @@ def ingest(path, mapping: ColumnMapping | None = None) -> AuditFrame:
     ``csv.reader``. An input that cannot seek, such as a pipe, is read
     whole first.
     """
-    mapping = mapping or ColumnMapping()
-    try:
-        with open(path, "rb") as fh:
-            source = fh if fh.seekable() else io.BytesIO(fh.read())
-            frame = _ingest_strict(source, mapping)
-            if frame is not None:
-                return frame
-            source.seek(0)
-            data = source.read()
-    except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc}", code="unreadable")
-    text = io.StringIO(decode_utf8(data, "row"), newline="")
-    return ingest_rows(csv.reader(text), mapping)
+    return _ingest(path, mapping or ColumnMapping(), _Vectors)
+
+
+def ingest_counts(path, mapping: ColumnMapping | None = None) -> FlipCounts:
+    """``ingest(path, mapping).counts()``, holding no vector as long as the file.
+
+    A file of bare 0/1 cells is tallied block by block, so a seekable one
+    is counted in memory that does not grow with its rows. Any other file
+    is read as ``ingest`` reads it and then counted, so every error keeps
+    its code and message.
+    """
+    result = _ingest(path, mapping or ColumnMapping(), _Counts)
+    return result.counts() if isinstance(result, AuditFrame) else result
 
 
 def frame_to_csv_blocks(frame: AuditFrame):

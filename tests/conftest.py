@@ -37,12 +37,12 @@ def flip_summaries(frame):
 
 def report_metrics(frame) -> dict:
     """Every metric of the frame's report, keyed as in the JSON report."""
-    return {key: cell.metric for key, cell in build_report(frame).cells.items()}
+    return {key: cell.metric for key, cell in build_report(frame.counts()).cells.items()}
 
 
 def sp_of(labels, group) -> float:
     """The SP gate's difference for ``labels``."""
-    return evaluate_fairness(AuditFrame(labels, labels, group)).sp_difference
+    return evaluate_fairness(AuditFrame(labels, labels, group).counts()).sp_difference
 
 
 @pytest.fixture

@@ -292,8 +292,8 @@ def test_criterion_7_gate_transition_on_reference_scenario():
     # instead: it fails the fairness gates before debiasing and passes them
     # after, exercising the same loop.
     frame = generate_scenario(REFERENCE_EXAMPLE)
-    pre = evaluate_fairness(frame.with_corrected(frame.y_predicted))
-    post = evaluate_fairness(frame)
+    pre = evaluate_fairness(frame.with_corrected(frame.y_predicted).counts())
+    post = evaluate_fairness(frame.counts())
     assert not pre.passed
     assert post.passed
     assert abs(post.sp_difference) <= 0.1
@@ -311,10 +311,10 @@ def test_criterion_8_io_and_rendering(tmp_path):
     assert ingest(csv_path, ColumnMapping(true_col="true")) == frame
 
     # Structured report round trip is identity and deterministic.
-    report = build_report(frame)
+    report = build_report(frame.counts())
     text = render_structured(report)
     assert parse_structured(text) == report
-    assert render_structured(build_report(frame)) == text
+    assert render_structured(build_report(frame.counts())) == text
 
     # SVG: well-formed, three panels, deterministic, clamp glyph present,
     # bar colors match the report's band classifications in row order.

@@ -147,17 +147,17 @@ class TestPlot:
         assert len(panels) == 3
 
     def test_infinite_bar_clamped_and_red(self, reference_frame):
-        svg = emit_chart(build_report(reference_frame))
+        svg = emit_chart(build_report(reference_frame.counts()))
         assert "∞" in svg
         # HDI and HFD bars are clamped to the axis cap and colored red.
         assert svg.count('fill="#c0392b"') >= 2
 
     def test_deterministic(self, reference_frame):
-        report = build_report(reference_frame)
+        report = build_report(reference_frame.counts())
         assert emit_chart(report) == emit_chart(report)
 
     def test_no_flip_report_all_green(self, identity_frame):
-        svg = emit_chart(build_report(identity_frame))
+        svg = emit_chart(build_report(identity_frame.counts()))
         assert '#c0392b' not in svg
         assert '#e6b800' not in svg
 
@@ -240,6 +240,18 @@ def test_malformed_thresholds_have_code(reference_csv, tmp_path, capsys):
     path.write_text("FR 0 0.1\n")
     assert main(["audit", "-i", str(reference_csv), "--thresholds", str(path)]) == 1
     assert capsys.readouterr().err.startswith("error [bad_thresholds]: line 1: ")
+
+
+@pytest.mark.parametrize("rows, code", [(["1,0,1", "0,2,1"], "non_binary"),
+                                        (["1,0,1", "0,1,1"], "missing_group")])
+def test_input_errors_come_before_threshold_errors(rows, code, tmp_path, capsys):
+    # audit counts its input before it reads the threshold file, so a group
+    # with no rows is reported as the input's error.
+    data, thresholds = tmp_path / "d.csv", tmp_path / "thresholds.txt"
+    data.write_text("\n".join(["pred,corr,group", *rows]) + "\n")
+    thresholds.write_text("FR 0 0.1\n")
+    assert main(["audit", "-i", str(data), "--thresholds", str(thresholds)]) == 1
+    assert capsys.readouterr().err.startswith(f"error [{code}]: ")
 
 
 def test_unclosed_quote_has_code(tmp_path, capsys):

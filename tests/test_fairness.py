@@ -19,7 +19,7 @@ from conftest import random_frame, sp_of
 
 def eo_of(y_true, labels, group):
     """The EO gate's difference for ``labels``."""
-    return evaluate_fairness(AuditFrame(labels, labels, group, y_true)).eo_difference
+    return evaluate_fairness(AuditFrame(labels, labels, group, y_true).counts()).eo_difference
 
 
 class TestStatisticalParity:
@@ -70,7 +70,7 @@ class TestEqualizedOdds:
         assert eo_of(y_true, labels, group) == 1.0
 
     def test_missing_true_labels(self):
-        res = evaluate_fairness(AuditFrame([1, 0], [1, 0], [0, 1]))
+        res = evaluate_fairness(AuditFrame([1, 0], [1, 0], [0, 1]).counts())
         assert res.eo_difference is None and res.eo_pass
         assert "no true labels" in res.note
 
@@ -103,7 +103,8 @@ class TestEqualizedOdds:
 
 def gate(labels, group, y_true=None, **kwargs):
     """``evaluate_fairness`` on a frame whose corrected labels are ``labels``."""
-    return evaluate_fairness(AuditFrame([0] * len(labels), labels, group, y_true), **kwargs)
+    return evaluate_fairness(AuditFrame([0] * len(labels), labels, group, y_true).counts(),
+                             **kwargs)
 
 
 class TestEvaluateFairness:
@@ -131,7 +132,7 @@ class TestEvaluateFairness:
     def test_gates_corrected_labels(self):
         # Predictions at perfect parity, corrected labels maximally unfair.
         frame = AuditFrame([1, 0, 1, 0], [1, 1, 0, 0], [1, 1, 0, 0], [1, 0, 1, 0])
-        res = evaluate_fairness(frame)
+        res = evaluate_fairness(frame.counts())
         assert (res.sp_difference, res.eo_difference) == (-1.0, 1.0)
 
     @pytest.mark.parametrize("interval", [
@@ -150,7 +151,7 @@ class TestEvaluateFairness:
         assert res.passed and res.fair_interval == tuple(interval)
         # The result is a value: hashable, and kept by a structured round trip.
         hash(res)
-        report = build_report(AuditFrame([1, 0, 1, 0], [1, 0, 1, 0], [0, 0, 1, 1]),
+        report = build_report(AuditFrame([1, 0, 1, 0], [1, 0, 1, 0], [0, 0, 1, 1]).counts(),
                               fairness_pre=res)
         assert parse_structured(render_structured(report)) == report
 

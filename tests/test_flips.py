@@ -10,7 +10,7 @@ from flipaudit import (
     flip_rate,
     harmful_flip_proportion,
 )
-from flipaudit.frame import BLOCK, tally
+from flipaudit.frame import BLOCK, FlipCounts, tally
 from flipaudit.metrics import (
     NO_FLIPS,
     NO_HARMFUL,
@@ -23,12 +23,12 @@ from flipaudit.metrics import (
 class TestFlipDirections:
     def test_definitional_cases(self):
         # 1 -> 0 in group 0 is an unfavorable flip, 0 -> 1 in group 1 a favorable one.
-        counts = build_report(AuditFrame([1, 0], [0, 1], [0, 1])).counts
+        counts = build_report(AuditFrame([1, 0], [0, 1], [0, 1]).counts()).counts
         assert (counts["group0_flips"], counts["group0_harmful_flips"]) == (1, 1)
         assert (counts["group1_flips"], counts["group1_harmful_flips"]) == (1, 0)
 
     def test_identity_case(self):
-        counts = build_report(AuditFrame([1, 1, 0], [1, 1, 0], [0, 1, 0])).counts
+        counts = build_report(AuditFrame([1, 1, 0], [1, 1, 0], [0, 1, 0]).counts()).counts
         assert (counts["total_flips"], counts["harmful_flips"]) == (0, 0)
 
     def test_reference_scenario_flip_placement(self, reference_frame):
@@ -268,3 +268,62 @@ def test_tally_scratch_does_not_grow_with_rows(traced_peak):
     table, peak = traced_peak(tally, a, b)
     assert table.sum() == n
     assert peak <= n + 2**20
+
+
+class TestFlipCounts:
+    def test_frame_counts_are_its_tally(self):
+        pred, corr, group, true = np.random.default_rng(7).integers(0, 2, size=(4, 500))
+        counts = AuditFrame(pred, corr, group).counts()
+        assert np.array_equal(counts.table, tally(group, pred, corr))
+        assert (counts.n, counts.has_true) == (500, False)
+        assert counts.flip_table is counts.table
+        with_true = AuditFrame(pred, corr, group, true).counts()
+        assert np.array_equal(with_true.table, tally(group, pred, corr, true))
+        assert (with_true.n, with_true.has_true) == (500, True)
+        assert np.array_equal(with_true.flip_table, counts.table)
+
+    @pytest.mark.parametrize("table", [
+        np.ones((2, 2)), np.ones((2, 2, 3), int), np.ones((2,) * 5, int),
+        np.ones((2, 2, 2)), np.ones((2, 2, 2), bool), [[[1, 1], [1, "a"]]] * 2,
+    ])
+    def test_shape_and_dtype_checked(self, table):
+        with pytest.raises(ValidationError, match="integer table") as exc:
+            FlipCounts(table)
+        assert exc.value.code == "bad_counts"
+
+    def test_negative_count_rejected(self):
+        table = np.ones((2, 2, 2, 2), int)
+        table[1, 0, 1, 0] = -1
+        with pytest.raises(ValidationError, match="negative") as exc:
+            FlipCounts(table)
+        assert exc.value.code == "bad_counts"
+
+    @pytest.mark.parametrize("gid", [0, 1])
+    def test_missing_group_message(self, gid):
+        table = np.ones((2, 2, 2), int)
+        table[gid] = 0
+        with pytest.raises(ValidationError) as exc:
+            FlipCounts(table)
+        assert (exc.value.code, str(exc.value)) == ("missing_group",
+                                                    f"group {gid} has no instances")
+        # The frame's counts fail the same way.
+        group = np.full(4, 1 - gid)
+        with pytest.raises(ValidationError) as exc:
+            AuditFrame([1, 0, 1, 0], [1, 0, 0, 0], group).counts()
+        assert (exc.value.code, str(exc.value)) == ("missing_group",
+                                                    f"group {gid} has no instances")
+
+    def test_table_is_a_read_only_int64_copy(self):
+        given = np.arange(8, dtype=np.uint8).reshape(2, 2, 2)
+        counts = FlipCounts(given)
+        given[...] = 0
+        assert counts.table.dtype == np.int64 and not counts.table.flags.writeable
+        assert counts.table.ravel().tolist() == list(range(8))
+
+    def test_equality(self):
+        table = np.arange(1, 9).reshape(2, 2, 2)
+        assert FlipCounts(table) == FlipCounts(table.tolist())
+        assert FlipCounts(table) != FlipCounts(table + 1)
+        # Summing out the true labels gives equal cells but a different table.
+        with_true = np.stack([table, np.zeros_like(table)], axis=-1)
+        assert FlipCounts(with_true) != FlipCounts(table)

@@ -21,19 +21,19 @@ fin = MetricValue.finite
 
 class TestGroupCounts:
     def test_reference_sizes_and_flips(self, reference_frame):
-        counts = build_report(reference_frame).counts
+        counts = build_report(reference_frame.counts()).counts
         assert (counts["group0_samples"], counts["group0_flips"]) == (799, 136)
         assert (counts["group1_samples"], counts["group1_flips"]) == (521, 38)
 
     def test_missing_group_rejected(self):
         frame = AuditFrame([1, 0], [1, 0], [1, 1])
         with pytest.raises(ValidationError, match="no instances"):
-            build_report(frame)
+            build_report(frame.counts())
 
     def test_sizes_partition(self):
         rng = np.random.default_rng(5)
         frame = random_frame(rng, max_n=100)
-        counts = build_report(frame).counts
+        counts = build_report(frame.counts()).counts
         assert counts["group1_samples"] + counts["group0_samples"] == frame.n
 
 

@@ -10,6 +10,7 @@ from flipaudit import (
     render_structured,
     run_audit_pipeline,
 )
+from flipaudit import frame as frame_module
 from flipaudit.pipeline import PipelineError
 
 
@@ -107,3 +108,24 @@ class TestRunAuditPipeline:
         ]
         assert runs[0].decision is runs[1].decision
         assert render_structured(runs[0].report) == render_structured(runs[1].report)
+
+
+@pytest.mark.parametrize("fair, passes", [(True, 1), (False, 3)])
+def test_each_frame_counted_once(fair, passes, monkeypatch):
+    # Rows are counted once per frame: the identity frame, then (after the
+    # debiaser's own count) the repaired frame, whose counts feed both the
+    # second gate and the report.
+    group = np.repeat([0, 1], 1000)
+    y_true = np.tile([0, 1], 1000)
+    pred = y_true if fair else group
+    tally = frame_module.tally
+    calls = []
+
+    def counting_tally(*vectors):
+        calls.append(len(vectors[0]))
+        return tally(*vectors)
+
+    monkeypatch.setattr(frame_module, "tally", counting_tally)
+    outcome = run_audit_pipeline(pred, group, make_sp_debiaser(0.1), y_true=y_true)
+    assert (outcome.decision is Decision.NO_DEBIAS_NEEDED) == fair
+    assert calls == [group.size] * passes

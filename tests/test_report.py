@@ -30,7 +30,7 @@ def squash(text: str) -> str:
 
 @pytest.fixture(scope="module")
 def reference_report(reference_frame):
-    return build_report(reference_frame)
+    return build_report(reference_frame.counts())
 
 
 class TestBuildReport:
@@ -51,7 +51,7 @@ class TestBuildReport:
                 assert value["band"] in ("Acceptable", "Moderate", "Disproportionate")
 
     def test_identity_frame_proportionate(self, identity_frame):
-        r = build_report(identity_frame)
+        r = build_report(identity_frame.counts())
         assert r.verdict == "Proportionate"
         assert r.counts["total_flips"] == 0
         assert r.cells["dfr"].metric.value == 1.0
@@ -60,7 +60,7 @@ class TestBuildReport:
         pred = [1, 1, 1, 0, 1, 0]
         corr = [0, 0, 1, 1, 1, 0]
         group = [0, 0, 0, 1, 1, 1]
-        r = build_report(AuditFrame(pred, corr, group))
+        r = build_report(AuditFrame(pred, corr, group).counts())
         assert r.cells["hdi"].metric.is_infinite
         assert r.cells["hdi"].metric.annotation == "One value is zero"
         assert r.verdict == "Disproportionate"
@@ -73,7 +73,7 @@ class TestRenderText:
         assert "HFP 0.78 Regular calculation" in squash(line)
 
     def test_no_flip_report_total(self, identity_frame):
-        text = render_text(build_report(identity_frame))
+        text = render_text(build_report(identity_frame.counts()))
         assert "Total flips" in text
         assert re.search(r"Total flips\s+0\b", text)
 
@@ -86,9 +86,10 @@ class TestRenderText:
         assert "∞" in render_text(reference_report)
 
     def test_fairness_sections_rendered(self, reference_frame):
-        pre = evaluate_fairness(reference_frame.with_corrected(reference_frame.y_predicted))
-        post = evaluate_fairness(reference_frame)
-        text = render_text(build_report(reference_frame, fairness_pre=pre,
+        pre = evaluate_fairness(
+            reference_frame.with_corrected(reference_frame.y_predicted).counts())
+        post = evaluate_fairness(reference_frame.counts())
+        text = render_text(build_report(reference_frame.counts(), fairness_pre=pre,
                                         fairness_post=post))
         assert "Fairness (pre-debias)" in text
         assert "Fairness (post-debias)" in text
@@ -105,8 +106,9 @@ class TestRenderStructured:
 
     def test_round_trip_with_fairness(self, reference_frame):
         pre = evaluate_fairness(AuditFrame(reference_frame.y_predicted,
-                                           reference_frame.y_predicted, reference_frame.group))
-        r = build_report(reference_frame, fairness_pre=pre)
+                                           reference_frame.y_predicted,
+                                           reference_frame.group).counts())
+        r = build_report(reference_frame.counts(), fairness_pre=pre)
         assert parse_structured(render_structured(r)) == r
 
     def test_hdi_encoded_as_inf(self, reference_report):
@@ -116,8 +118,8 @@ class TestRenderStructured:
         assert d["hdi"]["annotation"] == "One value is zero"
 
     def test_deterministic_output(self, reference_frame):
-        a = render_structured(build_report(reference_frame))
-        b = render_structured(build_report(reference_frame))
+        a = render_structured(build_report(reference_frame.counts()))
+        b = render_structured(build_report(reference_frame.counts()))
         assert a == b
 
     def test_all_eleven_metrics_present(self, reference_report):

@@ -11,10 +11,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flipaudit import AuditFrame, ValidationError, ingest
-from flipaudit.frame import BLOCK
+from flipaudit import (
+    AuditFrame,
+    FlipCounts,
+    ValidationError,
+    build_report,
+    ingest,
+    ingest_counts,
+    render_structured,
+)
+from flipaudit.cli import _VERDICT_CODES, main
+from flipaudit.frame import BLOCK, tally
 from flipaudit.tabular import (
     ColumnMapping,
+    _Counts,
     _ingest_strict,
     frame_to_csv,
     ingest_rows,
@@ -26,6 +36,7 @@ REMAPPED = ColumnMapping(favorable=0, privileged=0)
 WITH_TRUE = ColumnMapping(true_col="true")
 NO_CORR = ColumnMapping(corr_col=None)
 MAPPINGS = [DEFAULT, REMAPPED, WITH_TRUE, NO_CORR]
+BOM = "\ufeff".encode()
 
 HEADERS = [
     "pred,corr,group",
@@ -55,8 +66,21 @@ def strict_frame(data, mapping):
     return _ingest_strict(io.BytesIO(data), mapping)
 
 
+def strict_counts(data, mapping):
+    """The byte fast path's count table of the file ``data`` (or the code and
+    message of its error), or None where it declines."""
+    return outcome(lambda: _ingest_strict(io.BytesIO(data), mapping, _Counts))
+
+
+def counts_agree(path, mapping):
+    """Whether ``ingest_counts`` gives the frame's counts, or the same error."""
+    return (outcome(lambda: ingest_counts(path, mapping))
+            == outcome(lambda: ingest(path, mapping).counts()))
+
+
 def reference(path, mapping):
-    with open(path, newline="", encoding="utf-8") as fh:
+    """What ``ingest_rows`` reads from the file's text, less one leading byte order mark."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         return outcome(lambda: ingest_rows(csv.reader(fh), mapping))
 
 
@@ -92,6 +116,9 @@ def test_ingest_matches_csv_reader(tmp_path_factory, case):
     path = tmp_path_factory.getbasetemp() / "hypothesis.csv"
     path.write_bytes(data)
     assert outcome(lambda: ingest(path, mapping)) == reference(path, mapping)
+    # ingest_counts streams the same files, and reads each as ingest(...).counts().
+    assert (strict_counts(data, mapping) is None) == (strict_frame(data, mapping) is None)
+    assert counts_agree(path, mapping)
 
 
 @pytest.mark.parametrize("term", ["\n", "\r\n"])
@@ -104,6 +131,7 @@ def test_every_byte_change_matches_csv_reader(term, tmp_path):
             path.write_bytes((header + body[:pos] + char + body[pos + 1:]).encode())
             for mapping in (DEFAULT, REMAPPED):
                 assert outcome(lambda: ingest(path, mapping)) == reference(path, mapping)
+                assert counts_agree(path, mapping)
 
 
 # Headers of 1 to 5 columns and the mapping each is read with. One column
@@ -154,7 +182,9 @@ NAMED = {
     "spaced_cell": (b"pred,corr,group\n1,0,0\n0, 1,1\n", DEFAULT, False),
     "quoted_cell": (b'pred,corr,group\n1,0,0\n0,"1",1\n', DEFAULT, False),
     "trailing_blank_line": (b"pred,corr,group\n1,0,0\n\n", DEFAULT, False),
-    "bom_header": (b"\xef\xbb\xbfpred,corr,group\n1,0,0\n", DEFAULT, False),
+    "bom_header": (BOM + b"pred,corr,group\n1,0,0\n", DEFAULT, True),
+    "double_bom_header": (2 * BOM + b"pred,corr,group\n1,0,0\n", DEFAULT, False),
+    "bom_spaced_cell": (BOM + b"pred,corr,group\n1,0,0\n0, 1,1\n", DEFAULT, False),
     "duplicate_columns": (b"pred,corr,pred,group\n1,0,0,1\n0,1,1,0\n", DEFAULT, True),
     "header_only": (b"pred,corr,group\n", DEFAULT, False),
     "header_without_newline": (b"pred,corr,group", DEFAULT, False),
@@ -185,7 +215,9 @@ def test_named_case(name, tmp_path):
     path = tmp_path / "d.csv"
     path.write_bytes(data)
     assert (strict_frame(data, mapping) is not None) == fast
+    assert (strict_counts(data, mapping) is not None) == fast
     assert outcome(lambda: ingest(path, mapping)) == reference(path, mapping)
+    assert counts_agree(path, mapping)
 
 
 @pytest.mark.parametrize("start", [0, 5])  # a body aligned to 8 bytes, and one not
@@ -212,8 +244,10 @@ def test_every_byte_change_in_whole_periods(ncols, term, start, tmp_path):
             # Only a cell changed to the other digit leaves the file strict.
             fast = changed == data or (data[pos] in b"01" and char in b"01")
             assert (strict_frame(changed, mapping) is not None) == fast
+            assert (strict_counts(changed, mapping) is not None) == fast
             path.write_bytes(changed)
             assert outcome(lambda: ingest(path, mapping)) == reference(path, mapping)
+            assert counts_agree(path, mapping)
 
 
 BLOCK_EDGES = [2 * BLOCK - 1, 2 * BLOCK, 2 * BLOCK + 1]
@@ -231,6 +265,64 @@ def test_strict_ingest_across_blocks(rows, ncols, term, start):
     for row in (BLOCK - 1, BLOCK, rows - 2, rows - 1):
         bad = with_byte(data, first_cell + row * row_len + 2, ord("2"))
         assert strict_frame(bad, mapping) is None
+
+
+# Every mapping of a file with columns pred, corr, group and true, some of
+# which leave columns unread.
+COUNT_MAPPINGS = MAPPINGS + [
+    ColumnMapping(corr_col=None, true_col="true", favorable=0),
+    ColumnMapping(true_col="true", privileged=0),
+]
+
+
+@pytest.mark.parametrize("mapping", COUNT_MAPPINGS)
+@pytest.mark.parametrize("ncols, term, terminated",
+                         [(4, "\n", True), (4, "\r\n", False),
+                          (5, "\r\n", True), (5, "\n", False)])
+def test_ingest_counts_across_blocks(ncols, term, terminated, mapping, tmp_path):
+    data, _ = strict_file(ncols, term, 5, 2 * BLOCK + 1, terminated)
+    path = tmp_path / "d.csv"
+    path.write_bytes(data)
+    counts = strict_counts(data, mapping)
+    assert counts == ingest_counts(path, mapping) == ingest(path, mapping).counts()
+
+
+@pytest.mark.parametrize("change", ["spaced_cell", "quoted_header"])
+def test_ingest_counts_of_declined_file(change, tmp_path):
+    # Valid files the strict path declines are counted from ingest's frame.
+    data, mapping = strict_file(3, "\n", 5, 2 * BLOCK + 1)
+    if change == "spaced_cell":
+        cell = data.index(b"\n") + 1 + BLOCK * 6
+        data = data[:cell] + b" " + data[cell:]
+    else:
+        data = data.replace(b"pred", b'"pred"', 1)
+    path = tmp_path / "d.csv"
+    path.write_bytes(data)
+    assert strict_counts(data, mapping) is None
+    counts = ingest_counts(path, mapping)
+    assert counts == ingest(path, mapping).counts()
+    assert counts.n == 2 * BLOCK + 1
+
+
+def test_bom_skipped_on_strict_path(tmp_path):
+    data, mapping = strict_file(3, "\n", 5, 2 * BLOCK + 1)
+    frame = strict_frame(data, mapping)
+    assert frame is not None and strict_frame(BOM + data, mapping) == frame
+    assert strict_counts(BOM + data, mapping) == frame.counts()
+    path = tmp_path / "d.csv"
+    path.write_bytes(BOM + data)
+    assert ingest(path, mapping) == frame
+    assert ingest_counts(path, mapping) == frame.counts()
+
+
+def test_bom_skipped_on_lenient_path(tmp_path):
+    data = b"pred,corr,group\n1,0,0\n0, 1,1\n"
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(data)
+    marked.write_bytes(BOM + data)
+    assert strict_frame(BOM + data, DEFAULT) is None
+    assert ingest(marked) == ingest(plain)
+    assert ingest_counts(marked) == ingest(plain).counts()
 
 
 def csv_of(names, vectors):
@@ -256,6 +348,26 @@ def test_ingest_holds_no_file_bytes(traced_peak, tmp_path):
     frame, peak = traced_peak(ingest, path, WITH_TRUE)
     assert frame.n == 1_000_000
     assert peak <= 4 * frame.n + 2**20  # the four vectors it returns, and fixed scratch
+
+
+@pytest.mark.parametrize("rows", [1_000_000, 10_000_000])
+def test_audit_memory_does_not_grow_with_rows(rows, traced_peak, tmp_path):
+    # The file repeats one chunk of rows, so its counts are the chunk's times
+    # the repeats, and writing it holds only the chunk.
+    chunk = np.random.default_rng(rows).integers(0, 2, size=(3, 100_000))
+    header, body = csv_of(["pred", "corr", "group"], chunk).split(b"\n", 1)
+    repeats = rows // chunk.shape[1]
+    path, out = tmp_path / "d.csv", tmp_path / "report.json"
+    with open(path, "wb") as fh:
+        fh.write(header + b"\n")
+        for _ in range(repeats):
+            fh.write(body)
+    argv = ["audit", "-i", str(path), "--format", "structured", "-o", str(out)]
+    code, peak = traced_peak(main, argv)
+    path.unlink()
+    want = build_report(FlipCounts(repeats * tally(chunk[2], chunk[0], chunk[1])))
+    assert (code, out.read_text()) == (_VERDICT_CODES[want.verdict], render_structured(want))
+    assert peak <= 2**21  # block buffers only: no vector as long as the file
 
 
 class Resized(io.BytesIO):
@@ -289,8 +401,9 @@ FIFO_CASES = {
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+@pytest.mark.parametrize("read", [ingest, ingest_counts])
 @pytest.mark.parametrize("name", FIFO_CASES)
-def test_fifo_matches_regular_file(name, tmp_path):
+def test_fifo_matches_regular_file(name, read, tmp_path):
     data, mapping = FIFO_CASES[name]
     path = tmp_path / "d.csv"
     path.write_bytes(data)
@@ -304,12 +417,12 @@ def test_fifo_matches_regular_file(name, tmp_path):
     writer = threading.Thread(target=write, daemon=True)
     writer.start()
     try:
-        got = outcome(lambda: ingest(fifo, mapping))
+        got = outcome(lambda: read(fifo, mapping))
     finally:
         writer.join(timeout=30)
     assert not writer.is_alive()
-    assert got == outcome(lambda: ingest(path, mapping))
-    assert isinstance(got, AuditFrame) == (name != "non_binary")
+    assert got == outcome(lambda: read(path, mapping))
+    assert isinstance(got, (AuditFrame, FlipCounts)) == (name != "non_binary")
 
 
 @pytest.mark.parametrize("n", BLOCK_EDGES)
