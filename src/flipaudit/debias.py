@@ -10,11 +10,13 @@ balanced split between the two when several minimal solutions exist.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .frame import BLOCK, ValidationError, binary_vectors, group_tally
+from .frame import BLOCK, ValidationError, binary_vectors, check_seed, group_tally
 from .fairness import sp_from_counts
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class DebiasError(ValueError):
@@ -49,6 +51,8 @@ def _minimal_flip_split(pos_over: int, n_over: int, pos_under: int, n_under: int
     test decides among them, so ties on the epsilon boundary resolve as a
     split-by-split float search would.
     """
+    import numpy as np
+
     max_down = pos_over
     max_up = n_under - pos_under
     p = pos_over * n_under - pos_under * n_over
@@ -117,6 +121,8 @@ def _next_total(p: int, x_max: int, x_coef: int, y_max: int, y_coef: int,
     x is scanned in blocks. A total is at least its x, so the scan stops at
     the first block whose x values are all at least the best total found.
     """
+    import numpy as np
+
     reach = half_width / y_coef
     reach += (max(abs(p), abs(p - x_max * x_coef)) / y_coef + reach + 1) * 2.0 ** -40
     best = None
@@ -154,20 +160,16 @@ def _check_epsilon(epsilon: float):
         raise ValidationError("epsilon must be a positive finite number", code="bad_epsilon")
 
 
-def _check_seed(rng_seed: int):
-    if not (isinstance(rng_seed, (int, np.integer)) and rng_seed >= 0):
-        raise ValidationError(f"seed must be a non-negative integer, got {rng_seed!r}",
-                              code="bad_seed")
-
-
 def sp_equalizing_debiaser(y_predicted, group, epsilon: float, rng_seed: int = 0) -> np.ndarray:
     """Return corrected labels with |SP difference| <= epsilon, flipping minimally.
 
     The result is a new read-only int8 vector, so a frame built from it
     shares it instead of copying it.
     """
+    import numpy as np
+
     _check_epsilon(epsilon)
-    _check_seed(rng_seed)
+    check_seed(rng_seed, "bad_seed")
     labels, grp = binary_vectors(y_predicted=y_predicted, group=group)
     labels = labels.copy()
     table = group_tally(grp, labels)
@@ -178,8 +180,8 @@ def sp_equalizing_debiaser(y_predicted, group, epsilon: float, rng_seed: int = 0
 
     # sp > 0 means group 0 is over-favored.
     over, under = (0, 1) if sp > 0 else (1, 0)
-    neg_over, pos_over = table[over].tolist()
-    neg_under, pos_under = table[under].tolist()
+    neg_over, pos_over = table[over]
+    neg_under, pos_under = table[under]
     down, up = _minimal_flip_split(
         pos_over=pos_over,
         n_over=neg_over + pos_over,
@@ -210,6 +212,8 @@ def _flip_some(labels: np.ndarray, grp: np.ndarray, gid: int, k: int, value: int
     ``Generator.permutation`` would copy the indices and shuffle the copy
     the same way.
     """
+    import numpy as np
+
     n = labels.size
     candidates = np.empty(count, np.int32 if n < 2**31 else np.intp)
     in_group = np.empty(min(n, BLOCK), np.bool_)
@@ -234,7 +238,7 @@ def make_sp_debiaser(epsilon: float, rng_seed: int = 0):
     pipeline's first gate passes and the debiaser never runs.
     """
     _check_epsilon(epsilon)
-    _check_seed(rng_seed)
+    check_seed(rng_seed, "bad_seed")
 
     def debias(y_predicted, group):
         return sp_equalizing_debiaser(y_predicted, group, epsilon, rng_seed)

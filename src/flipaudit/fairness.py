@@ -5,8 +5,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .frame import FlipCounts, ValidationError
 
 DEFAULT_FAIR_INTERVAL = (-0.1, 0.1)
@@ -26,25 +24,25 @@ class FairnessResult:
         return self.sp_pass and self.eo_pass
 
 
-def sp_from_counts(table: np.ndarray) -> float:
-    """SP difference from a (group, label) count table.
+def sp_from_counts(table) -> float:
+    """SP difference from a 2x2 (group, label) table of int counts.
 
     P(label=1 | unprivileged) - P(label=1 | privileged): negative values
     mean the unprivileged group receives fewer favorable outcomes.
     """
-    (neg_unpriv, pos_unpriv), (neg_priv, pos_priv) = table.tolist()
+    (neg_unpriv, pos_unpriv), (neg_priv, pos_priv) = table
     return pos_unpriv / (neg_unpriv + pos_unpriv) - pos_priv / (neg_priv + pos_priv)
 
 
-def eo_from_counts(table: np.ndarray) -> tuple[float, str]:
-    """EO difference and its note from a (group, true, label) count table.
+def eo_from_counts(table) -> tuple[float, str]:
+    """EO difference and its note from a 2x2x2 (group, true, label) table of int counts.
 
     The difference is max(|TPR gap|, |FPR gap|). A gap undefined because a
     group has no true positives (or negatives) is skipped and noted.
     """
 
     def rate(gid, positive_class):
-        negative, positive = table[gid, positive_class].tolist()
+        negative, positive = table[gid][positive_class]
         if negative + positive == 0:
             return None
         return positive / (negative + positive)
@@ -94,9 +92,12 @@ def evaluate_fairness(
     would fail perfect parity.
     """
     lo, hi = _check_fair_interval(fair_interval)
-    sp = sp_from_counts(counts.flip_table.sum(axis=1))
+    flips = counts.flip_table
+    sp = sp_from_counts([[flips[g][0][c] + flips[g][1][c] for c in (0, 1)] for g in (0, 1)])
     if counts.has_true:
-        eo, note = eo_from_counts(counts.table.sum(axis=1).transpose(0, 2, 1))
+        t = counts.table
+        eo, note = eo_from_counts([[[t[g][0][c][y] + t[g][1][c][y] for c in (0, 1)]
+                                    for y in (0, 1)] for g in (0, 1)])
     else:
         eo, note = None, "EO skipped: no true labels"
     return FairnessResult(

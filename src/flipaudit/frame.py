@@ -1,10 +1,17 @@
-"""Validated label vectors, and the count table an audit reads from them."""
+"""Validated label vectors, and the count table an audit reads from them.
+
+The count table is plain Python; numpy is imported only where label
+vectors are made or read, so counting and reporting do not load it.
+"""
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 UNFAVORABLE = 0
 FAVORABLE = 1
@@ -41,7 +48,15 @@ def decode_utf8(data: bytes, unit: str = "line") -> str:
         ) from None
 
 
+def check_seed(seed, code: str) -> None:
+    """Fail with ``code`` unless ``seed`` is a non-negative integer, numpy's included."""
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}", code=code)
+
+
 def _as_binary_vector(values, name: str) -> np.ndarray:
+    import numpy as np
+
     arr = np.asarray(values)
     if arr.ndim != 1:
         raise ValidationError(f"{name} must be one-dimensional", code="bad_shape")
@@ -112,6 +127,8 @@ def tally(*vectors) -> np.ndarray:
     ``np.bincount`` copies its input to ``intp``, 8 bytes a value, so that
     copy is no larger than the block's key.
     """
+    import numpy as np
+
     n = len(vectors[0])
     counts = np.zeros(1 << len(vectors), np.int64)
     scratch = np.empty(min(n, BLOCK), np.int8)
@@ -126,64 +143,86 @@ def tally(*vectors) -> np.ndarray:
     return counts.reshape((2,) * len(vectors))
 
 
-def _require_groups(table: np.ndarray) -> None:
+def _cells(table):
+    """The cells of ``table``, nested sequences of ints, in order."""
+    if isinstance(table, int):
+        yield table
+    else:
+        for part in table:
+            yield from _cells(part)
+
+
+def _require_groups(table) -> None:
     """Fail unless both groups, the first axis of ``table``, have instances."""
     for gid in (UNPRIVILEGED, PRIVILEGED):
-        if not table[gid].any():
+        if not any(_cells(table[gid])):
             raise ValidationError(f"group {gid} has no instances", code="missing_group")
 
 
-def group_tally(group, *vectors) -> np.ndarray:
-    """``tally(group, *vectors)``, requiring both groups to have instances."""
-    table = tally(group, *vectors)
+def group_tally(group, *vectors) -> list:
+    """``tally(group, *vectors)`` as nested lists of ints; both groups must have instances."""
+    table = tally(group, *vectors).tolist()
     _require_groups(table)
     return table
+
+
+def _pairs(value, depth: int):
+    """``value`` as ``depth`` levels of nested pairs of ints, in tuples; None if it is not."""
+    if depth == 0:
+        is_int = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+        return int(value) if is_int else None
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        return None
+    pair = tuple(_pairs(half, depth - 1) for half in value)
+    return None if None in pair else pair
 
 
 @dataclass(frozen=True)
 class FlipCounts:
     """The count table every audit number is read from.
 
-    ``table[g, p, c]`` (or ``table[g, p, c, t]`` with true labels) is the
+    ``table[g][p][c]`` (or ``table[g][p][c][t]`` with true labels) is the
     number of instances in group ``g`` with predicted label ``p``,
     corrected label ``c`` and true label ``t``: at most 16 cells, whatever
-    the number of rows. The table is held as a read-only ``int64`` copy,
-    and both groups must have instances.
+    the number of rows. It is given as nested lists or an integer array
+    and held as nested tuples of Python ints, and both groups must have
+    instances.
     """
 
-    table: np.ndarray
+    table: tuple
 
     def __post_init__(self):
-        table = np.asarray(self.table)
-        if table.shape not in ((2,) * 3, (2,) * 4) or table.dtype.kind not in "iu":
+        given = self.table
+        if hasattr(given, "dtype"):  # an array: its cells as Python ints
+            got = f"shape {given.shape} of {given.dtype}"
+            given = given.tolist() if given.dtype.kind in "iu" else None
+        else:
+            got = type(given).__name__
+        table = _pairs(given, 3) or _pairs(given, 4)
+        if table is None:
             raise ValidationError(
-                f"counts must be a 2x2x2 or 2x2x2x2 integer table, got shape "
-                f"{table.shape} of {table.dtype}", code="bad_counts",
+                f"counts must be a 2x2x2 or 2x2x2x2 integer table, got {got}",
+                code="bad_counts",
             )
-        table = table.astype(np.int64)
-        if (table < 0).any():
+        if min(_cells(table)) < 0:
             raise ValidationError("counts must not be negative", code="bad_counts")
-        table.setflags(write=False)
         _require_groups(table)
         object.__setattr__(self, "table", table)
 
     @property
     def n(self) -> int:
-        return int(self.table.sum())
+        return sum(_cells(self.table))
 
     @property
     def has_true(self) -> bool:
-        return self.table.ndim == 4
+        return not isinstance(self.table[0][0][0], int)
 
     @property
-    def flip_table(self) -> np.ndarray:
+    def flip_table(self) -> tuple:
         """The (group, pred, corr) table, summed over true labels."""
-        return self.table.sum(axis=3) if self.has_true else self.table
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FlipCounts):
-            return NotImplemented
-        return self.table.shape == other.table.shape and np.array_equal(self.table, other.table)
+        if not self.has_true:
+            return self.table
+        return tuple(tuple(tuple(map(sum, pred)) for pred in group) for group in self.table)
 
 
 @dataclass(frozen=True)
@@ -212,6 +251,8 @@ class AuditFrame:
         return int(self.y_predicted.size)
 
     def __eq__(self, other) -> bool:
+        import numpy as np
+
         if not isinstance(other, AuditFrame):
             return NotImplemented
         if not (

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .frame import ValidationError
 
 # Annotation strings, shared by every metric producer.
@@ -116,10 +114,10 @@ def harmful_flip_proportion(n_unfavorable: int, n_flips: int) -> MetricValue:
     return MetricValue.finite(value, REGULAR)
 
 
-def summarize_counts(counts: np.ndarray) -> FlipSummary:
-    """Flip characterization from a 2x2 (predicted, corrected) count table."""
-    (_, n_favorable), (n_unfavorable, _) = counts.tolist()
-    n = int(counts.sum())
+def summarize_counts(counts) -> FlipSummary:
+    """Flip characterization from a 2x2 (predicted, corrected) table of int counts."""
+    (kept_unfavorable, n_favorable), (n_unfavorable, kept_favorable) = counts
+    n = kept_unfavorable + n_favorable + n_unfavorable + kept_favorable
     n_flips = n_favorable + n_unfavorable
     return FlipSummary(
         n=n,

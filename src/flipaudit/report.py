@@ -118,7 +118,8 @@ def build_report(
     """Assemble the full banded report of a count table, such as ``frame.counts()``."""
     config = config or ThresholdConfig.default()
     table = counts.flip_table
-    overall = summarize_counts(table.sum(axis=0))
+    overall = summarize_counts([[table[0][p][c] + table[1][p][c] for c in (0, 1)]
+                                for p in (0, 1)])
     unpriv = summarize_counts(table[UNPRIVILEGED])
     priv = summarize_counts(table[PRIVILEGED])
     values = SimpleNamespace(

@@ -12,10 +12,12 @@ these counts does not exist).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+from .frame import AuditFrame, ValidationError, check_seed, decode_utf8
 
-from .frame import AuditFrame, ValidationError, decode_utf8
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -57,10 +59,7 @@ class ScenarioSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
-            raise ValidationError(
-                f"seed must be a non-negative integer, got {self.seed!r}", code="bad_scenario"
-            )
+        check_seed(self.seed, "bad_scenario")
 
 
 # Reconstructs the published worked example's count structure: 1320 samples,
@@ -79,6 +78,8 @@ BUILTIN_SCENARIOS = {"reference-example": REFERENCE_EXAMPLE}
 
 
 def _generate_group(spec: GroupScenario, rng: np.random.Generator):
+    import numpy as np
+
     pred = np.zeros(spec.size, dtype=np.int64)
     pos = rng.choice(spec.size, size=spec.positive_predictions, replace=False)
     pred[pos] = 1
@@ -94,6 +95,8 @@ def _generate_group(spec: GroupScenario, rng: np.random.Generator):
 
 def generate_scenario(spec: ScenarioSpec) -> AuditFrame:
     """Build a deterministic frame realizing the spec's counts exactly."""
+    import numpy as np
+
     rng = np.random.default_rng(spec.seed)
     pred0, corr0 = _generate_group(spec.group0, rng)
     pred1, corr1 = _generate_group(spec.group1, rng)

@@ -4,26 +4,35 @@ Rows are never dropped or coerced: a single non-binary cell or ragged row
 rejects the whole file, with the offending row and column named. Dropping
 rows silently would change n and therefore every rate downstream.
 
-A file of bare 0/1 cells is parsed with numpy, one block of rows at a time,
-into label vectors (``ingest``) or straight into a count table
-(``ingest_counts``); any other file goes through ``csv.reader`` and
-``ingest_rows``, the one place that reports data errors. One leading UTF-8
-byte order mark is skipped on either path.
+A file of bare 0/1 cells is checked with bytes operations, one block of
+rows at a time, and read into label vectors (``ingest``) or straight into a
+count table (``ingest_counts``). Any other file goes through ``csv.reader``
+and ``_mapped_rows``, the one place that reports data errors, into the same
+two results. One leading UTF-8 byte order mark is skipped on either path.
+Only label vectors need numpy: counting a file, on either path, does not
+import it.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import math
+from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_
+from typing import TYPE_CHECKING
 
-import numpy as np
+from .frame import BLOCK, AuditFrame, FlipCounts, ValidationError, decode_utf8
 
-from .frame import BLOCK, AuditFrame, FlipCounts, ValidationError, decode_utf8, tally
+if TYPE_CHECKING:
+    import numpy as np
 
 _ZERO = ord("0")
 _BOM = "\ufeff"
+_BARE = {"0": 0, "1": 1}
+_ONE_AS_ZERO = bytes.maketrans(b"1", b"0")
+_CHECK_ROWS = BLOCK // 16
 
 
 @dataclass(frozen=True)
@@ -60,11 +69,49 @@ def _parse_cell(raw: str, row: int, col: str) -> int:
     return int(value)
 
 
-def ingest_rows(rows, mapping: ColumnMapping) -> AuditFrame:
-    """The frame of ``rows``, a ``csv.reader`` or any iterable of cell lists."""
+def _mapped_rows(rows, mapping: ColumnMapping):
+    """Each data row's mapped cells as ints, in ``mapping.columns()`` order.
+
+    The header and every row are checked as they are read, so a consumer
+    meets the first error in the file, whatever it keeps of the rows.
+    """
+    try:
+        header = next(rows)
+    except StopIteration:
+        raise ValidationError("input has no header row", code="empty")
+    columns = [h.strip() for h in header]
+    indices = {}
+    for name in mapping.columns():
+        if name not in columns:
+            raise ValidationError(
+                f"unknown column {name!r}; file has {columns}", code="unknown_column"
+            )
+        indices[name] = columns.index(name)
+
+    rownum = 1
+    for rownum, row in enumerate(rows, start=2):  # 1-based, counting the header
+        if len(row) != len(columns):
+            raise ValidationError(
+                f"row {rownum} has {len(row)} cells, expected {len(columns)}",
+                code="ragged_row",
+            )
+        # Bare "0" and "1" are looked up; any other cell is parsed in full.
+        values = tuple([_BARE.get(row[idx]) for idx in indices.values()])
+        if None in values:
+            values = tuple([_parse_cell(row[idx], rownum, name) for name, idx in indices.items()])
+        yield values
+    if rownum == 1:
+        raise ValidationError("file contains no data rows", code="empty")
+
+
+def _read_rows(rows, mapping: ColumnMapping, consume):
+    """``consume(_mapped_rows(rows, mapping), mapping)``; a ``csv.Error`` becomes ``bad_csv``.
+
+    ``rows`` is a ``csv.reader`` or any iterable of cell lists.
+    """
     rows = iter(rows)
     try:
-        return _ingest_rows(rows, mapping)
+        return consume(_mapped_rows(rows, mapping), mapping)
     except csv.Error as exc:
         # A reader fails this way on, say, an unclosed quote whose field
         # outgrows csv.field_size_limit(); line_num is where it stopped.
@@ -73,38 +120,32 @@ def ingest_rows(rows, mapping: ColumnMapping) -> AuditFrame:
                               code="bad_csv") from None
 
 
-def _ingest_rows(rows, mapping: ColumnMapping) -> AuditFrame:
-    try:
-        header = next(rows)
-    except StopIteration:
-        raise ValidationError("input has no header row", code="empty")
-    columns = [h.strip() for h in header]
-    wanted = mapping.columns()
-    indices = {}
-    for name in wanted:
-        if name not in columns:
-            raise ValidationError(
-                f"unknown column {name!r}; file has {columns}", code="unknown_column"
-            )
-        indices[name] = columns.index(name)
+def _frame_of_rows(cells, mapping: ColumnMapping) -> AuditFrame:
+    import numpy as np
 
-    data: dict[str, list[int]] = {name: [] for name in wanted}
-    for rownum, row in enumerate(rows, start=2):  # 1-based, counting the header
-        if len(row) != len(columns):
-            raise ValidationError(
-                f"row {rownum} has {len(row)} cells, expected {len(columns)}",
-                code="ragged_row",
-            )
-        for name, idx in indices.items():
-            data[name].append(_parse_cell(row[idx], rownum, name))
-    if not data[mapping.pred_col]:
-        raise ValidationError("file contains no data rows", code="empty")
-    return _frame(mapping, {name: np.asarray(cells, dtype=np.int8)
-                            for name, cells in data.items()})
+    names = mapping.columns()
+    table = np.fromiter(cells, np.dtype((np.int8, len(names))))
+    return _frame(mapping, {name: table[:, j].copy() for j, name in enumerate(names)})
+
+
+def _counts_of_rows(cells, mapping: ColumnMapping) -> FlipCounts:
+    names = mapping.columns()
+    positions = [names.index(name) for name in _axes(mapping)]
+    raw = [0] * (1 << len(positions))
+    for values, count in Counter(cells).items():
+        raw[sum(values[p] << bit for bit, p in enumerate(reversed(positions)))] += count
+    return _count_table(mapping, raw)
+
+
+def ingest_rows(rows, mapping: ColumnMapping) -> AuditFrame:
+    """The frame of ``rows``, a ``csv.reader`` or any iterable of cell lists."""
+    return _read_rows(rows, mapping, _frame_of_rows)
 
 
 def _frame(mapping: ColumnMapping, vectors: dict[str, np.ndarray]) -> AuditFrame:
     """The frame of the mapped columns, given as new int8 0/1 vectors by name."""
+    import numpy as np
+
     def vec(name: str | None, flip_when: int) -> np.ndarray | None:
         if name is None:
             return None
@@ -124,53 +165,94 @@ def _frame(mapping: ColumnMapping, vectors: dict[str, np.ndarray]) -> AuditFrame
     )
 
 
-class _Vectors:
-    """Copies each block's mapped columns into n-long vectors; gives the frame."""
+def _axes(mapping: ColumnMapping) -> list[str]:
+    """The columns of the table's axes, (group, pred, corr[, true]); corr is pred if unmapped."""
+    axes = [mapping.group_col, mapping.pred_col, mapping.corr_col or mapping.pred_col]
+    return axes + [mapping.true_col] if mapping.true_col is not None else axes
 
-    def __init__(self, mapping: ColumnMapping, n: int):
-        self.mapping = mapping
+
+def _count_table(mapping: ColumnMapping, raw: list[int]) -> FlipCounts:
+    """The count table of ``raw``, counts over the raw values of ``_axes(mapping)``.
+
+    ``raw[i]`` counts the rows whose values, read as bits with the first
+    axis highest, spell ``i``. A 0 ``privileged`` value flips the group
+    bit, and a 0 ``favorable`` value every label bit.
+    """
+    labels = len(raw).bit_length() - 2  # the axes after group
+    flip = 0
+    if mapping.privileged == 0:
+        flip |= 1 << labels
+    if mapping.favorable == 0:
+        flip |= (1 << labels) - 1
+    cells = [raw[i ^ flip] for i in range(len(raw))]
+    while len(cells) > 2:
+        cells = [cells[i:i + 2] for i in range(0, len(cells), 2)]
+    return FlipCounts(cells)
+
+
+class _Vectors:
+    """Copies each block's mapped columns into n-long vectors; gives the frame.
+
+    Column ``name`` of a block of rows ``row_len`` bytes long is its bytes
+    ``offsets[name]``, ``offsets[name] + row_len``, and so on.
+    """
+
+    of_rows = staticmethod(_frame_of_rows)
+
+    def __init__(self, mapping: ColumnMapping, n: int, row_len: int, offsets: dict[str, int]):
+        import numpy as np
+
+        self.mapping, self.row_len, self.offsets = mapping, row_len, offsets
         self.vectors = {name: np.empty(n, np.int8) for name in mapping.columns()}
 
-    def add(self, first: int, cells: dict[str, np.ndarray]):
+    def add(self, first: int, buffer: bytearray, length: int):
+        import numpy as np
+
+        block = np.frombuffer(buffer, np.uint8, count=length)
         for name, vec in self.vectors.items():
-            np.subtract(cells[name], _ZERO, out=vec[first:first + BLOCK], dtype=np.int8)
+            col = block[self.offsets[name]::self.row_len]
+            np.subtract(col, _ZERO, out=vec[first:first + col.size], dtype=np.int8)
 
     def result(self) -> AuditFrame:
         return _frame(self.mapping, self.vectors)
 
 
 class _Counts:
-    """Adds the tally of each block's mapped columns to one count table; gives it.
+    """Adds the joint counts of each block's mapped columns to one table; gives it.
 
-    The cells go through block-sized scratch, so nothing grows with n. The
-    table is tallied over raw values; ``result`` flips the axes that a 0
-    ``favorable`` or ``privileged`` value remaps.
+    A column's cells become one big int, a byte a row, in which "0" is 0x30
+    and "1" is 0x31. The AND of some columns then has 0x31 in exactly the
+    rows where all of them are 1, so its bit count less two bits a row
+    counts those rows. Such counts, one for each subset of the table's
+    axes, give the joint counts by inclusion-exclusion. Nothing here grows
+    with n, and nothing needs numpy.
     """
 
-    def __init__(self, mapping: ColumnMapping, n: int):
-        self.mapping = mapping
-        self.scratch = {name: np.empty(min(n, BLOCK), np.int8) for name in mapping.columns()}
-        # Table axes: (group, pred, corr[, true]); corr = pred when it is unmapped.
-        self.axes = [mapping.group_col, mapping.pred_col, mapping.corr_col or mapping.pred_col]
-        if mapping.true_col is not None:
-            self.axes.append(mapping.true_col)
-        self.table = np.zeros((2,) * len(self.axes), np.int64)
+    of_rows = staticmethod(_counts_of_rows)
 
-    def add(self, first: int, cells: dict[str, np.ndarray]):
-        # A cell's value is the low bit of "0" or "1". The block is checked
-        # after this, so any other byte declines the file, and the table with it.
-        for name, col in self.scratch.items():
-            np.bitwise_and(cells[name], 1, out=col[:cells[name].size], casting="unsafe")
-        rows = cells[self.mapping.pred_col].size
-        self.table += tally(*(self.scratch[name][:rows] for name in self.axes))
+    def __init__(self, mapping: ColumnMapping, n: int, row_len: int, offsets: dict[str, int]):
+        self.mapping, self.row_len, self.offsets = mapping, row_len, offsets
+        self.axes = _axes(mapping)
+        self.raw = [0] * (1 << len(self.axes))
+
+    def add(self, first: int, buffer: bytearray, length: int):
+        rows = -(-length // self.row_len)
+        # Bit b of a subset's index stands for the b-th axis from the last.
+        columns = [int.from_bytes(buffer[self.offsets[name]:length:self.row_len], "big")
+                   for name in reversed(self.axes)]
+        counts = [rows]  # counts[s]: rows in which every axis of subset s is 1
+        for subset in range(1, len(self.raw)):
+            chosen = [col for bit, col in enumerate(columns) if subset >> bit & 1]
+            counts.append(reduce(and_, chosen).bit_count() - 2 * rows)
+        # Möbius inversion: from "these axes are 1" to "exactly these axes are 1".
+        for bit in range(len(columns)):
+            for subset in range(len(counts)):
+                if not subset >> bit & 1:
+                    counts[subset] -= counts[subset | 1 << bit]
+        self.raw = [total + count for total, count in zip(self.raw, counts)]
 
     def result(self) -> FlipCounts:
-        table = self.table
-        if self.mapping.privileged == 0:
-            table = table[::-1]
-        if self.mapping.favorable == 0:
-            table = np.flip(table, axis=tuple(range(1, table.ndim)))
-        return FlipCounts(table)
+        return _count_table(self.mapping, self.raw)
 
 
 def _ingest_strict(fh, mapping: ColumnMapping,
@@ -183,7 +265,7 @@ def _ingest_strict(fh, mapping: ColumnMapping,
     an ASCII header with no quote, stray CR or NUL, then rows of exactly
     ``d,d,...,d`` with each ``d`` 0 or 1, each ended by the header's
     terminator (the last row may lack it). Anything else, valid or not, is
-    declined, never rejected, so ``ingest_rows`` stays the one place that
+    declined, never rejected, so the csv path stays the one place that
     reports data errors and accepts lenient input. A file that changes size
     while it is read is declined too.
     """
@@ -207,54 +289,37 @@ def _ingest_strict(fh, mapping: ColumnMapping,
     n = -(-size // row_len)
     if n < 1 or size - (n - 1) * row_len not in (width, row_len):
         return None
-    # A byte b matches its pattern byte p when b & mask == p; masking the
-    # low bit lets a cell's pattern "0" match both "0" and "1".
-    pattern = np.frombuffer(b",".join([b"0"] * len(columns)) + term, np.uint8)
-    mask = np.full(row_len, 0xFF, np.uint8)
-    mask[:width:2] = 0xFE
-    # A period holds whole rows and whole 8-byte words, and a block of BLOCK
-    # rows holds whole periods (tiles, a power of two, divides BLOCK). So each
-    # block's whole periods are checked a word at a time against the masks
-    # tiled to one period, and only the last block has bytes after them
-    # (fewer rows than a period, and a last row that may lack its
-    # terminator), checked a byte at a time.
-    period = math.lcm(row_len, 8)
-    tiles = period // row_len
-    wide_mask = np.tile(mask, tiles).view(np.uint64)
-    wide_pattern = np.tile(pattern, tiles).view(np.uint64)
-
-    # Each block is read into one reused buffer. The sink takes its mapped
-    # columns first; then it is masked and XORed with the pattern in place,
-    # which leaves it all zero when the block matches.
-    into = sink(mapping, n)
+    # With every "1" read as "0", each run of up to _CHECK_ROWS rows of a
+    # strict file equals that many copies of the row pattern, less the last
+    # row's terminator where it lacks one. Runs keep the check's copies small.
+    pattern = (b",".join([b"0"] * len(columns)) + term) * min(n, _CHECK_ROWS)
     offsets = {name: 2 * columns.index(name) for name in mapping.columns()}
-    buffer = np.empty(min(n, BLOCK) * row_len, np.uint8)
+
+    # Each block is read into one reused buffer and checked; the sink takes
+    # the mapped columns of a block that passes.
+    into = sink(mapping, n, row_len, offsets)
+    buffer = bytearray(min(n, BLOCK) * row_len)
+    view = memoryview(buffer)
     for first in range(0, n, BLOCK):
-        block = buffer[:min(size - first * row_len, buffer.size)]
-        if fh.readinto(block) != block.size:
+        length = min(size - first * row_len, len(buffer))
+        if fh.readinto(view[:length]) != length:
             return None
-        # Column j's cells sit at bytes 2j, 2j + row_len, ..., the last row's too.
-        into.add(first, {name: block[offset::row_len] for name, offset in offsets.items()})
-        words = block.size // period * period
-        wide = block[:words].view(np.uint64).reshape(-1, period // 8)
-        wide &= wide_mask
-        wide ^= wide_pattern
-        tail = block[words:]
-        tail &= np.resize(mask, tail.size)
-        tail ^= np.resize(pattern, tail.size)
-        if wide.any() or tail.any():
-            return None
+        for start in range(0, length, len(pattern)):
+            run = buffer[start:min(start + len(pattern), length)]
+            if run.translate(_ONE_AS_ZERO) != pattern[:len(run)]:
+                return None
+        into.add(first, buffer, length)
     if fh.read(1):
         return None
     return into.result()
 
 
 def _ingest(path, mapping: ColumnMapping, sink) -> AuditFrame | FlipCounts:
-    """``_ingest_strict(file, mapping, sink)``, or the frame ``ingest_rows`` reads.
+    """``_ingest_strict(file, mapping, sink)``, or ``sink.of_rows`` of the file's rows.
 
-    A file the strict path declines is read again, whole, for
-    ``csv.reader``. An input that cannot seek, such as a pipe, is read whole
-    first.
+    A file the strict path declines is read again, whole, and its rows go
+    through ``csv.reader``. An input that cannot seek, such as a pipe, is
+    read whole first.
     """
     try:
         with open(path, "rb") as fh:
@@ -266,8 +331,11 @@ def _ingest(path, mapping: ColumnMapping, sink) -> AuditFrame | FlipCounts:
             data = source.read()
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}", code="unreadable")
-    text = io.StringIO(decode_utf8(data, "row").removeprefix(_BOM), newline="")
-    return ingest_rows(csv.reader(text), mapping)
+    if not data.isascii():
+        decode_utf8(data, "row")  # a bad byte fails before any row is read
+    # The text is decoded as it is read, so the file's bytes are its one copy.
+    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="")
+    return _read_rows(csv.reader(text), mapping, sink.of_rows)
 
 
 def ingest(path, mapping: ColumnMapping | None = None) -> AuditFrame:
@@ -286,11 +354,11 @@ def ingest_counts(path, mapping: ColumnMapping | None = None) -> FlipCounts:
 
     A file of bare 0/1 cells is tallied block by block, so a seekable one
     is counted in memory that does not grow with its rows. Any other file
-    is read as ``ingest`` reads it and then counted, so every error keeps
-    its code and message.
+    is read as ``ingest`` reads it, but each row is counted as it is
+    checked, so every error keeps its code, message and order. Neither
+    path imports numpy.
     """
-    result = _ingest(path, mapping or ColumnMapping(), _Counts)
-    return result.counts() if isinstance(result, AuditFrame) else result
+    return _ingest(path, mapping or ColumnMapping(), _Counts)
 
 
 def frame_to_csv_blocks(frame: AuditFrame):
@@ -300,6 +368,8 @@ def frame_to_csv_blocks(frame: AuditFrame):
     blocks are views of one reused buffer, so each is valid only until the
     next is drawn: write it, or copy it, first.
     """
+    import numpy as np
+
     names = ["pred", "corr", "group"]
     cols = [frame.y_predicted, frame.y_corrected, frame.group]
     if frame.y_true is not None:

@@ -31,8 +31,8 @@ def random_frame(rng, max_n=200, with_true=False) -> AuditFrame:
 
 def flip_summaries(frame):
     """(overall, group 0, group 1) flip summaries of the frame's (group, pred, corr) table."""
-    table = group_tally(frame.group, frame.y_predicted, frame.y_corrected)
-    return tuple(map(summarize_counts, (table.sum(axis=0), table[0], table[1])))
+    table = np.array(group_tally(frame.group, frame.y_predicted, frame.y_corrected))
+    return tuple(summarize_counts(t.tolist()) for t in (table.sum(axis=0), table[0], table[1]))
 
 
 def report_metrics(frame) -> dict:

@@ -1,10 +1,15 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import flipaudit
 from flipaudit import emit_chart, build_report, generate_scenario, ingest
 from flipaudit.cli import main
 from flipaudit.tabular import ColumnMapping, frame_to_csv, write_frame
@@ -311,3 +316,38 @@ class TestPipelineCommand:
         assert list(data)[-1] == "decision"
         assert data["decision"] == "StillUnfair"
         assert main(["plot", "-i", str(out), "-o", str(tmp_path / "chart.svg")]) == 0
+
+
+# Imports the package and its CLI, runs main(argv) if given, and prints the
+# exit code and whether numpy was loaded.
+IMPORT_PROBE = """
+import sys
+import flipaudit, flipaudit.cli
+code = flipaudit.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+print(code, "numpy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("case", ["import", "version", "audit", "audit_declined"])
+def test_audit_does_not_import_numpy(case, tmp_path):
+    golden = Path(__file__).parent / "golden"
+    data = (golden / "reference.csv").read_bytes()
+    if case == "audit_declined":  # valid, but the strict path declines a quoted header
+        data = b'"pred"' + data.removeprefix(b"pred")
+    path, out = tmp_path / "d.csv", tmp_path / "audit.txt"
+    path.write_bytes(data)
+    argv, code = {
+        "import": ([], 0),
+        "version": (["--version"], 0),
+        "audit": (["audit", "-i", str(path), "-o", str(out)], 3),
+        "audit_declined": (["audit", "-i", str(path), "-o", str(out)], 3),
+    }[case]
+    src = Path(flipaudit.__file__).parent.parent
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *argv],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"{code} False"
+    if argv[:1] == ["audit"]:
+        assert out.read_bytes() == (golden / "audit.txt").read_bytes()

@@ -284,12 +284,22 @@ class TestFlipCounts:
 
     @pytest.mark.parametrize("table", [
         np.ones((2, 2)), np.ones((2, 2, 3), int), np.ones((2,) * 5, int),
-        np.ones((2, 2, 2)), np.ones((2, 2, 2), bool), [[[1, 1], [1, "a"]]] * 2,
+        np.ones((2, 2, 2)), np.ones((2, 2, 2), bool), np.ones((2, 2, 2), object),
+        [[[1, 1], [1, "a"]]] * 2, [[[1, 1], [1, object()]]] * 2,
+        [[[True, True], [True, False]]] * 2, [[[1, 1], [1, 1.0]]] * 2,
+        [[[1, 1], [1, 1]]] * 2 + [[[1, 1], [1, 1]]], [[[1, 1], [1]]] * 2,
+        [[[1, 1], [1, [1, 1]]]] * 2, "ab", None,
     ])
     def test_shape_and_dtype_checked(self, table):
         with pytest.raises(ValidationError, match="integer table") as exc:
             FlipCounts(table)
         assert exc.value.code == "bad_counts"
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint64, np.int8, np.uint8])
+    def test_integer_arrays_accepted(self, dtype):
+        table = np.arange(1, 17, dtype=dtype).reshape((2,) * 4)
+        assert FlipCounts(table) == FlipCounts(table.tolist())
+        assert FlipCounts(table).n == 136
 
     def test_negative_count_rejected(self):
         table = np.ones((2, 2, 2, 2), int)
@@ -313,12 +323,26 @@ class TestFlipCounts:
         assert (exc.value.code, str(exc.value)) == ("missing_group",
                                                     f"group {gid} has no instances")
 
-    def test_table_is_a_read_only_int64_copy(self):
-        given = np.arange(8, dtype=np.uint8).reshape(2, 2, 2)
+    @pytest.mark.parametrize("given", [
+        np.arange(8, dtype=np.uint8).reshape(2, 2, 2),
+        np.arange(8).reshape(2, 2, 2).tolist(),
+        [[[0, np.int64(1)], (2, np.uint16(3))], [[4, 5], [6, 7]]],
+    ])
+    def test_table_is_an_immutable_copy_of_ints(self, given):
         counts = FlipCounts(given)
-        given[...] = 0
-        assert counts.table.dtype == np.int64 and not counts.table.flags.writeable
-        assert counts.table.ravel().tolist() == list(range(8))
+        if isinstance(given, np.ndarray):
+            given[...] = 0
+        else:
+            given[0][0][0] = 9
+        assert counts.table == (((0, 1), (2, 3)), ((4, 5), (6, 7)))
+
+        def cells(table):
+            assert type(table) is tuple and len(table) == 2
+            for half in table:
+                yield from [half] if type(half) is int else cells(half)
+
+        assert list(cells(counts.table)) == list(range(8))
+        assert hash(counts) == hash(FlipCounts(counts.table))
 
     def test_equality(self):
         table = np.arange(1, 9).reshape(2, 2, 2)

@@ -8,6 +8,8 @@ from flipaudit import (
     ScenarioSpec,
     ValidationError,
     generate_scenario,
+    make_sp_debiaser,
+    sp_equalizing_debiaser,
 )
 from flipaudit.scenario import dumps_spec, load_spec, loads_spec
 
@@ -62,6 +64,27 @@ class TestGenerateScenario:
                 as exc:
             ScenarioSpec(GroupScenario(5, 2, 0, 0), GroupScenario(5, 3, 0, 0), seed=seed)
         assert exc.value.code == "bad_scenario"
+
+    @pytest.mark.parametrize("seed, accepted", [
+        (0, True), (np.int64(3), True), (np.uint8(1), True), (True, True),
+        (-1, False), (1.5, False), ("3", False),
+    ])
+    def test_scenario_and_debiaser_take_the_same_seeds(self, seed, accepted):
+        def code(make):
+            try:
+                make()
+            except ValidationError as exc:
+                assert str(exc) == f"seed must be a non-negative integer, got {seed!r}"
+                return exc.code
+            return None
+
+        groups = GroupScenario(5, 2, 0, 0), GroupScenario(5, 3, 0, 0)
+        assert code(lambda: ScenarioSpec(*groups, seed=seed)) == (None if accepted
+                                                                 else "bad_scenario")
+        assert code(lambda: make_sp_debiaser(0.1, seed)) == (None if accepted else "bad_seed")
+        frame = generate_scenario(ScenarioSpec(*groups))
+        assert code(lambda: sp_equalizing_debiaser(frame.y_predicted, frame.group, 0.1, seed)) \
+            == (None if accepted else "bad_seed")
 
     def test_inconsistent_spec_rejected(self):
         with pytest.raises(ValidationError, match="unfavorable_flips"):

@@ -350,6 +350,19 @@ def test_ingest_holds_no_file_bytes(traced_peak, tmp_path):
     assert peak <= 4 * frame.n + 2**20  # the four vectors it returns, and fixed scratch
 
 
+def test_counting_a_declined_file_keeps_no_rows(traced_peak, tmp_path):
+    names = ["pred", "corr", "group"]
+    data = csv_of(names, np.random.default_rng(0).integers(0, 2, size=(3, 250_000)))
+    # One cell " 1", which csv.reader reads as 1, sends the file to the csv path.
+    data = data.replace(b"\n1,", b"\n 1,", 1)
+    path = tmp_path / "d.csv"
+    path.write_bytes(data)
+    assert strict_counts(data, DEFAULT) is None
+    counts, peak = traced_peak(ingest_counts, path)
+    assert counts == ingest(path).counts()
+    assert peak <= len(data) + 2**18  # the file's bytes, read whole, and fixed scratch
+
+
 @pytest.mark.parametrize("rows", [1_000_000, 10_000_000])
 def test_audit_memory_does_not_grow_with_rows(rows, traced_peak, tmp_path):
     # The file repeats one chunk of rows, so its counts are the chunk's times
