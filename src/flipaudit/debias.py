@@ -1,8 +1,7 @@
 """Reference post-processor: flip the fewest labels to equalize statistical parity.
 
 This is deliberately minimal: it knows only labels and group membership,
-so it targets statistical parity (an equalized-odds post-processor would
-need true labels and score mixing). Flips lower the favorable rate of the
+so it targets statistical parity. Flips lower the favorable rate of the
 over-favored group and/or raise the under-favored group's, preferring a
 balanced split between the two when several minimal solutions exist.
 """
@@ -12,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
-from .frame import BLOCK, ValidationError, binary_vectors, check_seed, group_tally
+from .frame import BLOCK, AuditFrame, ValidationError, check_seed
 from .fairness import sp_from_counts
 
 if TYPE_CHECKING:
@@ -42,9 +41,11 @@ def _minimal_flip_split(pos_over: int, n_over: int, pos_under: int, n_under: int
     positives to the under-favored group. Among equal-total solutions the
     most balanced split wins: the first in ``(|down - up|, down)`` order.
 
-    A split passes when its float gap
-    ``abs((pos_over - down) / n_over - (pos_under + up) / n_under)`` is at
-    most epsilon. Times ``n_over * n_under`` the gap is the integer
+    A split passes when the gate's ``sp_from_counts`` of the repaired
+    (over, under) table is at most epsilon in absolute value. Each row sums
+    to its group's size, so that is the float gap
+    ``abs((pos_over - down) / n_over - (pos_under + up) / n_under)``.
+    Times ``n_over * n_under`` the gap is the integer
     ``p - down * n_under - up * n_over``, so for a fixed total the passing
     ``down`` values lie in an interval. Exact integer bounds, widened past
     the float rounding, pick the totals and splits that might pass; the float
@@ -63,7 +64,8 @@ def _minimal_flip_split(pos_over: int, n_over: int, pos_under: int, n_under: int
     inner = ((num << _ROUNDING_BITS) - den) * n_over * n_under
 
     def float_gap(down, up):
-        return np.abs((pos_over - down) / n_over - (pos_under + up) / n_under)
+        return abs(sp_from_counts(((n_over - pos_over + down, pos_over - down),
+                                   (n_under - pos_under - up, pos_under + up))))
 
     # Scan the flip kind with fewer choices; the other solves to an interval.
     swap = max_up < max_down
@@ -170,9 +172,11 @@ def sp_equalizing_debiaser(y_predicted, group, epsilon: float, rng_seed: int = 0
 
     _check_epsilon(epsilon)
     check_seed(rng_seed, "bad_seed")
-    labels, grp = binary_vectors(y_predicted=y_predicted, group=group)
-    labels = labels.copy()
-    table = group_tally(grp, labels)
+    frame = AuditFrame(y_predicted, y_predicted, group)
+    labels, grp = frame.y_predicted.copy(), frame.group
+    flips = frame.counts().flip_table
+    # Predicted and corrected labels agree: each group's labels are its diagonal.
+    table = [(flips[g][0][0], flips[g][1][1]) for g in (0, 1)]
     sp = sp_from_counts(table)
     if abs(sp) <= epsilon:
         labels.setflags(write=False)

@@ -93,29 +93,6 @@ def _as_binary_vector(values, name: str) -> np.ndarray:
     return labels
 
 
-def binary_vectors(**named) -> tuple[np.ndarray | None, ...]:
-    """Validate aligned label vectors, in argument order.
-
-    Each vector must be binary, one-dimensional, non-empty and as long as the
-    first; a ``None`` value passes through as ``None``. Every label vector the
-    package reads from outside is checked here, once: an object passed under
-    two names is checked and converted once, and both get the result.
-    """
-    checked = {}  # id of each object given, to its vector; ``named`` keeps them alive
-    arrays = {}
-    for name, values in named.items():
-        if values is not None and id(values) not in checked:
-            checked[id(values)] = _as_binary_vector(values, name)
-        arrays[name] = None if values is None else checked[id(values)]
-    n = next(iter(arrays.values())).size
-    for name, arr in arrays.items():
-        if arr is not None and arr.size != n:
-            raise ValidationError(
-                f"{name} has length {arr.size}, expected {n}", code="length_mismatch"
-            )
-    return tuple(arrays.values())
-
-
 def tally(*vectors) -> np.ndarray:
     """Joint counts of aligned binary vectors, as a ``(2,) * len(vectors)`` array.
 
@@ -150,20 +127,6 @@ def _cells(table):
     else:
         for part in table:
             yield from _cells(part)
-
-
-def _require_groups(table) -> None:
-    """Fail unless both groups, the first axis of ``table``, have instances."""
-    for gid in (UNPRIVILEGED, PRIVILEGED):
-        if not any(_cells(table[gid])):
-            raise ValidationError(f"group {gid} has no instances", code="missing_group")
-
-
-def group_tally(group, *vectors) -> list:
-    """``tally(group, *vectors)`` as nested lists of ints; both groups must have instances."""
-    table = tally(group, *vectors).tolist()
-    _require_groups(table)
-    return table
 
 
 def _pairs(value, depth: int):
@@ -206,7 +169,9 @@ class FlipCounts:
             )
         if min(_cells(table)) < 0:
             raise ValidationError("counts must not be negative", code="bad_counts")
-        _require_groups(table)
+        for gid in (UNPRIVILEGED, PRIVILEGED):
+            if not any(_cells(table[gid])):
+                raise ValidationError(f"group {gid} has no instances", code="missing_group")
         object.__setattr__(self, "table", table)
 
     @property
@@ -233,6 +198,11 @@ class AuditFrame:
     one; group 1 is the privileged group, group 0 the unprivileged group.
     Anything outside {0, 1} is rejected rather than coerced, since silent
     coercion would corrupt every downstream count.
+
+    Every label vector the package reads from outside is checked here: each
+    must be binary, one-dimensional, non-empty and as long as
+    ``y_predicted``; ``y_true`` may be None. An object given under two names
+    is checked and converted once, and both get the result.
     """
 
     y_predicted: np.ndarray
@@ -241,10 +211,22 @@ class AuditFrame:
     y_true: np.ndarray | None = field(default=None)
 
     def __post_init__(self):
+        # Every vector is converted before any length is compared.
         names = ("y_predicted", "y_corrected", "group", "y_true")
-        vectors = binary_vectors(**{name: getattr(self, name) for name in names})
-        for name, vec in zip(names, vectors):
-            object.__setattr__(self, name, vec)
+        given = [getattr(self, name) for name in names]  # alive, so their ids stay unique
+        checked = {}
+        for name, values in zip(names, given):
+            if values is not None:
+                if id(values) not in checked:
+                    checked[id(values)] = _as_binary_vector(values, name)
+                object.__setattr__(self, name, checked[id(values)])
+        n = self.n
+        for name in names:
+            vec = getattr(self, name)
+            if vec is not None and vec.size != n:
+                raise ValidationError(
+                    f"{name} has length {vec.size}, expected {n}", code="length_mismatch"
+                )
 
     @property
     def n(self) -> int:

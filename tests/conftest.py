@@ -10,7 +10,6 @@ from flipaudit import (
     evaluate_fairness,
     generate_scenario,
 )
-from flipaudit.frame import group_tally
 from flipaudit.metrics import summarize_counts
 
 
@@ -31,7 +30,7 @@ def random_frame(rng, max_n=200, with_true=False) -> AuditFrame:
 
 def flip_summaries(frame):
     """(overall, group 0, group 1) flip summaries of the frame's (group, pred, corr) table."""
-    table = np.array(group_tally(frame.group, frame.y_predicted, frame.y_corrected))
+    table = np.array(frame.counts().flip_table)
     return tuple(summarize_counts(t.tolist()) for t in (table.sum(axis=0), table[0], table[1]))
 
 

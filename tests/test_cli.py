@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import re
@@ -150,6 +151,17 @@ class TestPlot:
         root = ET.parse(svg_path).getroot()
         panels = [el for el in root.iter() if el.get("class") == "panel"]
         assert len(panels) == 3
+
+    def test_report_on_stdin(self, tmp_path, reference_csv, monkeypatch):
+        report_path = tmp_path / "report.json"
+        main(["audit", "-i", str(reference_csv), "--format", "structured",
+              "-o", str(report_path)])
+        from_file, from_stdin = tmp_path / "file.svg", tmp_path / "stdin.svg"
+        assert main(["plot", "-i", str(report_path), "-o", str(from_file)]) == 0
+        stdin = io.TextIOWrapper(io.BytesIO(report_path.read_bytes()))
+        monkeypatch.setattr(sys, "stdin", stdin)
+        assert main(["plot", "-i", "-", "-o", str(from_stdin)]) == 0
+        assert from_stdin.read_bytes() == from_file.read_bytes()
 
     def test_infinite_bar_clamped_and_red(self, reference_frame):
         svg = emit_chart(build_report(reference_frame.counts()))
@@ -307,6 +319,14 @@ class TestPipelineCommand:
         path = request.getfixturevalue(fixture)
         assert main([command, "-i", str(path), "--seed", "-1", "-o", "-"]) == 1
         assert capsys.readouterr().err.startswith("error [bad_seed]: ")
+
+    def test_fair_but_disproportionate_exit_code_follows_verdict(self, raw_csv, capsys):
+        # Without true labels the repair passes the gate, and the report's
+        # Disproportionate verdict sets the exit code.
+        assert main(["pipeline", "-i", str(raw_csv)]) == 3
+        out = capsys.readouterr().out
+        assert "Verdict: Disproportionate" in out
+        assert out.endswith("Decision: FairButDisproportionate\n")
 
     def test_structured_output_carries_decision(self, reference_csv, tmp_path, capsys):
         out = tmp_path / "pipeline.json"

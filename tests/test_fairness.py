@@ -69,6 +69,12 @@ class TestEqualizedOdds:
         group = [0, 0, 1, 1]
         assert eo_of(y_true, labels, group) == 1.0
 
+    def test_both_gaps_undefined(self):
+        # Group 0 has only true positives, group 1 only true negatives.
+        with pytest.raises(ValidationError, match="EO undefined") as exc:
+            eo_of([1, 1, 0, 0], [1, 0, 1, 0], [0, 0, 1, 1])
+        assert exc.value.code == "eo_undefined"
+
     def test_missing_true_labels(self):
         res = evaluate_fairness(AuditFrame([1, 0], [1, 0], [0, 1]).counts())
         assert res.eo_difference is None and res.eo_pass

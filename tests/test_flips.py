@@ -51,6 +51,15 @@ class TestFrameValidation:
         with pytest.raises(ValidationError):
             AuditFrame([], [], [])
 
+    @pytest.mark.parametrize("group, code, message", [
+        ([[0, 1], [1, 0]], "bad_shape", "group must be one-dimensional"),
+        (["a", "b"], "non_binary", "group contains non-numeric values"),
+    ], ids=["two_dimensional", "non_numeric"])
+    def test_malformed_vector_rejected(self, group, code, message):
+        with pytest.raises(ValidationError, match=message) as exc:
+            AuditFrame([1, 0], [1, 0], group)
+        assert exc.value.code == code
+
     def test_no_float_coercion(self):
         with pytest.raises(ValidationError):
             AuditFrame([1.0, 0.5], [1, 0], [0, 1])

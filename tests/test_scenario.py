@@ -91,6 +91,17 @@ class TestGenerateScenario:
             GroupScenario(size=5, positive_predictions=1,
                           favorable_flips=0, unfavorable_flips=2)
 
+    @pytest.mark.parametrize("size, positive, message", [
+        (0, 0, "group size must be >= 1"),
+        (3, 4, r"positive_predictions 4 outside \[0, 3\]"),
+        (3, -1, r"positive_predictions -1 outside \[0, 3\]"),
+    ])
+    def test_size_and_positives_checked(self, size, positive, message):
+        with pytest.raises(ValidationError, match=message) as exc:
+            GroupScenario(size=size, positive_predictions=positive,
+                          favorable_flips=0, unfavorable_flips=0)
+        assert exc.value.code == "bad_scenario"
+
     def test_favorable_flip_needs_negative_prediction(self):
         with pytest.raises(ValidationError, match="favorable_flips"):
             GroupScenario(size=3, positive_predictions=3,
@@ -102,6 +113,10 @@ class TestSpecFiles:
         path = tmp_path / "scenario.txt"
         path.write_text(dumps_spec(REFERENCE_EXAMPLE))
         assert load_spec(path) == REFERENCE_EXAMPLE
+
+    def test_comment_lines_skipped(self):
+        text = "# reference example\n" + dumps_spec(REFERENCE_EXAMPLE) + "   # end\n"
+        assert loads_spec(text) == REFERENCE_EXAMPLE
 
     def test_missing_key_rejected(self):
         with pytest.raises(ValidationError, match="group1.size"):

@@ -484,6 +484,18 @@ def test_csv_error_has_code_and_row():
     assert match and 8 < int(match[1]) <= 30_001
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"corr_col": "pred"}, "mapped columns must be distinct"),
+    ({"true_col": "group"}, "mapped columns must be distinct"),
+    ({"favorable": 2}, "favorable and privileged values must be 0 or 1"),
+    ({"privileged": -1}, "favorable and privileged values must be 0 or 1"),
+])
+def test_bad_mapping_rejected(fields, message):
+    with pytest.raises(ValidationError, match=message) as exc:
+        ColumnMapping(**fields)
+    assert exc.value.code == "bad_mapping"
+
+
 @pytest.mark.parametrize("mapping", MAPPINGS)
 @pytest.mark.parametrize("strict", [True, False])
 def test_ingested_vectors_are_read_only_int8(mapping, strict, tmp_path):

@@ -76,6 +76,15 @@ class TestConfig:
         with pytest.raises(ConfigError, match="line 2: unknown metric 'FDR'"):
             ThresholdConfig.loads("FR 0 0.1 0.3\nFDR 0 0.1 0.3\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("FR 0 low 0.3\n", "line 1: non-numeric threshold in 'FR 0 low 0.3'"),
+        ("", "threshold config is empty"),
+        ("# no entries\n\n", "threshold config is empty"),
+    ], ids=["non_numeric", "empty", "comment_only"])
+    def test_parse_rejects_unusable_text(self, text, message):
+        with pytest.raises(ConfigError, match=message):
+            ThresholdConfig.loads(text)
+
     def test_bad_entry_names_its_line(self):
         with pytest.raises(ConfigError, match="line 2: need 0 < acceptable_delta"):
             ThresholdConfig.loads("DI 1 0.1 0.3\nFR 0 0.3 0.1\n")
