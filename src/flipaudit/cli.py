@@ -20,7 +20,7 @@ from . import __version__
 from .chart import emit_chart
 from .debias import DebiasError, sp_equalizing_debiaser, make_sp_debiaser
 from .fairness import ValidationError
-from .frame import decode_utf8
+from .frame import decode_utf8, read_text
 from .pipeline import Decision, PipelineError, run_audit_pipeline
 from .report import build_report, parse_structured, render_structured, render_text
 from .scenario import BUILTIN_SCENARIOS, generate_scenario, load_spec
@@ -91,13 +91,6 @@ def _write_output(data, path: str | None):
             fh.writelines(blocks)
 
 
-def _read_input(path: str) -> str:
-    if path == "-":
-        return decode_utf8(sys.stdin.buffer.read())
-    with open(path, "rb") as fh:
-        return decode_utf8(fh.read())
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="flipaudit",
@@ -144,11 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_synth(args) -> int:
-    if args.scenario in BUILTIN_SCENARIOS:
-        spec = BUILTIN_SCENARIOS[args.scenario]
-    else:
-        spec = load_spec(args.scenario)
-    frame = generate_scenario(spec)
+    frame = generate_scenario(BUILTIN_SCENARIOS.get(args.scenario) or load_spec(args.scenario))
     _write_output(frame_to_csv_blocks(frame), args.output)
     return EXIT_OK
 
@@ -162,8 +151,8 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_plot(args) -> int:
-    report = parse_structured(_read_input(args.input))
-    _write_output(emit_chart(report).encode(), args.output)
+    text = decode_utf8(sys.stdin.buffer.read()) if args.input == "-" else read_text(args.input)
+    _write_output(emit_chart(parse_structured(text)).encode(), args.output)
     return EXIT_OK
 
 

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import and_
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -37,15 +39,24 @@ class ValidationError(ValueError):
 
 
 def decode_utf8(data: bytes, unit: str = "line") -> str:
-    """The text of UTF-8 ``data``; a bad byte fails naming its ``unit`` (line or row)."""
+    """The text of UTF-8 ``data`` less one leading BOM; a bad byte fails naming its ``unit``."""
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         number = data.count(b"\n", 0, exc.start) + 1
         raise ValidationError(
             f"{unit} {number}: byte {data[exc.start]:#04x} is not valid UTF-8",
             code="bad_encoding",
         ) from None
+
+
+def read_text(path) -> str:
+    """``decode_utf8`` of the file at ``path``; failing to read it is ``unreadable``."""
+    try:
+        with open(path, "rb") as fh:
+            return decode_utf8(fh.read())
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc}", code="unreadable") from None
 
 
 def check_seed(seed, code: str) -> None:
@@ -93,31 +104,42 @@ def _as_binary_vector(values, name: str) -> np.ndarray:
     return labels
 
 
+def joint_counts(columns, rows: int, ones) -> list[int]:
+    """Joint counts of aligned 0/1 ``columns``, each ``rows`` long, as a flat list.
+
+    Entry ``i`` counts the rows whose values, read as bits with the first
+    column highest, spell ``i``. A column is anything with ``&``, such as a
+    numpy block or a big int; ``ones(x)`` counts the rows where ``x`` is 1.
+    For each subset of columns, ``ones`` of their AND counts the rows where
+    all are 1; Möbius inversion gives the rows where exactly they are.
+    """
+    columns = columns[::-1]  # bit b of a subset's index: the b-th column from the last
+    counts = [rows]  # counts[s]: rows in which every column of subset s is 1
+    for subset in range(1, 1 << len(columns)):
+        counts.append(ones(reduce(and_, [col for bit, col in enumerate(columns)
+                                          if subset >> bit & 1])))
+    for bit in range(len(columns)):
+        for subset in range(len(counts)):
+            if not subset >> bit & 1:
+                counts[subset] -= counts[subset | 1 << bit]
+    return counts
+
+
 def tally(*vectors) -> np.ndarray:
     """Joint counts of aligned binary vectors, as a ``(2,) * len(vectors)`` array.
 
     ``tally(a, b)[i, j]`` is the number of positions where ``a == i`` and
     ``b == j``. Every count the audit reports is read from such a table.
-    The key is built in int8, which holds it for up to seven vectors; the
-    package tallies at most four, so it stays below 16. It is built one
-    block at a time and counted in slices of ``BLOCK // 8`` values:
-    ``np.bincount`` copies its input to ``intp``, 8 bytes a value, so that
-    copy is no larger than the block's key.
+    ``joint_counts`` counts them a block of ``BLOCK`` rows at a time.
     """
     import numpy as np
 
-    n = len(vectors[0])
-    counts = np.zeros(1 << len(vectors), np.int64)
-    scratch = np.empty(min(n, BLOCK), np.int8)
-    for start in range(0, n, BLOCK):
-        key = scratch[:min(n - start, BLOCK)]
-        key[...] = vectors[0][start:start + BLOCK]
-        for vec in vectors[1:]:
-            key <<= 1
-            key |= vec[start:start + BLOCK]
-        for first in range(0, key.size, BLOCK // 8):
-            counts += np.bincount(key[first:first + BLOCK // 8], minlength=counts.size)
-    return counts.reshape((2,) * len(vectors))
+    counts = [0] * (1 << len(vectors))
+    for start in range(0, len(vectors[0]), BLOCK):
+        block = [vec[start:start + BLOCK] for vec in vectors]
+        found = joint_counts(block, len(block[0]), np.count_nonzero)
+        counts = [total + count for total, count in zip(counts, found)]
+    return np.array(counts, np.int64).reshape((2,) * len(vectors))
 
 
 def _cells(table):

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .frame import AuditFrame, ValidationError, check_seed, decode_utf8
+from .frame import AuditFrame, ValidationError, check_seed, read_text
 
 if TYPE_CHECKING:
     import numpy as np
@@ -175,5 +175,4 @@ def loads_spec(text: str) -> ScenarioSpec:
 
 
 def load_spec(path) -> ScenarioSpec:
-    with open(path, "rb") as fh:
-        return loads_spec(decode_utf8(fh.read()))
+    return loads_spec(read_text(path))

@@ -19,11 +19,9 @@ import csv
 import io
 from collections import Counter
 from dataclasses import dataclass
-from functools import reduce
-from operator import and_
 from typing import TYPE_CHECKING
 
-from .frame import BLOCK, AuditFrame, FlipCounts, ValidationError, decode_utf8
+from .frame import BLOCK, AuditFrame, FlipCounts, ValidationError, decode_utf8, joint_counts
 
 if TYPE_CHECKING:
     import numpy as np
@@ -223,9 +221,8 @@ class _Counts:
     A column's cells become one big int, a byte a row, in which "0" is 0x30
     and "1" is 0x31. The AND of some columns then has 0x31 in exactly the
     rows where all of them are 1, so its bit count less two bits a row
-    counts those rows. Such counts, one for each subset of the table's
-    axes, give the joint counts by inclusion-exclusion. Nothing here grows
-    with n, and nothing needs numpy.
+    counts those rows, which is all ``joint_counts`` needs. Nothing here
+    grows with n, and nothing needs numpy.
     """
 
     of_rows = staticmethod(_counts_of_rows)
@@ -237,18 +234,9 @@ class _Counts:
 
     def add(self, first: int, buffer: bytearray, length: int):
         rows = -(-length // self.row_len)
-        # Bit b of a subset's index stands for the b-th axis from the last.
         columns = [int.from_bytes(buffer[self.offsets[name]:length:self.row_len], "big")
-                   for name in reversed(self.axes)]
-        counts = [rows]  # counts[s]: rows in which every axis of subset s is 1
-        for subset in range(1, len(self.raw)):
-            chosen = [col for bit, col in enumerate(columns) if subset >> bit & 1]
-            counts.append(reduce(and_, chosen).bit_count() - 2 * rows)
-        # Möbius inversion: from "these axes are 1" to "exactly these axes are 1".
-        for bit in range(len(columns)):
-            for subset in range(len(counts)):
-                if not subset >> bit & 1:
-                    counts[subset] -= counts[subset | 1 << bit]
+                   for name in self.axes]
+        counts = joint_counts(columns, rows, lambda col: col.bit_count() - 2 * rows)
         self.raw = [total + count for total, count in zip(self.raw, counts)]
 
     def result(self) -> FlipCounts:

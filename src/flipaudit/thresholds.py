@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from . import metrics as _metrics
-from .frame import decode_utf8
+from .frame import read_text
 from .metrics import MetricValue
 
 
@@ -134,8 +134,7 @@ class ThresholdConfig:
 
     @classmethod
     def load(cls, path) -> "ThresholdConfig":
-        with open(path, "rb") as fh:
-            return cls.loads(decode_utf8(fh.read()))
+        return cls.loads(read_text(path))
 
 
 def classify(metric_name: str, value: MetricValue, config: ThresholdConfig) -> Band:

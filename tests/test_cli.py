@@ -11,8 +11,12 @@ import numpy as np
 import pytest
 
 import flipaudit
-from flipaudit import emit_chart, build_report, generate_scenario, ingest
+from flipaudit import (
+    REFERENCE_EXAMPLE, ThresholdConfig, build_report, emit_chart, generate_scenario, ingest,
+    render_structured,
+)
 from flipaudit.cli import main
+from flipaudit.scenario import dumps_spec
 from flipaudit.tabular import ColumnMapping, frame_to_csv, write_frame
 from flipaudit.frame import AuditFrame, ValidationError
 
@@ -237,6 +241,34 @@ def test_non_utf8_text_input_has_code(argv, data, line, tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"error [bad_encoding]: line {line}: byte 0xff is not valid UTF-8\n"
     )
+
+
+# The file named last on the command line, and valid text for it.
+@pytest.mark.parametrize("argv, text", [
+    (["plot", "-o", "{tmp}/out", "-i"],
+     lambda: render_structured(build_report(generate_scenario(REFERENCE_EXAMPLE).counts()))),
+    (["synth", "-o", "{tmp}/out", "--scenario"], lambda: dumps_spec(REFERENCE_EXAMPLE)),
+    (["audit", "-i", "{tmp}/d.csv", "-o", "{tmp}/out", "--thresholds"],
+     lambda: ThresholdConfig.default().dumps()),
+], ids=["plot", "synth_scenario", "audit_thresholds"])
+@pytest.mark.parametrize("case", ["missing", "bom"])
+def test_text_input_missing_or_with_bom(argv, text, case, tmp_path, capsys):
+    (tmp_path / "d.csv").write_text("pred,corr,group\n1,0,0\n0,1,1\n")
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    path = tmp_path / "input"
+    if case == "missing":
+        # As a missing CSV does, it fails with a code.
+        assert main(argv + [str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error [unreadable]: cannot read {path}: ")
+        return
+    # One leading byte order mark is skipped, as in a CSV.
+    path.write_text(text())
+    code = main(argv + [str(path)])
+    plain = (tmp_path / "out").read_bytes()
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert main(argv + [str(path)]) == code
+    assert (tmp_path / "out").read_bytes() == plain
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("text, problem", [

@@ -266,9 +266,12 @@ def test_tally_int8_equals_int64(k):
 
 @pytest.mark.parametrize("n", [2 * BLOCK - 1, 2 * BLOCK, 2 * BLOCK + 1])
 def test_tally_across_blocks_matches_bincount(n):
-    vectors = np.random.default_rng(n).integers(0, 2, size=(3, n), dtype=np.int8)
-    key = 4 * vectors[0].astype(np.int64) + 2 * vectors[1] + vectors[2]
-    assert np.array_equal(tally(*vectors), np.bincount(key, minlength=8).reshape(2, 2, 2))
+    for k in (1, 2, 3, 4):
+        bits = np.random.default_rng(n + k).integers(0, 2, size=(k, n))
+        key = sum(vec << (k - 1 - i) for i, vec in enumerate(bits))
+        expected = np.bincount(key, minlength=1 << k).reshape((2,) * k)
+        for dtype in (np.int8, np.bool_, np.int64):
+            assert np.array_equal(tally(*bits.astype(dtype)), expected), (k, dtype)
 
 
 def test_tally_scratch_does_not_grow_with_rows(traced_peak):

@@ -146,7 +146,11 @@ WIDE = {
 
 
 def period_rows(ncols, term):
-    """Rows in one period: the fewest whole rows that are whole 8-byte words."""
+    """Rows in one period: the fewest rows whose bytes are a multiple of 8.
+
+    It is a row count that varies with the row length, so files of a few
+    periods, give or take a row, end in varied places.
+    """
     row_len = 2 * ncols - 1 + len(term)
     return math.lcm(row_len, 8) // row_len
 
@@ -154,7 +158,8 @@ def period_rows(ncols, term):
 def strict_file(ncols, term, start, rows, terminated=True):
     """Random 0/1 rows whose body starts at byte ``start`` mod 8, and their mapping.
 
-    The header's first name is padded with spaces to move the start.
+    The header's first name is padded with leading spaces, which the strict
+    path strips, so ``start`` varies the header's length.
     """
     header, mapping = WIDE[ncols]
     header = " " * ((start - len(header) - len(term)) % 8) + header
@@ -169,7 +174,8 @@ def with_byte(data, pos, char):
     return data[:pos] + bytes([char]) + data[pos + 1:]
 
 
-# Three LF columns make 4 rows to a 24-byte period; five CRLF columns, 8 to 88 bytes.
+# Three periods of rows: 12 rows of three LF columns; of five CRLF columns, 24 rows.
+# The cases below add or take a row, or drop the last terminator.
 WHOLE_PERIODS = strict_file(3, "\n", 5, 3 * 4)
 FIRST_CELL = WHOLE_PERIODS[0].index(b"\n") + 1
 
@@ -220,7 +226,7 @@ def test_named_case(name, tmp_path):
     assert counts_agree(path, mapping)
 
 
-@pytest.mark.parametrize("start", [0, 5])  # a body aligned to 8 bytes, and one not
+@pytest.mark.parametrize("start", [0, 5])  # two header lengths
 @pytest.mark.parametrize("term", ["\n", "\r\n"])
 @pytest.mark.parametrize("ncols", [1, 2, 3, 4, 5])
 def test_whole_periods_match_csv_reader(ncols, term, start, tmp_path):
