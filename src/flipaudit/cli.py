@@ -19,8 +19,7 @@ import sys
 from . import __version__
 from .chart import emit_chart
 from .debias import DebiasError, sp_equalizing_debiaser, make_sp_debiaser
-from .fairness import ValidationError
-from .frame import decode_utf8, read_text
+from .frame import ValidationError, decode_utf8, read_text
 from .pipeline import Decision, PipelineError, run_audit_pipeline
 from .report import build_report, parse_structured, render_structured, render_text
 from .scenario import BUILTIN_SCENARIOS, generate_scenario, load_spec

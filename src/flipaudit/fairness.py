@@ -24,46 +24,48 @@ class FairnessResult:
         return self.sp_pass and self.eo_pass
 
 
-def sp_from_counts(table) -> float:
-    """SP difference from a 2x2 (group, label) table of int counts.
+def rate_gap(first, second) -> tuple[float, int, int]:
+    """The favorable-rate gap between two (negatives, positives) rows of int counts.
 
-    P(label=1 | unprivileged) - P(label=1 | privileged): negative values
-    mean the unprivileged group receives fewer favorable outcomes.
+    Returned two ways: as the float ``rate(first) - rate(second)`` the
+    report prints, and as integers ``num, den`` whose exact quotient it is.
     """
-    (neg_unpriv, pos_unpriv), (neg_priv, pos_priv) = table
-    return pos_unpriv / (neg_unpriv + pos_unpriv) - pos_priv / (neg_priv + pos_priv)
+    (neg_a, pos_a), (neg_b, pos_b) = first, second
+    n_a, n_b = neg_a + pos_a, neg_b + pos_b
+    return pos_a / n_a - pos_b / n_b, pos_a * n_b - pos_b * n_a, n_a * n_b
 
 
-def eo_from_counts(table) -> tuple[float, str]:
-    """EO difference and its note from a 2x2x2 (group, true, label) table of int counts.
+def scaled_floor(bound, den: int) -> int:
+    """``floor(bound * den)`` at the exact binary value of ``bound`` as a float.
 
-    The difference is max(|TPR gap|, |FPR gap|). A gap undefined because a
-    group has no true positives (or negatives) is skipped and noted.
+    A gap ``num / den`` (``den > 0``) is at most ``bound`` exactly when
+    ``num <= scaled_floor(bound, den)``.
     """
+    num, scale = float(bound).as_integer_ratio()
+    return num * den // scale
 
-    def rate(gid, positive_class):
-        negative, positive = table[gid][positive_class]
-        if negative + positive == 0:
-            return None
-        return positive / (negative + positive)
 
-    tprs = [rate(0, 1), rate(1, 1)]
-    fprs = [rate(0, 0), rate(1, 0)]
+def eo_gaps(table) -> tuple[list[tuple[float, int, int]], str]:
+    """The defined EO rate gaps, as ``rate_gap`` gives them, and their note.
+
+    ``table`` is a 2x2x2 (group, true, label) table of int counts. The TPR
+    and FPR gaps are between the groups' (true = 1) and (true = 0) rows; a
+    gap undefined because a group has no true positives (or negatives) is
+    skipped and noted.
+    """
     gaps = []
     note_parts = []
-    if None in tprs:
-        note_parts.append("TPR gap undefined (a group has no true positives)")
-    else:
-        gaps.append(abs(tprs[0] - tprs[1]))
-    if None in fprs:
-        note_parts.append("FPR gap undefined (a group has no true negatives)")
-    else:
-        gaps.append(abs(fprs[0] - fprs[1]))
+    for y, undefined in ((1, "TPR gap undefined (a group has no true positives)"),
+                         (0, "FPR gap undefined (a group has no true negatives)")):
+        if sum(table[0][y]) and sum(table[1][y]):
+            gaps.append(rate_gap(table[0][y], table[1][y]))
+        else:
+            note_parts.append(undefined)
     if not gaps:
         raise ValidationError(
             "EO undefined: both TPR and FPR gaps lack instances", code="eo_undefined"
         )
-    return max(gaps), "; ".join(note_parts)
+    return gaps, "; ".join(note_parts)
 
 
 def _check_fair_interval(fair_interval) -> tuple[float, float]:
@@ -86,25 +88,32 @@ def evaluate_fairness(
 ) -> FairnessResult:
     """Gate the corrected labels: SP, and EO when the counts have true labels.
 
-    SP reads the (group, corr) margin of the table, EO its
-    (group, true, corr) margin. A fair interval must be two finite numbers
-    ``lo <= 0 <= hi``; any other fails with ``bad_fair_interval``, since it
-    would fail perfect parity.
+    SP is P(corr=1 | unprivileged) - P(corr=1 | privileged), read from the
+    (group, corr) margin of the table: negative values mean the
+    unprivileged group receives fewer favorable outcomes. EO is
+    max(|TPR gap|, |FPR gap|) over the (group, true, corr) margin. Every
+    bound is compared exactly, at the binary value of the float given, so
+    the same exact gap passes or fails whatever the rates are. A fair
+    interval must be two finite numbers ``lo <= 0 <= hi``; any other fails
+    with ``bad_fair_interval``, since it would fail perfect parity.
     """
     lo, hi = _check_fair_interval(fair_interval)
     flips = counts.flip_table
-    sp = sp_from_counts([[flips[g][0][c] + flips[g][1][c] for c in (0, 1)] for g in (0, 1)])
+    sp, num, den = rate_gap(*[[flips[g][0][c] + flips[g][1][c] for c in (0, 1)]
+                              for g in (0, 1)])
     if counts.has_true:
         t = counts.table
-        eo, note = eo_from_counts([[[t[g][0][c][y] + t[g][1][c][y] for c in (0, 1)]
-                                    for y in (0, 1)] for g in (0, 1)])
+        gaps, note = eo_gaps([[[t[g][0][c][y] + t[g][1][c][y] for c in (0, 1)]
+                               for y in (0, 1)] for g in (0, 1)])
+        eo = max(abs(gap) for gap, _, _ in gaps)
+        eo_pass = all(abs(n) <= scaled_floor(hi, d) for _, n, d in gaps)
     else:
-        eo, note = None, "EO skipped: no true labels"
+        eo, eo_pass, note = None, True, "EO skipped: no true labels"
     return FairnessResult(
         sp_difference=sp,
         eo_difference=eo,
         fair_interval=(lo, hi),
-        sp_pass=lo <= sp <= hi,
-        eo_pass=eo is None or eo <= hi,
+        sp_pass=-scaled_floor(-lo, den) <= num <= scaled_floor(hi, den),
+        eo_pass=eo_pass,
         note=note,
     )

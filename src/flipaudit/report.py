@@ -18,7 +18,7 @@ rendering handles display rounding.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import groupby
 from operator import attrgetter
 from types import SimpleNamespace
@@ -216,16 +216,7 @@ def _cell_from_dict(d: dict) -> MetricCell:
 
 
 def _fairness_to_dict(f: FairnessResult | None) -> dict | None:
-    if f is None:
-        return None
-    return {
-        "sp_difference": f.sp_difference,
-        "eo_difference": f.eo_difference,
-        "fair_interval": list(f.fair_interval),
-        "sp_pass": f.sp_pass,
-        "eo_pass": f.eo_pass,
-        "note": f.note,
-    }
+    return None if f is None else asdict(f)
 
 
 def _fairness_from_dict(d: dict | None) -> FairnessResult | None:

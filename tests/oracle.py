@@ -2,7 +2,10 @@
 
 Everything here is computed with plain Python loops and explicit if/else
 edge cases, deliberately sharing no code with the package under test.
+Fairness bounds are compared exactly, with ``Fraction``.
 """
+
+from fractions import Fraction
 
 INF = "inf"
 FIN = "finite"
@@ -91,31 +94,38 @@ def audit(pred, corr, group):
     }
 
 
+def within(gap, epsilon):
+    """Whether an exact gap is at most ``epsilon`` in absolute value, exactly."""
+    return abs(gap) <= Fraction(epsilon)
+
+
 def sp_difference(labels, group):
+    """The SP difference as an exact ``Fraction``."""
     pos = {0: 0, 1: 0}
     tot = {0: 0, 1: 0}
     for lab, g in zip(labels, group):
         tot[g] += 1
-        pos[g] += lab
-    return pos[0] / tot[0] - pos[1] / tot[1]
+        pos[g] += int(lab)
+    return Fraction(pos[0], tot[0]) - Fraction(pos[1], tot[1])
 
 
 def eo_difference(y_true, labels, group):
+    """The EO difference as an exact ``Fraction``, or None when undefined."""
     cm = {(g, t): [0, 0] for g in (0, 1) for t in (0, 1)}  # [negatives, positives]
     for t, lab, g in zip(y_true, labels, group):
-        cm[(g, t)][lab] += 1
+        cm[(g, int(t))][int(lab)] += 1
     gaps = []
     tp = [cm[(g, 1)] for g in (0, 1)]
     if all(sum(c) > 0 for c in tp):
-        gaps.append(abs(tp[0][1] / sum(tp[0]) - tp[1][1] / sum(tp[1])))
+        gaps.append(abs(Fraction(tp[0][1], sum(tp[0])) - Fraction(tp[1][1], sum(tp[1]))))
     tn = [cm[(g, 0)] for g in (0, 1)]
     if all(sum(c) > 0 for c in tn):
-        gaps.append(abs(tn[0][1] / sum(tn[0]) - tn[1][1] / sum(tn[1])))
+        gaps.append(abs(Fraction(tn[0][1], sum(tn[0])) - Fraction(tn[1][1], sum(tn[1]))))
     return max(gaps) if gaps else None
 
 
 def min_sp_flips(labels, group, epsilon):
-    """Minimum flips reaching |SP| <= eps under the debiaser contract.
+    """Minimum flips reaching |SP| <= eps exactly under the debiaser contract.
 
     Exhaustive enumeration over contract-compliant flip sets: the
     over-favored group may only lose positives, the under-favored group may
@@ -126,16 +136,17 @@ def min_sp_flips(labels, group, epsilon):
     for lab, g in zip(labels, group):
         tot[g] += 1
         pos[g] += lab
-    sp = pos[0] / tot[0] - pos[1] / tot[1]
-    if abs(sp) <= epsilon:
+    eps = Fraction(epsilon)
+    sp = sp_difference(labels, group)
+    if abs(sp) <= eps:
         return 0
     over, under = (0, 1) if sp > 0 else (1, 0)
     best = None
     for down in range(pos[over] + 1):
         for up in range(tot[under] - pos[under] + 1):
-            p_over = (pos[over] - down) / tot[over]
-            p_under = (pos[under] + up) / tot[under]
-            if abs(p_over - p_under) <= epsilon:
+            p_over = Fraction(pos[over] - down, tot[over])
+            p_under = Fraction(pos[under] + up, tot[under])
+            if abs(p_over - p_under) <= eps:
                 if best is None or down + up < best:
                     best = down + up
     return best
@@ -144,25 +155,26 @@ def min_sp_flips(labels, group, epsilon):
 def minimal_flip_split(pos_over, n_over, pos_under, n_under, epsilon):
     """The debiaser's flip split, by visiting every total and every split.
 
-    Totals are tried from 0 up. Within a total, the split that passes the
-    float test ``|gap| <= epsilon`` and comes first in ``(|down - up|, down)``
+    Totals are tried from 0 up. Within a total, the split whose exact gap
+    passes ``|gap| <= epsilon`` and comes first in ``(|down - up|, down)``
     order wins. Returns ``((down, up), None)``, or ``(None, best_gap)`` with
-    the smallest float gap over all splits when no split passes.
+    the float of the smallest exact gap over all splits when no split passes.
     """
+    eps = Fraction(epsilon)
     max_down = pos_over
     max_up = n_under - pos_under
-    best_gap = abs(pos_over / n_over - pos_under / n_under)
+    best_gap = abs(Fraction(pos_over, n_over) - Fraction(pos_under, n_under))
     for total in range(max_down + max_up + 1):
         winner = None
         for down in range(max(0, total - max_up), min(max_down, total) + 1):
             up = total - down
-            gap = abs((pos_over - down) / n_over - (pos_under + up) / n_under)
+            gap = abs(Fraction(pos_over - down, n_over) - Fraction(pos_under + up, n_under))
             if gap < best_gap:
                 best_gap = gap
-            if gap <= epsilon:
+            if gap <= eps:
                 key = (abs(down - up), down)
                 if winner is None or key < winner[0]:
                     winner = (key, (down, up))
         if winner is not None:
             return winner[1], None
-    return None, best_gap
+    return None, float(best_gap)

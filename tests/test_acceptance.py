@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import oracle
-from conftest import flip_summaries, random_frame, report_metrics, sp_of
+from conftest import flip_summaries, random_frame, report_metrics
 from flipaudit import (
     AuditFrame,
     Decision,
@@ -232,10 +232,9 @@ def test_criterion_5_debiaser_contract():
             assert oracle.min_sp_flips(labels.tolist(), group.tolist(), epsilon) is None
             continue
         contract_checked += 1
-        assert abs(sp_of(corrected, group)) <= epsilon
+        assert oracle.within(oracle.sp_difference(corrected, group), epsilon)
         changed = np.flatnonzero(corrected != labels)
-        sp = sp_of(labels, group)
-        if abs(sp) <= epsilon:
+        if oracle.within(oracle.sp_difference(labels, group), epsilon):
             assert changed.size == 0
         if frame.n <= 20:
             best = oracle.min_sp_flips(labels.tolist(), group.tolist(), epsilon)
@@ -296,8 +295,8 @@ def test_criterion_7_gate_transition_on_reference_scenario():
     post = evaluate_fairness(frame.counts())
     assert not pre.passed
     assert post.passed
-    assert abs(post.sp_difference) <= 0.1
-    assert post.eo_difference <= 0.1
+    assert oracle.within(oracle.sp_difference(frame.y_corrected, frame.group), 0.1)
+    assert oracle.within(oracle.eo_difference(frame.y_true, frame.y_corrected, frame.group), 0.1)
     announce(7, "fairness gates fail before and pass after debiasing on the "
                 "reference scenario")
 

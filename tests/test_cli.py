@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import flipaudit
+import oracle
 from flipaudit import (
     REFERENCE_EXAMPLE, ThresholdConfig, build_report, emit_chart, generate_scenario, ingest,
     render_structured,
@@ -197,9 +198,7 @@ class TestDebiasCommand:
         back = [line.split(",") for line in out.strip().splitlines()[1:]]
         corr = np.array([int(r[1]) for r in back])
         group = np.array([int(r[2]) for r in back])
-        p0 = corr[group == 0].mean()
-        p1 = corr[group == 1].mean()
-        assert abs(p0 - p1) <= 0.1
+        assert oracle.within(oracle.sp_difference(corr, group), 0.1)
 
 
 @pytest.fixture
@@ -271,10 +270,19 @@ def test_text_input_missing_or_with_bom(argv, text, case, tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def golden_audit_with_fr(cell):
+    """tests/golden/audit.json with its "fr" cell replaced by ``cell``."""
+    data = json.loads((Path(__file__).parent / "golden" / "audit.json").read_text())
+    return json.dumps({**data, "fr": cell})
+
+
 @pytest.mark.parametrize("text, problem", [
     ("pred,corr,group\n1,0,0\n", "not JSON: Expecting value: line 1 column 1 (char 0)"),
     ("{}", "missing key 'schema_version'"),
-], ids=["csv", "empty_object"])
+    (golden_audit_with_fr(1), "'int' object is not subscriptable"),
+    (golden_audit_with_fr({"kind": "finite", "value": 0.5, "annotation": "Regular calculation",
+                           "band": "Great"}), "unknown band label 'Great'"),
+], ids=["csv", "empty_object", "cell_not_object", "unknown_band"])
 def test_plot_rejects_text_that_is_not_a_report(text, problem, tmp_path, capsys):
     path = tmp_path / "report.json"
     path.write_text(text)
@@ -351,6 +359,19 @@ class TestPipelineCommand:
         path = request.getfixturevalue(fixture)
         assert main([command, "-i", str(path), "--seed", "-1", "-o", "-"]) == 1
         assert capsys.readouterr().err.startswith("error [bad_seed]: ")
+
+    def test_sp_of_exactly_epsilon_needs_no_debias(self, tmp_path, capsys):
+        # Rates 4/10 and 3/10: an SP of exactly 1/10, which the default
+        # interval holds, though 0.4 - 0.3 is just above 0.1 in floats.
+        path = tmp_path / "boundary.csv"
+        rows = [(int(i < 4), 0) for i in range(10)] + [(int(i < 3), 1) for i in range(10)]
+        path.write_text("pred,group\n" + "".join(f"{p},{g}\n" for p, g in rows))
+        assert main(["pipeline", "-i", str(path)]) == 0
+        assert capsys.readouterr().out.endswith("Decision: NoDebiasNeeded\n")
+        assert main(["debias", "-i", str(path)]) == 0
+        back = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [(int(r[0]), int(r[2])) for r in back] == rows
+        assert all(r[0] == r[1] for r in back)
 
     def test_fair_but_disproportionate_exit_code_follows_verdict(self, raw_csv, capsys):
         # Without true labels the repair passes the gate, and the report's

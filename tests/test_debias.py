@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracle
-from conftest import sp_of
 from flipaudit import (
     AuditFrame,
     DebiasError,
@@ -33,7 +32,7 @@ class TestSpEqualizingDebiaser:
         labels = np.array([1, 1, 1, 1, 0, 1, 1, 1, 0, 0])
         group = np.array([1, 1, 1, 1, 1, 0, 0, 0, 0, 0])
         corrected = sp_equalizing_debiaser(labels, group, epsilon=0.1, rng_seed=4)
-        assert abs(sp_of(corrected, group)) <= 0.1
+        assert oracle.within(oracle.sp_difference(corrected, group), 0.1)
         flips = int((corrected != labels).sum())
         assert flips == oracle.min_sp_flips(labels.tolist(), group.tolist(), 0.1)
 
@@ -67,11 +66,11 @@ class TestSpEqualizingDebiaser:
             labels, group = random_labeled_groups(rng, 80)
             corrected = sp_equalizing_debiaser(labels, group, epsilon,
                                                rng_seed=int(rng.integers(1 << 30)))
-            assert abs(sp_of(corrected, group)) <= epsilon
+            assert oracle.within(oracle.sp_difference(corrected, group), epsilon)
             changed = corrected != labels
             # Over-favored group only loses positives, under-favored only gains.
-            sp = sp_of(labels, group)
-            if abs(sp) <= epsilon:
+            sp = oracle.sp_difference(labels, group)
+            if oracle.within(sp, epsilon):
                 assert not changed.any()
                 continue
             over = 0 if sp > 0 else 1
@@ -267,12 +266,14 @@ class TestMinimalFlipSplit:
 
     @pytest.mark.parametrize("counts, split", [
         # Equal group sizes: every split of the winning total sits exactly on
-        # epsilon, and float rounding passes some of them and not others.
-        ((18, 20, 4, 20, 0.15), (6, 5)),
-        ((15, 20, 1, 20, 0.3), (3, 5)),
-        ((40, 40, 19, 40, 0.05), (11, 8)),
+        # a rate grid point next to epsilon. 0.15 and 0.3 as doubles lie below
+        # 3/20 and 3/10, so a gap of exactly 3/20 or 3/10 fails; 0.05 lies
+        # above 1/20, so a gap of exactly 1/20 passes.
+        ((18, 20, 4, 20, 0.15), (6, 6)),
+        ((15, 20, 1, 20, 0.3), (4, 5)),
+        ((40, 40, 19, 40, 0.05), (9, 10)),
     ])
-    def test_float_tie_breaks(self, counts, split):
+    def test_exact_ties(self, counts, split):
         assert _minimal_flip_split(*counts) == split
         assert oracle.minimal_flip_split(*counts) == (split, None)
 
@@ -299,12 +300,19 @@ class TestMinimalFlipSplit:
         assert _minimal_flip_split(*counts) == split
         assert oracle.minimal_flip_split(*counts) == (split, None)
 
-    @pytest.mark.parametrize("scale", [1, 10])
-    def test_scratch_does_not_grow_with_counts(self, scale, traced_peak):
+    @pytest.mark.parametrize("counts, bound, checked", [
         # debias-1m's counts, and ten times them: 240,401 and 2,404,010 up
         # choices against 300,000 and 3,000,000 down choices.
-        counts = (300_000 * scale, 599_999 * scale, 159_600 * scale, 400_001 * scale, 0.1)
-        split, peak = traced_peak(_minimal_flip_split, *counts)
-        if scale == 1:
-            assert (split, None) == oracle.minimal_flip_split(*counts)
-        assert peak < 2 * 2**20
+        pytest.param((300_000, 599_999, 159_600, 400_001, 0.1), 2 * 2**20, True, id="1"),
+        pytest.param((3_000_000, 5_999_990, 1_596_000, 4_000_010, 0.1), 2 * 2**20, False,
+                     id="10"),
+        # No split reaches this epsilon, so all 200,004 up choices are scanned
+        # for the best gap.
+        pytest.param((300_000, 600_001, 200_000, 400_003, 1e-13), 3 * 2**20, False,
+                     id="unreachable"),
+    ])
+    def test_scratch_does_not_grow_with_counts(self, counts, bound, checked, traced_peak):
+        result, peak = traced_peak(split_or_best_gap, *counts)
+        if checked:
+            assert result == oracle.minimal_flip_split(*counts)
+        assert peak < bound

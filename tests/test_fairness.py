@@ -13,6 +13,7 @@ from flipaudit import (
     parse_structured,
     render_structured,
     run_audit_pipeline,
+    sp_equalizing_debiaser,
 )
 from conftest import random_frame, sp_of
 
@@ -130,6 +131,40 @@ class TestEvaluateFairness:
         res = gate(labels, [0, 0, 1, 1], y_true=y_true)
         assert res.eo_difference == 1.0
         assert not res.eo_pass
+
+    @pytest.mark.parametrize("first, second", [(4, 3), (3, 4)])
+    def test_sp_of_exactly_the_bound_passes(self, first, second):
+        # Rates 4/10 and 3/10 differ by exactly 1/10, but by
+        # 0.10000000000000003 in floats; the bound 0.1 as a double is just
+        # above 1/10.
+        labels = [int(i < first) for i in range(10)] + [int(i < second) for i in range(10)]
+        res = gate(labels, [0] * 10 + [1] * 10)
+        assert abs(res.sp_difference) > 0.1
+        assert res.sp_pass and res.passed
+
+    def test_tpr_gap_of_exactly_the_bound_passes(self):
+        # TPRs 4/10 and 3/10, FPRs 1/2 in both groups.
+        y_true = ([1] * 10 + [0] * 2) * 2
+        labels = ([int(i < 4) for i in range(10)] + [1, 0]
+                  + [int(i < 3) for i in range(10)] + [1, 0])
+        res = gate(labels, [0] * 12 + [1] * 12, y_true=y_true)
+        assert res.eo_difference > 0.1
+        assert res.eo_pass and res.passed
+
+    def test_bound_is_compared_at_its_binary_value(self):
+        # 0.3 as a double is just below 3/10, so an SP of exactly 3/10 fails
+        # it, though 0.7 - 0.4 is 0.29999999999999993 in floats.
+        labels = [int(i < 7) for i in range(10)] + [int(i < 4) for i in range(10)]
+        res = gate(labels, [0] * 10 + [1] * 10, fair_interval=(-0.3, 0.3))
+        assert res.sp_difference < 0.3
+        assert not res.sp_pass
+
+    @pytest.mark.parametrize("bound", [np.int64(1), np.float32(0.5)])
+    def test_bound_may_be_a_numpy_number(self, bound):
+        # Rates 1 and 1/2: an SP of exactly 1/2.
+        labels, group = [1, 1, 1, 0], [0, 0, 1, 1]
+        assert gate(labels, group, fair_interval=(-bound, bound)).passed
+        assert np.array_equal(sp_equalizing_debiaser(labels, group, bound), labels)
 
     def test_custom_interval(self):
         res = gate([1, 1, 0, 0], [1, 1, 0, 0], fair_interval=(-1.0, 1.0))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracle
 from flipaudit import (
     Decision,
     REFERENCE_EXAMPLE,
@@ -50,9 +51,29 @@ class TestRunAuditPipeline:
         assert not outcome.pre_fairness.passed
         assert outcome.post_fairness.passed
         assert outcome.pre_fairness.sp_difference > 0.1
-        assert abs(outcome.post_fairness.sp_difference) <= 0.1
+        assert oracle.within(
+            oracle.sp_difference(reference_frame.y_corrected, reference_frame.group), 0.1)
         assert outcome.report.verdict == "Disproportionate"
         assert outcome.decision is Decision.FAIR_BUT_DISPROPORTIONATE
+
+    def test_balanced_repair_is_fair_and_proportionate(self):
+        # Rates 56/100 and 45/100 fail the gate. The debiaser flips 50 labels
+        # in each group, 26 down and 24 up in group 0 and the reverse in
+        # group 1, which brings SP to 0.07 with flips spread evenly.
+        pred = np.array([1] * 56 + [0] * 44 + [1] * 45 + [0] * 55)
+        group = np.repeat([0, 1], 100)
+        corrected = pred.copy()
+        corrected[0:26] = 0
+        corrected[56:80] = 1
+        corrected[100:124] = 0
+        corrected[145:171] = 1
+        outcome = run_audit_pipeline(pred, group, lambda y_predicted, g: corrected)
+        assert not outcome.pre_fairness.passed
+        assert outcome.post_fairness.passed
+        cells = outcome.report.proportionality_cells().values()
+        assert {cell.band.label for cell in cells} == {"Acceptable"}
+        assert outcome.report.verdict == "Proportionate"
+        assert outcome.decision is Decision.FAIR_AND_PROPORTIONATE
 
     def test_ineffective_debiaser_still_unfair(self):
         pred = np.array([1, 1, 1, 0, 0, 0])
@@ -67,8 +88,11 @@ class TestRunAuditPipeline:
         group = np.array([0] * 30 + [1] * 30)
         pred[:30] = (rng.random(30) < 0.8).astype(int)
         pred[30:] = (rng.random(30) < 0.3).astype(int)
-        outcome = run_audit_pipeline(pred, group, make_sp_debiaser(0.1, rng_seed=2))
-        assert abs(outcome.post_fairness.sp_difference) <= 0.1
+        debias = make_sp_debiaser(0.1, rng_seed=2)
+        outcome = run_audit_pipeline(pred, group, debias)
+        assert outcome.post_fairness.passed
+        # The seeded debiaser repeats its labels.
+        assert oracle.within(oracle.sp_difference(debias(pred, group), group), 0.1)
         assert outcome.decision in (
             Decision.FAIR_AND_PROPORTIONATE,
             Decision.FAIR_BUT_DISPROPORTIONATE,

@@ -102,6 +102,11 @@ class TestGenerateScenario:
                           favorable_flips=0, unfavorable_flips=0)
         assert exc.value.code == "bad_scenario"
 
+    def test_negative_flips_rejected(self):
+        with pytest.raises(ValidationError, match="flip counts must be nonnegative") as exc:
+            GroupScenario(5, 2, -1, 0)
+        assert exc.value.code == "bad_scenario"
+
     def test_favorable_flip_needs_negative_prediction(self):
         with pytest.raises(ValidationError, match="favorable_flips"):
             GroupScenario(size=3, positive_predictions=3,
@@ -145,6 +150,12 @@ class TestSpecFiles:
         with pytest.raises(ValidationError, match="scenario line 1: seed must be a "
                                                   "non-negative integer") as exc:
             loads_spec(text)
+        assert exc.value.code == "bad_scenario"
+
+    def test_line_without_equals_rejected(self):
+        with pytest.raises(ValidationError,
+                           match="scenario line 1: expected 'key = value'") as exc:
+            loads_spec("seed 0\n")
         assert exc.value.code == "bad_scenario"
 
     def test_non_integer_rejected(self):
