@@ -18,13 +18,13 @@ import sys
 
 from . import __version__
 from .chart import emit_chart
-from .debias import DebiasError, sp_equalizing_debiaser, make_sp_debiaser
+from .debias import sp_equalizing_debiaser, make_sp_debiaser
 from .frame import ValidationError, decode_utf8, read_text
-from .pipeline import Decision, PipelineError, run_audit_pipeline
+from .pipeline import Decision, run_audit_pipeline
 from .report import build_report, parse_structured, render_structured, render_text
 from .scenario import BUILTIN_SCENARIOS, generate_scenario, load_spec
 from .tabular import ColumnMapping, frame_to_csv_blocks, ingest, ingest_counts
-from .thresholds import ConfigError, ThresholdConfig
+from .thresholds import ThresholdConfig
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -82,12 +82,15 @@ def _write_output(data, path: str | None):
     next is drawn, so a generator may reuse one buffer for all of them.
     """
     blocks = [data] if isinstance(data, bytes) else data
-    if path is None or path == "-":
-        sys.stdout.flush()
-        sys.stdout.buffer.writelines(blocks)
-    else:
-        with open(path, "wb") as fh:
-            fh.writelines(blocks)
+    try:
+        if path is None or path == "-":
+            sys.stdout.flush()
+            sys.stdout.buffer.writelines(blocks)
+        else:
+            with open(path, "wb") as fh:
+                fh.writelines(blocks)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path or '-'}: {exc}", code="unwritable") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -135,36 +138,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_synth(args) -> int:
+# Each command returns its output, for _write_output, and its exit code.
+def _cmd_synth(args):
     frame = generate_scenario(BUILTIN_SCENARIOS.get(args.scenario) or load_spec(args.scenario))
-    _write_output(frame_to_csv_blocks(frame), args.output)
-    return EXIT_OK
+    return frame_to_csv_blocks(frame), EXIT_OK
 
 
-def _cmd_audit(args) -> int:
+def _cmd_audit(args):
     counts = ingest_counts(args.input, _mapping(args))
     report = build_report(counts, _load_config(args))
     text = render_text(report) if args.format == "text" else render_structured(report)
-    _write_output(text.encode(), args.output)
-    return _VERDICT_CODES[report.verdict]
+    return text.encode(), _VERDICT_CODES[report.verdict]
 
 
-def _cmd_plot(args) -> int:
-    text = decode_utf8(sys.stdin.buffer.read()) if args.input == "-" else read_text(args.input)
-    _write_output(emit_chart(parse_structured(text)).encode(), args.output)
-    return EXIT_OK
+def _cmd_plot(args):
+    if args.input == "-":
+        try:
+            text = decode_utf8(sys.stdin.buffer.read())
+        except OSError as exc:
+            raise ValidationError(f"cannot read stdin: {exc}", code="unreadable") from None
+    else:
+        text = read_text(args.input)
+    return emit_chart(parse_structured(text)).encode(), EXIT_OK
 
 
-def _cmd_debias(args) -> int:
+def _cmd_debias(args):
     frame = ingest(args.input, _mapping(args))
     corrected = sp_equalizing_debiaser(
         frame.y_predicted, frame.group, args.epsilon, args.seed
     )
-    _write_output(frame_to_csv_blocks(frame.with_corrected(corrected)), args.output)
-    return EXIT_OK
+    return frame_to_csv_blocks(frame.with_corrected(corrected)), EXIT_OK
 
 
-def _cmd_pipeline(args) -> int:
+def _cmd_pipeline(args):
     frame = ingest(args.input, _mapping(args))
     outcome = run_audit_pipeline(
         frame.y_predicted,
@@ -177,8 +183,7 @@ def _cmd_pipeline(args) -> int:
         text = render_structured(outcome.report, decision=outcome.decision.value)
     else:
         text = render_text(outcome.report) + f"Decision: {outcome.decision.value}\n"
-    _write_output(text.encode(), args.output)
-    return _decision_code(outcome.decision, outcome.report.verdict)
+    return text.encode(), _decision_code(outcome.decision, outcome.report.verdict)
 
 
 _COMMANDS = {
@@ -198,10 +203,11 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors; normalize to 1 (0 for --help).
         return 0 if exc.code == 0 else EXIT_ERROR
     try:
-        return _COMMANDS[args.command](args)
-    except (ValidationError, ConfigError, DebiasError, PipelineError, OSError) as exc:
-        code = getattr(exc, "code", None)
-        print(f"error [{code}]: {exc}" if code else f"error: {exc}", file=sys.stderr)
+        output, code = _COMMANDS[args.command](args)
+        _write_output(output, args.output)
+        return code
+    except ValidationError as exc:
+        print(f"error [{exc.code}]: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
 

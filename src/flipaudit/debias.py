@@ -11,20 +11,19 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
-from .frame import BLOCK, AuditFrame, ValidationError, check_seed
+from .frame import BLOCK, AuditFrame, ValidationError, check_seed, real_or_nan
 from .fairness import rate_gap, scaled_floor
 
 if TYPE_CHECKING:
     import numpy as np
 
 
-class DebiasError(ValueError):
+class DebiasError(ValidationError):
     """No split of flips reaches epsilon; ``best_gap`` is the least |SP| any split reaches."""
 
-    code = "unreachable_epsilon"
-
-    def __init__(self, message: str, best_gap: float):
-        super().__init__(message)
+    def __init__(self, epsilon: float, best_gap: float):
+        super().__init__(f"cannot reach |SP| <= {epsilon}; best achievable gap is "
+                         f"{best_gap:.6g}", code="unreachable_epsilon")
         self.best_gap = best_gap
 
 
@@ -38,17 +37,17 @@ def _minimal_flip_split(pos_over: int, n_over: int, pos_under: int, n_under: int
 
     Times ``n_over * n_under`` the repaired gap
     ``(pos_over - down) / n_over - (pos_under + up) / n_under`` is the
-    integer ``p - down * n_under - up * n_over``, and a split passes when its
-    absolute value is at most ``scaled_floor(epsilon, n_over * n_under)``:
-    the SP gate's exact test. For a fixed total the passing ``down`` values
-    form an interval; ``_least_total`` finds the least total with any, and
-    the value in its interval nearest ``total / 2`` wins. Raises
-    ``DebiasError`` when no split passes.
+    integer ``p - down * n_under - up * n_over``, where ``p`` is the unrepaired
+    gap's ``rate_gap`` numerator, and a split passes when its absolute value
+    is at most ``scaled_floor(epsilon, n_over * n_under)``: the SP gate's
+    exact test. For a fixed total the passing ``down`` values form an
+    interval; ``_least_total`` finds the least total with any, and the value
+    in its interval nearest ``total / 2`` wins. Raises ``DebiasError`` when
+    no split passes.
     """
     max_down = pos_over
     max_up = n_under - pos_under
-    p = pos_over * n_under - pos_under * n_over
-    den = n_over * n_under
+    _, p, den = rate_gap((n_over - pos_over, pos_over), (n_under - pos_under, pos_under))
     # No gap exceeds 1, so a larger bound changes nothing but the scan's int64 range.
     bound = min(scaled_floor(epsilon, den), den)
     # Scan the flip kind with fewer choices; the other solves to an interval.
@@ -58,11 +57,7 @@ def _minimal_flip_split(pos_over: int, n_over: int, pos_under: int, n_under: int
         x_max, x_coef, y_max, y_coef = max_down, n_under, max_up, n_over
     total, least = _least_total(p, x_max, x_coef, y_max, y_coef, bound)
     if total is None:
-        best_gap = least / den
-        raise DebiasError(
-            f"cannot reach |SP| <= {epsilon}; best achievable gap is {best_gap:.6g}",
-            best_gap=best_gap,
-        )
+        raise DebiasError(epsilon, best_gap=least / den)
     first, last = _interval(p - total * n_over, n_over - n_under, bound,
                             max(0, total - max_up), min(max_down, total))
     down = min(max(total // 2, first), last)
@@ -123,7 +118,7 @@ def _interval(offset: int, slope: int, bound: int, lo: int, hi: int) -> tuple[in
 
 
 def _check_epsilon(epsilon: float):
-    if not (math.isfinite(epsilon) and epsilon > 0):
+    if not 0 < real_or_nan(epsilon) < math.inf:
         raise ValidationError("epsilon must be a positive finite number", code="bad_epsilon")
 
 

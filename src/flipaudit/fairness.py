@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .frame import FlipCounts, ValidationError
+from .frame import FlipCounts, ValidationError, real_or_nan
 
 DEFAULT_FAIR_INTERVAL = (-0.1, 0.1)
 
@@ -71,10 +71,9 @@ def eo_gaps(table) -> tuple[list[tuple[float, int, int]], str]:
 def _check_fair_interval(fair_interval) -> tuple[float, float]:
     try:
         lo, hi = fair_interval
-        valid = math.isfinite(lo) and math.isfinite(hi) and lo <= 0 <= hi
     except (TypeError, ValueError):
-        valid = False
-    if not valid:
+        lo = hi = math.nan
+    if not -math.inf < real_or_nan(lo) <= 0 <= real_or_nan(hi) < math.inf:
         raise ValidationError(
             f"fair interval must be two finite numbers lo <= 0 <= hi, got {fair_interval!r}",
             code="bad_fair_interval",

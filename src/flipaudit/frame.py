@@ -6,6 +6,7 @@ vectors are made or read, so counting and reporting do not load it.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 from functools import reduce
@@ -27,13 +28,13 @@ BLOCK = 1 << 16
 
 
 class ValidationError(ValueError):
-    """Input data violates a structural requirement.
+    """The package's one error: bad input, config or output, or a repair out of reach.
 
     ``code`` is a stable machine-readable identifier so callers (notably the
     CLI) can distinguish failure modes without parsing the message.
     """
 
-    def __init__(self, message: str, code: str = "invalid"):
+    def __init__(self, message: str, code: str):
         super().__init__(message)
         self.code = code
 
@@ -63,6 +64,21 @@ def check_seed(seed, code: str) -> None:
     """Fail with ``code`` unless ``seed`` is a non-negative integer, numpy's included."""
     if not (isinstance(seed, numbers.Integral) and seed >= 0):
         raise ValidationError(f"seed must be a non-negative integer, got {seed!r}", code=code)
+
+
+def real_or_nan(value) -> float:
+    """``value`` as a float if it is a real number (numpy's included) a float holds, else nan.
+
+    Every bound the package is given (epsilon, fair interval, thresholds)
+    is checked through it, so a string or a huge int fails its check
+    instead of raising ``TypeError`` or ``OverflowError``.
+    """
+    if isinstance(value, numbers.Real):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    return math.nan
 
 
 def _as_binary_vector(values, name: str) -> np.ndarray:
@@ -223,8 +239,8 @@ class AuditFrame:
 
     Every label vector the package reads from outside is checked here: each
     must be binary, one-dimensional, non-empty and as long as
-    ``y_predicted``; ``y_true`` may be None. An object given under two names
-    is checked and converted once, and both get the result.
+    ``y_predicted``; only ``y_true`` may be None. An object given under two
+    names is checked and converted once, and both get the result.
     """
 
     y_predicted: np.ndarray
@@ -238,7 +254,7 @@ class AuditFrame:
         given = [getattr(self, name) for name in names]  # alive, so their ids stay unique
         checked = {}
         for name, values in zip(names, given):
-            if values is not None:
+            if values is not None or name != "y_true":  # only y_true may be None
                 if id(values) not in checked:
                     checked[id(values)] = _as_binary_vector(values, name)
                 object.__setattr__(self, name, checked[id(values)])

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .fairness import (
     DEFAULT_FAIR_INTERVAL, FairnessResult, _check_fair_interval, evaluate_fairness,
 )
-from .frame import AuditFrame
+from .frame import AuditFrame, ValidationError
 from .report import ProportionalityReport, build_report
 from .thresholds import ThresholdConfig
 
@@ -37,16 +37,16 @@ class PipelineOutcome:
     decision: Decision
 
 
-class PipelineError(RuntimeError):
+class PipelineError(ValidationError):
     """Debiaser failure; carries the fairness result computed before it ran.
 
-    ``code`` is the failure's own ``code``, or None when it has none.
+    Its ``code`` is the debiaser's ``ValidationError`` code, or ``debiaser_failed``.
     """
 
-    def __init__(self, message: str, pre_fairness: FairnessResult, code: str | None = None):
-        super().__init__(message)
+    def __init__(self, cause: Exception, pre_fairness: FairnessResult):
+        code = cause.code if isinstance(cause, ValidationError) else "debiaser_failed"
+        super().__init__(f"debiaser failed: {cause}", code)
         self.pre_fairness = pre_fairness
-        self.code = code
 
 
 def run_audit_pipeline(
@@ -73,8 +73,7 @@ def run_audit_pipeline(
         try:
             y_corrected = debiaser(frame.y_predicted, frame.group)
         except Exception as exc:
-            raise PipelineError(f"debiaser failed: {exc}", pre_fairness=pre,
-                                code=getattr(exc, "code", None)) from exc
+            raise PipelineError(exc, pre_fairness=pre) from exc
         counts = frame.with_corrected(y_corrected).counts()
         post = evaluate_fairness(counts, fair_interval)
 

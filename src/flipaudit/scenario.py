@@ -11,7 +11,9 @@ these counts does not exist).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numbers
+import sys
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
 from .frame import AuditFrame, ValidationError, check_seed, read_text
@@ -28,8 +30,16 @@ class GroupScenario:
     unfavorable_flips: int
 
     def __post_init__(self):
+        for field in fields(self):  # integers, numpy's included, as a seed is
+            value = getattr(self, field.name)
+            if not isinstance(value, numbers.Integral):
+                raise ValidationError(f"{field.name} must be an integer, got {value!r}",
+                                      code="bad_scenario")
         if self.size < 1:
             raise ValidationError("group size must be >= 1", code="bad_scenario")
+        if self.size > sys.maxsize:  # checked before numpy is asked for the array
+            raise ValidationError(f"group size {self.size} exceeds {sys.maxsize}",
+                                  code="bad_scenario")
         if not (0 <= self.positive_predictions <= self.size):
             raise ValidationError(
                 f"positive_predictions {self.positive_predictions} outside [0, {self.size}]",

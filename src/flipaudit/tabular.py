@@ -43,6 +43,9 @@ class ColumnMapping:
     privileged: int = 1   # raw value that maps to the privileged group 1
 
     def __post_init__(self):
+        if not (isinstance(self.pred_col, str) and isinstance(self.group_col, str)):
+            raise ValidationError("pred_col and group_col must be column names",
+                                  code="bad_mapping")
         cols = self.columns()
         if len(set(cols)) != len(cols):
             raise ValidationError("mapped columns must be distinct", code="bad_mapping")

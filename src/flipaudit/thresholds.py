@@ -13,14 +13,10 @@ import math
 from dataclasses import dataclass
 
 from . import metrics as _metrics
-from .frame import read_text
+from .frame import ValidationError, read_text, real_or_nan
 from .metrics import MetricValue
 
-
-class ConfigError(ValueError):
-    """A threshold config or entry is malformed."""
-
-    code = "bad_thresholds"
+_BAD = "bad_thresholds"  # the code of every malformed threshold config or entry
 
 
 class Band(enum.IntEnum):
@@ -41,7 +37,7 @@ class Band(enum.IntEnum):
         for band in cls:
             if band.label == label:
                 return band
-        raise ConfigError(f"unknown band label {label!r}")
+        raise ValidationError(f"unknown band label {label!r}", code="bad_report")
 
 
 @dataclass(frozen=True)
@@ -51,12 +47,13 @@ class ThresholdEntry:
     moderate_delta: float
 
     def __post_init__(self):
-        if not math.isfinite(self.ideal):
-            raise ConfigError(f"ideal must be finite, got {self.ideal}")
-        if not (0 < self.acceptable_delta < self.moderate_delta):
-            raise ConfigError(
+        if not math.isfinite(real_or_nan(self.ideal)):
+            raise ValidationError(f"ideal must be finite, got {self.ideal}", code=_BAD)
+        # moderate_delta may be infinite: then only infinite values are Disproportionate.
+        if not (0 < real_or_nan(self.acceptable_delta) < real_or_nan(self.moderate_delta)):
+            raise ValidationError(
                 f"need 0 < acceptable_delta < moderate_delta, got "
-                f"{self.acceptable_delta} / {self.moderate_delta}"
+                f"{self.acceptable_delta} / {self.moderate_delta}", code=_BAD
             )
 
 
@@ -90,7 +87,7 @@ class ThresholdConfig:
         """The configured entry, or the default for a metric the config leaves out."""
         entry = self.entries.get(metric_name, _DEFAULTS.get(metric_name))
         if entry is None:
-            raise ConfigError(f"no threshold entry for metric {metric_name!r}")
+            raise ValidationError(f"no threshold entry for metric {metric_name!r}", code=_BAD)
         return entry
 
     def dumps(self) -> str:
@@ -108,24 +105,26 @@ class ThresholdConfig:
                 continue
             parts = line.split()
             if len(parts) != 4:
-                raise ConfigError(
-                    f"line {lineno}: expected 'name ideal acceptable moderate', got {raw!r}"
+                raise ValidationError(
+                    f"line {lineno}: expected 'name ideal acceptable moderate', got {raw!r}",
+                    code=_BAD,
                 )
             name = parts[0]
             if name not in _DEFAULTS:
-                raise ConfigError(f"line {lineno}: unknown metric {name!r}")
+                raise ValidationError(f"line {lineno}: unknown metric {name!r}", code=_BAD)
             if name in entries:
-                raise ConfigError(f"line {lineno}: duplicate metric {name!r}")
+                raise ValidationError(f"line {lineno}: duplicate metric {name!r}", code=_BAD)
             try:
                 ideal, acc, mod = (float(p) for p in parts[1:])
             except ValueError:
-                raise ConfigError(f"line {lineno}: non-numeric threshold in {raw!r}")
+                raise ValidationError(f"line {lineno}: non-numeric threshold in {raw!r}",
+                                      code=_BAD)
             try:
                 entries[name] = ThresholdEntry(ideal, acc, mod)
-            except ConfigError as exc:
-                raise ConfigError(f"line {lineno}: {exc}") from None
+            except ValidationError as exc:
+                raise ValidationError(f"line {lineno}: {exc}", code=_BAD) from None
         if not entries:
-            raise ConfigError("threshold config is empty")
+            raise ValidationError("threshold config is empty", code=_BAD)
         return cls(entries=entries)
 
     def save(self, path) -> None:

@@ -391,6 +391,52 @@ class TestPipelineCommand:
         assert main(["plot", "-i", str(out), "-o", str(tmp_path / "chart.svg")]) == 0
 
 
+def run_python(args, **kwargs):
+    """Run a fresh interpreter that imports this checkout's package."""
+    src = Path(flipaudit.__file__).parent.parent
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          **kwargs)
+
+
+# One failing invocation per error code; "{tmp}" is the test's directory.
+@pytest.mark.parametrize("code, argv", [
+    ("non_binary", ["audit", "-i", "{tmp}/non-binary.csv"]),
+    ("bad_encoding", ["audit", "-i", "{tmp}/not-utf8.csv"]),
+    ("unreadable", ["audit", "-i", "{tmp}/missing.csv"]),
+    ("unreadable", ["plot", "-i", "-", "-o", "{tmp}/chart.svg"]),
+    ("unwritable", ["audit", "-i", "{tmp}/data.csv", "-o", "{tmp}/missing/out.txt"]),
+    ("unwritable", ["audit", "-i", "{tmp}/data.csv", "-o", "{tmp}"]),
+    ("bad_thresholds", ["audit", "-i", "{tmp}/data.csv", "--thresholds", "{tmp}/thresholds.txt"]),
+    ("bad_report", ["plot", "-i", "{tmp}/data.csv", "-o", "{tmp}/chart.svg"]),
+    ("bad_epsilon", ["pipeline", "-i", "{tmp}/data.csv", "--epsilon", "nan"]),
+    ("bad_seed", ["debias", "-i", "{tmp}/data.csv", "--seed", "-1"]),
+    ("unreachable_epsilon", ["debias", "-i", "{tmp}/five.csv", "--epsilon", "0.05"]),
+    ("bad_scenario", ["synth", "--scenario", "{tmp}/huge.txt"]),
+], ids=["non_binary", "bad_encoding", "unreadable_file", "unreadable_stdin",
+        "unwritable_missing_dir", "unwritable_dir", "bad_thresholds", "bad_report",
+        "bad_epsilon", "bad_seed", "unreachable_epsilon", "bad_scenario"])
+def test_every_failure_prints_one_coded_line(code, argv, tmp_path):
+    (tmp_path / "data.csv").write_text("pred,corr,group\n1,0,0\n0,1,1\n")
+    (tmp_path / "non-binary.csv").write_text("pred,corr,group\n1,0,2\n")
+    (tmp_path / "not-utf8.csv").write_bytes(b"pred,corr,group\n1,0,0\n0,1,\xff\n")
+    (tmp_path / "thresholds.txt").write_text("FR 0 0.1\n")
+    (tmp_path / "five.csv").write_text("pred,group\n1,0\n0,0\n1,1\n0,1\n0,1\n")
+    # A size past sys.maxsize: it must fail before numpy is asked for the array.
+    (tmp_path / "huge.txt").write_text(
+        dumps_spec(REFERENCE_EXAMPLE).replace("group0.size = 799",
+                                              "group0.size = 99999999999999999999"))
+    # stdin open for writing only, so reading it fails.
+    with open(tmp_path / "stdin", "wb") as stdin:
+        proc = run_python(["-m", "flipaudit.cli", *(arg.format(tmp=tmp_path) for arg in argv)],
+                          stdin=stdin)
+    assert proc.returncode == 1
+    [line] = proc.stderr.splitlines()
+    assert re.match(r"error \[[a-z_]+\]: ", line), line
+    assert line.startswith(f"error [{code}]: ")
+
+
 # Imports the package and its CLI, runs main(argv) if given, and prints the
 # exit code and whether numpy was loaded.
 IMPORT_PROBE = """
@@ -415,11 +461,7 @@ def test_audit_does_not_import_numpy(case, tmp_path):
         "audit": (["audit", "-i", str(path), "-o", str(out)], 3),
         "audit_declined": (["audit", "-i", str(path), "-o", str(out)], 3),
     }[case]
-    src = Path(flipaudit.__file__).parent.parent
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *argv],
-                          env=env, capture_output=True, text=True)
+    proc = run_python(["-c", IMPORT_PROBE, *argv])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == f"{code} False"
     if argv[:1] == ["audit"]:

@@ -147,10 +147,11 @@ class TestSpEqualizingDebiaser:
         assert exc.value.best_gap == pytest.approx(1 / 6)
 
     def test_bad_epsilon(self):
-        for epsilon in (0.0, -5.0, math.nan, math.inf, -math.inf):
+        for epsilon in (0.0, -5.0, math.nan, math.inf, -math.inf, 10**400, "0.1", None):
             with pytest.raises(ValidationError) as exc:
                 sp_equalizing_debiaser([1, 0], [0, 1], epsilon=epsilon)
             assert exc.value.code == "bad_epsilon"
+            assert str(exc.value) == "epsilon must be a positive finite number"
             # The pipeline's binding checks too, before any gate runs.
             with pytest.raises(ValidationError) as exc:
                 make_sp_debiaser(epsilon)

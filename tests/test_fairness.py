@@ -178,13 +178,16 @@ class TestEvaluateFairness:
 
     @pytest.mark.parametrize("interval", [
         (0.2, -0.2), (math.nan, 0.1), (-0.1, math.inf), (-0.5, -0.3), (0.3, 0.5),
-        (-0.1,), (-0.1, 0.0, 0.1), None, ("a", "b"),
+        (-0.1,), (-0.1, 0.0, 0.1), None, ("a", "b"), ("-0.1", 0.1),
+        (-10**400, 10**400), (-0.1, 10**400),
     ])
     def test_bad_interval_rejected(self, interval):
         # None of these intervals would pass perfect parity.
         with pytest.raises(ValidationError) as exc:
             gate([1, 0, 1, 0], [0, 0, 1, 1], fair_interval=interval)
         assert exc.value.code == "bad_fair_interval"
+        assert str(exc.value) == (f"fair interval must be two finite numbers lo <= 0 <= hi, "
+                                  f"got {interval!r}")
 
     @pytest.mark.parametrize("interval", [(0.0, 0.0), (-1, 1), [0.0, 0.2]])
     def test_interval_holding_zero_accepted(self, interval):
@@ -204,7 +207,8 @@ class TestEvaluateFairness:
             run_audit_pipeline([1, 1, 0, 0], [0, 0, 1, 1], exploding,
                                fair_interval=(0.2, -0.2))
         assert exc.value.code == "bad_fair_interval"
-        with pytest.raises(ValidationError) as exc:
-            run_audit_pipeline([1, 0, 1, 0], [0, 0, 1, 1], make_sp_debiaser(0.1),
-                               fair_interval=(-0.5, -0.3))
-        assert exc.value.code == "bad_fair_interval"
+        for interval in ((-0.5, -0.3), (-10**400, 1)):
+            with pytest.raises(ValidationError) as exc:
+                run_audit_pipeline([1, 0, 1, 0], [0, 0, 1, 1], make_sp_debiaser(0.1),
+                                   fair_interval=interval)
+            assert exc.value.code == "bad_fair_interval"

@@ -60,6 +60,15 @@ class TestFrameValidation:
             AuditFrame([1, 0], [1, 0], group)
         assert exc.value.code == code
 
+    @pytest.mark.parametrize("name", ["y_predicted", "y_corrected", "group"])
+    def test_only_y_true_may_be_none(self, name):
+        vectors = {"y_predicted": [1, 0, 1, 0], "y_corrected": [1, 1, 1, 0],
+                   "group": [0, 1, 0, 1], "y_true": None}
+        assert AuditFrame(**vectors).y_true is None
+        with pytest.raises(ValidationError, match=f"{name} must be one-dimensional") as exc:
+            AuditFrame(**{**vectors, name: None, "y_true": [0, 1, 0, 1]})
+        assert exc.value.code == "bad_shape"
+
     def test_no_float_coercion(self):
         with pytest.raises(ValidationError):
             AuditFrame([1.0, 0.5], [1, 0], [0, 1])

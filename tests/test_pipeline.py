@@ -108,6 +108,18 @@ class TestRunAuditPipeline:
         with pytest.raises(PipelineError) as exc:
             run_audit_pipeline(pred, group, broken)
         assert exc.value.pre_fairness.sp_difference == pytest.approx(1.0)
+        assert exc.value.code == "debiaser_failed"
+        assert str(exc.value) == "debiaser failed: boom"
+
+    def test_debiaser_code_is_kept(self):
+        # An unreachable epsilon: the debiaser's DebiasError code is the pipeline's.
+        pred = np.array([1, 0, 1, 0, 0])
+        group = np.array([0, 0, 1, 1, 1])
+        with pytest.raises(ValidationError) as exc:
+            run_audit_pipeline(pred, group, make_sp_debiaser(0.05))
+        assert isinstance(exc.value, PipelineError)
+        assert exc.value.code == "unreachable_epsilon"
+        assert str(exc.value).startswith("debiaser failed: cannot reach |SP| <= 0.05; ")
 
     @pytest.mark.parametrize("result, code", [
         ([1, 0, 1], "length_mismatch"),
@@ -119,6 +131,8 @@ class TestRunAuditPipeline:
         with pytest.raises(ValidationError, match="y_corrected") as exc:
             run_audit_pipeline(pred, group, lambda y_predicted, g: result)
         assert exc.value.code == code
+        # The debiaser returned; its result failed, not the debiaser.
+        assert not isinstance(exc.value, PipelineError)
 
     def test_determinism_under_fixed_seed(self):
         frame = generate_scenario(REFERENCE_EXAMPLE)

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,34 @@ class TestGenerateScenario:
         with pytest.raises(ValidationError, match=message) as exc:
             GroupScenario(size=size, positive_predictions=positive,
                           favorable_flips=0, unfavorable_flips=0)
+        assert exc.value.code == "bad_scenario"
+
+    @pytest.mark.parametrize("counts, message", [
+        ((5.5, 2, 0, 0), "size must be an integer, got 5.5"),
+        (("5", 2, 0, 0), "size must be an integer, got '5'"),
+        ((5, 2.0, 0, 0), "positive_predictions must be an integer, got 2.0"),
+        ((5, 2, np.float64(1), 0), f"favorable_flips must be an integer, got {np.float64(1)!r}"),
+        ((5, 2, 0, None), "unfavorable_flips must be an integer, got None"),
+        ((99999999999999999999, 2, 0, 0),
+         f"group size 99999999999999999999 exceeds {sys.maxsize}"),
+    ], ids=["float_size", "str_size", "float_positives", "numpy_float_flips", "none_flips",
+            "huge_size"])
+    def test_counts_are_integers_numpy_can_allocate(self, counts, message):
+        with pytest.raises(ValidationError) as exc:
+            GroupScenario(*counts)
+        assert (exc.value.code, str(exc.value)) == ("bad_scenario", message)
+
+    def test_numpy_integer_counts_accepted(self):
+        group = GroupScenario(np.int64(5), np.uint8(2), np.int32(1), np.int16(1))
+        frame = generate_scenario(ScenarioSpec(group, GroupScenario(4, 2, 0, 0)))
+        assert frame.n == 9
+
+    def test_huge_size_in_spec_fails_before_generation(self):
+        # The check runs when the spec is loaded, so nothing is allocated.
+        text = dumps_spec(REFERENCE_EXAMPLE).replace("group0.size = 799",
+                                                     "group0.size = 99999999999999999999")
+        with pytest.raises(ValidationError, match="group size 99999999999999999999") as exc:
+            loads_spec(text)
         assert exc.value.code == "bad_scenario"
 
     def test_negative_flips_rejected(self):

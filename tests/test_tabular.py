@@ -495,6 +495,9 @@ def test_csv_error_has_code_and_row():
     ({"true_col": "group"}, "mapped columns must be distinct"),
     ({"favorable": 2}, "favorable and privileged values must be 0 or 1"),
     ({"privileged": -1}, "favorable and privileged values must be 0 or 1"),
+    ({"group_col": None}, "pred_col and group_col must be column names"),
+    ({"pred_col": None}, "pred_col and group_col must be column names"),
+    ({"pred_col": 3}, "pred_col and group_col must be column names"),
 ])
 def test_bad_mapping_rejected(fields, message):
     with pytest.raises(ValidationError, match=message) as exc:

@@ -1,7 +1,10 @@
+import math
+
 import pytest
 
-from flipaudit import Band, MetricValue, ThresholdConfig, ThresholdEntry, classify
-from flipaudit.thresholds import ConfigError
+from flipaudit import (
+    Band, MetricValue, ThresholdConfig, ThresholdEntry, ValidationError, classify,
+)
 
 fin = MetricValue.finite
 CFG = ThresholdConfig.default()
@@ -32,8 +35,9 @@ class TestClassify:
         assert classify("FR", fin(0.30000001), CFG) is Band.DISPROPORTIONATE
 
     def test_unknown_metric(self):
-        with pytest.raises(ConfigError, match="no threshold entry"):
+        with pytest.raises(ValidationError, match="no threshold entry") as exc:
             classify("XYZ", fin(0.1), CFG)
+        assert exc.value.code == "bad_thresholds"
 
     def test_monotone_in_distance(self):
         values = [0.0, 0.05, 0.1, 0.15, 0.3, 0.31, 0.9]
@@ -55,8 +59,27 @@ class TestConfig:
         assert CFG.entry("HFPD").moderate_delta == 0.15
 
     def test_entry_ordering_enforced(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValidationError) as exc:
             ThresholdEntry(0.0, 0.3, 0.1)
+        assert exc.value.code == "bad_thresholds"
+
+    @pytest.mark.parametrize("values, message", [
+        ((10**400, 0.1, 0.3), "ideal must be finite, got 1000"),
+        (("1", 0.1, 0.3), "ideal must be finite, got 1"),
+        ((0, "0.1", 0.3), "need 0 < acceptable_delta < moderate_delta, got 0.1 / 0.3"),
+        ((0, 0.1, "0.3"), "need 0 < acceptable_delta < moderate_delta, got 0.1 / 0.3"),
+        ((0, 0.1, None), "need 0 < acceptable_delta < moderate_delta, got 0.1 / None"),
+    ], ids=["huge_ideal", "str_ideal", "str_acceptable", "str_moderate", "none_moderate"])
+    def test_entry_values_must_be_real_numbers(self, values, message):
+        with pytest.raises(ValidationError, match=message) as exc:
+            ThresholdEntry(*values)
+        assert exc.value.code == "bad_thresholds"
+
+    def test_infinite_moderate_delta_accepted(self):
+        cfg = ThresholdConfig({"FR": ThresholdEntry(0, 0.1, math.inf)})
+        assert classify("FR", fin(5.0), cfg) is Band.MODERATE
+        assert classify("FR", MetricValue.infinite("One value is zero"), cfg) \
+            is Band.DISPROPORTIONATE
 
     def test_round_trip_preserves_classifications(self, tmp_path):
         path = tmp_path / "thresholds.txt"
@@ -69,12 +92,15 @@ class TestConfig:
                 assert classify(name, fin(v), loaded) is classify(name, fin(v), CFG)
 
     def test_parse_rejects_malformed_line(self):
-        with pytest.raises(ConfigError, match="line 1"):
+        with pytest.raises(ValidationError, match="line 1") as exc:
             ThresholdConfig.loads("FR 0 0.1\n")
-        with pytest.raises(ConfigError, match="line 2: duplicate metric 'FR'"):
+        assert exc.value.code == "bad_thresholds"
+        with pytest.raises(ValidationError, match="line 2: duplicate metric 'FR'") as exc:
             ThresholdConfig.loads("FR 0 0.1 0.3\nFR 0 0.2 0.4\n")
-        with pytest.raises(ConfigError, match="line 2: unknown metric 'FDR'"):
+        assert exc.value.code == "bad_thresholds"
+        with pytest.raises(ValidationError, match="line 2: unknown metric 'FDR'") as exc:
             ThresholdConfig.loads("FR 0 0.1 0.3\nFDR 0 0.1 0.3\n")
+        assert exc.value.code == "bad_thresholds"
 
     @pytest.mark.parametrize("text, message", [
         ("FR 0 low 0.3\n", "line 1: non-numeric threshold in 'FR 0 low 0.3'"),
@@ -82,17 +108,21 @@ class TestConfig:
         ("# no entries\n\n", "threshold config is empty"),
     ], ids=["non_numeric", "empty", "comment_only"])
     def test_parse_rejects_unusable_text(self, text, message):
-        with pytest.raises(ConfigError, match=message):
+        with pytest.raises(ValidationError, match=message) as exc:
             ThresholdConfig.loads(text)
+        assert exc.value.code == "bad_thresholds"
 
     def test_bad_entry_names_its_line(self):
-        with pytest.raises(ConfigError, match="line 2: need 0 < acceptable_delta"):
+        with pytest.raises(ValidationError, match="line 2: need 0 < acceptable_delta") as exc:
             ThresholdConfig.loads("DI 1 0.1 0.3\nFR 0 0.3 0.1\n")
+        assert exc.value.code == "bad_thresholds"
 
     @pytest.mark.parametrize("ideal", ["nan", "inf", "-inf"])
     def test_non_finite_ideal_rejected(self, ideal):
-        with pytest.raises(ConfigError, match=f"line 1: ideal must be finite, got {ideal}"):
+        with pytest.raises(ValidationError,
+                           match=f"line 1: ideal must be finite, got {ideal}") as exc:
             ThresholdConfig.loads(f"FR {ideal} 0.1 0.3\n")
+        assert exc.value.code == "bad_thresholds"
 
     def test_round_trip_is_lossless(self):
         cfg = ThresholdConfig({"FR": ThresholdEntry(0.1234567891, 0.1234567891, 0.3)})
