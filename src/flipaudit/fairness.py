@@ -3,15 +3,13 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .frame import FlipCounts, ValidationError, real_or_nan
+from .frame import FlipCounts, Record, ValidationError, real_or_nan
 
 DEFAULT_FAIR_INTERVAL = (-0.1, 0.1)
 
 
-@dataclass(frozen=True)
-class FairnessResult:
+class FairnessResult(Record):
     sp_difference: float
     eo_difference: float | None
     fair_interval: tuple[float, float]

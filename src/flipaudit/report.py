@@ -18,14 +18,13 @@ rendering handles display rounding.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
 from itertools import groupby
 from operator import attrgetter
 from types import SimpleNamespace
 from typing import NamedTuple
 
 from .fairness import FairnessResult
-from .frame import PRIVILEGED, UNPRIVILEGED, FlipCounts, ValidationError
+from .frame import PRIVILEGED, UNPRIVILEGED, FlipCounts, Record, ValidationError
 from .metrics import MetricValue, proportionality, summarize_counts
 from .thresholds import Band, ThresholdConfig, classify
 
@@ -89,14 +88,12 @@ PROPORTIONALITY_ROWS = tuple(
 )
 
 
-@dataclass(frozen=True)
-class MetricCell:
+class MetricCell(Record):
     metric: MetricValue
     band: Band
 
 
-@dataclass(frozen=True)
-class ProportionalityReport:
+class ProportionalityReport(Record):
     schema_version: str
     counts: dict[str, int]
     cells: dict[str, MetricCell]
@@ -216,7 +213,7 @@ def _cell_from_dict(d: dict) -> MetricCell:
 
 
 def _fairness_to_dict(f: FairnessResult | None) -> dict | None:
-    return None if f is None else asdict(f)
+    return None if f is None else f._asdict()
 
 
 def _fairness_from_dict(d: dict | None) -> FairnessResult | None:

@@ -13,32 +13,33 @@ from __future__ import annotations
 
 import numbers
 import sys
-from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
-from .frame import AuditFrame, ValidationError, check_seed, read_text
+from .frame import AuditFrame, Record, ValidationError, check_seed, read_text
 
 if TYPE_CHECKING:
     import numpy as np
 
+# The most rows a scenario may have: an int64 array of more would need more
+# than sys.maxsize bytes, which numpy refuses with a bare ValueError.
+MAX_ROWS = sys.maxsize // 8
 
-@dataclass(frozen=True)
-class GroupScenario:
+
+class GroupScenario(Record):
     size: int
     positive_predictions: int
     favorable_flips: int
     unfavorable_flips: int
 
     def __post_init__(self):
-        for field in fields(self):  # integers, numpy's included, as a seed is
-            value = getattr(self, field.name)
+        for key, value in self._asdict().items():  # integers, numpy's included, as a seed is
             if not isinstance(value, numbers.Integral):
-                raise ValidationError(f"{field.name} must be an integer, got {value!r}",
+                raise ValidationError(f"{key} must be an integer, got {value!r}",
                                       code="bad_scenario")
         if self.size < 1:
             raise ValidationError("group size must be >= 1", code="bad_scenario")
-        if self.size > sys.maxsize:  # checked before numpy is asked for the array
-            raise ValidationError(f"group size {self.size} exceeds {sys.maxsize}",
+        if self.size > MAX_ROWS:  # checked before numpy is asked for the array
+            raise ValidationError(f"group size {self.size} exceeds {MAX_ROWS}",
                                   code="bad_scenario")
         if not (0 <= self.positive_predictions <= self.size):
             raise ValidationError(
@@ -62,14 +63,17 @@ class GroupScenario:
             raise ValidationError("flip counts must be nonnegative", code="bad_scenario")
 
 
-@dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(Record):
     group0: GroupScenario
     group1: GroupScenario
     seed: int = 0
 
     def __post_init__(self):
         check_seed(self.seed, "bad_scenario")
+        rows = self.group0.size + self.group1.size
+        if rows > MAX_ROWS:
+            raise ValidationError(f"scenario of {rows} rows exceeds {MAX_ROWS}",
+                                  code="bad_scenario")
 
 
 # Reconstructs the published worked example's count structure: 1320 samples,
@@ -104,28 +108,35 @@ def _generate_group(spec: GroupScenario, rng: np.random.Generator):
 
 
 def generate_scenario(spec: ScenarioSpec) -> AuditFrame:
-    """Build a deterministic frame realizing the spec's counts exactly."""
+    """Build a deterministic frame realizing the spec's counts exactly.
+
+    A spec whose arrays do not fit in memory fails with ``bad_scenario``.
+    """
     import numpy as np
 
-    rng = np.random.default_rng(spec.seed)
-    pred0, corr0 = _generate_group(spec.group0, rng)
-    pred1, corr1 = _generate_group(spec.group1, rng)
     n = spec.group0.size + spec.group1.size
-    placement = rng.permutation(n)
+    try:
+        rng = np.random.default_rng(spec.seed)
+        pred0, corr0 = _generate_group(spec.group0, rng)
+        pred1, corr1 = _generate_group(spec.group1, rng)
+        placement = rng.permutation(n)
 
-    def place(part0, part1) -> np.ndarray:
-        out = np.empty(n, dtype=np.int64)
-        out[placement] = np.concatenate((part0, part1))
-        return out
+        def place(part0, part1) -> np.ndarray:
+            out = np.empty(n, dtype=np.int64)
+            out[placement] = np.concatenate((part0, part1))
+            return out
 
-    group = place(np.zeros(spec.group0.size, dtype=np.int64),
-                  np.ones(spec.group1.size, dtype=np.int64))
-    pred = place(pred0, pred1)
-    corr = place(corr0, corr1)
-    return AuditFrame(y_predicted=pred, y_corrected=corr, group=group, y_true=corr.copy())
+        group = place(np.zeros(spec.group0.size, dtype=np.int64),
+                      np.ones(spec.group1.size, dtype=np.int64))
+        pred = place(pred0, pred1)
+        corr = place(corr0, corr1)
+        return AuditFrame(y_predicted=pred, y_corrected=corr, group=group, y_true=corr.copy())
+    except MemoryError:
+        raise ValidationError(f"scenario of {n} rows does not fit in memory",
+                              code="bad_scenario") from None
 
 
-_SCENARIO_KEYS = ("size", "positive_predictions", "favorable_flips", "unfavorable_flips")
+_SCENARIO_KEYS = GroupScenario._fields
 _SPEC_KEYS = {"seed"} | {f"group{gid}.{key}" for gid in (0, 1) for key in _SCENARIO_KEYS}
 
 

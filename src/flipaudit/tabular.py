@@ -18,10 +18,11 @@ from __future__ import annotations
 import csv
 import io
 from collections import Counter
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .frame import BLOCK, AuditFrame, FlipCounts, ValidationError, decode_utf8, joint_counts
+from .frame import (
+    BLOCK, AuditFrame, FlipCounts, Record, ValidationError, decode_utf8, joint_counts,
+)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -33,8 +34,7 @@ _ONE_AS_ZERO = bytes.maketrans(b"1", b"0")
 _CHECK_ROWS = BLOCK // 16
 
 
-@dataclass(frozen=True)
-class ColumnMapping:
+class ColumnMapping(Record):
     pred_col: str = "pred"
     corr_col: str | None = "corr"  # None: no corrected labels, corr = pred
     group_col: str = "group"

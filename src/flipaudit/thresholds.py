@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 from . import metrics as _metrics
-from .frame import ValidationError, read_text, real_or_nan
+from .frame import Record, ValidationError, read_text, real_or_nan
 from .metrics import MetricValue
 
 _BAD = "bad_thresholds"  # the code of every malformed threshold config or entry
@@ -40,8 +39,7 @@ class Band(enum.IntEnum):
         raise ValidationError(f"unknown band label {label!r}", code="bad_report")
 
 
-@dataclass(frozen=True)
-class ThresholdEntry:
+class ThresholdEntry(Record):
     ideal: float
     acceptable_delta: float
     moderate_delta: float
@@ -75,8 +73,7 @@ _DEFAULTS = {
 }
 
 
-@dataclass(frozen=True)
-class ThresholdConfig:
+class ThresholdConfig(Record):
     entries: dict[str, ThresholdEntry]
 
     @classmethod

@@ -414,19 +414,22 @@ def run_python(args, **kwargs):
     ("bad_seed", ["debias", "-i", "{tmp}/data.csv", "--seed", "-1"]),
     ("unreachable_epsilon", ["debias", "-i", "{tmp}/five.csv", "--epsilon", "0.05"]),
     ("bad_scenario", ["synth", "--scenario", "{tmp}/huge.txt"]),
+    ("bad_scenario", ["synth", "--scenario", "{tmp}/maxsize.txt"]),
 ], ids=["non_binary", "bad_encoding", "unreadable_file", "unreadable_stdin",
         "unwritable_missing_dir", "unwritable_dir", "bad_thresholds", "bad_report",
-        "bad_epsilon", "bad_seed", "unreachable_epsilon", "bad_scenario"])
+        "bad_epsilon", "bad_seed", "unreachable_epsilon", "bad_scenario",
+        "bad_scenario_maxsize"])
 def test_every_failure_prints_one_coded_line(code, argv, tmp_path):
     (tmp_path / "data.csv").write_text("pred,corr,group\n1,0,0\n0,1,1\n")
     (tmp_path / "non-binary.csv").write_text("pred,corr,group\n1,0,2\n")
     (tmp_path / "not-utf8.csv").write_bytes(b"pred,corr,group\n1,0,0\n0,1,\xff\n")
     (tmp_path / "thresholds.txt").write_text("FR 0 0.1\n")
     (tmp_path / "five.csv").write_text("pred,group\n1,0\n0,0\n1,1\n0,1\n0,1\n")
-    # A size past sys.maxsize: it must fail before numpy is asked for the array.
-    (tmp_path / "huge.txt").write_text(
-        dumps_spec(REFERENCE_EXAMPLE).replace("group0.size = 799",
-                                              "group0.size = 99999999999999999999"))
+    # Sizes past sys.maxsize, and at it: each must fail before numpy is asked
+    # for the array.
+    for name, size in (("huge", 99999999999999999999), ("maxsize", sys.maxsize)):
+        (tmp_path / f"{name}.txt").write_text(
+            dumps_spec(REFERENCE_EXAMPLE).replace("group0.size = 799", f"group0.size = {size}"))
     # stdin open for writing only, so reading it fails.
     with open(tmp_path / "stdin", "wb") as stdin:
         proc = run_python(["-m", "flipaudit.cli", *(arg.format(tmp=tmp_path) for arg in argv)],
@@ -438,12 +441,12 @@ def test_every_failure_prints_one_coded_line(code, argv, tmp_path):
 
 
 # Imports the package and its CLI, runs main(argv) if given, and prints the
-# exit code and whether numpy was loaded.
+# exit code and whether numpy, dataclasses and inspect were loaded.
 IMPORT_PROBE = """
 import sys
 import flipaudit, flipaudit.cli
 code = flipaudit.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
-print(code, "numpy" in sys.modules)
+print(code, *(name in sys.modules for name in ("numpy", "dataclasses", "inspect")))
 """
 
 
@@ -463,6 +466,6 @@ def test_audit_does_not_import_numpy(case, tmp_path):
     }[case]
     proc = run_python(["-c", IMPORT_PROBE, *argv])
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == f"{code} False"
+    assert proc.stdout.splitlines()[-1] == f"{code} False False False"
     if argv[:1] == ["audit"]:
         assert out.read_bytes() == (golden / "audit.txt").read_bytes()

@@ -15,6 +15,8 @@ from flipaudit import (
 )
 from flipaudit.scenario import dumps_spec, load_spec, loads_spec
 
+INT64_ROWS = sys.maxsize // 8  # the most rows an int64 array holds
+
 
 def random_spec(rng) -> ScenarioSpec:
     def group():
@@ -111,9 +113,10 @@ class TestGenerateScenario:
         ((5, 2, np.float64(1), 0), f"favorable_flips must be an integer, got {np.float64(1)!r}"),
         ((5, 2, 0, None), "unfavorable_flips must be an integer, got None"),
         ((99999999999999999999, 2, 0, 0),
-         f"group size 99999999999999999999 exceeds {sys.maxsize}"),
+         f"group size 99999999999999999999 exceeds {INT64_ROWS}"),
+        ((sys.maxsize, 2, 0, 0), f"group size {sys.maxsize} exceeds {INT64_ROWS}"),
     ], ids=["float_size", "str_size", "float_positives", "numpy_float_flips", "none_flips",
-            "huge_size"])
+            "huge_size", "maxsize"])
     def test_counts_are_integers_numpy_can_allocate(self, counts, message):
         with pytest.raises(ValidationError) as exc:
             GroupScenario(*counts)
@@ -131,6 +134,19 @@ class TestGenerateScenario:
         with pytest.raises(ValidationError, match="group size 99999999999999999999") as exc:
             loads_spec(text)
         assert exc.value.code == "bad_scenario"
+
+    # Each spec's arrays need more than 2**48 bytes, more than any address
+    # space maps, so nothing is ever allocated.
+    @pytest.mark.parametrize("size0, size1, message", [
+        (INT64_ROWS, 1, f"scenario of {INT64_ROWS + 1} rows exceeds {INT64_ROWS}"),
+        (INT64_ROWS - 1, 1, f"scenario of {INT64_ROWS} rows does not fit in memory"),
+        (2**50, 2**50, f"scenario of {2**51} rows does not fit in memory"),
+    ], ids=["sum_too_large", "largest", "too_large_for_memory"])
+    def test_scenario_numpy_cannot_allocate_fails_coded(self, size0, size1, message):
+        with pytest.raises(ValidationError) as exc:
+            generate_scenario(ScenarioSpec(GroupScenario(size0, 0, 0, 0),
+                                           GroupScenario(size1, 0, 0, 0)))
+        assert (exc.value.code, str(exc.value)) == ("bad_scenario", message)
 
     def test_negative_flips_rejected(self):
         with pytest.raises(ValidationError, match="flip counts must be nonnegative") as exc:
