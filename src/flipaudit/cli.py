@@ -14,6 +14,8 @@ still unfair, 1 usage or data error.
 from __future__ import annotations
 
 import argparse
+import gc
+import os
 import sys
 
 from . import __version__
@@ -82,14 +84,22 @@ def _write_output(data, path: str | None):
     next is drawn, so a generator may reuse one buffer for all of them.
     """
     blocks = [data] if isinstance(data, bytes) else data
+    to_stdout = path is None or path == "-"
     try:
-        if path is None or path == "-":
+        if to_stdout:
             sys.stdout.flush()
             sys.stdout.buffer.writelines(blocks)
+            sys.stdout.buffer.flush()
         else:
             with open(path, "wb") as fh:
                 fh.writelines(blocks)
     except OSError as exc:
+        if to_stdout:
+            # The bytes not written stay buffered, and the interpreter's flush
+            # at exit would fail on them again with a second message. Send
+            # them to devnull instead (the SIGPIPE recipe in the signal docs).
+            with open(os.devnull, "wb") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
         raise ValidationError(f"cannot write {path or '-'}: {exc}", code="unwritable") from None
 
 
@@ -211,5 +221,22 @@ def main(argv=None) -> int:
         return EXIT_ERROR
 
 
+def run():
+    """The process entry: run ``main`` on ``sys.argv`` and exit with its code.
+
+    By the time ``main`` returns, its output is written and every file it
+    opened is closed. What is left alive is mostly the heap the imports
+    built. The collections the interpreter runs at shutdown would walk all
+    of it and free its reference cycles one object at a time; frozen objects
+    are out of their reach, and the operating system reclaims the memory.
+    Exit is otherwise unchanged: atexit handlers run and stdio is flushed.
+    ``main`` itself leaves the collector alone, for callers in a process
+    that goes on.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -145,11 +145,15 @@ def sp_equalizing_debiaser(y_predicted, group, epsilon: float, rng_seed: int = 0
                                    pos_under, neg_under + pos_under, epsilon)
 
     rng = np.random.default_rng(rng_seed)
-    # Shuffle the down candidates even when down is 0: the up shuffle's draws
-    # follow it. The up shuffle is the generator's last use, so it is skipped
-    # when up is 0 without changing a bit; a (0, 0) split draws nothing.
-    if down or up:
+    # The up shuffle's draws follow the down shuffle's, so a down of 0 still
+    # shuffles pos_over entries, of a scratch array rather than gathered
+    # candidates: a shuffle's draws depend only on its length. The up shuffle
+    # is the generator's last use, so it is skipped when up is 0 without
+    # changing a bit; a (0, 0) split draws nothing.
+    if down:
         _flip_some(labels, grp, over, down, 0, pos_over, rng)
+    elif up:
+        rng.shuffle(np.empty(pos_over, np.uint8))
     if up:
         _flip_some(labels, grp, under, up, 1, neg_under, rng)
     labels.setflags(write=False)

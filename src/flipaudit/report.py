@@ -205,10 +205,13 @@ def _cell_to_dict(c: MetricCell) -> dict:
 
 
 def _cell_from_dict(d: dict) -> MetricCell:
-    if d["kind"] == "inf":
+    kind = d["kind"]
+    if kind == "inf":
         mv = MetricValue.infinite(d["annotation"])
-    else:
+    elif kind == "finite":
         mv = MetricValue.finite(d["value"], d["annotation"])
+    else:
+        raise ValueError(f"bad MetricValue kind: {kind!r}")
     return MetricCell(metric=mv, band=Band.from_label(d["band"]))
 
 

@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import os
@@ -396,8 +397,8 @@ def run_python(args, **kwargs):
     src = Path(flipaudit.__file__).parent.parent
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
-                          **kwargs)
+    return subprocess.run([sys.executable, *args], env=env, text=True,
+                          **{"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **kwargs})
 
 
 # One failing invocation per error code; "{tmp}" is the test's directory.
@@ -410,6 +411,7 @@ def run_python(args, **kwargs):
     ("unwritable", ["audit", "-i", "{tmp}/data.csv", "-o", "{tmp}"]),
     ("bad_thresholds", ["audit", "-i", "{tmp}/data.csv", "--thresholds", "{tmp}/thresholds.txt"]),
     ("bad_report", ["plot", "-i", "{tmp}/data.csv", "-o", "{tmp}/chart.svg"]),
+    ("bad_report", ["plot", "-i", "{tmp}/nan-kind.json", "-o", "{tmp}/chart.svg"]),
     ("bad_epsilon", ["pipeline", "-i", "{tmp}/data.csv", "--epsilon", "nan"]),
     ("bad_seed", ["debias", "-i", "{tmp}/data.csv", "--seed", "-1"]),
     ("unreachable_epsilon", ["debias", "-i", "{tmp}/five.csv", "--epsilon", "0.05"]),
@@ -417,7 +419,7 @@ def run_python(args, **kwargs):
     ("bad_scenario", ["synth", "--scenario", "{tmp}/maxsize.txt"]),
 ], ids=["non_binary", "bad_encoding", "unreadable_file", "unreadable_stdin",
         "unwritable_missing_dir", "unwritable_dir", "bad_thresholds", "bad_report",
-        "bad_epsilon", "bad_seed", "unreachable_epsilon", "bad_scenario",
+        "bad_report_kind", "bad_epsilon", "bad_seed", "unreachable_epsilon", "bad_scenario",
         "bad_scenario_maxsize"])
 def test_every_failure_prints_one_coded_line(code, argv, tmp_path):
     (tmp_path / "data.csv").write_text("pred,corr,group\n1,0,0\n0,1,1\n")
@@ -425,6 +427,9 @@ def test_every_failure_prints_one_coded_line(code, argv, tmp_path):
     (tmp_path / "not-utf8.csv").write_bytes(b"pred,corr,group\n1,0,0\n0,1,\xff\n")
     (tmp_path / "thresholds.txt").write_text("FR 0 0.1\n")
     (tmp_path / "five.csv").write_text("pred,group\n1,0\n0,0\n1,1\n0,1\n0,1\n")
+    # A metric cell of a kind that is neither "finite" nor "inf".
+    report = (Path(__file__).parent / "golden" / "audit.json").read_text()
+    (tmp_path / "nan-kind.json").write_text(report.replace('"finite"', '"nan"', 1))
     # Sizes past sys.maxsize, and at it: each must fail before numpy is asked
     # for the array.
     for name, size in (("huge", 99999999999999999999), ("maxsize", sys.maxsize)):
@@ -469,3 +474,93 @@ def test_audit_does_not_import_numpy(case, tmp_path):
     assert proc.stdout.splitlines()[-1] == f"{code} False False False"
     if argv[:1] == ["audit"]:
         assert out.read_bytes() == (golden / "audit.txt").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["audit", "debias"])
+@pytest.mark.parametrize("sink", ["closed_pipe", "dev_full"])
+def test_stdout_write_failure_is_unwritable(command, sink, monkeypatch):
+    # Buffered stdout: a short report fails only when it is flushed, and the
+    # interpreter flushes again at exit.
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    argv = ["-m", "flipaudit.cli", command, "-i",
+            str(Path(__file__).parent / "golden" / "reference.csv")]
+    if sink == "dev_full":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        with open("/dev/full", "wb") as stdout:
+            proc = run_python(argv, stdout=stdout)
+    else:
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = run_python(argv, stdout=write_end)
+        finally:
+            os.close(write_end)
+    assert proc.returncode == 1
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("error [unwritable]: cannot write -: ")
+
+
+# Registers an exit handler before the CLI is imported, then leaves through
+# the process entry. The handler runs after the entry has frozen the collector.
+ENTRY_PROBE = """
+import atexit, gc
+atexit.register(lambda: print("frozen at exit:", gc.get_freeze_count() > 0))
+from flipaudit.cli import run
+run()
+"""
+
+
+def _review_required_csv(path):
+    # Flips (favorable, unfavorable) of (1, 3) and (1, 4) in two groups of 20.
+    rows = ["pred,corr,group"]
+    for g, fav, unfav in ((0, 1, 3), (1, 1, 4)):
+        rest = 20 - fav - unfav
+        rows += [f"0,1,{g}"] * fav + [f"1,0,{g}"] * unfav
+        rows += [f"1,1,{g}"] * (rest // 2) + [f"0,0,{g}"] * (rest - rest // 2)
+    path.write_text("\n".join(rows) + "\n")
+
+
+@pytest.mark.parametrize("case, code", [
+    ("version", 0), ("proportionate", 0), ("error", 1), ("review", 2), ("disproportionate", 3),
+])
+def test_process_entry_exits_with_the_code_after_exit_handlers(case, code, tmp_path):
+    golden = Path(__file__).parent / "golden"
+    _review_required_csv(tmp_path / "review.csv")
+    out = ["-o", str(tmp_path / "out.txt")]
+    argv = {
+        "version": ["--version"],
+        "proportionate": ["audit", "-i", str(golden / "identity.csv"), *out],
+        "error": ["audit", "-i", str(tmp_path / "missing.csv"), *out],
+        "review": ["audit", "-i", str(tmp_path / "review.csv"), *out],
+        "disproportionate": ["audit", "-i", str(golden / "reference.csv"), *out],
+    }[case]
+    proc = run_python(["-c", ENTRY_PROBE, *argv])
+    assert proc.returncode == code, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "frozen at exit: True"
+    if case == "version":
+        assert proc.stdout.splitlines()[0] == flipaudit.__version__
+
+
+def test_main_leaves_the_collector_as_it_found_it(reference_csv, tmp_path, capsys):
+    before = gc.isenabled(), gc.get_freeze_count()
+    for argv in (["--version"], ["audit", "-i", str(reference_csv), "-o", str(tmp_path / "r")],
+                 ["audit", "-i", str(tmp_path / "missing.csv")]):
+        main(argv)
+        assert (gc.isenabled(), gc.get_freeze_count()) == before, argv
+
+
+def test_installed_command_runs_the_module_entry():
+    # Read by hand: Python 3.10 has no tomllib.
+    root = Path(__file__).parent.parent
+    section, script = None, None
+    for line in (root / "pyproject.toml").read_text().splitlines():
+        line = line.strip()
+        if line.startswith("["):
+            section = line
+        elif section == "[project.scripts]" and line.startswith("flipaudit"):
+            script = line.partition("=")[2].strip().strip('"')
+    source = Path(flipaudit.cli.__file__).read_text()
+    [entry] = re.findall(r'^if __name__ == "__main__":\n    (\w+)\(\)\n', source, re.M)
+    assert script == f"flipaudit.cli:{entry}"
+    assert getattr(flipaudit.cli, entry) is flipaudit.cli.run

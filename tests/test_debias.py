@@ -107,8 +107,9 @@ class TestSpEqualizingDebiaser:
 
     @pytest.mark.parametrize("idle", ["up", "down"])
     def test_placement_matches_full_shuffle_reference(self, idle):
-        # With no up-flips the up shuffle is skipped; the bits must stay those
-        # of shuffling both candidate sets, in order, from one seeded generator.
+        # With no up-flips the up shuffle is skipped, and with no down-flips the
+        # down shuffle runs on scratch; the bits must stay those of shuffling
+        # both candidate sets, in order, from one seeded generator.
         rng = np.random.default_rng(11)
         checked = 0
         for seed in range(400):
