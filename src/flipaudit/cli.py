@@ -18,15 +18,28 @@ import gc
 import os
 import sys
 
-from . import __version__
-from .chart import emit_chart
-from .debias import sp_equalizing_debiaser, make_sp_debiaser
+from . import __version__, lazy_names
 from .frame import ValidationError, decode_utf8, read_text
-from .pipeline import Decision, run_audit_pipeline
-from .report import build_report, parse_structured, render_structured, render_text
-from .scenario import BUILTIN_SCENARIOS, generate_scenario, load_spec
-from .tabular import ColumnMapping, frame_to_csv_blocks, ingest, ingest_counts
-from .thresholds import ThresholdConfig
+
+# The names the commands take from other modules, each imported when a
+# command first looks it up, so a command loads only the modules it runs.
+# Commands look them up on this module (``_cli``), so a name replaced here
+# before main runs, by a tracer's wrapper say, is the one called.
+__getattr__, __dir__ = lazy_names(globals(), {
+    "chart": ("emit_chart",),
+    "debias": ("make_sp_debiaser", "sp_equalizing_debiaser"),
+    "pipeline": ("Decision", "run_audit_pipeline"),
+    "report": ("build_report", "parse_structured", "render_structured", "render_text"),
+    "scenario": ("REFERENCE_EXAMPLE", "generate_scenario", "load_spec"),
+    "tabular": ("ColumnMapping", "frame_to_csv_blocks", "ingest", "ingest_counts"),
+    "thresholds": ("ThresholdConfig",),
+})
+_cli = sys.modules[__name__]
+
+# synth's builtin scenarios, by name: the spec each stands for is looked up
+# on this module when synth runs, so the parser's help for them loads no
+# scenario code.
+BUILTIN_SCENARIOS = {"reference-example": "REFERENCE_EXAMPLE"}
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -41,9 +54,9 @@ _VERDICT_CODES = {
 
 
 def _decision_code(decision: Decision, verdict: str) -> int:
-    if decision in (Decision.NO_DEBIAS_NEEDED, Decision.FAIR_AND_PROPORTIONATE):
+    if decision in (_cli.Decision.NO_DEBIAS_NEEDED, _cli.Decision.FAIR_AND_PROPORTIONATE):
         return EXIT_OK
-    if decision is Decision.STILL_UNFAIR:
+    if decision is _cli.Decision.STILL_UNFAIR:
         return EXIT_DISPROPORTIONATE
     # Fair but disproportionate: severity comes from the report verdict.
     return _VERDICT_CODES[verdict]
@@ -61,7 +74,7 @@ def _add_mapping_args(p: argparse.ArgumentParser):
 
 def _mapping(args) -> ColumnMapping:
     # Only audit reads corrected labels; debias and pipeline ingest corr = pred.
-    return ColumnMapping(
+    return _cli.ColumnMapping(
         pred_col=args.pred_col,
         corr_col=getattr(args, "corr_col", None),
         group_col=args.group_col,
@@ -73,8 +86,8 @@ def _mapping(args) -> ColumnMapping:
 
 def _load_config(args) -> ThresholdConfig:
     if args.thresholds:
-        return ThresholdConfig.load(args.thresholds)
-    return ThresholdConfig.default()
+        return _cli.ThresholdConfig.load(args.thresholds)
+    return _cli.ThresholdConfig.default()
 
 
 def _write_output(data, path: str | None):
@@ -84,23 +97,31 @@ def _write_output(data, path: str | None):
     next is drawn, so a generator may reuse one buffer for all of them.
     """
     blocks = [data] if isinstance(data, bytes) else data
-    to_stdout = path is None or path == "-"
+    if path is None or path == "-":
+        if sys.stdout is None:  # the process started with no descriptor 1
+            raise ValidationError("cannot write -: stdout is closed", code="unwritable")
+        _flush_stdout(blocks)
+        return
     try:
-        if to_stdout:
-            sys.stdout.flush()
-            sys.stdout.buffer.writelines(blocks)
-            sys.stdout.buffer.flush()
-        else:
-            with open(path, "wb") as fh:
-                fh.writelines(blocks)
+        with open(path, "wb") as fh:
+            fh.writelines(blocks)
     except OSError as exc:
-        if to_stdout:
-            # The bytes not written stay buffered, and the interpreter's flush
-            # at exit would fail on them again with a second message. Send
-            # them to devnull instead (the SIGPIPE recipe in the signal docs).
-            with open(os.devnull, "wb") as devnull:
-                os.dup2(devnull.fileno(), sys.stdout.fileno())
-        raise ValidationError(f"cannot write {path or '-'}: {exc}", code="unwritable") from None
+        raise ValidationError(f"cannot write {path}: {exc}", code="unwritable") from None
+
+
+def _flush_stdout(blocks=()):
+    """Write ``blocks`` to stdout after what it holds already, and flush it."""
+    try:
+        sys.stdout.flush()
+        sys.stdout.buffer.writelines(blocks)
+        sys.stdout.buffer.flush()
+    except OSError as exc:
+        # The bytes not written stay buffered, and the interpreter's flush
+        # at exit would fail on them again with a second message. Send
+        # them to devnull instead (the SIGPIPE recipe in the signal docs).
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        raise ValidationError(f"cannot write -: {exc}", code="unwritable") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -150,14 +171,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 # Each command returns its output, for _write_output, and its exit code.
 def _cmd_synth(args):
-    frame = generate_scenario(BUILTIN_SCENARIOS.get(args.scenario) or load_spec(args.scenario))
-    return frame_to_csv_blocks(frame), EXIT_OK
+    builtin = BUILTIN_SCENARIOS.get(args.scenario)
+    spec = getattr(_cli, builtin) if builtin else _cli.load_spec(args.scenario)
+    return _cli.frame_to_csv_blocks(_cli.generate_scenario(spec)), EXIT_OK
 
 
 def _cmd_audit(args):
-    counts = ingest_counts(args.input, _mapping(args))
-    report = build_report(counts, _load_config(args))
-    text = render_text(report) if args.format == "text" else render_structured(report)
+    counts = _cli.ingest_counts(args.input, _mapping(args))
+    report = _cli.build_report(counts, _load_config(args))
+    text = _cli.render_text(report) if args.format == "text" else _cli.render_structured(report)
     return text.encode(), _VERDICT_CODES[report.verdict]
 
 
@@ -169,30 +191,30 @@ def _cmd_plot(args):
             raise ValidationError(f"cannot read stdin: {exc}", code="unreadable") from None
     else:
         text = read_text(args.input)
-    return emit_chart(parse_structured(text)).encode(), EXIT_OK
+    return _cli.emit_chart(_cli.parse_structured(text)).encode(), EXIT_OK
 
 
 def _cmd_debias(args):
-    frame = ingest(args.input, _mapping(args))
-    corrected = sp_equalizing_debiaser(
+    frame = _cli.ingest(args.input, _mapping(args))
+    corrected = _cli.sp_equalizing_debiaser(
         frame.y_predicted, frame.group, args.epsilon, args.seed
     )
-    return frame_to_csv_blocks(frame.with_corrected(corrected)), EXIT_OK
+    return _cli.frame_to_csv_blocks(frame.with_corrected(corrected)), EXIT_OK
 
 
 def _cmd_pipeline(args):
-    frame = ingest(args.input, _mapping(args))
-    outcome = run_audit_pipeline(
+    frame = _cli.ingest(args.input, _mapping(args))
+    outcome = _cli.run_audit_pipeline(
         frame.y_predicted,
         frame.group,
-        make_sp_debiaser(args.epsilon, args.seed),
+        _cli.make_sp_debiaser(args.epsilon, args.seed),
         y_true=frame.y_true,
         config=_load_config(args),
     )
     if args.format == "structured":
-        text = render_structured(outcome.report, decision=outcome.decision.value)
+        text = _cli.render_structured(outcome.report, decision=outcome.decision.value)
     else:
-        text = render_text(outcome.report) + f"Decision: {outcome.decision.value}\n"
+        text = _cli.render_text(outcome.report) + f"Decision: {outcome.decision.value}\n"
     return text.encode(), _decision_code(outcome.decision, outcome.report.verdict)
 
 
@@ -203,6 +225,11 @@ _COMMANDS = {
     "debias": _cmd_debias,
     "pipeline": _cmd_pipeline,
 }
+
+
+def _fail(exc: ValidationError) -> int:
+    print(f"error [{exc.code}]: {exc}", file=sys.stderr)
+    return EXIT_ERROR
 
 
 def main(argv=None) -> int:
@@ -217,12 +244,15 @@ def main(argv=None) -> int:
         _write_output(output, args.output)
         return code
     except ValidationError as exc:
-        print(f"error [{exc.code}]: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        return _fail(exc)
 
 
 def run():
     """The process entry: run ``main`` on ``sys.argv`` and exit with its code.
+
+    What is still buffered on stdout, such as the text of ``--help`` or
+    ``--version``, is flushed here, so a failure to write it is
+    ``unwritable`` too, not a message from the interpreter's flush at exit.
 
     By the time ``main`` returns, its output is written and every file it
     opened is closed. What is left alive is mostly the heap the imports
@@ -234,6 +264,11 @@ def run():
     that goes on.
     """
     code = main()
+    if sys.stdout is not None:
+        try:
+            _flush_stdout()
+        except ValidationError as exc:
+            code = _fail(exc)
     gc.freeze()
     sys.exit(code)
 

@@ -205,13 +205,10 @@ def _cell_to_dict(c: MetricCell) -> dict:
 
 
 def _cell_from_dict(d: dict) -> MetricCell:
-    kind = d["kind"]
-    if kind == "inf":
-        mv = MetricValue.infinite(d["annotation"])
-    elif kind == "finite":
+    if d["kind"] == "finite":
         mv = MetricValue.finite(d["value"], d["annotation"])
-    else:
-        raise ValueError(f"bad MetricValue kind: {kind!r}")
+    else:  # MetricValue rejects any other kind, and an "inf" that carries a value
+        mv = MetricValue(d["kind"], d["value"], d["annotation"])
     return MetricCell(metric=mv, band=Band.from_label(d["band"]))
 
 

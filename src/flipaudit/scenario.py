@@ -88,8 +88,6 @@ REFERENCE_EXAMPLE = ScenarioSpec(
     seed=0,
 )
 
-BUILTIN_SCENARIOS = {"reference-example": REFERENCE_EXAMPLE}
-
 
 def _generate_group(spec: GroupScenario, rng: np.random.Generator):
     import numpy as np

@@ -10,12 +10,11 @@ count table (``ingest_counts``). Any other file goes through ``csv.reader``
 and ``_mapped_rows``, the one place that reports data errors, into the same
 two results. One leading UTF-8 byte order mark is skipped on either path.
 Only label vectors need numpy: counting a file, on either path, does not
-import it.
+import it. ``csv`` is imported only for a file that goes through its reader.
 """
 
 from __future__ import annotations
 
-import csv
 import io
 from collections import Counter
 from typing import TYPE_CHECKING
@@ -110,6 +109,8 @@ def _read_rows(rows, mapping: ColumnMapping, consume):
 
     ``rows`` is a ``csv.reader`` or any iterable of cell lists.
     """
+    import csv
+
     rows = iter(rows)
     try:
         return consume(_mapped_rows(rows, mapping), mapping)
@@ -324,6 +325,8 @@ def _ingest(path, mapping: ColumnMapping, sink) -> AuditFrame | FlipCounts:
         raise ValidationError(f"cannot read {path}: {exc}", code="unreadable")
     if not data.isascii():
         decode_utf8(data, "row")  # a bad byte fails before any row is read
+    import csv
+
     # The text is decoded as it is read, so the file's bytes are its one copy.
     text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="")
     return _read_rows(csv.reader(text), mapping, sink.of_rows)

@@ -283,7 +283,10 @@ def golden_audit_with_fr(cell):
     (golden_audit_with_fr(1), "'int' object is not subscriptable"),
     (golden_audit_with_fr({"kind": "finite", "value": 0.5, "annotation": "Regular calculation",
                            "band": "Great"}), "unknown band label 'Great'"),
-], ids=["csv", "empty_object", "cell_not_object", "unknown_band"])
+    (golden_audit_with_fr({"kind": "inf", "value": 5.0, "annotation": "One value is zero",
+                           "band": "Disproportionate"}),
+     "infinite MetricValue cannot carry a value"),
+], ids=["csv", "empty_object", "cell_not_object", "unknown_band", "inf_with_value"])
 def test_plot_rejects_text_that_is_not_a_report(text, problem, tmp_path, capsys):
     path = tmp_path / "report.json"
     path.write_text(text)
@@ -445,45 +448,119 @@ def test_every_failure_prints_one_coded_line(code, argv, tmp_path):
     assert line.startswith(f"error [{code}]: ")
 
 
-# Imports the package and its CLI, runs main(argv) if given, and prints the
-# exit code and whether numpy, dataclasses and inspect were loaded.
+# Imports the package, runs its CLI's main(argv) if argv is given, and prints
+# the exit code and the name of every module loaded.
 IMPORT_PROBE = """
 import sys
-import flipaudit, flipaudit.cli
-code = flipaudit.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
-print(code, *(name in sys.modules for name in ("numpy", "dataclasses", "inspect")))
+import flipaudit
+code = 0
+if sys.argv[1:]:
+    from flipaudit.cli import main
+    code = main(sys.argv[1:])
+print(code, *sorted(sys.modules))
 """
 
+# Modules whose loading a case pins down, besides flipaudit's own: numpy for
+# label vectors, csv for a file the strict check declines, json for reports.
+# flipaudit needs neither dataclasses nor inspect; numpy imports inspect.
+WATCHED = {"numpy", "csv", "json", "dataclasses", "inspect"}
+COUNTING = {"cli", "frame", "tabular", "report", "fairness", "metrics", "thresholds"}
 
-@pytest.mark.parametrize("case", ["import", "version", "audit", "audit_declined"])
-def test_audit_does_not_import_numpy(case, tmp_path):
+
+@pytest.mark.parametrize("case", ["import", "version", "audit", "audit_declined", "debias",
+                                  "plot"])
+def test_each_command_loads_only_the_modules_it_runs(case, tmp_path):
     golden = Path(__file__).parent / "golden"
     data = (golden / "reference.csv").read_bytes()
     if case == "audit_declined":  # valid, but the strict path declines a quoted header
         data = b'"pred"' + data.removeprefix(b"pred")
-    path, out = tmp_path / "d.csv", tmp_path / "audit.txt"
+    path, out = tmp_path / "d.csv", tmp_path / "out"
     path.write_bytes(data)
-    argv, code = {
-        "import": ([], 0),
-        "version": (["--version"], 0),
-        "audit": (["audit", "-i", str(path), "-o", str(out)], 3),
-        "audit_declined": (["audit", "-i", str(path), "-o", str(out)], 3),
+    audit = ["audit", "-i", str(path), "-o", str(out)]
+    # argv, exit code, the flipaudit submodules loaded, the WATCHED modules loaded
+    argv, code, submodules, watched = {
+        "import": ([], 0, set(), set()),
+        "version": (["--version"], 0, {"cli", "frame"}, set()),
+        "audit": (audit, 3, COUNTING, {"json"}),
+        "audit_declined": (audit, 3, COUNTING, {"csv", "json"}),
+        "debias": (["debias", "-i", str(path), "-o", str(out)], 0,
+                   {"cli", "frame", "tabular", "debias", "fairness"}, {"numpy", "inspect"}),
+        "plot": (["plot", "-i", str(golden / "audit.json"), "-o", str(out)], 0,
+                 {"cli", "frame", "report", "fairness", "metrics", "thresholds", "chart"},
+                 {"json"}),
     }[case]
     proc = run_python(["-c", IMPORT_PROBE, *argv])
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == f"{code} False False False"
+    exit_code, *modules = proc.stdout.splitlines()[-1].split()
+    assert int(exit_code) == code
+    assert {m for m in modules if m.startswith("flipaudit")} == (
+        {"flipaudit"} | {f"flipaudit.{name}" for name in submodules})
+    assert WATCHED.intersection(modules) == watched
     if argv[:1] == ["audit"]:
         assert out.read_bytes() == (golden / "audit.txt").read_bytes()
 
 
-@pytest.mark.parametrize("command", ["audit", "debias"])
+# A fresh interpreter: resolves every submodule as an attribute of the
+# package, then each public name, and prints what ``dir`` lists.
+PACKAGE_PROBE = """
+import pkgutil, types
+import flipaudit
+for info in pkgutil.iter_modules(flipaudit.__path__):
+    assert isinstance(getattr(flipaudit, info.name), types.ModuleType), info.name
+namespace = {}
+exec("from flipaudit import *", namespace)
+assert {name for name in namespace if name != "__builtins__"} == set(flipaudit.__all__)
+print(*dir(flipaudit))
+"""
+
+
+def test_package_resolves_each_name_on_first_use():
+    proc = run_python(["-c", PACKAGE_PROBE])
+    assert proc.returncode == 0, proc.stderr
+    assert set(flipaudit.__all__) <= set(proc.stdout.split())
+    for name in flipaudit.__all__:
+        value = getattr(flipaudit, name)
+        assert getattr(sys.modules[value.__module__], name) is value, name
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        flipaudit.no_such_name
+    # A name the CLI does not take stays absent, so a tracer reports it so.
+    assert not hasattr(flipaudit.cli, "frame_to_csv")
+    assert flipaudit.cli.ingest is flipaudit.tabular.ingest
+
+
+# One name per command, looked up on the cli module when the command runs.
+@pytest.mark.parametrize("name, argv", [
+    ("generate_scenario", ["synth", "--scenario", "reference-example"]),
+    ("ingest_counts", ["audit", "-i", "{golden}/reference.csv"]),
+    ("emit_chart", ["plot", "-i", "{golden}/audit.json"]),
+    ("sp_equalizing_debiaser", ["debias", "-i", "{golden}/reference.csv"]),
+    ("run_audit_pipeline", ["pipeline", "-i", "{golden}/reference.csv"]),
+])
+def test_commands_call_the_names_set_on_the_cli_module(name, argv, tmp_path, monkeypatch):
+    calls = []
+    real = getattr(flipaudit.cli, name)
+
+    def spy(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(flipaudit.cli, name, spy)
+    golden = Path(__file__).parent / "golden"
+    argv = [arg.format(golden=golden) for arg in argv] + ["-o", str(tmp_path / "out")]
+    assert main(argv) in (0, 3)
+    assert calls == [name]
+
+
+@pytest.mark.parametrize("command", ["audit", "debias", "--version", "--help"])
 @pytest.mark.parametrize("sink", ["closed_pipe", "dev_full"])
 def test_stdout_write_failure_is_unwritable(command, sink, monkeypatch):
     # Buffered stdout: a short report fails only when it is flushed, and the
-    # interpreter flushes again at exit.
+    # interpreter flushes again at exit. argparse prints --help and --version
+    # itself, into the buffer.
     monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
-    argv = ["-m", "flipaudit.cli", command, "-i",
-            str(Path(__file__).parent / "golden" / "reference.csv")]
+    argv = ["-m", "flipaudit.cli", command]
+    if not command.startswith("--"):
+        argv += ["-i", str(Path(__file__).parent / "golden" / "reference.csv")]
     if sink == "dev_full":
         if not os.path.exists("/dev/full"):
             pytest.skip("no /dev/full")
@@ -499,6 +576,18 @@ def test_stdout_write_failure_is_unwritable(command, sink, monkeypatch):
     assert proc.returncode == 1
     [line] = proc.stderr.splitlines()
     assert line.startswith("error [unwritable]: cannot write -: ")
+
+
+@pytest.mark.parametrize("output, code, stderr", [
+    ([], 1, "error [unwritable]: cannot write -: stdout is closed\n"),
+    (["-o", os.devnull], 3, ""),  # stdout is not needed
+], ids=["to_stdout", "to_file"])
+def test_closed_stdout_is_unwritable(output, code, stderr):
+    # As a shell's `>&-` does, the command starts with no descriptor 1.
+    argv = ["-m", "flipaudit.cli", "audit", "-i",
+            str(Path(__file__).parent / "golden" / "reference.csv"), *output]
+    proc = run_python(argv, preexec_fn=lambda: os.close(1))
+    assert (proc.returncode, proc.stderr) == (code, stderr)
 
 
 # Registers an exit handler before the CLI is imported, then leaves through
