@@ -38,9 +38,7 @@ def lazy_names(namespace: dict, homes: dict):
 _HOMES = {
     "frame": ("AuditFrame", "FlipCounts", "ValidationError"),
     "metrics": (
-        "FlipSummary",
         "MetricValue",
-        "ProportionalityMetrics",
         "directional_flip_ratio",
         "disparity_index",
         "flip_disparity",

@@ -14,7 +14,9 @@ still unfair, 1 usage or data error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
+import io
 import os
 import sys
 
@@ -100,28 +102,23 @@ def _write_output(data, path: str | None):
     if path is None or path == "-":
         if sys.stdout is None:  # the process started with no descriptor 1
             raise ValidationError("cannot write -: stdout is closed", code="unwritable")
-        _flush_stdout(blocks)
+        try:
+            sys.stdout.flush()
+            sys.stdout.buffer.writelines(blocks)
+            sys.stdout.buffer.flush()
+        except OSError as exc:
+            # The bytes not written stay buffered, and the interpreter's flush
+            # at exit would fail on them again with a second message. Send
+            # them to devnull instead (the SIGPIPE recipe in the signal docs).
+            with open(os.devnull, "wb") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+            raise ValidationError(f"cannot write -: {exc}", code="unwritable") from None
         return
     try:
         with open(path, "wb") as fh:
             fh.writelines(blocks)
     except OSError as exc:
         raise ValidationError(f"cannot write {path}: {exc}", code="unwritable") from None
-
-
-def _flush_stdout(blocks=()):
-    """Write ``blocks`` to stdout after what it holds already, and flush it."""
-    try:
-        sys.stdout.flush()
-        sys.stdout.buffer.writelines(blocks)
-        sys.stdout.buffer.flush()
-    except OSError as exc:
-        # The bytes not written stay buffered, and the interpreter's flush
-        # at exit would fail on them again with a second message. Send
-        # them to devnull instead (the SIGPIPE recipe in the signal docs).
-        with open(os.devnull, "wb") as devnull:
-            os.dup2(devnull.fileno(), sys.stdout.fileno())
-        raise ValidationError(f"cannot write -: {exc}", code="unwritable") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -227,32 +224,29 @@ _COMMANDS = {
 }
 
 
-def _fail(exc: ValidationError) -> int:
-    print(f"error [{exc.code}]: {exc}", file=sys.stderr)
-    return EXIT_ERROR
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors; normalize to 1 (0 for --help).
-        return 0 if exc.code == 0 else EXIT_ERROR
-    try:
+        try:
+            with contextlib.redirect_stdout(io.StringIO()) as printed:
+                args = parser.parse_args(argv)
+        except SystemExit as exc:
+            # argparse exits 2 on usage errors; normalize to 1. Exiting 0, it
+            # has printed --help or --version, which is written as output is.
+            if exc.code != 0:
+                return EXIT_ERROR
+            _write_output(printed.getvalue().encode(), None)
+            return EXIT_OK
         output, code = _COMMANDS[args.command](args)
         _write_output(output, args.output)
         return code
     except ValidationError as exc:
-        return _fail(exc)
+        print(f"error [{exc.code}]: {exc}", file=sys.stderr)
+        return EXIT_ERROR
 
 
 def run():
     """The process entry: run ``main`` on ``sys.argv`` and exit with its code.
-
-    What is still buffered on stdout, such as the text of ``--help`` or
-    ``--version``, is flushed here, so a failure to write it is
-    ``unwritable`` too, not a message from the interpreter's flush at exit.
 
     By the time ``main`` returns, its output is written and every file it
     opened is closed. What is left alive is mostly the heap the imports
@@ -264,11 +258,6 @@ def run():
     that goes on.
     """
     code = main()
-    if sys.stdout is not None:
-        try:
-            _flush_stdout()
-        except ValidationError as exc:
-            code = _fail(exc)
     gc.freeze()
     sys.exit(code)
 

@@ -134,9 +134,7 @@ def sp_equalizing_debiaser(y_predicted, group, epsilon: float, rng_seed: int = 0
     check_seed(rng_seed, "bad_seed")
     frame = AuditFrame(y_predicted, y_predicted, group)
     labels, grp = frame.y_predicted.copy(), frame.group
-    flips = frame.counts().flip_table
-    # Predicted and corrected labels agree: each group's labels are its diagonal.
-    table = [(flips[g][0][0], flips[g][1][1]) for g in (0, 1)]
+    table = frame.counts().margin("group", "pred")  # each group's (negatives, positives)
     # A positive gap means group 0 is over-favored.
     over, under = (0, 1) if rate_gap(*table)[1] > 0 else (1, 0)
     neg_over, pos_over = table[over]

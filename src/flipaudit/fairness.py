@@ -95,13 +95,9 @@ def evaluate_fairness(
     with ``bad_fair_interval``, since it would fail perfect parity.
     """
     lo, hi = _check_fair_interval(fair_interval)
-    flips = counts.flip_table
-    sp, num, den = rate_gap(*[[flips[g][0][c] + flips[g][1][c] for c in (0, 1)]
-                              for g in (0, 1)])
+    sp, num, den = rate_gap(*counts.margin("group", "corr"))
     if counts.has_true:
-        t = counts.table
-        gaps, note = eo_gaps([[[t[g][0][c][y] + t[g][1][c][y] for c in (0, 1)]
-                               for y in (0, 1)] for g in (0, 1)])
+        gaps, note = eo_gaps(counts.margin("group", "true", "corr"))
         eo = max(abs(gap) for gap, _, _ in gaps)
         eo_pass = all(abs(n) <= scaled_floor(hi, d) for _, n, d in gaps)
     else:

@@ -9,16 +9,17 @@ from __future__ import annotations
 import math
 import numbers
 from functools import reduce
+from itertools import product
 from operator import and_
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     import numpy as np
 
-UNFAVORABLE = 0
-FAVORABLE = 1
 UNPRIVILEGED = 0
 PRIVILEGED = 1
+# The axes of a count table, in the order its cells are nested.
+AXES = ("group", "pred", "corr", "true")
 
 # Rows (or values) a pass over a long vector handles at a time. Every pass
 # that would otherwise make a temporary as long as the data works in blocks
@@ -248,7 +249,8 @@ class FlipCounts(Record):
     corrected label ``c`` and true label ``t``: at most 16 cells, whatever
     the number of rows. It is given as nested lists or an integer array
     and held as nested tuples of Python ints, and both groups must have
-    instances.
+    instances. Readers ask for the margin they need, by axis name, so only
+    this class and the table's builders know the axis order.
     """
 
     table: tuple
@@ -275,18 +277,31 @@ class FlipCounts(Record):
 
     @property
     def n(self) -> int:
-        return sum(_cells(self.table))
+        return self.margin()
 
     @property
     def has_true(self) -> bool:
         return not isinstance(self.table[0][0][0], int)
 
-    @property
-    def flip_table(self) -> tuple:
-        """The (group, pred, corr) table, summed over true labels."""
-        if not self.has_true:
-            return self.table
-        return tuple(tuple(tuple(map(sum, pred)) for pred in group) for group in self.table)
+    def margin(self, *axes: str):
+        """The table summed over every axis not in ``axes``, indexed in their order.
+
+        ``margin("group", "corr")[g][c]`` counts the instances of group
+        ``g`` with corrected label ``c``; ``margin()`` counts them all.
+        Each axis is one of ``AXES``, ``"true"`` only when the table has
+        true labels, and none may repeat.
+        """
+        names = AXES if self.has_true else AXES[:3]
+        if len(set(axes)) != len(axes) or not set(axes) <= set(names):
+            raise ValueError(f"margin axes must be distinct names from {names}, got {axes}")
+        where = [names.index(axis) for axis in axes]
+        sums = dict.fromkeys(product((0, 1), repeat=len(axes)), 0)
+        for index, count in zip(product((0, 1), repeat=len(names)), _cells(self.table)):
+            sums[tuple(index[i] for i in where)] += count
+        cells = list(sums.values())  # in the order of the nested table's cells
+        for _ in axes:
+            cells = [tuple(cells[i:i + 2]) for i in range(0, len(cells), 2)]
+        return cells[0]
 
 
 class AuditFrame(Record):

@@ -11,12 +11,12 @@ groups' flip rates and harmful flip proportions: absolute differences,
 max/min ratios, gaps normalized by the overall flip rate, and gaps
 normalized by the sum of the group rates. Degenerate cases follow fixed
 conventions (infinity when exactly one rate is zero, neutral values when
-both are).
+both are). ``audit_values`` reads every one of them from a count table.
 """
 
 from __future__ import annotations
 
-from .frame import Record, ValidationError
+from .frame import PRIVILEGED, UNPRIVILEGED, FlipCounts, Record, ValidationError
 
 # Annotation strings, shared by every metric producer.
 REGULAR = "Regular calculation"
@@ -62,18 +62,6 @@ class MetricValue(Record):
         return self.kind == "inf"
 
 
-class FlipSummary(Record):
-    """Counts and rates characterizing the flips over a set of instances."""
-
-    n: int
-    n_flips: int
-    n_favorable: int
-    n_unfavorable: int
-    flip_rate: MetricValue
-    dfr: MetricValue
-    hfp: MetricValue
-
-
 def flip_rate(n_flips: int, n: int) -> MetricValue:
     """Proportion of instances whose label was flipped."""
     if n < 1:
@@ -108,33 +96,6 @@ def harmful_flip_proportion(n_unfavorable: int, n_flips: int) -> MetricValue:
     if value == 0.0:
         return MetricValue.finite(0.0, NO_HARMFUL)
     return MetricValue.finite(value, REGULAR)
-
-
-def summarize_counts(counts) -> FlipSummary:
-    """Flip characterization from a 2x2 (predicted, corrected) table of int counts."""
-    (kept_unfavorable, n_favorable), (n_unfavorable, kept_favorable) = counts
-    n = kept_unfavorable + n_favorable + n_unfavorable + kept_favorable
-    n_flips = n_favorable + n_unfavorable
-    return FlipSummary(
-        n=n,
-        n_flips=n_flips,
-        n_favorable=n_favorable,
-        n_unfavorable=n_unfavorable,
-        flip_rate=flip_rate(n_flips, n),
-        dfr=directional_flip_ratio(n_favorable, n_unfavorable),
-        hfp=harmful_flip_proportion(n_unfavorable, n_flips),
-    )
-
-
-class ProportionalityMetrics(Record):
-    frd: MetricValue
-    hfpd: MetricValue
-    di: MetricValue
-    hdi: MetricValue
-    fd: MetricValue
-    hfd: MetricValue
-    rfd: MetricValue
-    rhfd: MetricValue
 
 
 def rate_difference(rate_priv: MetricValue, rate_unpriv: MetricValue) -> MetricValue:
@@ -182,23 +143,35 @@ def relative_disparity(
     return MetricValue.finite(diff.value / total, REGULAR)
 
 
-def proportionality(
-    priv: FlipSummary, unpriv: FlipSummary, overall: FlipSummary
-) -> ProportionalityMetrics:
-    """The eight proportionality metrics from the group and overall summaries."""
-    fr_p, fr_u = priv.flip_rate, unpriv.flip_rate
-    hfp_p, hfp_u = priv.hfp, unpriv.hfp
+def audit_values(counts: FlipCounts) -> dict[str, int | MetricValue]:
+    """Every value the report shows, keyed by its row: counts as ints, metrics as ``MetricValue``s.
 
-    frd = rate_difference(fr_p, fr_u)
-    hfpd = rate_difference(hfp_p, hfp_u)
-    return ProportionalityMetrics(
-        frd=frd,
-        hfpd=hfpd,
-        di=disparity_index(fr_p, fr_u),
-        hdi=disparity_index(hfp_p, hfp_u),
-        fd=flip_disparity(fr_p, fr_u, overall.flip_rate),
-        hfd=flip_disparity(hfp_p, hfp_u, overall.flip_rate),
-        rfd=relative_disparity(frd, fr_p, fr_u),
-        rhfd=relative_disparity(hfpd, hfp_p, hfp_u),
-    )
-
+    Each group's values, and the overall ones, are read from its (pred,
+    corr) table: kept unfavorable, favorable flips; harmful flips, kept
+    favorable. The proportionality metrics compare the groups' FR, then
+    their HFP, four ways.
+    """
+    groups = counts.margin("group", "pred", "corr")
+    values = {}
+    for prefix, table in (("", counts.margin("pred", "corr")),
+                          ("group0_", groups[UNPRIVILEGED]), ("group1_", groups[PRIVILEGED])):
+        (kept_unfavorable, favorable), (harmful, kept_favorable) = table
+        n_flips = favorable + harmful
+        n = kept_unfavorable + n_flips + kept_favorable
+        total = prefix or "total_"
+        values.update({
+            f"{total}samples": n,
+            f"{total}flips": n_flips,
+            f"{prefix}harmful_flips": harmful,
+            f"{prefix}fr": flip_rate(n_flips, n),
+            f"{prefix}hfp": harmful_flip_proportion(harmful, n_flips),
+            f"{prefix}dfr": directional_flip_ratio(favorable, harmful),
+        })
+    for rate, keys in (("fr", ("frd", "di", "fd", "rfd")),
+                       ("hfp", ("hfpd", "hdi", "hfd", "rhfd"))):
+        priv, unpriv = values[f"group1_{rate}"], values[f"group0_{rate}"]
+        diff = rate_difference(priv, unpriv)
+        values.update(zip(keys, (diff, disparity_index(priv, unpriv),
+                                 flip_disparity(priv, unpriv, values["fr"]),
+                                 relative_disparity(diff, priv, unpriv))))
+    return values

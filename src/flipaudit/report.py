@@ -1,8 +1,9 @@
 """Proportionality report assembly and rendering.
 
-Every report row is one entry of ``ROWS``: JSON key, text label, section,
-threshold name and the audit value it shows. Count rows (no threshold) go
-to ``ProportionalityReport.counts``, metric rows to ``.cells``; both are
+Every report row is one entry of ``ROWS``: JSON key, text label, section
+and threshold name; its value is the one ``metrics.audit_values`` gives
+under its key. Count rows (no threshold) go to
+``ProportionalityReport.counts``, metric rows to ``.cells``; both are
 keyed by JSON key, in spec order::
 
     report.counts["total_flips"]             # int
@@ -20,12 +21,11 @@ from __future__ import annotations
 import json
 from itertools import groupby
 from operator import attrgetter
-from types import SimpleNamespace
 from typing import NamedTuple
 
 from .fairness import FairnessResult
-from .frame import PRIVILEGED, UNPRIVILEGED, FlipCounts, Record, ValidationError
-from .metrics import MetricValue, proportionality, summarize_counts
+from .frame import FlipCounts, Record, ValidationError
+from .metrics import MetricValue, audit_values
 from .thresholds import Band, ThresholdConfig, classify
 
 SCHEMA_VERSION = "1"
@@ -42,7 +42,6 @@ class Row(NamedTuple):
     label: str
     section: str
     threshold: str | None  # None marks a count row
-    source: str  # attribute path into the audit values built by build_report
 
 
 DATASET = "Dataset information"
@@ -53,32 +52,32 @@ FLIP_PROPORTIONALITY = "Flip Proportionality Metrics"
 HARM_PROPORTIONALITY = "Harmful Flip Proportionality Metrics"
 
 ROWS = (
-    Row("total_samples", "Total samples", DATASET, None, "overall.n"),
-    Row("group0_samples", "Group 0 samples", DATASET, None, "group0.n"),
-    Row("group1_samples", "Group 1 samples", DATASET, None, "group1.n"),
-    Row("total_flips", "Total flips", OVERALL, None, "overall.n_flips"),
-    Row("fr", "FR", OVERALL, "FR", "overall.flip_rate"),
-    Row("harmful_flips", "Harmful Flips", OVERALL, None, "overall.n_unfavorable"),
-    Row("hfp", "HFP", OVERALL, "HFP", "overall.hfp"),
-    Row("group0_flips", "Group 0 Flips", GROUPS, None, "group0.n_flips"),
-    Row("group0_fr", "Group 0 FR", GROUPS, "FR", "group0.flip_rate"),
-    Row("group0_harmful_flips", "Group 0 Harmful flips", GROUPS, None, "group0.n_unfavorable"),
-    Row("group0_hfp", "Group 0 HFP", GROUPS, "HFP", "group0.hfp"),
-    Row("group1_flips", "Group 1 Flips", GROUPS, None, "group1.n_flips"),
-    Row("group1_fr", "Group 1 FR", GROUPS, "FR", "group1.flip_rate"),
-    Row("group1_harmful_flips", "Group 1 Harmful flips", GROUPS, None, "group1.n_unfavorable"),
-    Row("group1_hfp", "Group 1 HFP", GROUPS, "HFP", "group1.hfp"),
-    Row("dfr", "DFR", DIRECTIONAL, "DFR", "overall.dfr"),
-    Row("group0_dfr", "Group 0 DFR", DIRECTIONAL, "DFR", "group0.dfr"),
-    Row("group1_dfr", "Group 1 DFR", DIRECTIONAL, "DFR", "group1.dfr"),
-    Row("frd", "FRD", FLIP_PROPORTIONALITY, "FRD", "prop.frd"),
-    Row("di", "DI", FLIP_PROPORTIONALITY, "DI", "prop.di"),
-    Row("fd", "FD", FLIP_PROPORTIONALITY, "FD", "prop.fd"),
-    Row("rfd", "RFD", FLIP_PROPORTIONALITY, "RFD", "prop.rfd"),
-    Row("hfpd", "HFPD", HARM_PROPORTIONALITY, "HFPD", "prop.hfpd"),
-    Row("hdi", "HDI", HARM_PROPORTIONALITY, "HDI", "prop.hdi"),
-    Row("hfd", "HFD", HARM_PROPORTIONALITY, "HFD", "prop.hfd"),
-    Row("rhfd", "RHFD", HARM_PROPORTIONALITY, "RHFD", "prop.rhfd"),
+    Row("total_samples", "Total samples", DATASET, None),
+    Row("group0_samples", "Group 0 samples", DATASET, None),
+    Row("group1_samples", "Group 1 samples", DATASET, None),
+    Row("total_flips", "Total flips", OVERALL, None),
+    Row("fr", "FR", OVERALL, "FR"),
+    Row("harmful_flips", "Harmful Flips", OVERALL, None),
+    Row("hfp", "HFP", OVERALL, "HFP"),
+    Row("group0_flips", "Group 0 Flips", GROUPS, None),
+    Row("group0_fr", "Group 0 FR", GROUPS, "FR"),
+    Row("group0_harmful_flips", "Group 0 Harmful flips", GROUPS, None),
+    Row("group0_hfp", "Group 0 HFP", GROUPS, "HFP"),
+    Row("group1_flips", "Group 1 Flips", GROUPS, None),
+    Row("group1_fr", "Group 1 FR", GROUPS, "FR"),
+    Row("group1_harmful_flips", "Group 1 Harmful flips", GROUPS, None),
+    Row("group1_hfp", "Group 1 HFP", GROUPS, "HFP"),
+    Row("dfr", "DFR", DIRECTIONAL, "DFR"),
+    Row("group0_dfr", "Group 0 DFR", DIRECTIONAL, "DFR"),
+    Row("group1_dfr", "Group 1 DFR", DIRECTIONAL, "DFR"),
+    Row("frd", "FRD", FLIP_PROPORTIONALITY, "FRD"),
+    Row("di", "DI", FLIP_PROPORTIONALITY, "DI"),
+    Row("fd", "FD", FLIP_PROPORTIONALITY, "FD"),
+    Row("rfd", "RFD", FLIP_PROPORTIONALITY, "RFD"),
+    Row("hfpd", "HFPD", HARM_PROPORTIONALITY, "HFPD"),
+    Row("hdi", "HDI", HARM_PROPORTIONALITY, "HDI"),
+    Row("hfd", "HFD", HARM_PROPORTIONALITY, "HFD"),
+    Row("rhfd", "RHFD", HARM_PROPORTIONALITY, "RHFD"),
 )
 COUNT_ROWS = tuple(row for row in ROWS if row.threshold is None)
 METRIC_ROWS = tuple(row for row in ROWS if row.threshold is not None)
@@ -114,27 +113,14 @@ def build_report(
 ) -> ProportionalityReport:
     """Assemble the full banded report of a count table, such as ``frame.counts()``."""
     config = config or ThresholdConfig.default()
-    table = counts.flip_table
-    overall = summarize_counts([[table[0][p][c] + table[1][p][c] for c in (0, 1)]
-                                for p in (0, 1)])
-    unpriv = summarize_counts(table[UNPRIVILEGED])
-    priv = summarize_counts(table[PRIVILEGED])
-    values = SimpleNamespace(
-        overall=overall,
-        group0=unpriv,
-        group1=priv,
-        prop=proportionality(priv, unpriv, overall),
-    )
-
-    def cell(row: Row) -> MetricCell:
-        value = attrgetter(row.source)(values)
-        return MetricCell(metric=value, band=classify(row.threshold, value, config))
-
-    cells = {row.key: cell(row) for row in METRIC_ROWS}
+    values = audit_values(counts)
+    cells = {row.key: MetricCell(metric=values[row.key],
+                                 band=classify(row.threshold, values[row.key], config))
+             for row in METRIC_ROWS}
     worst = max(cells[row.key].band for row in PROPORTIONALITY_ROWS)
     return ProportionalityReport(
         schema_version=SCHEMA_VERSION,
-        counts={row.key: attrgetter(row.source)(values) for row in COUNT_ROWS},
+        counts={row.key: values[row.key] for row in COUNT_ROWS},
         cells=cells,
         fairness_pre=fairness_pre,
         fairness_post=fairness_post,

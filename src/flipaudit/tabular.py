@@ -45,6 +45,9 @@ class ColumnMapping(Record):
         if not (isinstance(self.pred_col, str) and isinstance(self.group_col, str)):
             raise ValidationError("pred_col and group_col must be column names",
                                   code="bad_mapping")
+        if not all(isinstance(col, (str, type(None))) for col in (self.corr_col, self.true_col)):
+            raise ValidationError("corr_col and true_col must be column names or None",
+                                  code="bad_mapping")
         cols = self.columns()
         if len(set(cols)) != len(cols):
             raise ValidationError("mapped columns must be distinct", code="bad_mapping")

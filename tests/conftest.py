@@ -1,4 +1,5 @@
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from flipaudit import (
     evaluate_fairness,
     generate_scenario,
 )
-from flipaudit.metrics import summarize_counts
 
 
 def random_frame(rng, max_n=200, with_true=False) -> AuditFrame:
@@ -29,9 +29,18 @@ def random_frame(rng, max_n=200, with_true=False) -> AuditFrame:
 
 
 def flip_summaries(frame):
-    """(overall, group 0, group 1) flip summaries of the frame's (group, pred, corr) table."""
-    table = np.array(frame.counts().flip_table)
-    return tuple(summarize_counts(t.tolist()) for t in (table.sum(axis=0), table[0], table[1]))
+    """(overall, group 0, group 1) flip counts and rates, as the frame's report shows them."""
+    report = build_report(frame.counts())
+    values = {**report.counts, **{key: cell.metric for key, cell in report.cells.items()}}
+    summaries = []
+    for prefix, total in (("", "total_"), ("group0_", "group0_"), ("group1_", "group1_")):
+        flips, harmful = values[f"{total}flips"], values[f"{prefix}harmful_flips"]
+        summaries.append(SimpleNamespace(
+            n=values[f"{total}samples"], n_flips=flips, n_favorable=flips - harmful,
+            n_unfavorable=harmful, flip_rate=values[f"{prefix}fr"], dfr=values[f"{prefix}dfr"],
+            hfp=values[f"{prefix}hfp"],
+        ))
+    return tuple(summaries)
 
 
 def report_metrics(frame) -> dict:

@@ -552,12 +552,16 @@ def test_commands_call_the_names_set_on_the_cli_module(name, argv, tmp_path, mon
 
 
 @pytest.mark.parametrize("command", ["audit", "debias", "--version", "--help"])
-@pytest.mark.parametrize("sink", ["closed_pipe", "dev_full"])
-def test_stdout_write_failure_is_unwritable(command, sink, monkeypatch):
+@pytest.mark.parametrize("sink, unbuffered", [
+    ("closed_pipe", False), ("dev_full", False), ("closed_pipe", True), ("dev_full", True),
+], ids=["closed_pipe", "dev_full", "closed_pipe_unbuffered", "dev_full_unbuffered"])
+def test_stdout_write_failure_is_unwritable(command, sink, unbuffered, monkeypatch):
     # Buffered stdout: a short report fails only when it is flushed, and the
-    # interpreter flushes again at exit. argparse prints --help and --version
-    # itself, into the buffer.
+    # interpreter flushes again at exit. Unbuffered, a write fails at once,
+    # and argparse, printing --help or --version, would ignore the failure.
     monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    if unbuffered:
+        monkeypatch.setenv("PYTHONUNBUFFERED", "1")
     argv = ["-m", "flipaudit.cli", command]
     if not command.startswith("--"):
         argv += ["-i", str(Path(__file__).parent / "golden" / "reference.csv")]
@@ -578,14 +582,18 @@ def test_stdout_write_failure_is_unwritable(command, sink, monkeypatch):
     assert line.startswith("error [unwritable]: cannot write -: ")
 
 
-@pytest.mark.parametrize("output, code, stderr", [
-    ([], 1, "error [unwritable]: cannot write -: stdout is closed\n"),
-    (["-o", os.devnull], 3, ""),  # stdout is not needed
-], ids=["to_stdout", "to_file"])
-def test_closed_stdout_is_unwritable(output, code, stderr):
+CLOSED = "error [unwritable]: cannot write -: stdout is closed\n"
+
+
+@pytest.mark.parametrize("args, code, stderr", [
+    (["audit", "-i", "{csv}"], 1, CLOSED),
+    (["audit", "-i", "{csv}", "-o", os.devnull], 3, ""),  # stdout is not needed
+    (["--version"], 1, CLOSED),
+], ids=["to_stdout", "to_file", "version"])
+def test_closed_stdout_is_unwritable(args, code, stderr):
     # As a shell's `>&-` does, the command starts with no descriptor 1.
-    argv = ["-m", "flipaudit.cli", "audit", "-i",
-            str(Path(__file__).parent / "golden" / "reference.csv"), *output]
+    csv_path = str(Path(__file__).parent / "golden" / "reference.csv")
+    argv = ["-m", "flipaudit.cli", *(arg.format(csv=csv_path) for arg in args)]
     proc = run_python(argv, preexec_fn=lambda: os.close(1))
     assert (proc.returncode, proc.stderr) == (code, stderr)
 

@@ -1,5 +1,9 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from conftest import flip_summaries
 from flipaudit import (
@@ -10,7 +14,7 @@ from flipaudit import (
     flip_rate,
     harmful_flip_proportion,
 )
-from flipaudit.frame import BLOCK, FlipCounts, tally
+from flipaudit.frame import AXES, BLOCK, FlipCounts, tally
 from flipaudit.metrics import (
     NO_FLIPS,
     NO_HARMFUL,
@@ -297,11 +301,11 @@ class TestFlipCounts:
         counts = AuditFrame(pred, corr, group).counts()
         assert np.array_equal(counts.table, tally(group, pred, corr))
         assert (counts.n, counts.has_true) == (500, False)
-        assert counts.flip_table is counts.table
+        assert counts.margin("group", "pred", "corr") == counts.table
         with_true = AuditFrame(pred, corr, group, true).counts()
         assert np.array_equal(with_true.table, tally(group, pred, corr, true))
         assert (with_true.n, with_true.has_true) == (500, True)
-        assert np.array_equal(with_true.flip_table, counts.table)
+        assert with_true.margin("group", "pred", "corr") == counts.table
 
     @pytest.mark.parametrize("table", [
         np.ones((2, 2)), np.ones((2, 2, 3), int), np.ones((2,) * 5, int),
@@ -372,3 +376,45 @@ class TestFlipCounts:
         # Summing out the true labels gives equal cells but a different table.
         with_true = np.stack([table, np.zeros_like(table)], axis=-1)
         assert FlipCounts(with_true) != FlipCounts(table)
+
+
+def _tuples(value):
+    """``value``, nested lists of ints from ``ndarray.tolist``, as nested tuples."""
+    return tuple(map(_tuples, value)) if isinstance(value, list) else value
+
+
+@st.composite
+def count_arrays(draw):
+    """An 8- or 16-cell count table, as an array, whose groups both have instances."""
+    shape = (2,) * draw(st.sampled_from([3, 4]))
+    cells = draw(st.lists(st.integers(0, 10**6), min_size=2**len(shape),
+                          max_size=2**len(shape)))
+    table = np.array(cells, np.int64).reshape(shape)
+    assume(table[0].any() and table[1].any())
+    return table
+
+
+class TestMargin:
+    @given(count_arrays())
+    def test_every_ordered_subset_of_axes_is_numpy_sum(self, table):
+        counts = FlipCounts(table)
+        names = AXES[:table.ndim]
+        for size in range(len(names) + 1):
+            for axes in permutations(names, size):
+                order = [names.index(axis) for axis in axes]
+                rest = [i for i in range(table.ndim) if i not in order]
+                expected = table.transpose(order + rest).sum(axis=tuple(range(size, table.ndim)))
+                assert counts.margin(*axes) == _tuples(expected.tolist()), axes
+        assert counts.margin() == counts.n == table.sum()
+
+    @pytest.mark.parametrize("ndim", [3, 4])
+    @pytest.mark.parametrize("axes", [("group", "group"), ("pred", "corr", "pred"),
+                                      ("label",), ("corr", "Group")])
+    def test_repeated_or_unknown_axis_rejected(self, ndim, axes):
+        with pytest.raises(ValueError, match="margin axes"):
+            FlipCounts(np.ones((2,) * ndim, int)).margin(*axes)
+
+    @pytest.mark.parametrize("axes", [("true",), ("group", "true", "corr")])
+    def test_true_axis_needs_true_labels(self, axes):
+        with pytest.raises(ValueError, match="margin axes"):
+            FlipCounts(np.ones((2, 2, 2), int)).margin(*axes)

@@ -5,7 +5,7 @@ import pytest
 
 from flipaudit.fairness import FairnessResult
 from flipaudit.frame import AuditFrame, FlipCounts, Record, ValidationError
-from flipaudit.metrics import FlipSummary, MetricValue, ProportionalityMetrics
+from flipaudit.metrics import MetricValue
 from flipaudit.pipeline import Decision, PipelineOutcome
 from flipaudit.report import MetricCell, ProportionalityReport
 from flipaudit.scenario import GroupScenario, ScenarioSpec
@@ -23,8 +23,6 @@ ARGS = {
     FlipCounts: (TABLE,),
     AuditFrame: ([1, 0, 1], [1, 1, 0], [0, 1, 1], [0, 1, 0]),
     MetricValue: ("finite", 0.5, "Regular calculation"),
-    FlipSummary: (4, 2, 1, 1, VALUE, VALUE, VALUE),
-    ProportionalityMetrics: (VALUE,) * 8,
     FairnessResult: (0.05, None, (-0.1, 0.1), True, True, "note"),
     ThresholdEntry: (0.0, 0.1, 0.3),
     ThresholdConfig: ({"FR": ThresholdEntry(0.0, 0.1, 0.3)},),
@@ -54,7 +52,7 @@ def make(record):
 
 def test_every_record_is_covered():
     assert set(Record.__subclasses__()) == set(RECORDS)
-    assert len(RECORDS) == 14
+    assert len(RECORDS) == 12
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=lambda r: r.__name__)

@@ -11,8 +11,8 @@ from flipaudit import (
     render_structured,
     render_text,
 )
-from flipaudit.report import format_value, report_to_dict
-from flipaudit.metrics import MetricValue
+from flipaudit.report import ROWS, format_value, report_to_dict
+from flipaudit.metrics import MetricValue, audit_values
 
 SECTION_ORDER = [
     "Dataset information",
@@ -42,6 +42,12 @@ class TestBuildReport:
         assert (c["total_samples"], c["group0_samples"], c["group1_samples"]) == (1320, 799, 521)
         assert (c["total_flips"], c["group0_flips"], c["group1_flips"]) == (174, 136, 38)
         assert c["harmful_flips"] == 136
+
+    def test_value_table_has_one_entry_per_row(self, reference_frame):
+        values = audit_values(reference_frame.counts())
+        assert set(values) == {row.key for row in ROWS}
+        for row in ROWS:
+            assert isinstance(values[row.key], int if row.threshold is None else MetricValue)
 
     def test_every_cell_carries_annotation_and_band(self, reference_report):
         d = report_to_dict(reference_report)

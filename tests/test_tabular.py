@@ -498,6 +498,8 @@ def test_csv_error_has_code_and_row():
     ({"group_col": None}, "pred_col and group_col must be column names"),
     ({"pred_col": None}, "pred_col and group_col must be column names"),
     ({"pred_col": 3}, "pred_col and group_col must be column names"),
+    ({"corr_col": ["a"]}, "corr_col and true_col must be column names or None"),
+    ({"true_col": 5}, "corr_col and true_col must be column names or None"),
 ])
 def test_bad_mapping_rejected(fields, message):
     with pytest.raises(ValidationError, match=message) as exc:
