@@ -37,21 +37,20 @@ def _minimal_flip_split(pos_over: int, n_over: int, pos_under: int, n_under: int
 
     Times ``n_over * n_under`` the repaired gap
     ``(pos_over - down) / n_over - (pos_under + up) / n_under`` is the
-    integer ``p - down * n_under - up * n_over``, where ``p`` is the unrepaired
-    gap's ``rate_gap`` numerator, and a split passes when its absolute value
-    is at most ``scaled_floor(epsilon, n_over * n_under)``: the SP gate's
-    exact test. For a fixed total the passing ``down`` values form an
-    interval; ``_least_total`` finds the least total with any, and the value
-    in its interval nearest ``total / 2`` wins. Raises ``DebiasError`` when
-    no split passes.
+    integer ``p - down * n_under - up * n_over``, where ``p`` is the
+    unrepaired gap's ``rate_gap`` numerator, and a split passes when its
+    absolute value is at most ``scaled_floor(epsilon, n_over * n_under)``:
+    the SP gate's exact test. ``_least_total`` finds the least total of a
+    passing split, stepping along the flip kind that moves it more; for that
+    total the passing ``down`` values form an interval, and the value in it
+    nearest ``total / 2`` wins. Raises ``DebiasError`` when no split passes.
     """
     max_down = pos_over
     max_up = n_under - pos_under
     _, p, den = rate_gap((n_over - pos_over, pos_over), (n_under - pos_under, pos_under))
-    # No gap exceeds 1, so a larger bound changes nothing but the scan's int64 range.
-    bound = min(scaled_floor(epsilon, den), den)
-    # Scan the flip kind with fewer choices; the other solves to an interval.
-    if max_up < max_down:
+    bound = scaled_floor(epsilon, den)
+    # Count along the flip kind that moves the gap more; the other solves to an interval.
+    if n_over > n_under:
         x_max, x_coef, y_max, y_coef = max_up, n_over, max_down, n_under
     else:
         x_max, x_coef, y_max, y_coef = max_down, n_under, max_up, n_over
@@ -65,47 +64,44 @@ def _minimal_flip_split(pos_over: int, n_over: int, pos_under: int, n_under: int
 
 
 def _least_total(p: int, x_max: int, x_coef: int, y_max: int, y_coef: int,
-                 bound: int) -> tuple[int | None, int]:
+                 bound: int) -> tuple[int | None, int | None]:
     """Least ``x + y`` with ``|p - x*x_coef - y*y_coef| <= bound``, x and y in range.
 
-    Returns the total, or None when none passes, and the least
-    ``|p - x*x_coef - y*y_coef|`` over the range, which is exact only when
-    no total passes. For each x in ``[0, x_max]`` the passing y in
-    ``[0, y_max]`` form an interval; when it is empty, the least value is at
-    one of its two ends. x is scanned in int64 blocks. A total is at least
-    its x, so the scan stops at the first block whose x values are all at
-    least the best total found.
+    Needs ``x_coef >= y_coef``. Returns the total and None, or, when no
+    total passes, None and the least ``|p - x*x_coef - y*y_coef|`` in range.
+    No total below ``x0 = ceil((p - bound) / x_coef)`` passes, and below x0
+    an x's least passing total ``x + ceil((p - bound - x*x_coef) / y_coef)``
+    never falls as x falls; if x0 overshoots, so does every larger x. So the
+    answer is the first x, counting down from ``min(x0, x_max)``, with a
+    passing y (``_interval``). That x is tried first, in plain ints: it
+    answers whenever ``x_coef <= 2*bound + 1`` and any total passes.
+    Otherwise x counts down in int64 blocks, since a pure-Python count is
+    over 100 times slower, to the first x at which even ``y_max`` falls
+    short, as it then does at every smaller x.
     """
+    top = max(0, min(-((bound - p) // x_coef), x_max))
+    first, last = _interval(p - top * x_coef, -y_coef, bound, 0, y_max)
+    if first <= last:
+        return top + first, None
+
+    # The first x passes whenever bound >= |p|, so here bound < |p| <= den
+    # and the block arithmetic stays well inside int64.
     import numpy as np
 
-    unreached = x_max + y_max + 1  # more than any total
-    best, least = unreached, abs(p)
-    for first in range(0, x_max + 1, BLOCK):
-        if first >= best:
-            break
-        x = np.arange(first, min(first + BLOCK, x_max + 1), dtype=np.int64)
-        hi = np.multiply(x, -x_coef)
-        hi += p  # the residual p - x*x_coef
-        lo = np.subtract(bound, hi)
-        lo //= y_coef
-        np.negative(lo, out=lo)
-        np.maximum(lo, 0, out=lo)  # ceil((residual - bound) / y_coef), at least 0
-        hi += bound
-        hi //= y_coef
-        np.minimum(hi, y_max, out=hi)  # floor((residual + bound) / y_coef), at most y_max
+    # x counts down to the first x at which even y_max falls short, or to 0.
+    stop = max(0, min(top, -((bound + y_max * y_coef - p) // x_coef) - 1))
+    least = abs(p)
+    for start in range(top, stop - 1, -BLOCK):
+        r = p - x_coef * np.arange(start, max(start - BLOCK, stop - 1), -1, dtype=np.int64)
+        lo = np.maximum(-((bound - r) // y_coef), 0)  # ceil((r - bound) / y_coef), at least 0
+        hi = np.minimum((r + bound) // y_coef, y_max)  # floor((r + bound) / y_coef), at most y_max
         keep = lo <= hi
         if keep.any():
-            lo += x  # each x's least passing total
-            best = min(best, int(lo.min(where=keep, initial=best)))
-        elif best == unreached:
-            np.multiply(x, -x_coef, out=x)
-            x += p
-            for y in (lo, hi):
-                np.clip(y, 0, y_max, out=y)
-                y *= -y_coef
-                y += x
-                least = min(least, int(np.abs(y, out=y).min()))
-    return (None if best == unreached else best), least
+            i = int(keep.argmax())
+            return start - i + int(lo[i]), None
+        for y in (lo, hi):  # with no y passing, the least residual is at one of the two ends
+            least = min(least, int(np.abs(r - y_coef * np.clip(y, 0, y_max)).min()))
+    return None, least
 
 
 def _interval(offset: int, slope: int, bound: int, lo: int, hi: int) -> tuple[int, int]:

@@ -98,9 +98,19 @@ def harmful_flip_proportion(n_unfavorable: int, n_flips: int) -> MetricValue:
     return MetricValue.finite(value, REGULAR)
 
 
+def _both_rates_zero(rate_priv: MetricValue, rate_unpriv: MetricValue) -> MetricValue:
+    """0 for two zero group rates, noting whether either group flipped."""
+    # A zero HFP of a group that did flip carries NO_HARMFUL.
+    flipped = NO_HARMFUL in (rate_priv.annotation, rate_unpriv.annotation)
+    return MetricValue.finite(0.0, BOTH_ZERO if flipped else NO_FLIPS)
+
+
 def rate_difference(rate_priv: MetricValue, rate_unpriv: MetricValue) -> MetricValue:
     """Absolute difference of two group rates (serves FRD and HFPD)."""
-    return MetricValue.finite(abs(rate_priv.value - rate_unpriv.value), REGULAR)
+    a, b = rate_priv.value, rate_unpriv.value
+    if a == 0.0 and b == 0.0:
+        return _both_rates_zero(rate_priv, rate_unpriv)
+    return MetricValue.finite(abs(a - b), REGULAR)
 
 
 def disparity_index(rate_a: MetricValue, rate_b: MetricValue) -> MetricValue:
@@ -137,9 +147,7 @@ def relative_disparity(
     """Gap normalized by the sum of the group rates (serves RFD and RHFD)."""
     total = rate_priv.value + rate_unpriv.value
     if total == 0.0:
-        # A zero HFP of a group that did flip carries NO_HARMFUL.
-        flipped = NO_HARMFUL in (rate_priv.annotation, rate_unpriv.annotation)
-        return MetricValue.finite(0.0, BOTH_ZERO if flipped else NO_FLIPS)
+        return _both_rates_zero(rate_priv, rate_unpriv)
     return MetricValue.finite(diff.value / total, REGULAR)
 
 

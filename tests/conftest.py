@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import flipaudit
 from flipaudit import (
     AuditFrame,
     REFERENCE_EXAMPLE,
@@ -11,6 +16,15 @@ from flipaudit import (
     evaluate_fairness,
     generate_scenario,
 )
+
+
+def run_python(args, **kwargs):
+    """Run a fresh interpreter that imports this checkout's package."""
+    src = Path(flipaudit.__file__).parent.parent
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], env=env, text=True,
+                          **{"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **kwargs})
 
 
 def random_frame(rng, max_n=200, with_true=False) -> AuditFrame:

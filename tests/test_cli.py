@@ -3,7 +3,6 @@ import io
 import json
 import os
 import re
-import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -13,6 +12,7 @@ import pytest
 
 import flipaudit
 import oracle
+from conftest import run_python
 from flipaudit import (
     REFERENCE_EXAMPLE, ThresholdConfig, build_report, emit_chart, generate_scenario, ingest,
     render_structured,
@@ -393,15 +393,6 @@ class TestPipelineCommand:
         assert list(data)[-1] == "decision"
         assert data["decision"] == "StillUnfair"
         assert main(["plot", "-i", str(out), "-o", str(tmp_path / "chart.svg")]) == 0
-
-
-def run_python(args, **kwargs):
-    """Run a fresh interpreter that imports this checkout's package."""
-    src = Path(flipaudit.__file__).parent.parent
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, *args], env=env, text=True,
-                          **{"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **kwargs})
 
 
 # One failing invocation per error code; "{tmp}" is the test's directory.

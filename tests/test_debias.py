@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracle
+from conftest import run_python
 from flipaudit import (
     AuditFrame,
     DebiasError,
@@ -260,8 +261,8 @@ class TestMinimalFlipSplit:
 
     @pytest.mark.parametrize("block", [1, 7])
     def test_matches_oracle_across_blocks(self, block, monkeypatch):
-        # Blocks this small make both scans, for a total and for the best
-        # unreachable gap, span many blocks.
+        # Blocks this small make the downward scan, for a total or for the
+        # best unreachable gap, span many blocks.
         monkeypatch.setattr("flipaudit.debias.BLOCK", block)
         for counts in random_flip_counts(np.random.default_rng(block), 1000):
             assert split_or_best_gap(*counts) == oracle.minimal_flip_split(*counts), counts
@@ -274,13 +275,19 @@ class TestMinimalFlipSplit:
         ((18, 20, 4, 20, 0.15), (6, 6)),
         ((15, 20, 1, 20, 0.3), (4, 5)),
         ((40, 40, 19, 40, 0.05), (9, 10)),
+        # Both one-flip splits close the gap exactly; the smaller down wins.
+        ((1, 1, 0, 1, 0.05), (0, 1)),
     ])
     def test_exact_ties(self, counts, split):
         assert _minimal_flip_split(*counts) == split
         assert oracle.minimal_flip_split(*counts) == (split, None)
 
     @pytest.mark.parametrize("counts", [
+        # One down flip overshoots. With none, 0 up flips fall short and 1
+        # overshoots, so the scan runs to 0 and finds nothing.
         (1, 2, 1, 3, 0.05),
+        # The first down flip overshoots, by the least gap there is: 1/28.
+        (2, 4, 2, 7, 0.01),
         (5, 7, 2, 3, 0.01),
         (2, 9, 1, 11, 0.001),
         (40, 41, 3, 4, 0.001),
@@ -297,10 +304,25 @@ class TestMinimalFlipSplit:
         ((50_000, 100_000, 0, 3, 1e-3), (16_567, 1)),
         ((3, 3, 10_000, 100_000, 0.01), (2, 22_334)),
         ((500_000, 999_997, 0, 3, 1e-4), (166_568, 1)),
+        # 3 down flips, the first split tried, overshoot; the scan finds 3 up
+        # flips at 3 down flips fewer.
+        ((3, 3, 1, 4, 0.05), (0, 3)),
     ])
     def test_skewed_shapes(self, counts, split):
         assert _minimal_flip_split(*counts) == split
         assert oracle.minimal_flip_split(*counts) == (split, None)
+
+    def test_huge_epsilon_needs_no_flips(self):
+        # A bound far past int64 is only ever compared in plain ints.
+        assert _minimal_flip_split(300_000, 599_999, 159_600, 400_001, 1e300) == (0, 0)
+
+    def test_benchmark_counts_solve_without_numpy(self):
+        # debias-1m's and pipeline-50k's counts: the first x tried passes, in plain ints.
+        proc = run_python(["-c", "import sys\n"
+                           "from flipaudit.debias import _minimal_flip_split as solve\n"
+                           "print(solve(300_000, 599_999, 159_600, 400_001, 0.1),\n"
+                           "      solve(15_000, 29_999, 6_000, 20_001, 0.1), 'numpy' in sys.modules)"])
+        assert (proc.returncode, proc.stdout) == (0, "(0, 401) (0, 2001) False\n"), proc.stderr
 
     @pytest.mark.parametrize("counts, bound, checked", [
         # debias-1m's counts, and ten times them: 240,401 and 2,404,010 up
@@ -308,10 +330,12 @@ class TestMinimalFlipSplit:
         pytest.param((300_000, 599_999, 159_600, 400_001, 0.1), 2 * 2**20, True, id="1"),
         pytest.param((3_000_000, 5_999_990, 1_596_000, 4_000_010, 0.1), 2 * 2**20, False,
                      id="10"),
-        # No split reaches this epsilon, so all 200,004 up choices are scanned
-        # for the best gap.
+        # No split reaches these epsilons. The first takes 3 up choices to
+        # find the best gap, the second 401,437 up choices, in 7 blocks.
         pytest.param((300_000, 600_001, 200_000, 400_003, 1e-13), 3 * 2**20, False,
                      id="unreachable"),
+        pytest.param((762_047, 838_706, 199_954, 661_887, 1e-13), 3 * 2**20, False,
+                     id="unreachable-long"),
     ])
     def test_scratch_does_not_grow_with_counts(self, counts, bound, checked, traced_peak):
         result, peak = traced_peak(split_or_best_gap, *counts)

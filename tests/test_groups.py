@@ -48,6 +48,15 @@ class TestRateDifference:
     def test_equal_rates(self):
         assert rate_difference(fin(0.2), fin(0.2)).value == 0.0
 
+    def test_both_zero(self):
+        mv = rate_difference(fin(0.0), fin(0.0))
+        assert (mv.value, mv.annotation) == (0.0, NO_FLIPS)
+
+    def test_both_zero_after_flips(self):
+        # Both groups flipped, but only favorably: both HFPs are zero.
+        hfpd = report_metrics(AuditFrame([0, 0, 0, 0], [1, 0, 1, 0], [0, 0, 1, 1]))["hfpd"]
+        assert (hfpd.value, hfpd.annotation) == (0.0, BOTH_ZERO)
+
 
 class TestDisparityIndex:
     def test_reference_di(self):
