@@ -196,7 +196,8 @@ def _cmd_debias(args):
     corrected = _cli.sp_equalizing_debiaser(
         frame.y_predicted, frame.group, args.epsilon, args.seed
     )
-    return _cli.frame_to_csv_blocks(frame.with_corrected(corrected)), EXIT_OK
+    return _cli.frame_to_csv_blocks(frame.with_corrected(corrected), args.favorable,
+                                    args.privileged), EXIT_OK
 
 
 def _cmd_pipeline(args):

@@ -124,12 +124,9 @@ def sp_equalizing_debiaser(y_predicted, group, epsilon: float, rng_seed: int = 0
     The result is a new read-only int8 vector, so a frame built from it
     shares it instead of copying it.
     """
-    import numpy as np
-
     _check_epsilon(epsilon)
     check_seed(rng_seed, "bad_seed")
     frame = AuditFrame(y_predicted, y_predicted, group)
-    labels, grp = frame.y_predicted.copy(), frame.group
     table = frame.counts().margin("group", "pred")  # each group's (negatives, positives)
     # A positive gap means group 0 is over-favored.
     over, under = (0, 1) if rate_gap(*table)[1] > 0 else (1, 0)
@@ -138,50 +135,60 @@ def sp_equalizing_debiaser(y_predicted, group, epsilon: float, rng_seed: int = 0
     down, up = _minimal_flip_split(pos_over, neg_over + pos_over,
                                    pos_under, neg_under + pos_under, epsilon)
 
-    rng = np.random.default_rng(rng_seed)
-    # The up shuffle's draws follow the down shuffle's, so a down of 0 still
-    # shuffles pos_over entries, of a scratch array rather than gathered
-    # candidates: a shuffle's draws depend only on its length. The up shuffle
-    # is the generator's last use, so it is skipped when up is 0 without
-    # changing a bit; a (0, 0) split draws nothing.
-    if down:
-        _flip_some(labels, grp, over, down, 0, pos_over, rng)
-    elif up:
-        rng.shuffle(np.empty(pos_over, np.uint8))
-    if up:
-        _flip_some(labels, grp, under, up, 1, neg_under, rng)
+    # Every flip is drawn before the labels are copied, so the copy and a
+    # kind's candidate indices are never held at once.
+    kinds = ((over, 0, down, pos_over), (under, 1, up, neg_under))
+    drawn = _draw_flips(frame.y_predicted, frame.group, kinds, rng_seed)
+    labels = frame.y_predicted.copy()
+    for rows, value in drawn:
+        labels[rows] = value
     labels.setflags(write=False)
     return labels
 
 
-def _flip_some(labels: np.ndarray, grp: np.ndarray, gid: int, k: int, value: int,
-               count: int, rng: np.random.Generator):
-    """Set ``k`` of group ``gid``'s ``count`` labels that differ from ``value`` to it.
+def _draw_flips(labels: np.ndarray, grp: np.ndarray, kinds,
+                seed: int) -> list[tuple[np.ndarray, int]]:
+    """``(rows, value)`` to set for each ``(gid, value, k, count)`` kind that flips.
 
-    The candidates' indices are gathered in order, one block of rows at a
-    time, into one array of ``count`` entries; the first k after an in-place
-    shuffle are set. A shuffle's draws depend only on its length, so the
-    index dtype does not change which rows are picked, and
-    ``Generator.permutation`` would copy the indices and shuffle the copy
-    the same way.
+    A kind's k rows are drawn from the ``count`` rows of group ``gid``
+    whose label is not ``value``: their indices, gathered in order a block
+    at a time into one int32 array, are shuffled in place by one generator
+    seeded with ``seed``, and the first k are kept before the array is
+    freed. A shuffle's draws depend only on its length, so the index dtype
+    does not change the rows picked, and a kind with no flips shuffles
+    scratch bytes to keep the draws of the kinds after it. Kinds after the
+    last that flips draw nothing: with no flips, ``numpy.random`` is not
+    even imported.
     """
     import numpy as np
 
+    flipping = [i for i, (_, _, k, _) in enumerate(kinds) if k]
+    if not flipping:
+        return []
+    rng = np.random.default_rng(seed)
     n = labels.size
-    candidates = np.empty(count, np.int32 if n < 2**31 else np.intp)
+    dtype = np.int32 if n < 2**31 else np.intp
     in_group = np.empty(min(n, BLOCK), np.bool_)
     is_other = np.empty_like(in_group)
-    filled = 0
-    for start in range(0, n, BLOCK):
-        stop = min(start + BLOCK, n)
-        rows = in_group[:stop - start]
-        np.equal(grp[start:stop], gid, out=rows)
-        rows &= np.not_equal(labels[start:stop], value, out=is_other[:rows.size])
-        found = np.flatnonzero(rows)
-        np.add(found, start, out=candidates[filled:filled + found.size])
-        filled += found.size
-    rng.shuffle(candidates)
-    labels[candidates[:k]] = value
+    drawn = []
+    for gid, value, k, count in kinds[:flipping[-1] + 1]:
+        if not k:
+            rng.shuffle(np.empty(count, np.uint8))
+            continue
+        candidates = np.empty(count, dtype)
+        filled = 0
+        for start in range(0, n, BLOCK):
+            stop = min(start + BLOCK, n)
+            rows = in_group[:stop - start]
+            np.equal(grp[start:stop], gid, out=rows)
+            rows &= np.not_equal(labels[start:stop], value, out=is_other[:rows.size])
+            found = np.flatnonzero(rows)
+            np.add(found, start, out=candidates[filled:filled + found.size])
+            filled += found.size
+        rng.shuffle(candidates)
+        drawn.append((candidates[:k].copy(), value))
+        del candidates  # before the next kind's array is made
+    return drawn
 
 
 def make_sp_debiaser(epsilon: float, rng_seed: int = 0):

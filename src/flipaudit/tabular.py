@@ -358,28 +358,35 @@ def ingest_counts(path, mapping: ColumnMapping | None = None) -> FlipCounts:
     return _ingest(path, mapping or ColumnMapping(), _Counts)
 
 
-def frame_to_csv_blocks(frame: AuditFrame):
+def frame_to_csv_blocks(frame: AuditFrame, favorable: int = 1, privileged: int = 1):
     """The bytes of a frame in the canonical column layout (pred, corr, group[, true]).
 
     They come as the header and then blocks of up to ``BLOCK`` rows. The row
     blocks are views of one reused buffer, so each is valid only until the
-    next is drawn: write it, or copy it, first.
+    next is drawn: write it, or copy it, first. The labels are written in
+    the raw polarity ``ColumnMapping`` reads with the same ``favorable``,
+    and the group in that of ``privileged``: a 0 writes each value v as 1 - v.
     """
     import numpy as np
 
     names = ["pred", "corr", "group"]
     cols = [frame.y_predicted, frame.y_corrected, frame.group]
+    polarities = [favorable, favorable, privileged]
     if frame.y_true is not None:
         names.append("true")
         cols.append(frame.y_true)
+        polarities.append(favorable)
+    # The digit of v is "0" + v, or "1" - v where the polarity is 0.
+    digits = [(np.add, _ZERO) if polarity else (np.subtract, _ZERO + 1)
+              for polarity in polarities]
     yield (",".join(names) + "\n").encode("ascii")
     scratch = np.empty((min(frame.n, BLOCK), 2 * len(cols)), np.uint8)
     scratch[:, 1::2] = ord(",")
     scratch[:, -1] = ord("\n")
     for start in range(0, frame.n, BLOCK):
         rows = scratch[:min(frame.n - start, BLOCK)]
-        for j, col in enumerate(cols):
-            np.add(col[start:start + BLOCK], _ZERO, out=rows[:, 2 * j], casting="unsafe")
+        for j, (col, (op, zero)) in enumerate(zip(cols, digits)):
+            op(zero, col[start:start + BLOCK], out=rows[:, 2 * j], casting="unsafe")
         yield memoryview(rows).cast("B")
 
 

@@ -201,6 +201,30 @@ class TestDebiasCommand:
         group = np.array([int(r[2]) for r in back])
         assert oracle.within(oracle.sp_difference(corr, group), 0.1)
 
+    @pytest.mark.parametrize("favorable, privileged", [(0, 0), (0, 1), (1, 0)])
+    def test_output_keeps_the_input_polarity(self, favorable, privileged, reference_csv,
+                                             capsysbinary):
+        # The input with the label columns, the group column or both inverted,
+        # and read back with the matching flags: the same rows inside, so the
+        # same flips, and the output inverted in the same columns.
+        def invert(data: bytes) -> bytes:
+            flags = [favorable, favorable, privileged, favorable]  # pred, corr, group, true
+            header, *rows = data.splitlines(keepends=True)
+            return header + b"".join(
+                bytes(c ^ 1 if c in b"01" and not flags[i // 2] else c
+                      for i, c in enumerate(row)) for row in rows)
+
+        inverted = reference_csv.with_name("inverted.csv")
+        inverted.write_bytes(invert(reference_csv.read_bytes()))
+        argv = ["debias", "--true-col", "true", "-o", "-"]
+        assert main([*argv, "-i", str(reference_csv)]) == 0
+        want = capsysbinary.readouterr().out
+        assert main([*argv, "-i", str(inverted), "--favorable", str(favorable),
+                     "--privileged", str(privileged)]) == 0
+        got = capsysbinary.readouterr().out
+        assert got != want
+        assert invert(got) == want
+
 
 @pytest.fixture
 def raw_csv(tmp_path, reference_frame):
@@ -452,14 +476,15 @@ print(code, *sorted(sys.modules))
 """
 
 # Modules whose loading a case pins down, besides flipaudit's own: numpy for
-# label vectors, csv for a file the strict check declines, json for reports.
-# flipaudit needs neither dataclasses nor inspect; numpy imports inspect.
-WATCHED = {"numpy", "csv", "json", "dataclasses", "inspect"}
+# label vectors, numpy.random for placing flips, csv for a file the strict
+# check declines, json for reports. flipaudit needs neither dataclasses nor
+# inspect; numpy imports inspect.
+WATCHED = {"numpy", "numpy.random", "csv", "json", "dataclasses", "inspect"}
 COUNTING = {"cli", "frame", "tabular", "report", "fairness", "metrics", "thresholds"}
 
 
 @pytest.mark.parametrize("case", ["import", "version", "audit", "audit_declined", "debias",
-                                  "plot"])
+                                  "debias_fair", "plot"])
 def test_each_command_loads_only_the_modules_it_runs(case, tmp_path):
     golden = Path(__file__).parent / "golden"
     data = (golden / "reference.csv").read_bytes()
@@ -468,14 +493,18 @@ def test_each_command_loads_only_the_modules_it_runs(case, tmp_path):
     path, out = tmp_path / "d.csv", tmp_path / "out"
     path.write_bytes(data)
     audit = ["audit", "-i", str(path), "-o", str(out)]
+    debias = ["debias", "-o", str(out), "-i"]
+    debiasing = {"cli", "frame", "tabular", "debias", "fairness"}
     # argv, exit code, the flipaudit submodules loaded, the WATCHED modules loaded
     argv, code, submodules, watched = {
         "import": ([], 0, set(), set()),
         "version": (["--version"], 0, {"cli", "frame"}, set()),
         "audit": (audit, 3, COUNTING, {"json"}),
         "audit_declined": (audit, 3, COUNTING, {"csv", "json"}),
-        "debias": (["debias", "-i", str(path), "-o", str(out)], 0,
-                   {"cli", "frame", "tabular", "debias", "fairness"}, {"numpy", "inspect"}),
+        "debias": ([*debias, str(path)], 0, debiasing, {"numpy", "numpy.random", "inspect"}),
+        # Already fair: nothing is placed, so no generator is made.
+        "debias_fair": ([*debias, str(golden / "identity.csv")], 0, debiasing,
+                        {"numpy", "inspect"}),
         "plot": (["plot", "-i", str(golden / "audit.json"), "-o", str(out)], 0,
                  {"cli", "frame", "report", "fairness", "metrics", "thresholds", "chart"},
                  {"json"}),

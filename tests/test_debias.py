@@ -106,11 +106,12 @@ class TestSpEqualizingDebiaser:
         b = sp_equalizing_debiaser(labels, group, 0.05, rng_seed=7)
         assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("idle", ["up", "down"])
+    @pytest.mark.parametrize("idle", ["up", "down", "neither"])
     def test_placement_matches_full_shuffle_reference(self, idle):
-        # With no up-flips the up shuffle is skipped, and with no down-flips the
-        # down shuffle runs on scratch; the bits must stay those of shuffling
-        # both candidate sets, in order, from one seeded generator.
+        # With no up-flips the up shuffle is skipped, with no down-flips the
+        # down shuffle runs on scratch, and with both each kind's candidates
+        # are freed before the next are gathered; the bits must stay those of
+        # shuffling both candidate sets, in order, from one seeded generator.
         rng = np.random.default_rng(11)
         checked = 0
         for seed in range(400):
@@ -122,7 +123,8 @@ class TestSpEqualizingDebiaser:
                 continue
             down = int(np.sum((labels == 1) & (corrected == 0)))
             up = int(np.sum((labels == 0) & (corrected == 1)))
-            if (up, down)[idle == "down"] != 0 or down + up == 0:
+            idle_kinds = [kind for kind, k in (("down", down), ("up", up)) if not k]
+            if idle_kinds != ([] if idle == "neither" else [idle]):
                 continue
             over = int(labels[group == 1].mean() > labels[group == 0].mean())
             reference = labels.copy()
@@ -172,13 +174,12 @@ class TestSpEqualizingDebiaser:
             assert exc.value.code == "bad_seed"
 
     @staticmethod
-    def debias_1m():
+    def debias_1m(pos_over=300_000, n_over=599_999, pos_under=159_600, n_under=400_001):
         """debias-1m's counts, shuffled: group 0 over-favored, and a 401-flip repair.
 
         Returns the frozen, owning labels and group (shared, not copied, by
         the debiaser) and the size of the larger candidate set.
         """
-        pos_over, n_over, pos_under, n_under = 300_000, 599_999, 159_600, 400_001
         group = np.repeat(np.array([0, 1], np.int8), [n_over, n_under])
         labels = np.concatenate([np.arange(n_over) < pos_over,
                                  np.arange(n_under) < pos_under]).astype(np.int8)
@@ -203,6 +204,24 @@ class TestSpEqualizingDebiaser:
         # The corrected copy, the larger candidate set's int32 indices, and
         # fixed scratch: no mask over all rows, no int64 indices.
         assert peak <= group.size + 4 * candidates + 2**20
+
+    def test_labels_are_copied_after_the_flips_are_drawn(self, traced_peak):
+        labels, group, candidates = self.debias_1m()
+        corrected, peak = traced_peak(sp_equalizing_debiaser, labels, group, 0.1)
+        assert int(np.count_nonzero(corrected != labels)) == 401
+        # The corrected copy or the larger candidate set's int32 indices, never
+        # both at once, and fixed scratch.
+        assert peak <= max(group.size, 4 * candidates) + 2**19
+
+    def test_each_kind_is_freed_before_the_next_is_gathered(self, traced_peak):
+        # 75,000 flips of each kind, from 300,000 down and 400,000 up candidates.
+        labels, group, candidates = self.debias_1m(300_000, 500_000, 100_000, 500_000)
+        corrected, peak = traced_peak(sp_equalizing_debiaser, labels, group, 0.1)
+        flips = int(np.count_nonzero(corrected != labels))
+        assert flips == 150_000
+        # One kind's int32 indices or the corrected copy, the rows kept, and
+        # fixed scratch.
+        assert peak <= max(group.size, 4 * candidates) + 4 * flips + 2**19
 
     def test_missing_group(self):
         with pytest.raises(ValidationError):
