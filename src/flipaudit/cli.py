@@ -30,7 +30,7 @@ from .frame import ValidationError, decode_utf8, read_text
 __getattr__, __dir__ = lazy_names(globals(), {
     "chart": ("emit_chart",),
     "debias": ("make_sp_debiaser", "sp_equalizing_debiaser"),
-    "pipeline": ("Decision", "run_audit_pipeline"),
+    "pipeline": ("run_audit_pipeline",),
     "report": ("build_report", "parse_structured", "render_structured", "render_text"),
     "scenario": ("REFERENCE_EXAMPLE", "generate_scenario", "load_spec"),
     "tabular": ("ColumnMapping", "frame_to_csv_blocks", "ingest", "ingest_counts"),
@@ -53,15 +53,6 @@ _VERDICT_CODES = {
     "ReviewRequired": EXIT_REVIEW,
     "Disproportionate": EXIT_DISPROPORTIONATE,
 }
-
-
-def _decision_code(decision: Decision, verdict: str) -> int:
-    if decision in (_cli.Decision.NO_DEBIAS_NEEDED, _cli.Decision.FAIR_AND_PROPORTIONATE):
-        return EXIT_OK
-    if decision is _cli.Decision.STILL_UNFAIR:
-        return EXIT_DISPROPORTIONATE
-    # Fair but disproportionate: severity comes from the report verdict.
-    return _VERDICT_CODES[verdict]
 
 
 def _add_mapping_args(p: argparse.ArgumentParser):
@@ -213,7 +204,11 @@ def _cmd_pipeline(args):
         text = _cli.render_structured(outcome.report, decision=outcome.decision.value)
     else:
         text = _cli.render_text(outcome.report) + f"Decision: {outcome.decision.value}\n"
-    return text.encode(), _decision_code(outcome.decision, outcome.report.verdict)
+    # Still unfair exits 3; a fair run exits by its verdict, which is
+    # Proportionate when no flips were needed.
+    if not outcome.post_fairness.passed:
+        return text.encode(), EXIT_DISPROPORTIONATE
+    return text.encode(), _VERDICT_CODES[outcome.report.verdict]
 
 
 _COMMANDS = {

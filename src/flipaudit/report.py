@@ -19,12 +19,13 @@ rendering handles display rounding.
 from __future__ import annotations
 
 import json
+import math
 from itertools import groupby
 from operator import attrgetter
 from typing import NamedTuple
 
-from .fairness import FairnessResult
-from .frame import FlipCounts, Record, ValidationError
+from .fairness import FairnessResult, _check_fair_interval
+from .frame import FlipCounts, Record, ValidationError, real_or_nan
 from .metrics import MetricValue, audit_values
 from .thresholds import Band, ThresholdConfig, classify
 
@@ -180,61 +181,11 @@ def render_text(report: ProportionalityReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cell_to_dict(c: MetricCell) -> dict:
-    return {
-        "kind": c.metric.kind,
-        "value": c.metric.value,
-        "display": format_value(c.metric),
-        "annotation": c.metric.annotation,
-        "band": c.band.label,
-    }
-
-
 def _cell_from_dict(d: dict) -> MetricCell:
-    if d["kind"] == "finite":
-        mv = MetricValue.finite(d["value"], d["annotation"])
-    else:  # MetricValue rejects any other kind, and an "inf" that carries a value
-        mv = MetricValue(d["kind"], d["value"], d["annotation"])
-    return MetricCell(metric=mv, band=Band.from_label(d["band"]))
-
-
-def _fairness_to_dict(f: FairnessResult | None) -> dict | None:
-    return None if f is None else f._asdict()
-
-
-def _fairness_from_dict(d: dict | None) -> FairnessResult | None:
-    if d is None:
-        return None
-    return FairnessResult(
-        sp_difference=d["sp_difference"],
-        eo_difference=d["eo_difference"],
-        fair_interval=tuple(d["fair_interval"]),
-        sp_pass=d["sp_pass"],
-        eo_pass=d["eo_pass"],
-        note=d.get("note", ""),
-    )
-
-
-def report_to_dict(report: ProportionalityReport) -> dict:
-    return {
-        "schema_version": report.schema_version,
-        **{row.key: report.counts[row.key] for row in COUNT_ROWS},
-        **{row.key: _cell_to_dict(report.cells[row.key]) for row in METRIC_ROWS},
-        "fairness_pre": _fairness_to_dict(report.fairness_pre),
-        "fairness_post": _fairness_to_dict(report.fairness_post),
-        "verdict": report.verdict,
-    }
-
-
-def report_from_dict(data: dict) -> ProportionalityReport:
-    return ProportionalityReport(
-        schema_version=data["schema_version"],
-        counts={row.key: data[row.key] for row in COUNT_ROWS},
-        cells={row.key: _cell_from_dict(data[row.key]) for row in METRIC_ROWS},
-        fairness_pre=_fairness_from_dict(data.get("fairness_pre")),
-        fairness_post=_fairness_from_dict(data.get("fairness_post")),
-        verdict=data["verdict"],
-    )
+    # MetricValue rejects any other kind, a "finite" with no value, an "inf"
+    # with one, and an empty annotation.
+    return MetricCell(metric=MetricValue(d["kind"], d["value"], d["annotation"]),
+                      band=Band.from_label(d["band"]))
 
 
 def render_structured(report: ProportionalityReport, decision: str | None = None) -> str:
@@ -242,16 +193,63 @@ def render_structured(report: ProportionalityReport, decision: str | None = None
 
     A pipeline ``decision`` goes last; ``parse_structured`` ignores it.
     """
-    data = report_to_dict(report)
+    data = {"schema_version": report.schema_version,
+            **{row.key: report.counts[row.key] for row in COUNT_ROWS}}
+    for row in METRIC_ROWS:
+        c = report.cells[row.key]
+        data[row.key] = {
+            "kind": c.metric.kind,
+            "value": c.metric.value,
+            "display": format_value(c.metric),
+            "annotation": c.metric.annotation,
+            "band": c.band.label,
+        }
+    for key in ("fairness_pre", "fairness_post"):
+        fres = getattr(report, key)
+        data[key] = None if fres is None else fres._asdict()
+    data["verdict"] = report.verdict
     if decision is not None:
         data["decision"] = decision
     return json.dumps(data, indent=2) + "\n"
 
 
 def parse_structured(text: str) -> ProportionalityReport:
-    """The report in ``render_structured`` output; other text fails as ``bad_report``."""
+    """The report in text ``render_structured`` could write; other text fails as ``bad_report``."""
     try:
-        return report_from_dict(json.loads(text))
+        data = json.loads(text)
+        if data["schema_version"] != SCHEMA_VERSION:
+            raise ValueError(f"schema_version is {data['schema_version']!r}, not {SCHEMA_VERSION!r}")
+        for row in COUNT_ROWS:
+            if type(data[row.key]) is not int or data[row.key] < 0:
+                raise ValueError(f"{row.key} is {data[row.key]!r}, not a non-negative integer")
+        # A null cell value is left to MetricValue, which allows one only in an "inf" cell.
+        numbers = {f"{row.key} value": data[row.key]["value"] for row in METRIC_ROWS
+                   if data[row.key]["value"] is not None}
+        fairness = dict.fromkeys(("fairness_pre", "fairness_post"))
+        for key in fairness:
+            if data.get(key) is not None:
+                fres = fairness[key] = FairnessResult(**{
+                    **data[key], "fair_interval": _check_fair_interval(data[key]["fair_interval"])})
+                for field in ("sp_pass", "eo_pass"):
+                    if type(getattr(fres, field)) is not bool:
+                        raise ValueError(f"{key} {field} is {getattr(fres, field)!r}, not a bool")
+                numbers[f"{key} sp_difference"] = fres.sp_difference
+                if fres.eo_difference is not None:
+                    numbers[f"{key} eo_difference"] = fres.eo_difference
+        for key, value in numbers.items():
+            if isinstance(value, bool) or not math.isfinite(real_or_nan(value)):
+                raise ValueError(f"{key} is {value!r}, not a finite number")
+        report = ProportionalityReport(
+            schema_version=data["schema_version"],
+            counts={row.key: data[row.key] for row in COUNT_ROWS},
+            cells={row.key: _cell_from_dict(data[row.key]) for row in METRIC_ROWS},
+            verdict=data["verdict"],
+            **fairness,
+        )
+        verdict = VERDICT_BY_BAND[max(c.band for c in report.proportionality_cells().values())]
+        if report.verdict != verdict:
+            raise ValueError(f"verdict is {report.verdict!r}, not {verdict!r} as its bands give")
+        return report
     except json.JSONDecodeError as exc:
         problem = f"not JSON: {exc}"
     except KeyError as exc:

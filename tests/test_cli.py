@@ -1,6 +1,7 @@
 import gc
 import io
 import json
+import math
 import os
 import re
 import sys
@@ -295,22 +296,70 @@ def test_text_input_missing_or_with_bom(argv, text, case, tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
-def golden_audit_with_fr(cell):
-    """tests/golden/audit.json with its "fr" cell replaced by ``cell``."""
-    data = json.loads((Path(__file__).parent / "golden" / "audit.json").read_text())
-    return json.dumps({**data, "fr": cell})
+def golden_edit(name, edit):
+    """The report tests/golden/``name`` after ``edit`` changes its parsed JSON in place."""
+    data = json.loads((Path(__file__).parent / "golden" / name).read_text())
+    edit(data)
+    return json.dumps(data)
+
+
+def golden_with(name, key, **changes):
+    """tests/golden/``name`` with ``changes`` made to the object at ``key``."""
+    return golden_edit(name, lambda data: data[key].update(changes))
 
 
 @pytest.mark.parametrize("text, problem", [
     ("pred,corr,group\n1,0,0\n", "not JSON: Expecting value: line 1 column 1 (char 0)"),
     ("{}", "missing key 'schema_version'"),
-    (golden_audit_with_fr(1), "'int' object is not subscriptable"),
-    (golden_audit_with_fr({"kind": "finite", "value": 0.5, "annotation": "Regular calculation",
-                           "band": "Great"}), "unknown band label 'Great'"),
-    (golden_audit_with_fr({"kind": "inf", "value": 5.0, "annotation": "One value is zero",
-                           "band": "Disproportionate"}),
+    (golden_edit("audit.json", lambda data: data.update(fr=1)),
+     "'int' object is not subscriptable"),
+    (golden_edit("audit.json", lambda data: data.update(fr={
+        "kind": "finite", "value": 0.5, "annotation": "Regular calculation", "band": "Great"})),
+     "unknown band label 'Great'"),
+    (golden_edit("audit.json", lambda data: data.update(fr={
+        "kind": "inf", "value": 5.0, "annotation": "One value is zero", "band": "Disproportionate"})),
      "infinite MetricValue cannot carry a value"),
-], ids=["csv", "empty_object", "cell_not_object", "unknown_band", "inf_with_value"])
+    # Values render_structured never writes.
+    (golden_with("audit.json", "fr", value=math.nan), "fr value is nan, not a finite number"),
+    (golden_with("audit.json", "fr", value=-math.inf), "fr value is -inf, not a finite number"),
+    (golden_with("audit.json", "fr", value=math.inf).replace("Infinity", "1e999"),
+     "fr value is inf, not a finite number"),
+    (golden_with("audit.json", "fr", value="0.5"), "fr value is '0.5', not a finite number"),
+    (golden_with("audit.json", "fr", value=True), "fr value is True, not a finite number"),
+    (golden_edit("audit.json", lambda data: data.update(total_flips="many")),
+     "total_flips is 'many', not a non-negative integer"),
+    (golden_edit("audit.json", lambda data: data.update(total_flips=-3)),
+     "total_flips is -3, not a non-negative integer"),
+    (golden_edit("audit.json", lambda data: data.update(total_flips=1.5)),
+     "total_flips is 1.5, not a non-negative integer"),
+    (golden_edit("audit.json", lambda data: data.update(verdict="Great")),
+     "verdict is 'Great', not 'Disproportionate' as its bands give"),
+    (golden_edit("pipeline.json", lambda data: data.update(verdict="Proportionate")),
+     "verdict is 'Proportionate', not 'Disproportionate' as its bands give"),
+    (golden_edit("audit.json", lambda data: data.update(schema_version="7")),
+     "schema_version is '7', not '1'"),
+    (golden_edit("audit.json", lambda data: data.update(schema_version=1)),
+     "schema_version is 1, not '1'"),
+    (golden_with("pipeline.json", "fairness_post", sp_pass="yes"),
+     "fairness_post sp_pass is 'yes', not a bool"),
+    (golden_with("pipeline.json", "fairness_pre", extra=0),
+     "FairnessResult() got an unexpected keyword argument 'extra'"),
+    (golden_with("pipeline.json", "fairness_post", fair_interval=[-0.1, 0.1, 0.2]),
+     "fair interval must be two finite numbers lo <= 0 <= hi, got [-0.1, 0.1, 0.2]"),
+    (golden_with("pipeline.json", "fairness_post", sp_difference=None),
+     "fairness_post sp_difference is None, not a finite number"),
+    (golden_with("pipeline.json", "fairness_pre", eo_difference=math.nan),
+     "fairness_pre eo_difference is nan, not a finite number"),
+    # MetricValue's own checks.
+    (golden_with("audit.json", "fr", value=None), "finite MetricValue requires a value"),
+    (golden_with("audit.json", "fr", annotation=""), "annotation must not be empty"),
+    (golden_with("audit.json", "fr", kind="nan"), "bad MetricValue kind: 'nan'"),
+], ids=["csv", "empty_object", "cell_not_object", "unknown_band", "inf_with_value",
+        "value_nan", "value_minus_infinity", "value_1e999", "value_string", "value_bool",
+        "count_string", "count_negative", "count_float", "verdict_unknown",
+        "verdict_not_the_bands", "schema_string_7", "schema_int_1", "pass_string",
+        "fairness_unknown_key", "fair_interval_three", "sp_difference_null",
+        "eo_difference_nan", "finite_value_null", "annotation_empty", "kind_nan"])
 def test_plot_rejects_text_that_is_not_a_report(text, problem, tmp_path, capsys):
     path = tmp_path / "report.json"
     path.write_text(text)

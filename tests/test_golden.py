@@ -5,6 +5,7 @@ counting changes that alter a single byte of a report, chart or synthesized
 CSV fail here.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import flipaudit
+from flipaudit import parse_structured, render_structured
 from flipaudit.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -38,6 +40,15 @@ def test_cli_output_matches_fixture(name, tmp_path, monkeypatch):
     out = tmp_path / name
     assert main([*argv, "-o", str(out)]) == exit_code
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", ["audit.json", "identity.json", "pipeline.json"])
+def test_structured_fixture_round_trips_byte_for_byte(name):
+    # pipeline.json holds both fairness blocks and an EO gap; its decision
+    # is not part of the report, so it is passed back in.
+    data = (GOLDEN / name).read_bytes()
+    decision = json.loads(data).get("decision")
+    assert render_structured(parse_structured(data.decode()), decision=decision).encode() == data
 
 
 # A locale whose encoding cannot hold the reports' "∞" and "≤".
