@@ -173,10 +173,12 @@ def _cmd_audit(args):
 
 def _cmd_plot(args):
     if args.input == "-":
+        if sys.stdin is None:  # the process started with no descriptor 0
+            raise ValidationError("cannot read -: stdin is closed", code="unreadable")
         try:
             text = decode_utf8(sys.stdin.buffer.read())
         except OSError as exc:
-            raise ValidationError(f"cannot read stdin: {exc}", code="unreadable") from None
+            raise ValidationError(f"cannot read -: {exc}", code="unreadable") from None
     else:
         text = read_text(args.input)
     return _cli.emit_chart(_cli.parse_structured(text)).encode(), EXIT_OK

@@ -115,17 +115,20 @@ def build_report(
     """Assemble the full banded report of a count table, such as ``frame.counts()``."""
     config = config or ThresholdConfig.default()
     values = audit_values(counts)
-    cells = {row.key: MetricCell(metric=values[row.key],
-                                 band=classify(row.threshold, values[row.key], config))
-             for row in METRIC_ROWS}
+    bands = {row.key: classify(row.threshold, values[row.key], config) for row in METRIC_ROWS}
+    return _assemble(values, bands, fairness_pre=fairness_pre, fairness_post=fairness_post)
+
+
+def _assemble(values: dict, bands: dict[str, Band], **fairness) -> ProportionalityReport:
+    """The report of ``audit_values`` and its metric rows' bands; the worst sets the verdict."""
+    cells = {row.key: MetricCell(values[row.key], bands[row.key]) for row in METRIC_ROWS}
     worst = max(cells[row.key].band for row in PROPORTIONALITY_ROWS)
     return ProportionalityReport(
         schema_version=SCHEMA_VERSION,
         counts={row.key: values[row.key] for row in COUNT_ROWS},
         cells=cells,
-        fairness_pre=fairness_pre,
-        fairness_post=fairness_post,
         verdict=VERDICT_BY_BAND[worst],
+        **fairness,
     )
 
 
@@ -181,13 +184,6 @@ def render_text(report: ProportionalityReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cell_from_dict(d: dict) -> MetricCell:
-    # MetricValue rejects any other kind, a "finite" with no value, an "inf"
-    # with one, and an empty annotation.
-    return MetricCell(metric=MetricValue(d["kind"], d["value"], d["annotation"]),
-                      band=Band.from_label(d["band"]))
-
-
 def render_structured(report: ProportionalityReport, decision: str | None = None) -> str:
     """JSON with fixed key order; infinities appear as kind "inf".
 
@@ -213,47 +209,48 @@ def render_structured(report: ProportionalityReport, decision: str | None = None
     return json.dumps(data, indent=2) + "\n"
 
 
+def _check_same(got, want, name: str = "") -> None:
+    """Fail unless JSON ``got`` holds ``want``'s keys and values; an int may stand for a float."""
+    if isinstance(want, dict):
+        for key, value in want.items():
+            _check_same(got[key], value, f"{name} {key}".lstrip())
+    elif got != want or type(got) is not type(want) and (type(got), type(want)) != (int, float):
+        raise ValueError(f"{name} is {got!r}, not {want!r}")
+
+
 def parse_structured(text: str) -> ProportionalityReport:
-    """The report in text ``render_structured`` could write; other text fails as ``bad_report``."""
+    """Rebuild the report in text ``render_structured`` wrote; other text is ``bad_report``."""
     try:
         data = json.loads(text)
-        if data["schema_version"] != SCHEMA_VERSION:
-            raise ValueError(f"schema_version is {data['schema_version']!r}, not {SCHEMA_VERSION!r}")
-        for row in COUNT_ROWS:
-            if type(data[row.key]) is not int or data[row.key] < 0:
-                raise ValueError(f"{row.key} is {data[row.key]!r}, not a non-negative integer")
-        # A null cell value is left to MetricValue, which allows one only in an "inf" cell.
-        numbers = {f"{row.key} value": data[row.key]["value"] for row in METRIC_ROWS
-                   if data[row.key]["value"] is not None}
+        names = ("samples", "flips", "harmful_flips")  # each count at most the one before
+        groups = {group: [data[group + name] for name in names] for group in ("group0_", "group1_")}
+        for group, counts in groups.items():
+            for name, value, most in zip(names, counts, [math.inf, *counts]):
+                if type(value) is not int or not 0 <= value <= most:
+                    raise ValueError(f"{group}{name} is {value!r}, not a count from 0 to {most}")
+        # Kept favorable labels count as kept unfavorable ones: no report value tells them apart.
+        table = [((n - flips, flips - harm), (harm, 0)) for n, flips, harm in groups.values()]
+        bands = {row.key: Band.from_label(data[row.key]["band"]) for row in METRIC_ROWS}
         fairness = dict.fromkeys(("fairness_pre", "fairness_post"))
-        for key in fairness:
+        for key in fairness:  # read as written: schema v1 holds nothing to rebuild them from
             if data.get(key) is not None:
                 fres = fairness[key] = FairnessResult(**{
                     **data[key], "fair_interval": _check_fair_interval(data[key]["fair_interval"])})
-                for field in ("sp_pass", "eo_pass"):
-                    if type(getattr(fres, field)) is not bool:
-                        raise ValueError(f"{key} {field} is {getattr(fres, field)!r}, not a bool")
-                numbers[f"{key} sp_difference"] = fres.sp_difference
-                if fres.eo_difference is not None:
-                    numbers[f"{key} eo_difference"] = fres.eo_difference
-        for key, value in numbers.items():
-            if isinstance(value, bool) or not math.isfinite(real_or_nan(value)):
-                raise ValueError(f"{key} is {value!r}, not a finite number")
-        report = ProportionalityReport(
-            schema_version=data["schema_version"],
-            counts={row.key: data[row.key] for row in COUNT_ROWS},
-            cells={row.key: _cell_from_dict(data[row.key]) for row in METRIC_ROWS},
-            verdict=data["verdict"],
-            **fairness,
-        )
-        verdict = VERDICT_BY_BAND[max(c.band for c in report.proportionality_cells().values())]
-        if report.verdict != verdict:
-            raise ValueError(f"verdict is {report.verdict!r}, not {verdict!r} as its bands give")
+                for field, want in (("sp_pass", bool), ("eo_pass", bool), ("note", str)):
+                    if type(value := getattr(fres, field)) is not want:
+                        raise ValueError(f"{key} {field} is {value!r}, not a {want.__name__}")
+                for field in ("sp_difference", "eo_difference"):  # eo_difference may be null
+                    if (value := getattr(fres, field)) is not None or field == "sp_difference":
+                        if isinstance(value, bool) or not math.isfinite(real_or_nan(value)):
+                            raise ValueError(f"{key} {field} is {value!r}, not a finite number")
+        report = _assemble(audit_values(FlipCounts(table)), bands, **fairness)
+        written = json.loads(render_structured(report))
+        _check_same(data, {key: value for key, value in written.items() if key not in fairness})
         return report
     except json.JSONDecodeError as exc:
         problem = f"not JSON: {exc}"
     except KeyError as exc:
         problem = f"missing key {exc}"
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (ArithmeticError, TypeError, ValueError) as exc:
         problem = str(exc)
     raise ValidationError(f"not a structured report: {problem}", code="bad_report")

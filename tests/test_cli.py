@@ -308,9 +308,12 @@ def golden_with(name, key, **changes):
     return golden_edit(name, lambda data: data[key].update(changes))
 
 
+AUDIT_FR = 0.1318181818181818  # the fr value the counts in tests/golden/audit.json give
+
+
 @pytest.mark.parametrize("text, problem", [
     ("pred,corr,group\n1,0,0\n", "not JSON: Expecting value: line 1 column 1 (char 0)"),
-    ("{}", "missing key 'schema_version'"),
+    ("{}", "missing key 'group0_samples'"),
     (golden_edit("audit.json", lambda data: data.update(fr=1)),
      "'int' object is not subscriptable"),
     (golden_edit("audit.json", lambda data: data.update(fr={
@@ -318,24 +321,24 @@ def golden_with(name, key, **changes):
      "unknown band label 'Great'"),
     (golden_edit("audit.json", lambda data: data.update(fr={
         "kind": "inf", "value": 5.0, "annotation": "One value is zero", "band": "Disproportionate"})),
-     "infinite MetricValue cannot carry a value"),
+     "fr kind is 'inf', not 'finite'"),
     # Values render_structured never writes.
-    (golden_with("audit.json", "fr", value=math.nan), "fr value is nan, not a finite number"),
-    (golden_with("audit.json", "fr", value=-math.inf), "fr value is -inf, not a finite number"),
+    (golden_with("audit.json", "fr", value=math.nan), f"fr value is nan, not {AUDIT_FR}"),
+    (golden_with("audit.json", "fr", value=-math.inf), f"fr value is -inf, not {AUDIT_FR}"),
     (golden_with("audit.json", "fr", value=math.inf).replace("Infinity", "1e999"),
-     "fr value is inf, not a finite number"),
-    (golden_with("audit.json", "fr", value="0.5"), "fr value is '0.5', not a finite number"),
-    (golden_with("audit.json", "fr", value=True), "fr value is True, not a finite number"),
+     f"fr value is inf, not {AUDIT_FR}"),
+    (golden_with("audit.json", "fr", value="0.5"), f"fr value is '0.5', not {AUDIT_FR}"),
+    (golden_with("audit.json", "fr", value=True), f"fr value is True, not {AUDIT_FR}"),
     (golden_edit("audit.json", lambda data: data.update(total_flips="many")),
-     "total_flips is 'many', not a non-negative integer"),
+     "total_flips is 'many', not 174"),
     (golden_edit("audit.json", lambda data: data.update(total_flips=-3)),
-     "total_flips is -3, not a non-negative integer"),
+     "total_flips is -3, not 174"),
     (golden_edit("audit.json", lambda data: data.update(total_flips=1.5)),
-     "total_flips is 1.5, not a non-negative integer"),
+     "total_flips is 1.5, not 174"),
     (golden_edit("audit.json", lambda data: data.update(verdict="Great")),
-     "verdict is 'Great', not 'Disproportionate' as its bands give"),
+     "verdict is 'Great', not 'Disproportionate'"),
     (golden_edit("pipeline.json", lambda data: data.update(verdict="Proportionate")),
-     "verdict is 'Proportionate', not 'Disproportionate' as its bands give"),
+     "verdict is 'Proportionate', not 'Disproportionate'"),
     (golden_edit("audit.json", lambda data: data.update(schema_version="7")),
      "schema_version is '7', not '1'"),
     (golden_edit("audit.json", lambda data: data.update(schema_version=1)),
@@ -350,16 +353,34 @@ def golden_with(name, key, **changes):
      "fairness_post sp_difference is None, not a finite number"),
     (golden_with("pipeline.json", "fairness_pre", eo_difference=math.nan),
      "fairness_pre eo_difference is nan, not a finite number"),
-    # MetricValue's own checks.
-    (golden_with("audit.json", "fr", value=None), "finite MetricValue requires a value"),
-    (golden_with("audit.json", "fr", annotation=""), "annotation must not be empty"),
-    (golden_with("audit.json", "fr", kind="nan"), "bad MetricValue kind: 'nan'"),
+    # Cells MetricValue would reject: the rebuilt cell is compared first.
+    (golden_with("audit.json", "fr", value=None), f"fr value is None, not {AUDIT_FR}"),
+    (golden_with("audit.json", "fr", annotation=""),
+     "fr annotation is '', not 'Regular calculation'"),
+    (golden_with("audit.json", "fr", kind="nan"), "fr kind is 'nan', not 'finite'"),
+    # Values that contradict the report's own counts.
+    (golden_with("pipeline.json", "fr", annotation=5),
+     "fr annotation is 5, not 'Regular calculation'"),
+    (golden_with("pipeline.json", "fr", display="9.99"), "fr display is '9.99', not '0.045'"),
+    (golden_with("pipeline.json", "fairness_pre", note=5), "fairness_pre note is 5, not a str"),
+    (golden_edit("pipeline.json", lambda data: data.update(total_flips=1_000_000)),
+     "total_flips is 1000000, not 59"),
+    (golden_with("pipeline.json", "fr", value=0.9), "fr value is 0.9, not 0.0446969696969697"),
+    (golden_edit("pipeline.json", lambda data: data.update(group0_flips=10_000)),
+     "group0_flips is 10000, not a count from 0 to 799"),
+    (golden_with("pipeline.json", "hdi", value=2.0), "hdi value is 2.0, not 1.0"),
+    # Counts whose metrics a float cannot hold.
+    (golden_edit("pipeline.json", lambda data: data.update(
+        group1_samples=10**400, group1_flips=10**400, group1_harmful_flips=1)),
+     "integer division result too large for a float"),
 ], ids=["csv", "empty_object", "cell_not_object", "unknown_band", "inf_with_value",
         "value_nan", "value_minus_infinity", "value_1e999", "value_string", "value_bool",
         "count_string", "count_negative", "count_float", "verdict_unknown",
         "verdict_not_the_bands", "schema_string_7", "schema_int_1", "pass_string",
         "fairness_unknown_key", "fair_interval_three", "sp_difference_null",
-        "eo_difference_nan", "finite_value_null", "annotation_empty", "kind_nan"])
+        "eo_difference_nan", "finite_value_null", "annotation_empty", "kind_nan",
+        "annotation_int", "display_not_the_value", "note_int", "total_flips_not_the_sum",
+        "value_not_the_counts", "flips_over_samples", "hdi_not_both_zero", "counts_overflow"])
 def test_plot_rejects_text_that_is_not_a_report(text, problem, tmp_path, capsys):
     path = tmp_path / "report.json"
     path.write_text(text)
@@ -665,6 +686,16 @@ def test_closed_stdout_is_unwritable(args, code, stderr):
     argv = ["-m", "flipaudit.cli", *(arg.format(csv=csv_path) for arg in args)]
     proc = run_python(argv, preexec_fn=lambda: os.close(1))
     assert (proc.returncode, proc.stderr) == (code, stderr)
+
+
+def test_closed_stdin_is_unreadable(tmp_path):
+    # As a shell's `<&-` does, plot -i - starts with no descriptor 0.
+    chart = tmp_path / "chart.svg"
+    proc = run_python(["-m", "flipaudit.cli", "plot", "-i", "-", "-o", str(chart)],
+                      preexec_fn=lambda: os.close(0))
+    assert (proc.returncode, proc.stderr) == (
+        1, "error [unreadable]: cannot read -: stdin is closed\n")
+    assert not chart.exists()
 
 
 # Registers an exit handler before the CLI is imported, then leaves through

@@ -6,6 +6,11 @@ import pytest
 
 from flipaudit import (
     AuditFrame,
+    Decision,
+    FlipCounts,
+    ThresholdConfig,
+    ThresholdEntry,
+    ValidationError,
     build_report,
     evaluate_fairness,
     parse_structured,
@@ -134,6 +139,69 @@ class TestRenderStructured:
         for key in ("fr", "dfr", "hfp", "frd", "hfpd", "di", "hdi",
                     "fd", "hfd", "rfd", "rhfd"):
             assert key in d
+
+
+# How a seeded count table's flips are shaped: (group, pred, corr) cells kept at zero.
+FLIP_SHAPES = {
+    "any": (),
+    "no_flips": ((0, 0, 1), (0, 1, 0), (1, 0, 1), (1, 1, 0)),
+    "group1_only": ((0, 0, 1), (0, 1, 0)),
+    "favorable_only": ((0, 1, 0), (1, 1, 0)),
+    "harmful_only": ((0, 0, 1), (1, 0, 1)),
+}
+
+
+def seeded_table(rng, shape: str, with_true: bool):
+    """A random (group, pred, corr[, true]) table of ``shape`` whose gates are defined."""
+    while True:
+        table = rng.integers(0, 6, size=(2, 2, 2, 2) if with_true else (2, 2, 2))
+        for cell in FLIP_SHAPES[shape]:
+            table[cell] = 0
+        try:
+            counts = FlipCounts(table)
+            return counts, evaluate_fairness(counts)
+        except ValidationError:  # an empty group, or no EO gap to take
+            pass
+
+
+def shifted_config(rng) -> ThresholdConfig:
+    """The default thresholds with each ideal moved and each band width scaled."""
+    return ThresholdConfig({
+        name: ThresholdEntry(entry.ideal + rng.uniform(-0.3, 0.3),
+                             entry.acceptable_delta * rng.uniform(0.2, 1.5),
+                             entry.moderate_delta * rng.uniform(1.5, 3))
+        for name, entry in ThresholdConfig.default().entries.items()})
+
+
+class TestParseStructured:
+    def test_rebuilds_every_report_and_reads_its_bands(self):
+        rng = np.random.default_rng(2024)
+        banded_otherwise = 0
+        for i in range(320):
+            shape = list(FLIP_SHAPES)[i % len(FLIP_SHAPES)]
+            counts, post = seeded_table(rng, shape, with_true=i % 2 == 1)
+            pre = evaluate_fairness(counts, (-rng.uniform(0, 0.3), rng.uniform(0, 0.3)))
+            report = build_report(counts, shifted_config(rng), fairness_pre=pre, fairness_post=post)
+            decision = list(Decision)[i % len(Decision)].value
+            text = render_structured(report, decision=decision)
+            parsed = parse_structured(text)
+            assert parsed == report, (i, shape)
+            assert render_structured(parsed, decision=decision) == text, (i, shape)
+            banded_otherwise += parsed.cells != build_report(counts).cells
+        # Most reports carry bands the default thresholds would not give.
+        assert banded_otherwise > 200
+
+
+class TestMetricValueChecks:
+    @pytest.mark.parametrize("args, message", [
+        (("nan", 0.5, "Regular calculation"), "bad MetricValue kind: 'nan'"),
+        (("finite", None, "Regular calculation"), "finite MetricValue requires a value"),
+        (("inf", 5.0, "One value is zero"), "infinite MetricValue cannot carry a value"),
+        (("finite", 0.5, ""), "annotation must not be empty"),
+    ], ids=["kind_nan", "finite_value_none", "inf_with_value", "annotation_empty"])
+    def test_rejects(self, args, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            MetricValue(*args)
 
 
 class TestFormatValue:
