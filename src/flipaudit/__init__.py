@@ -57,8 +57,9 @@ _HOMES = {
         "render_text",
     ),
     "scenario": ("REFERENCE_EXAMPLE", "GroupScenario", "ScenarioSpec", "generate_scenario"),
-    "debias": ("DebiasError", "make_sp_debiaser", "sp_equalizing_debiaser"),
-    "pipeline": ("Decision", "PipelineOutcome", "run_audit_pipeline"),
+    "debias": ("DebiasError", "Plan", "make_sp_debiaser", "place", "plan_split",
+               "sp_equalizing_debiaser"),
+    "pipeline": ("Decision", "PipelineOutcome", "run_audit_pipeline", "run_counts_pipeline"),
     "tabular": ("ColumnMapping", "frame_to_csv", "ingest", "ingest_counts"),
     "chart": ("emit_chart",),
     "cli": (),

@@ -29,8 +29,10 @@ from .frame import ValidationError, decode_utf8, read_text
 # before main runs, by a tracer's wrapper say, is the one called.
 __getattr__, __dir__ = lazy_names(globals(), {
     "chart": ("emit_chart",),
-    "debias": ("make_sp_debiaser", "sp_equalizing_debiaser"),
-    "pipeline": ("run_audit_pipeline",),
+    "debias": ("check_options", "place", "sp_equalizing_debiaser"),
+    # No command calls run_audit_pipeline; it stays here for code that wraps
+    # the pipeline by this name, as perfbench/traced_cli.py does.
+    "pipeline": ("run_audit_pipeline", "run_counts_pipeline"),
     "report": ("build_report", "parse_structured", "render_structured", "render_text"),
     "scenario": ("REFERENCE_EXAMPLE", "generate_scenario", "load_spec"),
     "tabular": ("ColumnMapping", "frame_to_csv_blocks", "ingest", "ingest_counts"),
@@ -194,14 +196,28 @@ def _cmd_debias(args):
 
 
 def _cmd_pipeline(args):
-    frame = _cli.ingest(args.input, _mapping(args))
-    outcome = _cli.run_audit_pipeline(
-        frame.y_predicted,
-        frame.group,
-        _cli.make_sp_debiaser(args.epsilon, args.seed),
-        y_true=frame.y_true,
-        config=_load_config(args),
-    )
+    mapping = _mapping(args)
+    # The repair is planned over the count table; the frame is read only to
+    # place flips the counts do not decide. A pipe can be read only once, so
+    # its frame is read at once.
+    frame = None if os.path.isfile(args.input) else _cli.ingest(args.input, mapping)
+    missing = None  # a group with no rows is reported after the options
+    try:
+        counts = frame.counts() if frame else _cli.ingest_counts(args.input, mapping)
+    except ValidationError as exc:
+        if exc.code != "missing_group":
+            raise
+        missing = exc
+    _cli.check_options(args.epsilon, args.seed)
+    config = _load_config(args)
+    if missing is not None:
+        raise missing
+
+    def placed(plan):
+        given = frame or _cli.ingest(args.input, mapping)
+        return given.with_corrected(_cli.place(plan, given, args.seed)).counts()
+
+    outcome = _cli.run_counts_pipeline(counts, args.epsilon, placed, config)
     if args.format == "structured":
         text = _cli.render_structured(outcome.report, decision=outcome.decision.value)
     else:

@@ -4,6 +4,9 @@ This is deliberately minimal: it knows only labels and group membership,
 so it targets statistical parity. Flips lower the favorable rate of the
 over-favored group and/or raise the under-favored group's, preferring a
 balanced split between the two when several minimal solutions exist.
+
+The repair is made in two steps: ``plan_split`` solves the flip counts from
+the count table, and ``place`` draws the rows that flip.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
-from .frame import BLOCK, AuditFrame, ValidationError, check_seed, real_or_nan
+from .frame import BLOCK, AuditFrame, FlipCounts, Record, ValidationError, check_seed, real_or_nan
 from .fairness import rate_gap, scaled_floor
 
 if TYPE_CHECKING:
@@ -118,27 +121,89 @@ def _check_epsilon(epsilon: float):
         raise ValidationError("epsilon must be a positive finite number", code="bad_epsilon")
 
 
-def sp_equalizing_debiaser(y_predicted, group, epsilon: float, rng_seed: int = 0) -> np.ndarray:
-    """Return corrected labels with |SP difference| <= epsilon, flipping minimally.
+def check_options(epsilon: float, seed: int) -> None:
+    """Fail ``bad_epsilon`` for a bad epsilon, then ``bad_seed`` for a bad seed."""
+    _check_epsilon(epsilon)
+    check_seed(seed, "bad_seed")
 
-    The result is a new read-only int8 vector, so a frame built from it
-    shares it instead of copying it.
+
+class Plan(Record):
+    """A minimal SP repair as flip counts: how many rows of each kind flip, not which.
+
+    ``kinds`` holds one ``(gid, value, k, count)`` for each flip kind, in
+    the order their rows are drawn: k of the ``count`` rows of group
+    ``gid`` whose prediction is not ``value`` get ``value``. The
+    over-favored group's kind, which sets labels to 0, comes first.
+    """
+
+    kinds: tuple
+
+    def apply(self, counts: FlipCounts) -> FlipCounts | None:
+        """The table of ``counts``' predictions corrected by the plan; None if draws decide it.
+
+        ``counts`` is the table the plan was made from; its corr axis is
+        not read. A kind fixes its flips' cells when it takes all of its
+        candidates or takes them from one non-empty cell: always, without
+        true labels, and with them whenever its candidates share one true
+        value. Then each of its cells loses ``min(cell, k)``, which adds up
+        to k; in every other case those add up to more.
+        """
+        truth = ("true",) if counts.has_true else ()
+        # Each (group, pred)'s rows by true value; without true labels, one value.
+        rows = [[cells if truth else (cells,) for cells in row]
+                for row in counts.margin("group", "pred", *truth)]
+        flips = {}  # (group, pred): the flips taken from each of its cells
+        for gid, value, k, _ in self.kinds:
+            flips[gid, 1 - value] = [min(cell, k) for cell in rows[gid][1 - value]]
+            if sum(flips[gid, 1 - value]) != k:
+                return None
+        table = [[[[cell - flip if corr == pred else flip
+                    for cell, flip in zip(cells, flips.get((gid, pred), (0, 0)))]
+                   for corr in (0, 1)]
+                  for pred, cells in enumerate(row)]
+                 for gid, row in enumerate(rows)]
+        if not truth:
+            table = [[[cells[0] for cells in corrs] for corrs in preds] for preds in table]
+        return FlipCounts(table)
+
+
+def plan_split(counts: FlipCounts, epsilon: float) -> Plan:
+    """The fewest flips of predictions that bring the |SP| of ``counts`` within epsilon.
+
+    Reads the (group, pred) margin, so the table's corrected labels do not
+    matter. The split is ``_minimal_flip_split``'s; ``DebiasError`` if none.
     """
     _check_epsilon(epsilon)
-    check_seed(rng_seed, "bad_seed")
-    frame = AuditFrame(y_predicted, y_predicted, group)
-    table = frame.counts().margin("group", "pred")  # each group's (negatives, positives)
+    table = counts.margin("group", "pred")  # each group's (negatives, positives)
     # A positive gap means group 0 is over-favored.
     over, under = (0, 1) if rate_gap(*table)[1] > 0 else (1, 0)
     neg_over, pos_over = table[over]
     neg_under, pos_under = table[under]
     down, up = _minimal_flip_split(pos_over, neg_over + pos_over,
                                    pos_under, neg_under + pos_under, epsilon)
+    return Plan(((over, 0, down, pos_over), (under, 1, up, neg_under)))
 
-    # Every flip is drawn before the labels are copied, so the copy and a
-    # kind's candidate indices are never held at once.
-    kinds = ((over, 0, down, pos_over), (under, 1, up, neg_under))
-    drawn = _draw_flips(frame.y_predicted, frame.group, kinds, rng_seed)
+
+def sp_equalizing_debiaser(y_predicted, group, epsilon: float, rng_seed: int = 0) -> np.ndarray:
+    """Return corrected labels with |SP difference| <= epsilon, flipping minimally.
+
+    The ``plan_split`` of the predictions' counts, placed by ``place``: a
+    new read-only int8 vector.
+    """
+    check_options(epsilon, rng_seed)
+    frame = AuditFrame(y_predicted, y_predicted, group)
+    return place(plan_split(frame.counts(), epsilon), frame, rng_seed)
+
+
+def place(plan: Plan, frame: AuditFrame, seed: int) -> np.ndarray:
+    """``frame``'s predictions with the plan's flips drawn by ``seed``, a non-negative int.
+
+    The result is a new read-only int8 vector, so a frame built from it
+    shares it instead of copying it. Every flip is drawn before the labels
+    are copied, so the copy and a kind's candidate indices are never held
+    at once.
+    """
+    drawn = _draw_flips(frame.y_predicted, frame.group, plan.kinds, seed)
     labels = frame.y_predicted.copy()
     for rows, value in drawn:
         labels[rows] = value
@@ -197,8 +262,7 @@ def make_sp_debiaser(epsilon: float, rng_seed: int = 0):
     Epsilon and seed are checked here, so a bad value fails even when the
     pipeline's first gate passes and the debiaser never runs.
     """
-    _check_epsilon(epsilon)
-    check_seed(rng_seed, "bad_seed")
+    check_options(epsilon, rng_seed)
 
     def debias(y_predicted, group):
         return sp_equalizing_debiaser(y_predicted, group, epsilon, rng_seed)

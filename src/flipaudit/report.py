@@ -209,11 +209,20 @@ def render_structured(report: ProportionalityReport, decision: str | None = None
     return json.dumps(data, indent=2) + "\n"
 
 
+def _at(data, key: str, name: str):
+    """``data[key]``, where ``data`` is at key ``name``; a missing key fails naming both."""
+    try:
+        return data[key]
+    except KeyError:
+        raise ValueError(f"{name}: missing key {key!r}" if name else
+                         f"missing key {key!r}") from None
+
+
 def _check_same(got, want, name: str = "") -> None:
     """Fail unless JSON ``got`` holds ``want``'s keys and values; an int may stand for a float."""
     if isinstance(want, dict):
         for key, value in want.items():
-            _check_same(got[key], value, f"{name} {key}".lstrip())
+            _check_same(_at(got, key, name), value, f"{name} {key}".lstrip())
     elif got != want or type(got) is not type(want) and (type(got), type(want)) != (int, float):
         raise ValueError(f"{name} is {got!r}, not {want!r}")
 
@@ -228,12 +237,15 @@ def parse_structured(text: str) -> ProportionalityReport:
             for name, value, most in zip(names, counts, [math.inf, *counts]):
                 if type(value) is not int or not 0 <= value <= most:
                     raise ValueError(f"{group}{name} is {value!r}, not a count from 0 to {most}")
+            if not counts[0]:
+                raise ValueError(f"{group}samples: group {group[5]} has no instances")
         # Kept favorable labels count as kept unfavorable ones: no report value tells them apart.
         table = [((n - flips, flips - harm), (harm, 0)) for n, flips, harm in groups.values()]
-        bands = {row.key: Band.from_label(data[row.key]["band"]) for row in METRIC_ROWS}
+        bands = {row.key: Band.from_label(_at(data[row.key], "band", row.key))
+                 for row in METRIC_ROWS}
         fairness = dict.fromkeys(("fairness_pre", "fairness_post"))
         for key in fairness:  # read as written: schema v1 holds nothing to rebuild them from
-            if data.get(key) is not None:
+            if data[key] is not None:
                 fres = fairness[key] = FairnessResult(**{
                     **data[key], "fair_interval": _check_fair_interval(data[key]["fair_interval"])})
                 for field, want in (("sp_pass", bool), ("eo_pass", bool), ("note", str)):

@@ -171,18 +171,29 @@ def _frame(mapping: ColumnMapping, vectors: dict[str, np.ndarray]) -> AuditFrame
 
 
 def _axes(mapping: ColumnMapping) -> list[str]:
-    """The columns of the table's axes, (group, pred, corr[, true]); corr is pred if unmapped."""
-    axes = [mapping.group_col, mapping.pred_col, mapping.corr_col or mapping.pred_col]
-    return axes + [mapping.true_col] if mapping.true_col is not None else axes
+    """The columns counted for the table's axes, (group, pred[, corr][, true]).
+
+    An unmapped corr is pred, so it is not counted again.
+    """
+    axes = [mapping.group_col, mapping.pred_col, mapping.corr_col, mapping.true_col]
+    return [col for col in axes if col is not None]
 
 
 def _count_table(mapping: ColumnMapping, raw: list[int]) -> FlipCounts:
     """The count table of ``raw``, counts over the raw values of ``_axes(mapping)``.
 
     ``raw[i]`` counts the rows whose values, read as bits with the first
-    axis highest, spell ``i``. A 0 ``privileged`` value flips the group
-    bit, and a 0 ``favorable`` value every label bit.
+    axis highest, spell ``i``. Without a corr column, each row's corr bit
+    is its pred bit. A 0 ``privileged`` value flips the group bit, and a 0
+    ``favorable`` value every label bit.
     """
+    if mapping.corr_col is None:
+        true = len(raw).bit_length() - 3  # the number of true axes, 1 or 0
+        full = [0] * (2 * len(raw))
+        for i, count in enumerate(raw):
+            group_pred, truth = i >> true, i & true
+            full[(group_pred << 1 | group_pred & 1) << true | truth] = count
+        raw = full
     labels = len(raw).bit_length() - 2  # the axes after group
     flip = 0
     if mapping.privileged == 0:

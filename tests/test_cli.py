@@ -373,6 +373,18 @@ AUDIT_FR = 0.1318181818181818  # the fr value the counts in tests/golden/audit.j
     (golden_edit("pipeline.json", lambda data: data.update(
         group1_samples=10**400, group1_flips=10**400, group1_harmful_flips=1)),
      "integer division result too large for a float"),
+    # Each problem names the key it is at.
+    (golden_edit("pipeline.json", lambda data: data.pop("fairness_pre")),
+     "missing key 'fairness_pre'"),
+    (golden_edit("pipeline.json", lambda data: data.pop("fairness_post")),
+     "missing key 'fairness_post'"),
+    (golden_edit("audit.json", lambda data: data["fr"].pop("display")),
+     "fr: missing key 'display'"),
+    (golden_edit("audit.json", lambda data: data["hdi"].pop("band")),
+     "hdi: missing key 'band'"),
+    (golden_edit("audit.json", lambda data: data.update(
+        group0_samples=0, group0_flips=0, group0_harmful_flips=0)),
+     "group0_samples: group 0 has no instances"),
 ], ids=["csv", "empty_object", "cell_not_object", "unknown_band", "inf_with_value",
         "value_nan", "value_minus_infinity", "value_1e999", "value_string", "value_bool",
         "count_string", "count_negative", "count_float", "verdict_unknown",
@@ -380,7 +392,8 @@ AUDIT_FR = 0.1318181818181818  # the fr value the counts in tests/golden/audit.j
         "fairness_unknown_key", "fair_interval_three", "sp_difference_null",
         "eo_difference_nan", "finite_value_null", "annotation_empty", "kind_nan",
         "annotation_int", "display_not_the_value", "note_int", "total_flips_not_the_sum",
-        "value_not_the_counts", "flips_over_samples", "hdi_not_both_zero", "counts_overflow"])
+        "value_not_the_counts", "flips_over_samples", "hdi_not_both_zero", "counts_overflow",
+        "no_fairness_pre", "no_fairness_post", "no_display", "no_band", "group_empty"])
 def test_plot_rejects_text_that_is_not_a_report(text, problem, tmp_path, capsys):
     path = tmp_path / "report.json"
     path.write_text(text)
@@ -479,6 +492,45 @@ class TestPipelineCommand:
         assert "Verdict: Disproportionate" in out
         assert out.endswith("Decision: FairButDisproportionate\n")
 
+    # pipeline reports a file error first, then a bad option, then a group
+    # with no rows, with or without a true column.
+    @pytest.mark.parametrize("true_col", [[], ["--true-col", "true"]], ids=["no_true", "true"])
+    @pytest.mark.parametrize("rows, options, code", [
+        (["1,2,1", "0,1,0"], ["--epsilon", "-1"], "non_binary"),
+        (["1,0,1", "0,0,0"], ["--epsilon", "-1", "--seed", "-1"], "bad_epsilon"),
+        (["1,0,1", "0,0,0"], ["--seed", "-1", "--thresholds", "{tmp}/bad.txt"], "bad_seed"),
+        (["1,0,1", "0,0,0"], ["--thresholds", "{tmp}/bad.txt"], "bad_thresholds"),
+        (["1,0,1", "0,0,0"], [], "missing_group"),
+    ], ids=["file_before_epsilon", "epsilon_before_group", "seed_before_group",
+            "thresholds_before_group", "missing_group"])
+    def test_errors_keep_their_order(self, rows, options, code, true_col, tmp_path, capsys):
+        path = tmp_path / "d.csv"
+        path.write_text("\n".join(["pred,group,true", *rows]) + "\n")
+        (tmp_path / "bad.txt").write_text("FR 0 0.1\n")
+        argv = ["pipeline", "-i", str(path), *true_col, *options]
+        assert main([arg.format(tmp=tmp_path) for arg in argv]) == 1
+        assert capsys.readouterr().err.startswith(f"error [{code}]: ")
+
+    @pytest.mark.parametrize("true_col", [[], ["--true-col", "true"]], ids=["no_true", "true"])
+    def test_unreachable_epsilon_is_a_debiaser_failure(self, true_col, tmp_path, capsys):
+        path = tmp_path / "five.csv"
+        path.write_text("pred,group,true\n1,0,1\n0,0,0\n1,1,1\n0,1,0\n0,1,0\n")
+        assert main(["pipeline", "-i", str(path), *true_col, "--epsilon", "0.05"]) == 1
+        assert capsys.readouterr().err == (
+            "error [unreachable_epsilon]: debiaser failed: cannot reach |SP| <= 0.05; "
+            "best achievable gap is 0.166667\n")
+
+    def test_input_on_a_pipe_is_read_once(self, tmp_path):
+        # Mixed true values: placing the flips needs the rows, which a pipe
+        # cannot give twice.
+        golden = Path(__file__).parent / "golden"
+        out = tmp_path / "pipeline.txt"
+        proc = run_python(["-m", "flipaudit.cli", "pipeline", "-i", "/dev/stdin",
+                           "--true-col", "true", "-o", str(out)],
+                          input=(golden / "reference.csv").read_text())
+        assert (proc.returncode, proc.stderr) == (3, "")
+        assert out.read_bytes() == (golden / "pipeline.txt").read_bytes()
+
     def test_structured_output_carries_decision(self, reference_csv, tmp_path, capsys):
         out = tmp_path / "pipeline.json"
         main(["pipeline", "-i", str(reference_csv), "--true-col", "true",
@@ -554,17 +606,23 @@ COUNTING = {"cli", "frame", "tabular", "report", "fairness", "metrics", "thresho
 
 
 @pytest.mark.parametrize("case", ["import", "version", "audit", "audit_declined", "debias",
-                                  "debias_fair", "plot"])
+                                  "debias_fair", "plot", "pipeline", "pipeline_true_pred",
+                                  "pipeline_mixed_true"])
 def test_each_command_loads_only_the_modules_it_runs(case, tmp_path):
     golden = Path(__file__).parent / "golden"
     data = (golden / "reference.csv").read_bytes()
     if case == "audit_declined":  # valid, but the strict path declines a quoted header
         data = b'"pred"' + data.removeprefix(b"pred")
+    if case == "pipeline_true_pred":  # each row's true label is its prediction
+        data = b"".join(row[:-2] + row[:1] + b"\n" for row in data.splitlines(True)[1:])
+        data = b"pred,corr,group,true\n" + data
     path, out = tmp_path / "d.csv", tmp_path / "out"
     path.write_bytes(data)
     audit = ["audit", "-i", str(path), "-o", str(out)]
     debias = ["debias", "-o", str(out), "-i"]
+    pipeline = ["pipeline", "-i", str(path), "-o", str(out)]
     debiasing = {"cli", "frame", "tabular", "debias", "fairness"}
+    piping = COUNTING | {"debias", "pipeline"}
     # argv, exit code, the flipaudit submodules loaded, the WATCHED modules loaded
     argv, code, submodules, watched = {
         "import": ([], 0, set(), set()),
@@ -578,6 +636,12 @@ def test_each_command_loads_only_the_modules_it_runs(case, tmp_path):
         "plot": (["plot", "-i", str(golden / "audit.json"), "-o", str(out)], 0,
                  {"cli", "frame", "report", "fairness", "metrics", "thresholds", "chart"},
                  {"json"}),
+        # The counts fix every flip, without true labels or with true = pred.
+        "pipeline": (pipeline, 3, piping, {"json"}),
+        "pipeline_true_pred": ([*pipeline, "--true-col", "true"], 3, piping, {"json"}),
+        # Mixed true values: the flips are placed, which takes label vectors.
+        "pipeline_mixed_true": ([*pipeline, "--true-col", "true"], 3, piping,
+                                {"numpy", "numpy.random", "inspect", "json"}),
     }[case]
     proc = run_python(["-c", IMPORT_PROBE, *argv])
     assert proc.returncode == 0, proc.stderr
@@ -588,6 +652,8 @@ def test_each_command_loads_only_the_modules_it_runs(case, tmp_path):
     assert WATCHED.intersection(modules) == watched
     if argv[:1] == ["audit"]:
         assert out.read_bytes() == (golden / "audit.txt").read_bytes()
+    if case == "pipeline_mixed_true":
+        assert out.read_bytes() == (golden / "pipeline.txt").read_bytes()
 
 
 # A fresh interpreter: resolves every submodule as an attribute of the
@@ -624,7 +690,9 @@ def test_package_resolves_each_name_on_first_use():
     ("ingest_counts", ["audit", "-i", "{golden}/reference.csv"]),
     ("emit_chart", ["plot", "-i", "{golden}/audit.json"]),
     ("sp_equalizing_debiaser", ["debias", "-i", "{golden}/reference.csv"]),
-    ("run_audit_pipeline", ["pipeline", "-i", "{golden}/reference.csv"]),
+    ("run_counts_pipeline", ["pipeline", "-i", "{golden}/reference.csv"]),
+    # Mixed true values: the flips' rows decide the table, so they are placed.
+    ("place", ["pipeline", "-i", "{golden}/reference.csv", "--true-col", "true"]),
 ])
 def test_commands_call_the_names_set_on_the_cli_module(name, argv, tmp_path, monkeypatch):
     calls = []

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 import oracle
 from conftest import run_python
@@ -12,7 +12,7 @@ from flipaudit import (
     ValidationError,
     sp_equalizing_debiaser,
 )
-from flipaudit.debias import _minimal_flip_split, make_sp_debiaser
+from flipaudit.debias import _minimal_flip_split, make_sp_debiaser, place, plan_split
 
 # Epsilons that land exactly on rate grids, where float rounding decides ties.
 GRID_EPSILONS = (0.05, 0.15, 0.3, 0.125)
@@ -361,3 +361,63 @@ class TestMinimalFlipSplit:
         if checked:
             assert result == oracle.minimal_flip_split(*counts)
         assert peak < bound
+
+
+@st.composite
+def planned_frames(draw):
+    """A small frame whose true labels are absent, its predictions, or any bits."""
+    n = draw(st.integers(min_value=2, max_value=40))
+    bits = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+    pred, corr, group = draw(bits), draw(bits), draw(bits)
+    assume(0 < sum(group) < n)
+    true = draw(st.sampled_from([None, pred, draw(bits)]))
+    return AuditFrame(y_predicted=pred, y_corrected=corr, group=group, y_true=true)
+
+
+class TestPlan:
+    @given(planned_frames(), st.sampled_from((0.01, 0.1, 0.25, *GRID_EPSILONS)),
+           st.integers(0, 2**32))
+    def test_applied_counts_are_the_placed_flips_counts(self, frame, epsilon, seed):
+        # The plan reads only predictions, so a frame's corrected labels do
+        # not change it, nor what it applies to.
+        try:
+            plan = plan_split(frame.counts(), epsilon)
+        except DebiasError:
+            assume(False)
+        placed = frame.with_corrected(place(plan, frame, seed)).counts()
+        applied = plan.apply(frame.counts())
+        assert applied is None or applied == placed
+        if frame.y_true is None or frame.y_true is frame.y_predicted:
+            assert applied == placed
+
+    def test_candidates_of_two_true_values_need_the_draws(self):
+        # Group 0's rate is 1, group 1's 0: flips go both ways, and group 0's
+        # positives hold both true values.
+        frame = AuditFrame([1, 1, 1, 1, 0, 0], [1, 1, 1, 1, 0, 0], [0, 0, 0, 0, 1, 1],
+                           [1, 0, 1, 0, 0, 0])
+        plan = plan_split(frame.counts(), 0.3)
+        assert [k for _, _, k, _ in plan.kinds] == [1, 1]
+        assert plan.apply(frame.counts()) is None
+        # At a tighter epsilon every flip is up, and takes all of group 1's
+        # negatives: nothing is left to draw.
+        plan = plan_split(frame.counts(), 0.01)
+        assert [k for _, _, k, _ in plan.kinds] == [0, 2]
+        assert plan.apply(frame.counts()).margin("group", "corr") == ((0, 4), (0, 2))
+
+    def test_debiaser_is_plan_then_place(self):
+        rng = np.random.default_rng(3)
+        for seed in range(50):
+            labels, group = random_labeled_groups(rng, 40)
+            frame = AuditFrame(labels, labels, group)
+            try:
+                plan = plan_split(frame.counts(), 0.05)
+            except DebiasError:
+                continue
+            assert np.array_equal(sp_equalizing_debiaser(labels, group, 0.05, seed),
+                                  place(plan, frame, seed))
+
+    def test_bad_epsilon(self):
+        counts = AuditFrame([1, 0], [1, 0], [0, 1]).counts()
+        with pytest.raises(ValidationError) as exc:
+            plan_split(counts, math.nan)
+        assert exc.value.code == "bad_epsilon"

@@ -12,7 +12,9 @@ from flipaudit import (
     run_audit_pipeline,
 )
 from flipaudit import frame as frame_module
-from flipaudit.pipeline import PipelineError
+from flipaudit.debias import place
+from flipaudit.frame import AuditFrame
+from flipaudit.pipeline import PipelineError, run_counts_pipeline
 
 
 def passthrough_for(frame):
@@ -167,3 +169,66 @@ def test_each_frame_counted_once(fair, passes, monkeypatch):
     outcome = run_audit_pipeline(pred, group, make_sp_debiaser(0.1), y_true=y_true)
     assert (outcome.decision is Decision.NO_DEBIAS_NEEDED) == fair
     assert calls == [group.size] * passes
+
+
+def placer(frame, seed, calls=None):
+    """``run_counts_pipeline``'s ``place``: the table of ``frame`` with the plan placed."""
+    def place_plan(plan):
+        if calls is not None:
+            calls.append(plan)
+        return frame.with_corrected(place(plan, frame, seed)).counts()
+
+    return place_plan
+
+
+class TestRunCountsPipeline:
+    @pytest.mark.parametrize("truth", ["none", "pred", "mixed"])
+    def test_same_outcome_as_the_vector_pipeline(self, truth):
+        rng = np.random.default_rng(21)
+        placed = 0
+        for seed in range(150):
+            pred, group = rng.integers(0, 2, size=(2, int(rng.integers(4, 60))))
+            if not 0 < group.sum() < group.size:
+                continue
+            y_true = {"none": None, "pred": pred, "mixed": rng.integers(0, 2, pred.size)}[truth]
+            epsilon = float(rng.choice([0.02, 0.05, 0.1, 0.2]))
+            frame = AuditFrame(pred, pred, group, y_true)
+
+            def outcome(run):
+                try:
+                    return run()
+                except ValidationError as exc:
+                    return exc.code, str(exc)
+
+            calls = []
+            want = outcome(lambda: run_audit_pipeline(
+                pred, group, make_sp_debiaser(epsilon, seed), y_true=y_true))
+            got = outcome(lambda: run_counts_pipeline(
+                frame.counts(), epsilon, placer(frame, seed, calls)))
+            assert got == want
+            placed += len(calls)
+            if truth != "mixed":  # the counts fix every flip
+                assert not calls
+        assert placed > 10 if truth == "mixed" else placed == 0
+
+    def test_debiaser_failure_carries_pre_gate(self):
+        frame = AuditFrame([1, 0, 1, 0, 0], [1, 0, 1, 0, 0], [0, 0, 1, 1, 1])
+        with pytest.raises(PipelineError) as exc:
+            run_counts_pipeline(frame.counts(), 0.05, placer(frame, 0))
+        assert exc.value.code == "unreachable_epsilon"
+        assert str(exc.value).startswith("debiaser failed: cannot reach |SP| <= 0.05; ")
+        assert exc.value.pre_fairness.sp_difference == pytest.approx(1 / 6)
+
+    @pytest.mark.parametrize("pred", [[1, 0, 1, 0], [1, 1, 0, 0]], ids=["fair", "unfair"])
+    def test_bad_epsilon_fails_before_the_gate(self, pred):
+        frame = AuditFrame(pred, pred, [0, 0, 1, 1])
+        with pytest.raises(ValidationError) as exc:
+            run_counts_pipeline(frame.counts(), -1.0, placer(frame, 0))
+        assert exc.value.code == "bad_epsilon"
+        assert not isinstance(exc.value, PipelineError)
+
+    def test_counts_with_flips_are_bad_counts(self):
+        frame = AuditFrame([1, 0, 1, 0], [0, 0, 1, 0], [0, 0, 1, 1])
+        with pytest.raises(ValidationError) as exc:
+            run_counts_pipeline(frame.counts(), 0.1, placer(frame, 0))
+        assert exc.value.code == "bad_counts"

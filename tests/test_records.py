@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from flipaudit.debias import Plan
 from flipaudit.fairness import FairnessResult
 from flipaudit.frame import AuditFrame, FlipCounts, Record, ValidationError
 from flipaudit.metrics import MetricValue
@@ -32,6 +33,7 @@ ARGS = {
     ScenarioSpec: (GroupScenario(5, 2, 1, 1), GroupScenario(4, 2, 0, 0), 3),
     ColumnMapping: ("p", "c", "g", "t", 0, 0),
     PipelineOutcome: (FAIR, FAIR, REPORT, Decision.FAIR_BUT_DISPROPORTIONATE),
+    Plan: (((0, 0, 1, 2), (1, 1, 0, 3)),),
 }
 # The trailing fields that have defaults, and those defaults.
 DEFAULTS = {
@@ -52,7 +54,7 @@ def make(record):
 
 def test_every_record_is_covered():
     assert set(Record.__subclasses__()) == set(RECORDS)
-    assert len(RECORDS) == 12
+    assert len(RECORDS) == 13
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=lambda r: r.__name__)
