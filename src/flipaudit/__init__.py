@@ -57,9 +57,9 @@ _HOMES = {
         "render_text",
     ),
     "scenario": ("REFERENCE_EXAMPLE", "GroupScenario", "ScenarioSpec", "generate_scenario"),
-    "debias": ("DebiasError", "Plan", "make_sp_debiaser", "place", "plan_split",
-               "sp_equalizing_debiaser"),
-    "pipeline": ("Decision", "PipelineOutcome", "run_audit_pipeline", "run_counts_pipeline"),
+    "debias": ("DebiasError", "Plan", "place", "plan_split", "sp_equalizing_debiaser",
+               "sp_repair"),
+    "pipeline": ("Decision", "PipelineOutcome", "run_audit_pipeline"),
     "tabular": ("ColumnMapping", "frame_to_csv", "ingest", "ingest_counts"),
     "chart": ("emit_chart",),
     "cli": (),

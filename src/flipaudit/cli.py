@@ -29,10 +29,8 @@ from .frame import ValidationError, decode_utf8, read_text
 # before main runs, by a tracer's wrapper say, is the one called.
 __getattr__, __dir__ = lazy_names(globals(), {
     "chart": ("emit_chart",),
-    "debias": ("check_options", "place", "sp_equalizing_debiaser"),
-    # No command calls run_audit_pipeline; it stays here for code that wraps
-    # the pipeline by this name, as perfbench/traced_cli.py does.
-    "pipeline": ("run_audit_pipeline", "run_counts_pipeline"),
+    "debias": ("check_options", "place", "sp_equalizing_debiaser", "sp_repair"),
+    "pipeline": ("run_audit_pipeline",),
     "report": ("build_report", "parse_structured", "render_structured", "render_text"),
     "scenario": ("REFERENCE_EXAMPLE", "generate_scenario", "load_spec"),
     "tabular": ("ColumnMapping", "frame_to_csv_blocks", "ingest", "ingest_counts"),
@@ -217,7 +215,7 @@ def _cmd_pipeline(args):
         given = frame or _cli.ingest(args.input, mapping)
         return given.with_corrected(_cli.place(plan, given, args.seed)).counts()
 
-    outcome = _cli.run_counts_pipeline(counts, args.epsilon, placed, config)
+    outcome = _cli.run_audit_pipeline(counts, _cli.sp_repair(args.epsilon, placed), config)
     if args.format == "structured":
         text = _cli.render_structured(outcome.report, decision=outcome.decision.value)
     else:

@@ -54,10 +54,10 @@ def _minimal_flip_split(pos_over: int, n_over: int, pos_under: int, n_under: int
     bound = scaled_floor(epsilon, den)
     # Count along the flip kind that moves the gap more; the other solves to an interval.
     if n_over > n_under:
-        x_max, x_coef, y_max, y_coef = max_up, n_over, max_down, n_under
+        x_coef, y_max, y_coef = n_over, max_down, n_under
     else:
-        x_max, x_coef, y_max, y_coef = max_down, n_under, max_up, n_over
-    total, least = _least_total(p, x_max, x_coef, y_max, y_coef, bound)
+        x_coef, y_max, y_coef = n_under, max_up, n_over
+    total, least = _least_total(p, x_coef, y_max, y_coef, bound)
     if total is None:
         raise DebiasError(epsilon, best_gap=least / den)
     first, last = _interval(p - total * n_over, n_over - n_under, bound,
@@ -66,26 +66,28 @@ def _minimal_flip_split(pos_over: int, n_over: int, pos_under: int, n_under: int
     return down, total - down
 
 
-def _least_total(p: int, x_max: int, x_coef: int, y_max: int, y_coef: int,
+def _least_total(p: int, x_coef: int, y_max: int, y_coef: int,
                  bound: int) -> tuple[int | None, int | None]:
     """Least ``x + y`` with ``|p - x*x_coef - y*y_coef| <= bound``, x and y in range.
 
-    Needs ``x_coef >= y_coef``. Returns the total and None, or, when no
+    Needs ``x_coef >= y_coef``, ``0 <= p <= x_max*x_coef`` for x's maximum
+    ``x_max``, and ``bound >= 0``. Returns the total and None, or, when no
     total passes, None and the least ``|p - x*x_coef - y*y_coef|`` in range.
     No total below ``x0 = ceil((p - bound) / x_coef)`` passes, and below x0
     an x's least passing total ``x + ceil((p - bound - x*x_coef) / y_coef)``
     never falls as x falls; if x0 overshoots, so does every larger x. So the
-    answer is the first x, counting down from ``min(x0, x_max)``, with a
-    passing y (``_interval``). That x is tried first, in plain ints: it
-    answers whenever ``x_coef <= 2*bound + 1`` and any total passes.
+    answer is the first x, counting down from x0 (or 0), with a passing y;
+    ``p <= x_max*x_coef`` keeps x0 within range. At x0 the residual with no
+    y flips is at most ``bound``, so y = 0 passes there unless it is below
+    ``-bound``, and then every y does worse. That x is tried first, in plain
+    ints: it answers whenever ``x_coef <= 2*bound + 1`` and any total passes.
     Otherwise x counts down in int64 blocks, since a pure-Python count is
     over 100 times slower, to the first x at which even ``y_max`` falls
     short, as it then does at every smaller x.
     """
-    top = max(0, min(-((bound - p) // x_coef), x_max))
-    first, last = _interval(p - top * x_coef, -y_coef, bound, 0, y_max)
-    if first <= last:
-        return top + first, None
+    top = max(0, -((bound - p) // x_coef))
+    if p - top * x_coef >= -bound:
+        return top, None
 
     # The first x passes whenever bound >= |p|, so here bound < |p| <= den
     # and the block arithmetic stays well inside int64.
@@ -256,15 +258,20 @@ def _draw_flips(labels: np.ndarray, grp: np.ndarray, kinds,
     return drawn
 
 
-def make_sp_debiaser(epsilon: float, rng_seed: int = 0):
-    """Bind epsilon and seed into the two-argument debiaser the pipeline expects.
+def sp_repair(epsilon: float, place):
+    """The pipeline's repair to |SP| <= epsilon: count table in, repaired table out.
 
-    Epsilon and seed are checked here, so a bad value fails even when the
-    pipeline's first gate passes and the debiaser never runs.
+    The table is repaired by ``plan_split``; when the plan's post-repair
+    table does not follow from the counts alone, ``place(plan)`` gives it,
+    from the flips the debiaser would place. Epsilon is checked here, so a
+    bad value fails even when the pipeline's first gate passes and the
+    repair never runs.
     """
-    check_options(epsilon, rng_seed)
+    _check_epsilon(epsilon)
 
-    def debias(y_predicted, group):
-        return sp_equalizing_debiaser(y_predicted, group, epsilon, rng_seed)
+    def repair(counts: FlipCounts) -> FlipCounts:
+        plan = plan_split(counts, epsilon)
+        repaired = plan.apply(counts)
+        return place(plan) if repaired is None else repaired
 
-    return debias
+    return repair

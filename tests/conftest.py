@@ -62,6 +62,19 @@ def report_metrics(frame) -> dict:
     return {key: cell.metric for key, cell in build_report(frame.counts()).cells.items()}
 
 
+def vector_repair(frame: AuditFrame, debias):
+    """The pipeline repair of any vector debiaser ``(y_predicted, group) -> y_corrected``.
+
+    ``frame`` holds the predictions (its corrected labels are not read).
+    """
+    return lambda counts: frame.with_corrected(debias(frame.y_predicted, frame.group)).counts()
+
+
+def identity(pred, group, y_true=None) -> AuditFrame:
+    """The frame whose corrected labels are its predictions: the pipeline's input."""
+    return AuditFrame(pred, pred, group, y_true)
+
+
 def sp_of(labels, group) -> float:
     """The SP gate's difference for ``labels``."""
     return evaluate_fairness(AuditFrame(labels, labels, group).counts()).sp_difference

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import oracle
-from conftest import flip_summaries, random_frame, report_metrics
+from conftest import flip_summaries, identity, random_frame, report_metrics, vector_repair
 from flipaudit import (
     AuditFrame,
     Decision,
@@ -23,13 +23,13 @@ from flipaudit import (
     classify,
     emit_chart,
     generate_scenario,
-    make_sp_debiaser,
     parse_structured,
     render_structured,
     run_audit_pipeline,
     sp_equalizing_debiaser,
+    sp_repair,
 )
-from flipaudit import DebiasError, evaluate_fairness, ingest
+from flipaudit import DebiasError, evaluate_fairness, ingest, place
 from flipaudit.cli import main
 from flipaudit.metrics import (
     BOTH_ZERO,
@@ -257,28 +257,25 @@ def test_criterion_5_debiaser_contract():
 
 
 def test_criterion_6_pipeline_semantics():
-    pred = np.array([1, 0, 1, 0])
-    group = np.array([0, 0, 1, 1])
-    fair = run_audit_pipeline(pred, group, make_sp_debiaser(0.1))
+    def exploding(plan):
+        raise AssertionError("a fair input places no flips")
+
+    fair = run_audit_pipeline(identity([1, 0, 1, 0], [0, 0, 1, 1]).counts(),
+                              sp_repair(0.1, exploding))
     assert fair.decision is Decision.NO_DEBIAS_NEEDED
     assert fair.report.counts["total_flips"] == 0
 
-    frame = generate_scenario(REFERENCE_EXAMPLE)
-    outcome = run_audit_pipeline(
-        frame.y_predicted, frame.group,
-        lambda y, g: frame.y_corrected,
-        y_true=frame.y_true,
-    )
+    reference = generate_scenario(REFERENCE_EXAMPLE)
+    frame = identity(reference.y_predicted, reference.group, reference.y_true)
+    outcome = run_audit_pipeline(frame.counts(),
+                                 vector_repair(frame, lambda y, g: reference.y_corrected))
     assert outcome.decision is Decision.FAIR_BUT_DISPROPORTIONATE
 
+    def placed(plan):
+        return frame.with_corrected(place(plan, frame, 9)).counts()
+
     repeats = [
-        render_structured(
-            run_audit_pipeline(
-                frame.y_predicted, frame.group,
-                make_sp_debiaser(0.1, rng_seed=9),
-                y_true=frame.y_true,
-            ).report
-        )
+        render_structured(run_audit_pipeline(frame.counts(), sp_repair(0.1, placed)).report)
         for _ in range(2)
     ]
     assert repeats[0] == repeats[1]

@@ -690,7 +690,7 @@ def test_package_resolves_each_name_on_first_use():
     ("ingest_counts", ["audit", "-i", "{golden}/reference.csv"]),
     ("emit_chart", ["plot", "-i", "{golden}/audit.json"]),
     ("sp_equalizing_debiaser", ["debias", "-i", "{golden}/reference.csv"]),
-    ("run_counts_pipeline", ["pipeline", "-i", "{golden}/reference.csv"]),
+    ("run_audit_pipeline", ["pipeline", "-i", "{golden}/reference.csv"]),
     # Mixed true values: the flips' rows decide the table, so they are placed.
     ("place", ["pipeline", "-i", "{golden}/reference.csv", "--true-col", "true"]),
 ])

@@ -12,7 +12,7 @@ from flipaudit import (
     ValidationError,
     sp_equalizing_debiaser,
 )
-from flipaudit.debias import _minimal_flip_split, make_sp_debiaser, place, plan_split
+from flipaudit.debias import _minimal_flip_split, check_options, place, plan_split, sp_repair
 
 # Epsilons that land exactly on rate grids, where float rounding decides ties.
 GRID_EPSILONS = (0.05, 0.15, 0.3, 0.125)
@@ -156,9 +156,9 @@ class TestSpEqualizingDebiaser:
                 sp_equalizing_debiaser([1, 0], [0, 1], epsilon=epsilon)
             assert exc.value.code == "bad_epsilon"
             assert str(exc.value) == "epsilon must be a positive finite number"
-            # The pipeline's binding checks too, before any gate runs.
+            # The pipeline's repair checks too, before any gate runs.
             with pytest.raises(ValidationError) as exc:
-                make_sp_debiaser(epsilon)
+                sp_repair(epsilon, place=None)
             assert exc.value.code == "bad_epsilon"
 
     def test_bad_seed(self):
@@ -169,8 +169,9 @@ class TestSpEqualizingDebiaser:
                 with pytest.raises(ValidationError) as exc:
                     sp_equalizing_debiaser(labels, group, 0.1, rng_seed=seed)
                 assert exc.value.code == "bad_seed"
+            # The CLI's check of its options, before any gate runs.
             with pytest.raises(ValidationError) as exc:
-                make_sp_debiaser(0.1, seed)
+                check_options(0.1, seed)
             assert exc.value.code == "bad_seed"
 
     @staticmethod

@@ -9,13 +9,13 @@ from flipaudit import (
     ValidationError,
     build_report,
     evaluate_fairness,
-    make_sp_debiaser,
     parse_structured,
     render_structured,
     run_audit_pipeline,
     sp_equalizing_debiaser,
+    sp_repair,
 )
-from conftest import random_frame, sp_of
+from conftest import identity, random_frame, sp_of
 
 
 def eo_of(y_true, labels, group):
@@ -179,7 +179,7 @@ class TestEvaluateFairness:
     @pytest.mark.parametrize("interval", [
         (0.2, -0.2), (math.nan, 0.1), (-0.1, math.inf), (-0.5, -0.3), (0.3, 0.5),
         (-0.1,), (-0.1, 0.0, 0.1), None, ("a", "b"), ("-0.1", 0.1),
-        (-10**400, 10**400), (-0.1, 10**400),
+        (-10**400, 10**400), (-0.1, 10**400), (-math.inf, 0.1),
     ])
     def test_bad_interval_rejected(self, interval):
         # None of these intervals would pass perfect parity.
@@ -200,15 +200,15 @@ class TestEvaluateFairness:
         assert parse_structured(render_structured(report)) == report
 
     def test_bad_interval_rejected_before_pipeline_debiases(self):
-        def exploding(y_predicted, group):
-            raise AssertionError("debiaser must not run with a bad fair interval")
+        def exploding(_):
+            raise AssertionError("repair must not run with a bad fair interval")
 
         with pytest.raises(ValidationError) as exc:
-            run_audit_pipeline([1, 1, 0, 0], [0, 0, 1, 1], exploding,
+            run_audit_pipeline(identity([1, 1, 0, 0], [0, 0, 1, 1]).counts(), exploding,
                                fair_interval=(0.2, -0.2))
         assert exc.value.code == "bad_fair_interval"
         for interval in ((-0.5, -0.3), (-10**400, 1)):
             with pytest.raises(ValidationError) as exc:
-                run_audit_pipeline([1, 0, 1, 0], [0, 0, 1, 1], make_sp_debiaser(0.1),
-                                   fair_interval=interval)
+                run_audit_pipeline(identity([1, 0, 1, 0], [0, 0, 1, 1]).counts(),
+                                   sp_repair(0.1, exploding), fair_interval=interval)
             assert exc.value.code == "bad_fair_interval"

@@ -2,54 +2,53 @@ import numpy as np
 import pytest
 
 import oracle
+from conftest import identity, vector_repair
 from flipaudit import (
     Decision,
     REFERENCE_EXAMPLE,
     ValidationError,
     generate_scenario,
-    make_sp_debiaser,
     render_structured,
     run_audit_pipeline,
+    sp_equalizing_debiaser,
+    sp_repair,
 )
 from flipaudit import frame as frame_module
 from flipaudit.debias import place
 from flipaudit.frame import AuditFrame
-from flipaudit.pipeline import PipelineError, run_counts_pipeline
-
-
-def passthrough_for(frame):
-    """Debiaser returning the frame's own corrected labels."""
-
-    def debias(y_predicted, group):
-        return frame.y_corrected
-
-    return debias
+from flipaudit.pipeline import PipelineError
 
 
 def identity_debiaser(y_predicted, group):
     return np.asarray(y_predicted).copy()
 
 
+def placer(frame, seed, calls=None):
+    """``sp_repair``'s ``place``: the table of ``frame`` with the plan placed."""
+    def place_plan(plan):
+        if calls is not None:
+            calls.append(plan)
+        return frame.with_corrected(place(plan, frame, seed)).counts()
+
+    return place_plan
+
+
 class TestRunAuditPipeline:
     def test_already_fair_exits_early(self):
-        pred = np.array([1, 0, 1, 0])
-        group = np.array([0, 0, 1, 1])
+        frame = identity([1, 0, 1, 0], [0, 0, 1, 1])
 
-        def exploding(y_predicted, g):
-            raise AssertionError("debiaser must not run on fair inputs")
+        def exploding(counts):
+            raise AssertionError("repair must not run on fair inputs")
 
-        outcome = run_audit_pipeline(pred, group, exploding)
+        outcome = run_audit_pipeline(frame.counts(), exploding)
         assert outcome.decision is Decision.NO_DEBIAS_NEEDED
         assert outcome.report.counts["total_flips"] == 0
         assert outcome.post_fairness == outcome.pre_fairness
 
     def test_reference_scenario_is_fair_but_disproportionate(self, reference_frame):
-        outcome = run_audit_pipeline(
-            reference_frame.y_predicted,
-            reference_frame.group,
-            passthrough_for(reference_frame),
-            y_true=reference_frame.y_true,
-        )
+        frame = identity(reference_frame.y_predicted, reference_frame.group,
+                         reference_frame.y_true)
+        outcome = run_audit_pipeline(frame.counts(), lambda counts: reference_frame.counts())
         assert not outcome.pre_fairness.passed
         assert outcome.post_fairness.passed
         assert outcome.pre_fairness.sp_difference > 0.1
@@ -69,7 +68,9 @@ class TestRunAuditPipeline:
         corrected[56:80] = 1
         corrected[100:124] = 0
         corrected[145:171] = 1
-        outcome = run_audit_pipeline(pred, group, lambda y_predicted, g: corrected)
+        frame = identity(pred, group)
+        outcome = run_audit_pipeline(frame.counts(),
+                                     vector_repair(frame, lambda y_predicted, g: corrected))
         assert not outcome.pre_fairness.passed
         assert outcome.post_fairness.passed
         cells = outcome.report.proportionality_cells().values()
@@ -78,9 +79,8 @@ class TestRunAuditPipeline:
         assert outcome.decision is Decision.FAIR_AND_PROPORTIONATE
 
     def test_ineffective_debiaser_still_unfair(self):
-        pred = np.array([1, 1, 1, 0, 0, 0])
-        group = np.array([0, 0, 0, 1, 1, 1])
-        outcome = run_audit_pipeline(pred, group, identity_debiaser)
+        frame = identity([1, 1, 1, 0, 0, 0], [0, 0, 0, 1, 1, 1])
+        outcome = run_audit_pipeline(frame.counts(), vector_repair(frame, identity_debiaser))
         assert outcome.decision is Decision.STILL_UNFAIR
         assert not outcome.post_fairness.passed
 
@@ -90,8 +90,12 @@ class TestRunAuditPipeline:
         group = np.array([0] * 30 + [1] * 30)
         pred[:30] = (rng.random(30) < 0.8).astype(int)
         pred[30:] = (rng.random(30) < 0.3).astype(int)
-        debias = make_sp_debiaser(0.1, rng_seed=2)
-        outcome = run_audit_pipeline(pred, group, debias)
+
+        def debias(y_predicted, g):
+            return sp_equalizing_debiaser(y_predicted, g, 0.1, rng_seed=2)
+
+        frame = identity(pred, group)
+        outcome = run_audit_pipeline(frame.counts(), vector_repair(frame, debias))
         assert outcome.post_fairness.passed
         # The seeded debiaser repeats its labels.
         assert oracle.within(oracle.sp_difference(debias(pred, group), group), 0.1)
@@ -101,53 +105,66 @@ class TestRunAuditPipeline:
         )
 
     def test_debiaser_failure_carries_pre_gate(self):
-        pred = np.array([1, 1, 1, 0, 0, 0])
-        group = np.array([0, 0, 0, 1, 1, 1])
+        frame = identity([1, 1, 1, 0, 0, 0], [0, 0, 0, 1, 1, 1])
 
-        def broken(y_predicted, g):
+        def broken(counts):
             raise RuntimeError("boom")
 
         with pytest.raises(PipelineError) as exc:
-            run_audit_pipeline(pred, group, broken)
+            run_audit_pipeline(frame.counts(), broken)
         assert exc.value.pre_fairness.sp_difference == pytest.approx(1.0)
         assert exc.value.code == "debiaser_failed"
         assert str(exc.value) == "debiaser failed: boom"
 
     def test_debiaser_code_is_kept(self):
-        # An unreachable epsilon: the debiaser's DebiasError code is the pipeline's.
-        pred = np.array([1, 0, 1, 0, 0])
-        group = np.array([0, 0, 1, 1, 1])
-        with pytest.raises(ValidationError) as exc:
-            run_audit_pipeline(pred, group, make_sp_debiaser(0.05))
-        assert isinstance(exc.value, PipelineError)
+        # An unreachable epsilon: the plan's DebiasError code is the pipeline's.
+        frame = identity([1, 0, 1, 0, 0], [0, 0, 1, 1, 1])
+        with pytest.raises(PipelineError) as exc:
+            run_audit_pipeline(frame.counts(), sp_repair(0.05, placer(frame, 0)))
         assert exc.value.code == "unreachable_epsilon"
         assert str(exc.value).startswith("debiaser failed: cannot reach |SP| <= 0.05; ")
+        assert exc.value.pre_fairness.sp_difference == pytest.approx(1 / 6)
+
+    def test_place_failure_keeps_its_code(self):
+        # A file that cannot be re-read to place the flips fails the repair.
+        frame = identity([1, 1, 0, 0], [0, 0, 1, 1], [1, 0, 1, 0])
+
+        def unreadable(plan):
+            raise ValidationError("cannot read d.csv: gone", code="unreadable")
+
+        with pytest.raises(PipelineError) as exc:
+            run_audit_pipeline(frame.counts(), sp_repair(0.1, unreadable))
+        assert exc.value.code == "unreadable"
+        assert str(exc.value) == "debiaser failed: cannot read d.csv: gone"
 
     @pytest.mark.parametrize("result, code", [
         ([1, 0, 1], "length_mismatch"),
         ([2, 0, 1, 0, 1, 0], "non_binary"),
     ])
     def test_debiaser_result_validated_as_y_corrected(self, result, code):
-        pred = np.array([1, 1, 1, 0, 0, 0])
-        group = np.array([0, 0, 0, 1, 1, 1])
-        with pytest.raises(ValidationError, match="y_corrected") as exc:
-            run_audit_pipeline(pred, group, lambda y_predicted, g: result)
+        frame = identity([1, 1, 1, 0, 0, 0], [0, 0, 0, 1, 1, 1])
+        with pytest.raises(PipelineError, match="y_corrected") as exc:
+            run_audit_pipeline(frame.counts(), vector_repair(frame, lambda y, g: result))
         assert exc.value.code == code
-        # The debiaser returned; its result failed, not the debiaser.
-        assert not isinstance(exc.value, PipelineError)
+        assert exc.value.pre_fairness.sp_difference == pytest.approx(1.0)
 
     def test_determinism_under_fixed_seed(self):
-        frame = generate_scenario(REFERENCE_EXAMPLE)
+        reference = generate_scenario(REFERENCE_EXAMPLE)
+        frame = identity(reference.y_predicted, reference.group, reference.y_true)
+        calls = []
         runs = [
-            run_audit_pipeline(
-                frame.y_predicted, frame.group,
-                make_sp_debiaser(0.1, rng_seed=5),
-                y_true=frame.y_true,
-            )
+            run_audit_pipeline(frame.counts(), sp_repair(0.1, placer(frame, 5, calls)))
             for _ in range(2)
         ]
+        assert len(calls) == 2  # mixed true labels: the flips are placed
         assert runs[0].decision is runs[1].decision
         assert render_structured(runs[0].report) == render_structured(runs[1].report)
+
+    def test_counts_with_flips_are_bad_counts(self):
+        frame = AuditFrame([1, 0, 1, 0], [0, 0, 1, 0], [0, 0, 1, 1])
+        with pytest.raises(ValidationError) as exc:
+            run_audit_pipeline(frame.counts(), sp_repair(0.1, placer(frame, 0)))
+        assert exc.value.code == "bad_counts"
 
 
 @pytest.mark.parametrize("fair, passes", [(True, 1), (False, 3)])
@@ -166,24 +183,18 @@ def test_each_frame_counted_once(fair, passes, monkeypatch):
         return tally(*vectors)
 
     monkeypatch.setattr(frame_module, "tally", counting_tally)
-    outcome = run_audit_pipeline(pred, group, make_sp_debiaser(0.1), y_true=y_true)
+    frame = identity(pred, group, y_true)
+    repair = vector_repair(frame, lambda y, g: sp_equalizing_debiaser(y, g, 0.1))
+    outcome = run_audit_pipeline(frame.counts(), repair)
     assert (outcome.decision is Decision.NO_DEBIAS_NEEDED) == fair
     assert calls == [group.size] * passes
 
 
-def placer(frame, seed, calls=None):
-    """``run_counts_pipeline``'s ``place``: the table of ``frame`` with the plan placed."""
-    def place_plan(plan):
-        if calls is not None:
-            calls.append(plan)
-        return frame.with_corrected(place(plan, frame, seed)).counts()
-
-    return place_plan
-
-
-class TestRunCountsPipeline:
+class TestSpRepair:
     @pytest.mark.parametrize("truth", ["none", "pred", "mixed"])
     def test_same_outcome_as_the_vector_pipeline(self, truth):
+        # sp_repair places flips only when the counts cannot decide them;
+        # the vector repair always places them, through the debiaser.
         rng = np.random.default_rng(21)
         placed = 0
         for seed in range(150):
@@ -192,43 +203,28 @@ class TestRunCountsPipeline:
                 continue
             y_true = {"none": None, "pred": pred, "mixed": rng.integers(0, 2, pred.size)}[truth]
             epsilon = float(rng.choice([0.02, 0.05, 0.1, 0.2]))
-            frame = AuditFrame(pred, pred, group, y_true)
+            frame = identity(pred, group, y_true)
 
-            def outcome(run):
+            def outcome(repair):
                 try:
-                    return run()
+                    return run_audit_pipeline(frame.counts(), repair)
                 except ValidationError as exc:
                     return exc.code, str(exc)
 
             calls = []
-            want = outcome(lambda: run_audit_pipeline(
-                pred, group, make_sp_debiaser(epsilon, seed), y_true=y_true))
-            got = outcome(lambda: run_counts_pipeline(
-                frame.counts(), epsilon, placer(frame, seed, calls)))
+            want = outcome(vector_repair(
+                frame, lambda y, g: sp_equalizing_debiaser(y, g, epsilon, seed)))
+            got = outcome(sp_repair(epsilon, placer(frame, seed, calls)))
             assert got == want
             placed += len(calls)
             if truth != "mixed":  # the counts fix every flip
                 assert not calls
         assert placed > 10 if truth == "mixed" else placed == 0
 
-    def test_debiaser_failure_carries_pre_gate(self):
-        frame = AuditFrame([1, 0, 1, 0, 0], [1, 0, 1, 0, 0], [0, 0, 1, 1, 1])
-        with pytest.raises(PipelineError) as exc:
-            run_counts_pipeline(frame.counts(), 0.05, placer(frame, 0))
-        assert exc.value.code == "unreachable_epsilon"
-        assert str(exc.value).startswith("debiaser failed: cannot reach |SP| <= 0.05; ")
-        assert exc.value.pre_fairness.sp_difference == pytest.approx(1 / 6)
-
     @pytest.mark.parametrize("pred", [[1, 0, 1, 0], [1, 1, 0, 0]], ids=["fair", "unfair"])
     def test_bad_epsilon_fails_before_the_gate(self, pred):
-        frame = AuditFrame(pred, pred, [0, 0, 1, 1])
+        frame = identity(pred, [0, 0, 1, 1])
         with pytest.raises(ValidationError) as exc:
-            run_counts_pipeline(frame.counts(), -1.0, placer(frame, 0))
+            run_audit_pipeline(frame.counts(), sp_repair(-1.0, placer(frame, 0)))
         assert exc.value.code == "bad_epsilon"
         assert not isinstance(exc.value, PipelineError)
-
-    def test_counts_with_flips_are_bad_counts(self):
-        frame = AuditFrame([1, 0, 1, 0], [0, 0, 1, 0], [0, 0, 1, 1])
-        with pytest.raises(ValidationError) as exc:
-            run_counts_pipeline(frame.counts(), 0.1, placer(frame, 0))
-        assert exc.value.code == "bad_counts"

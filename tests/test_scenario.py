@@ -10,9 +10,9 @@ from flipaudit import (
     ScenarioSpec,
     ValidationError,
     generate_scenario,
-    make_sp_debiaser,
     sp_equalizing_debiaser,
 )
+from flipaudit.debias import check_options
 from flipaudit.scenario import dumps_spec, load_spec, loads_spec
 
 INT64_ROWS = sys.maxsize // 8  # the most rows an int64 array holds
@@ -85,7 +85,7 @@ class TestGenerateScenario:
         groups = GroupScenario(5, 2, 0, 0), GroupScenario(5, 3, 0, 0)
         assert code(lambda: ScenarioSpec(*groups, seed=seed)) == (None if accepted
                                                                  else "bad_scenario")
-        assert code(lambda: make_sp_debiaser(0.1, seed)) == (None if accepted else "bad_seed")
+        assert code(lambda: check_options(0.1, seed)) == (None if accepted else "bad_seed")
         frame = generate_scenario(ScenarioSpec(*groups))
         assert code(lambda: sp_equalizing_debiaser(frame.y_predicted, frame.group, 0.1, seed)) \
             == (None if accepted else "bad_seed")

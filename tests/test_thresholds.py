@@ -69,7 +69,10 @@ class TestConfig:
         ((0, "0.1", 0.3), "need 0 < acceptable_delta < moderate_delta, got 0.1 / 0.3"),
         ((0, 0.1, "0.3"), "need 0 < acceptable_delta < moderate_delta, got 0.1 / 0.3"),
         ((0, 0.1, None), "need 0 < acceptable_delta < moderate_delta, got 0.1 / None"),
-    ], ids=["huge_ideal", "str_ideal", "str_acceptable", "str_moderate", "none_moderate"])
+        ((0, 0, 0.3), "need 0 < acceptable_delta < moderate_delta, got 0 / 0.3"),
+        ((0, 0.1, 0.1), "need 0 < acceptable_delta < moderate_delta, got 0.1 / 0.1"),
+    ], ids=["huge_ideal", "str_ideal", "str_acceptable", "str_moderate", "none_moderate",
+            "zero_acceptable", "equal_deltas"])
     def test_entry_values_must_be_real_numbers(self, values, message):
         with pytest.raises(ValidationError, match=message) as exc:
             ThresholdEntry(*values)
