@@ -26,14 +26,16 @@ from .frame import ValidationError, decode_utf8, read_text
 # The names the commands take from other modules, each imported when a
 # command first looks it up, so a command loads only the modules it runs.
 # Commands look them up on this module (``_cli``), so a name replaced here
-# before main runs, by a tracer's wrapper say, is the one called.
+# before main runs, by a tracer's wrapper say, is the one called. No command
+# calls ingest or sp_equalizing_debiaser: they resolve for a tracer's sites.
 __getattr__, __dir__ = lazy_names(globals(), {
     "chart": ("emit_chart",),
-    "debias": ("check_options", "place", "sp_equalizing_debiaser", "sp_repair"),
+    "debias": ("check_options", "place", "plan_split", "sp_equalizing_debiaser", "sp_repair"),
     "pipeline": ("run_audit_pipeline",),
     "report": ("build_report", "parse_structured", "render_structured", "render_text"),
     "scenario": ("REFERENCE_EXAMPLE", "generate_scenario", "load_spec"),
-    "tabular": ("ColumnMapping", "frame_to_csv_blocks", "ingest", "ingest_counts"),
+    "tabular": ("ColumnMapping", "column_counts", "columns_to_csv_blocks", "frame_to_csv_blocks",
+                "ingest", "ingest_columns", "ingest_counts"),
     "thresholds": ("ThresholdConfig",),
 })
 _cli = sys.modules[__name__]
@@ -185,23 +187,23 @@ def _cmd_plot(args):
 
 
 def _cmd_debias(args):
-    frame = _cli.ingest(args.input, _mapping(args))
-    corrected = _cli.sp_equalizing_debiaser(
-        frame.y_predicted, frame.group, args.epsilon, args.seed
-    )
-    return _cli.frame_to_csv_blocks(frame.with_corrected(corrected), args.favorable,
-                                    args.privileged), EXIT_OK
+    pred, _, group, true = _cli.ingest_columns(args.input, _mapping(args))
+    _cli.check_options(args.epsilon, args.seed)
+    plan = _cli.plan_split(_cli.column_counts(pred, pred, group, None), args.epsilon)
+    labels = (pred, _cli.place(plan, pred, group, args.seed), group, true)
+    return _cli.columns_to_csv_blocks(labels, args.favorable, args.privileged), EXIT_OK
 
 
 def _cmd_pipeline(args):
     mapping = _mapping(args)
-    # The repair is planned over the count table; the frame is read only to
-    # place flips the counts do not decide. A pipe can be read only once, so
-    # its frame is read at once.
-    frame = None if os.path.isfile(args.input) else _cli.ingest(args.input, mapping)
+    # The repair is planned over the count table; the label columns are read
+    # only to place flips the counts do not decide. A pipe can be read only
+    # once, so its columns are read at once.
+    columns = None if os.path.isfile(args.input) else _cli.ingest_columns(args.input, mapping)
     missing = None  # a group with no rows is reported after the options
     try:
-        counts = frame.counts() if frame else _cli.ingest_counts(args.input, mapping)
+        counts = (_cli.column_counts(*columns) if columns
+                  else _cli.ingest_counts(args.input, mapping))
     except ValidationError as exc:
         if exc.code != "missing_group":
             raise
@@ -212,8 +214,8 @@ def _cmd_pipeline(args):
         raise missing
 
     def placed(plan):
-        given = frame or _cli.ingest(args.input, mapping)
-        return given.with_corrected(_cli.place(plan, given, args.seed)).counts()
+        pred, _, group, true = columns or _cli.ingest_columns(args.input, mapping)
+        return _cli.column_counts(pred, _cli.place(plan, pred, group, args.seed), group, true)
 
     outcome = _cli.run_audit_pipeline(counts, _cli.sp_repair(args.epsilon, placed), config)
     if args.format == "structured":

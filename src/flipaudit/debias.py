@@ -194,68 +194,94 @@ def sp_equalizing_debiaser(y_predicted, group, epsilon: float, rng_seed: int = 0
     """
     check_options(epsilon, rng_seed)
     frame = AuditFrame(y_predicted, y_predicted, group)
-    return place(plan_split(frame.counts(), epsilon), frame, rng_seed)
+    corrected = place(plan_split(frame.counts(), epsilon), frame.y_predicted, frame.group,
+                      rng_seed)
+    corrected.setflags(write=False)
+    return corrected
 
 
-def place(plan: Plan, frame: AuditFrame, seed: int) -> np.ndarray:
-    """``frame``'s predictions with the plan's flips drawn by ``seed``, a non-negative int.
+_BIT = bytes.maketrans(b"01", b"\0\1")  # a binary digit to its bit, a byte
+_RUN = 256  # rows whose candidates are listed together when one of them is drawn
 
-    The result is a new read-only int8 vector, so a frame built from it
-    shares it instead of copying it. Every flip is drawn before the labels
-    are copied, so the copy and a kind's candidate indices are never held
-    at once.
+
+def place(plan: Plan, labels, group, seed: int):
+    """A copy of ``labels`` with the plan's flips drawn by ``seed``, a non-negative int.
+
+    ``labels`` and ``group`` are aligned 0/1 byte columns, a ``bytearray`` or
+    an ``int8`` vector each; the copy has the type of ``labels``. For each kind that
+    flips, in the plan's order, one ``random.Random(seed)`` draws k of its
+    candidates' ranks (``_draw``), and the rows of those ranks get its value.
     """
-    drawn = _draw_flips(frame.y_predicted, frame.group, plan.kinds, seed)
-    labels = frame.y_predicted.copy()
-    for rows, value in drawn:
-        labels[rows] = value
-    labels.setflags(write=False)
-    return labels
+    import random
+
+    check_seed(seed, "bad_seed")
+    if memoryview(labels).itemsize != 1 or memoryview(group).itemsize != 1:
+        raise TypeError("labels and group must hold one byte a row")
+    rng = random.Random(int(seed))
+    corrected = labels.copy()
+    out = memoryview(corrected).cast("B")
+    for gid, value, k, count in plan.kinds:
+        if k:
+            for row in _drawn_rows(_draw(rng, k, count), labels, group, gid, value):
+                out[row] = value
+    return corrected
 
 
-def _draw_flips(labels: np.ndarray, grp: np.ndarray, kinds,
-                seed: int) -> list[tuple[np.ndarray, int]]:
-    """``(rows, value)`` to set for each ``(gid, value, k, count)`` kind that flips.
+def _draw(rng, k: int, count: int) -> bytearray:
+    """A uniform k-subset of ``range(count)`` as a bitset: r is in it if bit r is set.
 
-    A kind's k rows are drawn from the ``count`` rows of group ``gid``
-    whose label is not ``value``: their indices, gathered in order a block
-    at a time into one int32 array, are shuffled in place by one generator
-    seeded with ``seed``, and the first k are kept before the array is
-    freed. A shuffle's draws depend only on its length, so the index dtype
-    does not change the rows picked, and a kind with no flips shuffles
-    scratch bytes to keep the draws of the kinds after it. Kinds after the
-    last that flips draw nothing: with no flips, ``numpy.random`` is not
-    even imported.
+    Floyd's draw: for each j from count - k to count - 1, t is drawn from
+    0 to j and taken, or j if t already is. Each t is ``rng.getrandbits``
+    of j's bit length, drawn again while it exceeds j.
     """
-    import numpy as np
-
-    flipping = [i for i, (_, _, k, _) in enumerate(kinds) if k]
-    if not flipping:
-        return []
-    rng = np.random.default_rng(seed)
-    n = labels.size
-    dtype = np.int32 if n < 2**31 else np.intp
-    in_group = np.empty(min(n, BLOCK), np.bool_)
-    is_other = np.empty_like(in_group)
-    drawn = []
-    for gid, value, k, count in kinds[:flipping[-1] + 1]:
-        if not k:
-            rng.shuffle(np.empty(count, np.uint8))
-            continue
-        candidates = np.empty(count, dtype)
-        filled = 0
-        for start in range(0, n, BLOCK):
-            stop = min(start + BLOCK, n)
-            rows = in_group[:stop - start]
-            np.equal(grp[start:stop], gid, out=rows)
-            rows &= np.not_equal(labels[start:stop], value, out=is_other[:rows.size])
-            found = np.flatnonzero(rows)
-            np.add(found, start, out=candidates[filled:filled + found.size])
-            filled += found.size
-        rng.shuffle(candidates)
-        drawn.append((candidates[:k].copy(), value))
-        del candidates  # before the next kind's array is made
+    drawn = bytearray((count + 7) >> 3)
+    for j in range(count - k, count):
+        t = rng.getrandbits(j.bit_length())
+        while t > j:
+            t = rng.getrandbits(j.bit_length())
+        if drawn[t >> 3] >> (t & 7) & 1:
+            t = j
+        drawn[t >> 3] |= 1 << (t & 7)
     return drawn
+
+
+def _drawn_rows(drawn: bytearray, labels, group, gid: int, value: int):
+    """The rows, in order, of the candidates whose ranks ``drawn`` holds.
+
+    The candidates, the rows of group ``gid`` whose label is not ``value``,
+    are ranked in row order. A block of rows of each column is one big int,
+    a byte a row, XORed with a row of ones where the byte sought is 0;
+    their AND marks the block's candidates, and its ``bit_count`` counts
+    them. Only in a block, and then a run of ``_RUN`` rows, that holds a
+    drawn rank are candidates listed, by ``itertools.compress``.
+    """
+    from itertools import compress
+
+    labels, group = memoryview(labels).cast("B"), memoryview(group).cast("B")
+    first = 0  # the rank of the block's first candidate
+    for start in range(0, len(labels), BLOCK):
+        size = min(BLOCK, len(labels) - start)
+        ones = int.from_bytes(b"\1" * size, "big")
+        in_group = int.from_bytes(group[start:start + size], "big") ^ (0 if gid else ones)
+        other = int.from_bytes(labels[start:start + size], "big") ^ (ones if value else 0)
+        candidates = in_group & other
+        count = candidates.bit_count()
+        bits = int.from_bytes(drawn[first >> 3:(first + count + 7) >> 3], "little")
+        picked = bits >> (first & 7) & ((1 << count) - 1)
+        first += count
+        if not picked:
+            continue
+        mask = candidates.to_bytes(size, "big")
+        picks = bin(picked)[:1:-1].encode().translate(_BIT)  # 1 at each drawn rank in the block
+        seen = 0  # the block's candidates before the run
+        for at in range(0, size, _RUN):
+            found = mask.count(b"\1", at, at + _RUN)
+            if picks.find(b"\1", seen, seen + found) >= 0:
+                rows = compress(range(start + at, start + at + _RUN), mask[at:at + _RUN])
+                yield from compress(rows, picks[seen:seen + found])
+            seen += found
+            if seen >= len(picks):
+                break
 
 
 def sp_repair(epsilon: float, place):

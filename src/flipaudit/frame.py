@@ -102,16 +102,18 @@ class Record:
         return f"{type(self).__qualname__}({fields})"
 
 
+def encoding_error(unit: str, number: int, exc: UnicodeDecodeError) -> ValidationError:
+    """The ``bad_encoding`` error of ``exc``'s bad byte, on ``unit`` ``number``."""
+    byte = exc.object[exc.start]
+    return ValidationError(f"{unit} {number}: byte {byte:#04x} is not valid UTF-8", "bad_encoding")
+
+
 def decode_utf8(data: bytes, unit: str = "line") -> str:
     """The text of UTF-8 ``data`` less one leading BOM; a bad byte fails naming its ``unit``."""
     try:
         return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
-        number = data.count(b"\n", 0, exc.start) + 1
-        raise ValidationError(
-            f"{unit} {number}: byte {data[exc.start]:#04x} is not valid UTF-8",
-            code="bad_encoding",
-        ) from None
+        raise encoding_error(unit, data.count(b"\n", 0, exc.start) + 1, exc) from None
 
 
 def read_text(path) -> str:

@@ -5,12 +5,12 @@ rejects the whole file, with the offending row and column named. Dropping
 rows silently would change n and therefore every rate downstream.
 
 A file of bare 0/1 cells is checked with bytes operations, one block of
-rows at a time, and read into label vectors (``ingest``) or straight into a
-count table (``ingest_counts``). Any other file goes through ``csv.reader``
-and ``_mapped_rows``, the one place that reports data errors, into the same
-two results. One leading UTF-8 byte order mark is skipped on either path.
-Only label vectors need numpy: counting a file, on either path, does not
-import it. ``csv`` is imported only for a file that goes through its reader.
+rows at a time, and read into 0/1 byte columns (``ingest_columns``, or
+``ingest`` for a frame) or straight into a count table (``ingest_counts``).
+Any other file goes through ``csv.reader`` and ``_mapped_rows``, the one
+place that reports data errors, into the same results. One leading UTF-8
+byte order mark is skipped on either path. Only a frame needs numpy.
+``csv`` is imported only for a file that goes through its reader.
 """
 
 from __future__ import annotations
@@ -20,16 +20,19 @@ from collections import Counter
 from typing import TYPE_CHECKING
 
 from .frame import (
-    BLOCK, AuditFrame, FlipCounts, Record, ValidationError, decode_utf8, joint_counts,
+    BLOCK, AuditFrame, FlipCounts, Record, ValidationError, encoding_error, joint_counts,
 )
 
 if TYPE_CHECKING:
     import numpy as np
 
-_ZERO = ord("0")
 _BOM = "\ufeff"
 _BARE = {"0": 0, "1": 1}
 _ONE_AS_ZERO = bytes.maketrans(b"1", b"0")
+# By polarity, the label a cell ("0", "1") or raw value byte reads as, and the
+# cell a label is written as: a 0 polarity reads and writes each v as 1 - v.
+_LABEL = (bytes.maketrans(b"01\0\1", b"\1\0\1\0"), bytes.maketrans(b"01", b"\0\1"))
+_CELL = (bytes.maketrans(b"\0\1", b"10"), bytes.maketrans(b"\0\1", b"01"))
 _CHECK_ROWS = BLOCK // 16
 
 
@@ -125,14 +128,6 @@ def _read_rows(rows, mapping: ColumnMapping, consume):
                               code="bad_csv") from None
 
 
-def _frame_of_rows(cells, mapping: ColumnMapping) -> AuditFrame:
-    import numpy as np
-
-    names = mapping.columns()
-    table = np.fromiter(cells, np.dtype((np.int8, len(names))))
-    return _frame(mapping, {name: table[:, j].copy() for j, name in enumerate(names)})
-
-
 def _counts_of_rows(cells, mapping: ColumnMapping) -> FlipCounts:
     names = mapping.columns()
     positions = [names.index(name) for name in _axes(mapping)]
@@ -144,30 +139,7 @@ def _counts_of_rows(cells, mapping: ColumnMapping) -> FlipCounts:
 
 def ingest_rows(rows, mapping: ColumnMapping) -> AuditFrame:
     """The frame of ``rows``, a ``csv.reader`` or any iterable of cell lists."""
-    return _read_rows(rows, mapping, _frame_of_rows)
-
-
-def _frame(mapping: ColumnMapping, vectors: dict[str, np.ndarray]) -> AuditFrame:
-    """The frame of the mapped columns, given as new int8 0/1 vectors by name."""
-    import numpy as np
-
-    def vec(name: str | None, flip_when: int) -> np.ndarray | None:
-        if name is None:
-            return None
-        arr = vectors[name]
-        if flip_when == 0:
-            np.subtract(1, arr, out=arr)
-        arr.setflags(write=False)  # read-only and owning: AuditFrame keeps it uncopied
-        return arr
-
-    y_predicted = vec(mapping.pred_col, mapping.favorable)
-    y_corrected = vec(mapping.corr_col, mapping.favorable)
-    return AuditFrame(
-        y_predicted=y_predicted,
-        y_corrected=y_predicted if y_corrected is None else y_corrected,
-        group=vec(mapping.group_col, mapping.privileged),
-        y_true=vec(mapping.true_col, mapping.favorable),
-    )
+    return _read_rows(rows, mapping, _Vectors.of_rows)
 
 
 def _axes(mapping: ColumnMapping) -> list[str]:
@@ -206,31 +178,88 @@ def _count_table(mapping: ColumnMapping, raw: list[int]) -> FlipCounts:
     return FlipCounts(cells)
 
 
-class _Vectors:
-    """Copies each block's mapped columns into n-long vectors; gives the frame.
+def column_counts(pred, corr, group, true) -> FlipCounts:
+    """The count table of aligned 0/1 byte columns, without numpy; ``true`` may be None.
 
-    Column ``name`` of a block of rows ``row_len`` bytes long is its bytes
-    ``offsets[name]``, ``offsets[name] + row_len``, and so on.
+    A column is a ``bytearray`` or an ``int8`` vector. A block of it is one
+    big int, a byte a row, so ``int.bit_count`` of an AND of columns counts
+    the rows where all of them are 1, for ``joint_counts``.
+    """
+    columns = [memoryview(col).cast("B") for col in (group, pred, corr, true) if col is not None]
+    n, counts = len(columns[0]), [0] * (1 << len(columns))
+    for start in range(0, n, BLOCK):
+        block = [int.from_bytes(col[start:start + BLOCK], "big") for col in columns]
+        found = joint_counts(block, min(BLOCK, n - start), int.bit_count)
+        counts = [total + count for total, count in zip(counts, found)]
+    while len(counts) > 2:
+        counts = [counts[i:i + 2] for i in range(0, len(counts), 2)]
+    return FlipCounts(counts)
+
+
+def _polarity(mapping: ColumnMapping, name: str) -> int:
+    """The raw value of column ``name`` that reads as 1."""
+    return mapping.privileged if name == mapping.group_col else mapping.favorable
+
+
+class _Columns:
+    """Copies each block's mapped columns into n-long 0/1 ``bytearray`` columns; gives them.
+
+    Column ``name`` of a block of rows ``row_len`` bytes long is the strided slice from
+    ``offsets[name]``, which one ``bytes.translate`` turns into labels of its polarity.
     """
 
-    of_rows = staticmethod(_frame_of_rows)
+    new = bytearray  # an n-long column
 
     def __init__(self, mapping: ColumnMapping, n: int, row_len: int, offsets: dict[str, int]):
-        import numpy as np
-
         self.mapping, self.row_len, self.offsets = mapping, row_len, offsets
-        self.vectors = {name: np.empty(n, np.int8) for name in mapping.columns()}
+        self.columns = {name: self.new(n) for name in mapping.columns()}
 
     def add(self, first: int, buffer: bytearray, length: int):
+        for name, col in self.columns.items():
+            cells = buffer[self.offsets[name]:length:self.row_len]
+            memoryview(col).cast("B")[first:first + len(cells)] = cells.translate(
+                _LABEL[_polarity(self.mapping, name)])
+
+    def result(self):
+        return self.labels(self.mapping, self.columns)
+
+    @classmethod
+    def of_rows(cls, cells, mapping: ColumnMapping):
+        """The labels of ``_mapped_rows``' cells, packed ``BLOCK`` rows at a time."""
+        from itertools import chain, islice
+
+        names = mapping.columns()
+        columns = {name: bytearray() for name in names}
+        while block := bytes(chain.from_iterable(islice(cells, BLOCK))):
+            for j, name in enumerate(names):
+                columns[name] += block[j::len(names)].translate(_LABEL[_polarity(mapping, name)])
+        return cls.labels(mapping, columns)
+
+    @staticmethod
+    def labels(mapping: ColumnMapping, columns: dict) -> tuple:
+        """The columns by name as (pred, corr, group, true): an unmapped corr is pred."""
+        pred = columns[mapping.pred_col]
+        return (pred, columns.get(mapping.corr_col, pred), columns[mapping.group_col],
+                columns.get(mapping.true_col))
+
+
+class _Vectors(_Columns):
+    """``_Columns`` giving a frame, which keeps the ``int8`` vectors ``new`` makes uncopied."""
+
+    @staticmethod
+    def new(n: int) -> np.ndarray:
         import numpy as np
 
-        block = np.frombuffer(buffer, np.uint8, count=length)
-        for name, vec in self.vectors.items():
-            col = block[self.offsets[name]::self.row_len]
-            np.subtract(col, _ZERO, out=vec[first:first + col.size], dtype=np.int8)
+        return np.empty(n, np.int8)
 
-    def result(self) -> AuditFrame:
-        return _frame(self.mapping, self.vectors)
+    @staticmethod
+    def labels(mapping: ColumnMapping, columns: dict) -> AuditFrame:
+        import numpy as np
+
+        vectors = {name: np.asarray(col) for name, col in columns.items()}
+        for vec in vectors.values():
+            vec.setflags(write=False)
+        return AuditFrame(*_Columns.labels(mapping, vectors))
 
 
 class _Counts:
@@ -262,11 +291,12 @@ class _Counts:
 
 
 def _ingest_strict(fh, mapping: ColumnMapping,
-                   sink=_Vectors) -> AuditFrame | FlipCounts | None:
+                   sink=_Vectors) -> AuditFrame | tuple | FlipCounts | None:
     """A file of bare 0/1 cells, read in blocks of rows into ``sink``; None for any other file.
 
     ``fh`` is a seekable binary file at its start. ``sink`` is ``_Vectors``,
-    which gives the frame, or ``_Counts``, which gives its count table.
+    which gives the frame, ``_Columns``, which gives its label columns, or
+    ``_Counts``, which gives its count table.
     The file is taken only when ``ingest_rows`` would read it the same way:
     an ASCII header with no quote, stray CR or NUL, then rows of exactly
     ``d,d,...,d`` with each ``d`` 0 or 1, each ended by the header's
@@ -320,12 +350,30 @@ def _ingest_strict(fh, mapping: ColumnMapping,
     return into.result()
 
 
-def _ingest(path, mapping: ColumnMapping, sink) -> AuditFrame | FlipCounts:
+def _check_utf8(fh) -> None:
+    """Fail ``bad_encoding``, naming its row, at the first byte of ``fh`` that is not UTF-8.
+
+    A failing decode's bytes are those held back (never a newline), then its block.
+    """
+    import codecs
+
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    row, block = 1, None  # the row at the start of the block
+    while block != b"":
+        block = fh.read(BLOCK)
+        try:
+            decoder.decode(block, final=not block)
+        except UnicodeDecodeError as exc:
+            raise encoding_error("row", row + exc.object.count(b"\n", 0, exc.start), exc) from None
+        row += block.count(b"\n")
+
+
+def _ingest(path, mapping: ColumnMapping, sink) -> AuditFrame | tuple | FlipCounts:
     """``_ingest_strict(file, mapping, sink)``, or ``sink.of_rows`` of the file's rows.
 
-    A file the strict path declines is read again, whole, and its rows go
-    through ``csv.reader``. An input that cannot seek, such as a pipe, is
-    read whole first.
+    A file the strict path declines is checked for UTF-8, a block at a
+    time, and read again through ``csv.reader``, decoded as it is read. An
+    input that cannot seek, such as a pipe, is read whole first.
     """
     try:
         with open(path, "rb") as fh:
@@ -334,27 +382,30 @@ def _ingest(path, mapping: ColumnMapping, sink) -> AuditFrame | FlipCounts:
             if result is not None:
                 return result
             source.seek(0)
-            data = source.read()
+            _check_utf8(source)
+            source.seek(0)
+            import csv
+
+            text = io.TextIOWrapper(source, encoding="utf-8-sig", newline="")
+            return _read_rows(csv.reader(text), mapping, sink.of_rows)
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}", code="unreadable")
-    if not data.isascii():
-        decode_utf8(data, "row")  # a bad byte fails before any row is read
-    import csv
-
-    # The text is decoded as it is read, so the file's bytes are its one copy.
-    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="")
-    return _read_rows(csv.reader(text), mapping, sink.of_rows)
 
 
 def ingest(path, mapping: ColumnMapping | None = None) -> AuditFrame:
     """Read a header-bearing UTF-8 CSV file into a validated frame.
 
     A file of bare 0/1 cells is read in blocks of rows, so its bytes are
-    never all in memory; any other file is read again, whole, for
+    never all in memory; any other file is read again through
     ``csv.reader``. An input that cannot seek, such as a pipe, is read
     whole first.
     """
     return _ingest(path, mapping or ColumnMapping(), _Vectors)
+
+
+def ingest_columns(path, mapping: ColumnMapping) -> tuple:
+    """``ingest``'s labels (pred, corr, group, true) as 0/1 ``bytearray`` columns, without numpy."""
+    return _ingest(path, mapping, _Columns)
 
 
 def ingest_counts(path, mapping: ColumnMapping | None = None) -> FlipCounts:
@@ -369,36 +420,35 @@ def ingest_counts(path, mapping: ColumnMapping | None = None) -> FlipCounts:
     return _ingest(path, mapping or ColumnMapping(), _Counts)
 
 
-def frame_to_csv_blocks(frame: AuditFrame, favorable: int = 1, privileged: int = 1):
-    """The bytes of a frame in the canonical column layout (pred, corr, group[, true]).
+def columns_to_csv_blocks(labels, favorable: int, privileged: int):
+    """The bytes of 0/1 byte columns (pred, corr, group, true) in the canonical layout.
 
-    They come as the header and then blocks of up to ``BLOCK`` rows. The row
-    blocks are views of one reused buffer, so each is valid only until the
-    next is drawn: write it, or copy it, first. The labels are written in
-    the raw polarity ``ColumnMapping`` reads with the same ``favorable``,
-    and the group in that of ``privileged``: a 0 writes each value v as 1 - v.
+    A column is a ``bytearray`` or an ``int8`` vector; a true of None is
+    left out. They come as the header and then blocks of up to ``BLOCK``
+    rows, views of one reused buffer, so each is valid only until the next
+    is drawn: write it, or copy it, first. The labels are written in the raw
+    polarity ``ColumnMapping`` reads with the same ``favorable``, and the
+    group in that of ``privileged``: a 0 writes each value v as 1 - v.
     """
-    import numpy as np
+    named = [(name, memoryview(col).cast("B"), _CELL[polarity])
+             for name, col, polarity in zip(("pred", "corr", "group", "true"), labels,
+                                            (favorable, favorable, privileged, favorable))
+             if col is not None]
+    yield (",".join(name for name, _, _ in named) + "\n").encode("ascii")
+    n, width = len(named[0][1]), 2 * len(named)
+    rows = bytearray(b",".join([b"0"] * len(named)) + b"\n")
+    rows *= min(n, BLOCK)  # in place: no second copy of the block's bytes
+    for start in range(0, n, BLOCK):
+        size = width * min(n - start, BLOCK)
+        for j, (_, col, cells) in enumerate(named):
+            rows[2 * j:size:width] = bytes(col[start:start + BLOCK]).translate(cells)
+        yield memoryview(rows)[:size]
 
-    names = ["pred", "corr", "group"]
-    cols = [frame.y_predicted, frame.y_corrected, frame.group]
-    polarities = [favorable, favorable, privileged]
-    if frame.y_true is not None:
-        names.append("true")
-        cols.append(frame.y_true)
-        polarities.append(favorable)
-    # The digit of v is "0" + v, or "1" - v where the polarity is 0.
-    digits = [(np.add, _ZERO) if polarity else (np.subtract, _ZERO + 1)
-              for polarity in polarities]
-    yield (",".join(names) + "\n").encode("ascii")
-    scratch = np.empty((min(frame.n, BLOCK), 2 * len(cols)), np.uint8)
-    scratch[:, 1::2] = ord(",")
-    scratch[:, -1] = ord("\n")
-    for start in range(0, frame.n, BLOCK):
-        rows = scratch[:min(frame.n - start, BLOCK)]
-        for j, (col, (op, zero)) in enumerate(zip(cols, digits)):
-            op(zero, col[start:start + BLOCK], out=rows[:, 2 * j], casting="unsafe")
-        yield memoryview(rows).cast("B")
+
+def frame_to_csv_blocks(frame: AuditFrame, favorable: int = 1, privileged: int = 1):
+    """``columns_to_csv_blocks`` of the frame's labels: (pred, corr, group[, true])."""
+    labels = (frame.y_predicted, frame.y_corrected, frame.group, frame.y_true)
+    return columns_to_csv_blocks(labels, favorable, privileged)
 
 
 def frame_to_csv(frame: AuditFrame) -> str:

@@ -272,7 +272,7 @@ def test_criterion_6_pipeline_semantics():
     assert outcome.decision is Decision.FAIR_BUT_DISPROPORTIONATE
 
     def placed(plan):
-        return frame.with_corrected(place(plan, frame, 9)).counts()
+        return frame.with_corrected(place(plan, frame.y_predicted, frame.group, 9)).counts()
 
     repeats = [
         render_structured(run_audit_pipeline(frame.counts(), sp_repair(0.1, placed)).report)

@@ -598,9 +598,9 @@ print(code, *sorted(sys.modules))
 """
 
 # Modules whose loading a case pins down, besides flipaudit's own: numpy for
-# label vectors, numpy.random for placing flips, csv for a file the strict
-# check declines, json for reports. flipaudit needs neither dataclasses nor
-# inspect; numpy imports inspect.
+# label vectors, numpy.random, which placing flips once took, csv for a file
+# the strict check declines, json for reports. flipaudit needs neither
+# dataclasses nor inspect; numpy imports inspect.
 WATCHED = {"numpy", "numpy.random", "csv", "json", "dataclasses", "inspect"}
 COUNTING = {"cli", "frame", "tabular", "report", "fairness", "metrics", "thresholds"}
 
@@ -629,19 +629,17 @@ def test_each_command_loads_only_the_modules_it_runs(case, tmp_path):
         "version": (["--version"], 0, {"cli", "frame"}, set()),
         "audit": (audit, 3, COUNTING, {"json"}),
         "audit_declined": (audit, 3, COUNTING, {"csv", "json"}),
-        "debias": ([*debias, str(path)], 0, debiasing, {"numpy", "numpy.random", "inspect"}),
-        # Already fair: nothing is placed, so no generator is made.
-        "debias_fair": ([*debias, str(golden / "identity.csv")], 0, debiasing,
-                        {"numpy", "inspect"}),
+        # The labels stay byte columns, and flips are drawn by the standard library.
+        "debias": ([*debias, str(path)], 0, debiasing, set()),
+        "debias_fair": ([*debias, str(golden / "identity.csv")], 0, debiasing, set()),
         "plot": (["plot", "-i", str(golden / "audit.json"), "-o", str(out)], 0,
                  {"cli", "frame", "report", "fairness", "metrics", "thresholds", "chart"},
                  {"json"}),
         # The counts fix every flip, without true labels or with true = pred.
         "pipeline": (pipeline, 3, piping, {"json"}),
         "pipeline_true_pred": ([*pipeline, "--true-col", "true"], 3, piping, {"json"}),
-        # Mixed true values: the flips are placed, which takes label vectors.
-        "pipeline_mixed_true": ([*pipeline, "--true-col", "true"], 3, piping,
-                                {"numpy", "numpy.random", "inspect", "json"}),
+        # Mixed true values: the flips are placed, over the file's byte columns.
+        "pipeline_mixed_true": ([*pipeline, "--true-col", "true"], 3, piping, {"json"}),
     }[case]
     proc = run_python(["-c", IMPORT_PROBE, *argv])
     assert proc.returncode == 0, proc.stderr
@@ -689,7 +687,7 @@ def test_package_resolves_each_name_on_first_use():
     ("generate_scenario", ["synth", "--scenario", "reference-example"]),
     ("ingest_counts", ["audit", "-i", "{golden}/reference.csv"]),
     ("emit_chart", ["plot", "-i", "{golden}/audit.json"]),
-    ("sp_equalizing_debiaser", ["debias", "-i", "{golden}/reference.csv"]),
+    ("ingest_columns", ["debias", "-i", "{golden}/reference.csv"]),
     ("run_audit_pipeline", ["pipeline", "-i", "{golden}/reference.csv"]),
     # Mixed true values: the flips' rows decide the table, so they are placed.
     ("place", ["pipeline", "-i", "{golden}/reference.csv", "--true-col", "true"]),

@@ -1,4 +1,7 @@
 import math
+import random
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,10 +15,29 @@ from flipaudit import (
     ValidationError,
     sp_equalizing_debiaser,
 )
-from flipaudit.debias import _minimal_flip_split, check_options, place, plan_split, sp_repair
+from flipaudit.cli import main
+from flipaudit.debias import (
+    Plan, _minimal_flip_split, check_options, place, plan_split, sp_repair,
+)
 
 # Epsilons that land exactly on rate grids, where float rounding decides ties.
 GRID_EPSILONS = (0.05, 0.15, 0.3, 0.125)
+
+
+def floyd_ranks(draw, k, count):
+    """The sorted ranks of a uniform k-subset of range(count), drawn by ``draw``.
+
+    Floyd's algorithm: for each j from count - k to count - 1, t is drawn
+    from 0 to j, as ``getrandbits(j.bit_length())`` drawn again while above
+    j, and t is taken, or j if t already is.
+    """
+    taken = set()
+    for j in range(count - k, count):
+        t = draw.getrandbits(j.bit_length())
+        while t > j:
+            t = draw.getrandbits(j.bit_length())
+        taken.add(j if t in taken else t)
+    return sorted(taken)
 
 
 def random_labeled_groups(rng, max_n):
@@ -106,15 +128,19 @@ class TestSpEqualizingDebiaser:
         b = sp_equalizing_debiaser(labels, group, 0.05, rng_seed=7)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("block", [None, 1, 7])
     @pytest.mark.parametrize("idle", ["up", "down", "neither"])
-    def test_placement_matches_full_shuffle_reference(self, idle):
-        # With no up-flips the up shuffle is skipped, with no down-flips the
-        # down shuffle runs on scratch, and with both each kind's candidates
-        # are freed before the next are gathered; the bits must stay those of
-        # shuffling both candidate sets, in order, from one seeded generator.
+    def test_placement_matches_floyd_reference(self, idle, block, monkeypatch):
+        # A kind with no flips draws nothing, and the rows of the drawn ranks
+        # are found a block at a time (blocks of 1 and 7 rows split the
+        # candidates anywhere); the bits must stay those of drawing each
+        # kind's ranks among its candidates in row order, down-flips first,
+        # from one generator seeded with the seed.
+        if block:
+            monkeypatch.setattr("flipaudit.debias.BLOCK", block)
         rng = np.random.default_rng(11)
         checked = 0
-        for seed in range(400):
+        for seed in range(400 if block is None else 100):
             labels, group = random_labeled_groups(rng, 60)
             epsilon = float(rng.choice(GRID_EPSILONS))
             try:
@@ -128,12 +154,30 @@ class TestSpEqualizingDebiaser:
                 continue
             over = int(labels[group == 1].mean() > labels[group == 0].mean())
             reference = labels.copy()
-            draw = np.random.default_rng(seed)
-            reference[draw.permutation(np.flatnonzero((group == over) & (labels == 1)))[:down]] = 0
-            reference[draw.permutation(np.flatnonzero((group != over) & (labels == 0)))[:up]] = 1
+            draw = random.Random(seed)
+            for candidates, k, value in (
+                    (np.flatnonzero((group == over) & (labels == 1)), down, 0),
+                    (np.flatnonzero((group != over) & (labels == 0)), up, 1)):
+                reference[candidates[floyd_ranks(draw, k, candidates.size)]] = value
             assert np.array_equal(corrected, reference)
             checked += 1
-        assert checked >= 20
+        assert checked >= (20 if block is None else 5)
+
+    def test_placement_draws_each_subset_uniformly(self):
+        # One kind takes 2 of 6 candidates, rows 0, 2, 5, 6, 7 and 8; the
+        # other flips none. Over 3,000 seeds each of the 15 pairs is expected
+        # 200 times, with a standard deviation of sqrt(3000 * 1/15 * 14/15).
+        labels = bytearray([1, 1, 1, 0, 0, 1, 1, 1, 1])
+        group = bytearray([0, 1, 0, 0, 1, 0, 0, 0, 0])
+        plan = Plan(((0, 0, 2, 6), (1, 1, 0, 1)))
+        seen = Counter()
+        for seed in range(3000):
+            corrected = place(plan, labels, group, seed)
+            seen[tuple(row for row in range(len(labels)) if corrected[row] != labels[row])] += 1
+        candidates = (0, 2, 5, 6, 7, 8)
+        assert set(seen) == {(a, b) for a in candidates for b in candidates if a < b}
+        sigma = math.sqrt(3000 * 1 / 15 * 14 / 15)
+        assert all(abs(count - 200) <= 5 * sigma for count in seen.values()), seen
 
     @pytest.mark.parametrize("epsilon", [0.1, 1.0])  # flips, and the early return
     def test_result_is_int8(self, epsilon):
@@ -172,6 +216,10 @@ class TestSpEqualizingDebiaser:
             # The CLI's check of its options, before any gate runs.
             with pytest.raises(ValidationError) as exc:
                 check_options(0.1, seed)
+            assert exc.value.code == "bad_seed"
+            # And place's own, of the seed it draws with.
+            with pytest.raises(ValidationError) as exc:
+                place(Plan(((0, 0, 1, 1), (1, 1, 0, 0))), bytearray([1, 0]), bytearray([0, 1]), seed)
             assert exc.value.code == "bad_seed"
 
     @staticmethod
@@ -227,6 +275,45 @@ class TestSpEqualizingDebiaser:
     def test_missing_group(self):
         with pytest.raises(ValidationError):
             sp_equalizing_debiaser([1, 0], [1, 1], epsilon=0.1)
+
+    def test_command_holds_the_columns_and_the_corrected_column(self, traced_peak, tmp_path):
+        labels, group, _ = self.debias_1m()
+        true = np.random.default_rng(1).integers(0, 2, size=group.size, dtype=np.int8)
+        rows = np.full((group.size, 6), ord(","), np.uint8)
+        rows[:, -1] = ord("\n")
+        rows[:, ::2] = np.stack([labels, group, true], axis=1) + ord("0")
+        path, out = tmp_path / "d.csv", tmp_path / "out.csv"
+        path.write_bytes(b"pred,group,true\n" + rows.tobytes())
+        del rows
+        argv = ["debias", "-i", str(path), "--true-col", "true", "-o", str(out)]
+        assert main([*argv[:2], str(Path(__file__).parent / "golden" / "reference.csv"),
+                     *argv[3:]]) == 0  # the command's modules load outside the trace
+        code, peak = traced_peak(main, argv)
+        assert code == 0
+        # pred, group and true as byte columns, the corrected column, and
+        # fixed scratch: the block buffers of ingest and emit.
+        assert peak <= 4 * group.size + 2**20
+        cells = np.frombuffer(out.read_bytes(), np.uint8, offset=len("pred,corr,group,true\n"))
+        pred, corr, grp, tru = cells.reshape(-1, 8)[:, ::2].T - ord("0")
+        assert (np.array_equal(pred, labels) and np.array_equal(grp, group)
+                and np.array_equal(tru, true))
+        assert int(np.count_nonzero(corr != pred)) == 401
+
+    # The reference's true labels are mixed, so pipeline places its flips too.
+    @pytest.mark.parametrize("command, code", [("debias", 0), ("pipeline", 3)])
+    @pytest.mark.parametrize("declined", [False, True])
+    def test_commands_import_no_numpy(self, command, code, declined, tmp_path):
+        # A cell " 1", which csv.reader reads as 1, sends the file to the csv path.
+        data = (Path(__file__).parent / "golden" / "reference.csv").read_bytes()
+        path = tmp_path / "d.csv"
+        path.write_bytes(data.replace(b"\n1,", b"\n 1,", 1) if declined else data)
+        proc = run_python(["-c", "import sys\n"
+                           "from flipaudit.cli import main\n"
+                           "print(main(sys.argv[1:]), 'numpy' in sys.modules, "
+                           "'numpy.random' in sys.modules)",
+                           command, "-i", str(path), "--true-col", "true",
+                           "-o", str(tmp_path / "out")])
+        assert (proc.returncode, proc.stdout) == (0, f"{code} False False\n"), proc.stderr
 
     def test_skewed_frame_flip_count_matches_oracle(self):
         # 100,000 rows at rate 1/2 against 3 rows at rate 0: the repair has to
@@ -385,7 +472,7 @@ class TestPlan:
             plan = plan_split(frame.counts(), epsilon)
         except DebiasError:
             assume(False)
-        placed = frame.with_corrected(place(plan, frame, seed)).counts()
+        placed = frame.with_corrected(place(plan, frame.y_predicted, frame.group, seed)).counts()
         applied = plan.apply(frame.counts())
         assert applied is None or applied == placed
         if frame.y_true is None or frame.y_true is frame.y_predicted:
@@ -415,7 +502,7 @@ class TestPlan:
             except DebiasError:
                 continue
             assert np.array_equal(sp_equalizing_debiaser(labels, group, 0.05, seed),
-                                  place(plan, frame, seed))
+                                  place(plan, frame.y_predicted, frame.group, seed))
 
     def test_bad_epsilon(self):
         counts = AuditFrame([1, 0], [1, 0], [0, 1]).counts()

@@ -28,7 +28,7 @@ def placer(frame, seed, calls=None):
     def place_plan(plan):
         if calls is not None:
             calls.append(plan)
-        return frame.with_corrected(place(plan, frame, seed)).counts()
+        return frame.with_corrected(place(plan, frame.y_predicted, frame.group, seed)).counts()
 
     return place_plan
 

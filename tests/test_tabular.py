@@ -331,6 +331,26 @@ def test_bom_skipped_on_lenient_path(tmp_path):
     assert ingest_counts(marked) == ingest(plain).counts()
 
 
+@pytest.mark.parametrize("char", [b"\xff", b"\xc3\xa9", b"\xc3"])
+@pytest.mark.parametrize("at", [BLOCK - 1, BLOCK, 3 * BLOCK + 2])
+def test_encoding_checked_across_blocks(char, at, tmp_path):
+    # A declined file's UTF-8 is checked a block at a time. A bad byte, a
+    # two-byte character or a cut one, at either side of a block's edge,
+    # fails as decoding the whole file does, naming the same row, or passes.
+    data, mapping = strict_file(3, "\n", 5, BLOCK)
+    data = data[:at] + char + data[at:]
+    path = tmp_path / "d.csv"
+    path.write_bytes(data)
+    try:
+        data.decode("utf-8")
+        want = reference(path, mapping)
+    except UnicodeDecodeError as exc:
+        row = data.count(b"\n", 0, exc.start) + 1
+        want = ("bad_encoding", f"row {row}: byte {data[exc.start]:#04x} is not valid UTF-8")
+    assert outcome(lambda: ingest(path, mapping)) == want
+    assert outcome(lambda: ingest_counts(path, mapping)) == want
+
+
 def csv_of(names, vectors):
     """The CSV bytes of 0/1 vectors, built in one buffer."""
     rows = np.full((len(vectors[0]), 2 * len(names)), ord(","), np.uint8)
