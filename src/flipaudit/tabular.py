@@ -5,18 +5,18 @@ rejects the whole file, with the offending row and column named. Dropping
 rows silently would change n and therefore every rate downstream.
 
 A file of bare 0/1 cells is checked with bytes operations, one block of
-rows at a time, and read into 0/1 byte columns (``ingest_columns``, or
-``ingest`` for a frame) or straight into a count table (``ingest_counts``).
-Any other file goes through ``csv.reader`` and ``_mapped_rows``, the one
-place that reports data errors, into the same results. One leading UTF-8
-byte order mark is skipped on either path. Only a frame needs numpy.
+rows at a time, and read into 0/1 byte label columns (``ingest_columns``,
+or ``ingest`` for a frame), or into columns a block long that are counted
+(``ingest_counts``). Polarity is applied as a column is read. Any other file
+goes through ``csv.reader`` and ``_mapped_rows``, the one place that reports
+data errors, into the same results. One leading UTF-8 byte order mark is
+skipped on either path. Only a frame needs numpy.
 ``csv`` is imported only for a file that goes through its reader.
 """
 
 from __future__ import annotations
 
 import io
-from collections import Counter
 from typing import TYPE_CHECKING
 
 from .frame import (
@@ -128,77 +128,24 @@ def _read_rows(rows, mapping: ColumnMapping, consume):
                               code="bad_csv") from None
 
 
-def _counts_of_rows(cells, mapping: ColumnMapping) -> FlipCounts:
-    names = mapping.columns()
-    positions = [names.index(name) for name in _axes(mapping)]
-    raw = [0] * (1 << len(positions))
-    for values, count in Counter(cells).items():
-        raw[sum(values[p] << bit for bit, p in enumerate(reversed(positions)))] += count
-    return _count_table(mapping, raw)
-
-
 def ingest_rows(rows, mapping: ColumnMapping) -> AuditFrame:
     """The frame of ``rows``, a ``csv.reader`` or any iterable of cell lists."""
     return _read_rows(rows, mapping, _Vectors.of_rows)
 
 
-def _axes(mapping: ColumnMapping) -> list[str]:
-    """The columns counted for the table's axes, (group, pred[, corr][, true]).
-
-    An unmapped corr is pred, so it is not counted again.
-    """
-    axes = [mapping.group_col, mapping.pred_col, mapping.corr_col, mapping.true_col]
-    return [col for col in axes if col is not None]
-
-
-def _count_table(mapping: ColumnMapping, raw: list[int]) -> FlipCounts:
-    """The count table of ``raw``, counts over the raw values of ``_axes(mapping)``.
-
-    ``raw[i]`` counts the rows whose values, read as bits with the first
-    axis highest, spell ``i``. Without a corr column, each row's corr bit
-    is its pred bit. A 0 ``privileged`` value flips the group bit, and a 0
-    ``favorable`` value every label bit.
-    """
-    if mapping.corr_col is None:
-        true = len(raw).bit_length() - 3  # the number of true axes, 1 or 0
-        full = [0] * (2 * len(raw))
-        for i, count in enumerate(raw):
-            group_pred, truth = i >> true, i & true
-            full[(group_pred << 1 | group_pred & 1) << true | truth] = count
-        raw = full
-    labels = len(raw).bit_length() - 2  # the axes after group
-    flip = 0
-    if mapping.privileged == 0:
-        flip |= 1 << labels
-    if mapping.favorable == 0:
-        flip |= (1 << labels) - 1
-    cells = [raw[i ^ flip] for i in range(len(raw))]
-    while len(cells) > 2:
-        cells = [cells[i:i + 2] for i in range(0, len(cells), 2)]
-    return FlipCounts(cells)
-
-
-def column_counts(pred, corr, group, true) -> FlipCounts:
-    """The count table of aligned 0/1 byte columns, without numpy; ``true`` may be None.
-
-    A column is a ``bytearray`` or an ``int8`` vector. A block of it is one
-    big int, a byte a row, so ``int.bit_count`` of an AND of columns counts
-    the rows where all of them are 1, for ``joint_counts``.
-    """
-    columns = [memoryview(col).cast("B") for col in (group, pred, corr, true) if col is not None]
-    n, counts = len(columns[0]), [0] * (1 << len(columns))
-    for start in range(0, n, BLOCK):
-        block = [int.from_bytes(col[start:start + BLOCK], "big") for col in columns]
-        found = joint_counts(block, min(BLOCK, n - start), int.bit_count)
-        counts = [total + count for total, count in zip(counts, found)]
-    while len(counts) > 2:
-        counts = [counts[i:i + 2] for i in range(0, len(counts), 2)]
-    return FlipCounts(counts)
-
-
 def _polarity(mapping: ColumnMapping, name: str) -> int:
     """The raw value of column ``name`` that reads as 1."""
     return mapping.privileged if name == mapping.group_col else mapping.favorable
+
+
+def _packed(cells, mapping: ColumnMapping):
+    """The label columns, by name, of ``_mapped_rows``' cells, packed ``BLOCK`` rows at a time."""
+    from itertools import chain, islice
+
+    names = mapping.columns()
+    while block := bytes(chain.from_iterable(islice(cells, BLOCK))):
+        yield {name: block[j::len(names)].translate(_LABEL[_polarity(mapping, name)])
+               for j, name in enumerate(names)}
 
 
 class _Columns:
@@ -225,14 +172,11 @@ class _Columns:
 
     @classmethod
     def of_rows(cls, cells, mapping: ColumnMapping):
-        """The labels of ``_mapped_rows``' cells, packed ``BLOCK`` rows at a time."""
-        from itertools import chain, islice
-
-        names = mapping.columns()
-        columns = {name: bytearray() for name in names}
-        while block := bytes(chain.from_iterable(islice(cells, BLOCK))):
-            for j, name in enumerate(names):
-                columns[name] += block[j::len(names)].translate(_LABEL[_polarity(mapping, name)])
+        """The labels of ``_mapped_rows``' cells."""
+        columns = {name: bytearray() for name in mapping.columns()}
+        for block in _packed(cells, mapping):
+            for name, col in block.items():
+                columns[name] += col
         return cls.labels(mapping, columns)
 
     @staticmethod
@@ -262,32 +206,61 @@ class _Vectors(_Columns):
         return AuditFrame(*_Columns.labels(mapping, vectors))
 
 
-class _Counts:
-    """Adds the joint counts of each block's mapped columns to one table; gives it.
+class _Counts(_Columns):
+    """``_Columns`` one block long, adding up the counts of each block's labels; gives the table.
 
-    A column's cells become one big int, a byte a row, in which "0" is 0x30
-    and "1" is 0x31. The AND of some columns then has 0x31 in exactly the
-    rows where all of them are 1, so its bit count less two bits a row
-    counts those rows, which is all ``joint_counts`` needs. Nothing here
-    grows with n, and nothing needs numpy.
+    A column's rows are one big int, a byte a row, so ``int.bit_count`` of an AND of
+    columns counts the rows where all of them are 1, for ``joint_counts``. Nothing
+    here grows with n, and nothing needs numpy.
     """
 
-    of_rows = staticmethod(_counts_of_rows)
+    def __init__(self, mapping: ColumnMapping, n=0, row_len=0, offsets=None):
+        super().__init__(mapping, min(n, BLOCK), row_len, offsets)
+        self.block, self.counts = self.labels(mapping, self.columns), [0] * 16
 
-    def __init__(self, mapping: ColumnMapping, n: int, row_len: int, offsets: dict[str, int]):
-        self.mapping, self.row_len, self.offsets = mapping, row_len, offsets
-        self.axes = _axes(mapping)
-        self.raw = [0] * (1 << len(self.axes))
+    def count(self, labels, start: int, stop: int):
+        """Add the counts of rows ``start`` to ``stop`` of ``labels``, (pred, corr, group, true).
+
+        A true of None is left out. A corr that is pred itself is counted once.
+        """
+        pred, corr, group, true = labels
+        columns = [group, pred] + [corr] * (corr is not pred) + [true] * (true is not None)
+        found = joint_counts([int.from_bytes(memoryview(col).cast("B")[start:stop], "big")
+                              for col in columns], stop - start, int.bit_count)
+        if corr is pred:
+            # Cell i of (group, pred, corr[, true]) is cell (group, pred[, true]) of
+            # found where its corr bit equals its pred bit, and 0 where they differ.
+            t = int(true is not None)
+            found = [found[i >> 1 + t << t | i & t] if (i >> t & 1) == (i >> 1 + t & 1) else 0
+                     for i in range(2 * len(found))]
+        # The first zip cuts [0] * 16 to a table's 8 cells when it has no true labels.
+        self.counts = [total + count for total, count in zip(self.counts, found)]
 
     def add(self, first: int, buffer: bytearray, length: int):
-        rows = -(-length // self.row_len)
-        columns = [int.from_bytes(buffer[self.offsets[name]:length:self.row_len], "big")
-                   for name in self.axes]
-        counts = joint_counts(columns, rows, lambda col: col.bit_count() - 2 * rows)
-        self.raw = [total + count for total, count in zip(self.raw, counts)]
+        super().add(0, buffer, length)
+        self.count(self.block, 0, -(-length // self.row_len))
 
     def result(self) -> FlipCounts:
-        return _count_table(self.mapping, self.raw)
+        cells = self.counts
+        while len(cells) > 2:
+            cells = [cells[i:i + 2] for i in range(0, len(cells), 2)]
+        return FlipCounts(cells)
+
+    @classmethod
+    def of_rows(cls, cells, mapping: ColumnMapping) -> FlipCounts:
+        """The count table of ``_mapped_rows``' cells, counted as they are checked."""
+        into = cls(mapping)
+        for block in _packed(cells, mapping):
+            into.count(cls.labels(mapping, block), 0, len(block[mapping.pred_col]))
+        return into.result()
+
+
+def column_counts(pred, corr, group, true) -> FlipCounts:
+    """The count table of aligned 0/1 ``bytearray`` or ``int8`` columns; ``true`` may be None."""
+    into, n = _Counts(ColumnMapping()), len(memoryview(group).cast("B"))
+    for start in range(0, n, BLOCK):
+        into.count((pred, corr, group, true), start, min(n, start + BLOCK))
+    return into.result()
 
 
 def _ingest_strict(fh, mapping: ColumnMapping,
@@ -296,14 +269,13 @@ def _ingest_strict(fh, mapping: ColumnMapping,
 
     ``fh`` is a seekable binary file at its start. ``sink`` is ``_Vectors``,
     which gives the frame, ``_Columns``, which gives its label columns, or
-    ``_Counts``, which gives its count table.
-    The file is taken only when ``ingest_rows`` would read it the same way:
-    an ASCII header with no quote, stray CR or NUL, then rows of exactly
-    ``d,d,...,d`` with each ``d`` 0 or 1, each ended by the header's
-    terminator (the last row may lack it). Anything else, valid or not, is
-    declined, never rejected, so the csv path stays the one place that
-    reports data errors and accepts lenient input. A file that changes size
-    while it is read is declined too.
+    ``_Counts``, which gives its count table. The file is taken only when
+    ``ingest_rows`` would read it the same way: an ASCII header with no
+    quote, stray CR or NUL, then rows of exactly ``d,d,...,d`` with each
+    ``d`` 0 or 1, each ended by the header's terminator (the last row may
+    lack it). Anything else, valid or not, is declined, never rejected, so
+    the csv path stays the one place that reports data errors and accepts
+    lenient input. A file that changes size while it is read is declined too.
     """
     line = fh.readline().removeprefix(_BOM.encode())
     if not line.endswith(b"\n"):
@@ -411,11 +383,9 @@ def ingest_columns(path, mapping: ColumnMapping) -> tuple:
 def ingest_counts(path, mapping: ColumnMapping | None = None) -> FlipCounts:
     """``ingest(path, mapping).counts()``, holding no vector as long as the file.
 
-    A file of bare 0/1 cells is tallied block by block, so a seekable one
-    is counted in memory that does not grow with its rows. Any other file
-    is read as ``ingest`` reads it, but each row is counted as it is
-    checked, so every error keeps its code, message and order. Neither
-    path imports numpy.
+    Label columns are counted a block of rows at a time, as they are read and
+    checked, so a seekable file is counted in memory that does not grow with
+    its rows, every error keeps its code, message and order, and no numpy is imported.
     """
     return _ingest(path, mapping or ColumnMapping(), _Counts)
 

@@ -24,6 +24,24 @@ def counts(pred, corr, group, gid=None):
     return {"n": n, "fav": fav, "unfav": unfav, "flips": fav + unfav}
 
 
+def count_table(pred, corr, group, true=None):
+    """The count table ``table[g][p][c]`` (``[t]`` last with true labels) as nested lists.
+
+    One pass over the rows, adding one to the cell each row's labels name.
+    """
+    def zeros(depth):
+        return 0 if depth == 0 else [zeros(depth - 1), zeros(depth - 1)]
+
+    table = zeros(3 if true is None else 4)
+    for i in range(len(pred)):
+        cell = table[group[i]][pred[i]]
+        if true is None:
+            cell[corr[i]] += 1
+        else:
+            cell[corr[i]][true[i]] += 1
+    return table
+
+
 def fr(c):
     return c["flips"] / c["n"]
 

@@ -8,8 +8,9 @@ import re
 import threading
 
 import numpy as np
+import oracle
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from flipaudit import (
     AuditFrame,
@@ -26,7 +27,9 @@ from flipaudit.tabular import (
     ColumnMapping,
     _Counts,
     _ingest_strict,
+    column_counts,
     frame_to_csv,
+    ingest_columns,
     ingest_rows,
     write_frame,
 )
@@ -310,6 +313,57 @@ def test_ingest_counts_of_declined_file(change, tmp_path):
     assert counts.n == 2 * BLOCK + 1
 
 
+COUNTED_ROWS = [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+@pytest.mark.parametrize("n", COUNTED_ROWS)
+@pytest.mark.parametrize("mapping", MAPPINGS)
+# A seed has no structure to shrink, and each example reads up to 2 * BLOCK + 1 rows.
+@settings(max_examples=2, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(seed=st.integers(0, 2**32 - 1))
+def test_every_count_path_matches_oracle(mapping, n, seed, tmp_path_factory):
+    # Random rows of pred, corr, group and true, read under each mapping:
+    # every path that counts a file or its columns gives the loop-counted table.
+    raw = np.random.default_rng(seed).integers(0, 2, size=(4, n))
+    data = csv_of(["pred", "corr", "group", "true"], raw)
+    cells = dict(zip(["pred", "corr", "group", "true"], raw.tolist()))
+    label = {name: (col if (mapping.privileged if name == "group" else mapping.favorable)
+                    else [1 - v for v in col]) for name, col in cells.items()}
+    table = oracle.count_table(
+        label["pred"], label["corr"] if mapping.corr_col else label["pred"], label["group"],
+        label["true"] if mapping.true_col else None)
+    want = outcome(lambda: FlipCounts(table))  # a missing group fails on every path
+
+    tmp_path = tmp_path_factory.mktemp("counted")
+    strict, spaced = tmp_path / "strict.csv", tmp_path / "spaced.csv"
+    strict.write_bytes(data)
+    body = data.index(b"\n") + 1  # one cell " 0" or " 1" sends the copy to the csv path
+    spaced.write_bytes(data[:body] + b" " + data[body:])
+    assert strict_counts(data, mapping) is not None
+    assert strict_counts(spaced.read_bytes(), mapping) is None
+    assert outcome(lambda: ingest_counts(strict, mapping)) == want
+    assert outcome(lambda: ingest_counts(spaced, mapping)) == want
+    assert through_fifo(data, lambda fifo: outcome(lambda: ingest_counts(fifo, mapping)),
+                        tmp_path) == want
+    assert outcome(lambda: column_counts(*ingest_columns(strict, mapping))) == want
+    assert outcome(lambda: ingest(strict, mapping).counts()) == want
+
+
+@pytest.mark.parametrize("n", BLOCK_EDGES)
+@pytest.mark.parametrize("with_true", [False, True])
+def test_corr_given_as_pred_is_counted_on_the_diagonal(n, with_true):
+    # A corr that is pred itself is counted once, with its rows where corr
+    # equals pred; a copy of pred is another column, counted on its own.
+    rng = np.random.default_rng(n)
+    pred, group, true = (bytearray(rng.integers(0, 2, size=n, dtype=np.int8).tobytes())
+                         for _ in range(3))
+    true = true if with_true else None
+    counts = column_counts(pred, pred, group, true)
+    assert counts == column_counts(pred, bytearray(pred), group, true)
+    assert counts.margin("pred", "corr") == ((n - sum(pred), 0), (0, sum(pred)))
+
+
 def test_bom_skipped_on_strict_path(tmp_path):
     data, mapping = strict_file(3, "\n", 5, 2 * BLOCK + 1)
     frame = strict_frame(data, mapping)
@@ -431,6 +485,25 @@ def test_strict_ingest_declines_a_file_that_changes_size(rows):
         assert _ingest_strict(Resized(data, delta), mapping) is None
 
 
+def through_fifo(data, read, tmp_path):
+    """``read(fifo)`` of a new named pipe in ``tmp_path`` that ``data`` is written to."""
+    fifo = tmp_path / "d.fifo"
+    os.mkfifo(fifo)
+
+    def write():
+        with open(fifo, "wb") as fh:
+            fh.write(data)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    try:
+        return read(fifo)
+    finally:
+        writer.join(timeout=30)
+        assert not writer.is_alive()
+        fifo.unlink()
+
+
 FIFO_CASES = {
     "strict": strict_file(3, "\n", 5, 2 * BLOCK + 1),
     "crlf": NAMED["crlf"][:2],
@@ -446,20 +519,7 @@ def test_fifo_matches_regular_file(name, read, tmp_path):
     data, mapping = FIFO_CASES[name]
     path = tmp_path / "d.csv"
     path.write_bytes(data)
-    fifo = tmp_path / "d.fifo"
-    os.mkfifo(fifo)
-
-    def write():
-        with open(fifo, "wb") as fh:
-            fh.write(data)
-
-    writer = threading.Thread(target=write, daemon=True)
-    writer.start()
-    try:
-        got = outcome(lambda: read(fifo, mapping))
-    finally:
-        writer.join(timeout=30)
-    assert not writer.is_alive()
+    got = through_fifo(data, lambda fifo: outcome(lambda: read(fifo, mapping)), tmp_path)
     assert got == outcome(lambda: read(path, mapping))
     assert isinstance(got, (AuditFrame, FlipCounts)) == (name != "non_binary")
 
