@@ -31,11 +31,12 @@ from .frame import ValidationError, decode_utf8, read_text
 __getattr__, __dir__ = lazy_names(globals(), {
     "chart": ("emit_chart",),
     "debias": ("check_options", "place", "plan_split", "sp_equalizing_debiaser", "sp_repair"),
+    "frame": ("column_counts",),
     "pipeline": ("run_audit_pipeline",),
     "report": ("build_report", "parse_structured", "render_structured", "render_text"),
     "scenario": ("REFERENCE_EXAMPLE", "generate_scenario", "load_spec"),
-    "tabular": ("ColumnMapping", "column_counts", "columns_to_csv_blocks", "frame_to_csv_blocks",
-                "ingest", "ingest_columns", "ingest_counts"),
+    "tabular": ("ColumnMapping", "columns_to_csv_blocks", "frame_to_csv_blocks", "ingest",
+                "ingest_columns", "ingest_counts"),
     "thresholds": ("ThresholdConfig",),
 })
 _cli = sys.modules[__name__]

@@ -12,6 +12,7 @@ the count table, and ``place`` draws the rows that flip.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import TYPE_CHECKING
 
 from .frame import BLOCK, AuditFrame, FlipCounts, Record, ValidationError, check_seed, real_or_nan
@@ -135,10 +136,26 @@ class Plan(Record):
     ``kinds`` holds one ``(gid, value, k, count)`` for each flip kind, in
     the order their rows are drawn: k of the ``count`` rows of group
     ``gid`` whose prediction is not ``value`` get ``value``. The
-    over-favored group's kind, which sets labels to 0, comes first.
+    over-favored group's kind, which sets labels to 0, comes first. Each is
+    four ints, with gid and value 0 or 1 and 0 <= k <= count, else
+    ``bad_plan``; they are held as tuples of Python ints.
     """
 
     kinds: tuple
+
+    def __post_init__(self):
+        try:
+            kinds = [(gid, value, k, count) for gid, value, k, count in self.kinds]
+        except (TypeError, ValueError):  # not a sequence of four-item kinds
+            kinds = None
+        if kinds is None or not all(
+                all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in kind)
+                and kind[0] in (0, 1) and kind[1] in (0, 1) and 0 <= kind[2] <= kind[3]
+                for kind in kinds):
+            raise ValidationError(f"plan kinds must be (gid, value, k, count) ints with gid and "
+                                  f"value 0 or 1 and 0 <= k <= count, got {self.kinds!r}",
+                                  code="bad_plan")
+        object.__setattr__(self, "kinds", tuple(tuple(map(int, kind)) for kind in kinds))
 
     def apply(self, counts: FlipCounts) -> FlipCounts | None:
         """The table of ``counts``' predictions corrected by the plan; None if draws decide it.
@@ -155,7 +172,8 @@ class Plan(Record):
         rows = [[cells if truth else (cells,) for cells in row]
                 for row in counts.margin("group", "pred", *truth)]
         flips = {}  # (group, pred): the flips taken from each of its cells
-        for gid, value, k, _ in self.kinds:
+        for gid, value, k, count in self.kinds:
+            _check_candidates(count, sum(rows[gid][1 - value]), "table")
             flips[gid, 1 - value] = [min(cell, k) for cell in rows[gid][1 - value]]
             if sum(flips[gid, 1 - value]) != k:
                 return None
@@ -167,6 +185,13 @@ class Plan(Record):
         if not truth:
             table = [[[cells[0] for cells in corrs] for corrs in preds] for preds in table]
         return FlipCounts(table)
+
+
+def _check_candidates(count: int, found: int, where: str) -> None:
+    """Fail ``bad_plan`` unless a kind's ``count`` is the ``found`` candidates in ``where``."""
+    if count != found:
+        raise ValidationError(f"a plan kind counts {count} candidates, but the {where} "
+                              f"hold {found}", code="bad_plan")
 
 
 def plan_split(counts: FlipCounts, epsilon: float) -> Plan:
@@ -221,8 +246,8 @@ def place(plan: Plan, labels, group, seed: int):
     corrected = labels.copy()
     out = memoryview(corrected).cast("B")
     for gid, value, k, count in plan.kinds:
-        if k:
-            for row in _drawn_rows(_draw(rng, k, count), labels, group, gid, value):
+        if k:  # a kind that flips nothing is not read, nor its count checked
+            for row in _drawn_rows(_draw(rng, k, count), labels, group, gid, value, count):
                 out[row] = value
     return corrected
 
@@ -245,11 +270,12 @@ def _draw(rng, k: int, count: int) -> bytearray:
     return drawn
 
 
-def _drawn_rows(drawn: bytearray, labels, group, gid: int, value: int):
+def _drawn_rows(drawn: bytearray, labels, group, gid: int, value: int, total: int):
     """The rows, in order, of the candidates whose ranks ``drawn`` holds.
 
     The candidates, the rows of group ``gid`` whose label is not ``value``,
-    are ranked in row order. A block of rows of each column is one big int,
+    are ranked in row order; once every block is read, there must be ``total``
+    of them, else ``bad_plan``. A block of rows of each column is one big int,
     a byte a row, XORed with a row of ones where the byte sought is 0;
     their AND marks the block's candidates, and its ``bit_count`` counts
     them. Only in a block, and then a run of ``_RUN`` rows, that holds a
@@ -282,6 +308,7 @@ def _drawn_rows(drawn: bytearray, labels, group, gid: int, value: int):
             seen += found
             if seen >= len(picks):
                 break
+    _check_candidates(total, first, "columns")
 
 
 def sp_repair(epsilon: float, place):

@@ -1,7 +1,11 @@
 """Validated label vectors, and the count table an audit reads from them.
 
-The count table is plain Python; numpy is imported only where label
-vectors are made or read, so counting and reporting do not load it.
+``add_cells`` is the one counter: it adds aligned 0/1 byte columns' flat
+cells, a block of rows at a time, and ``FlipCounts.of_cells`` nests them.
+A frame's counts and every table the CLI reads come from it, so only this
+module knows the table's axis order. The count table is plain Python;
+numpy is imported only where label vectors are made or read, so counting
+and reporting do not load it.
 """
 
 from __future__ import annotations
@@ -185,42 +189,48 @@ def _as_binary_vector(values, name: str) -> np.ndarray:
     return labels
 
 
-def joint_counts(columns, rows: int, ones) -> list[int]:
-    """Joint counts of aligned 0/1 ``columns``, each ``rows`` long, as a flat list.
+def add_cells(cells: list[int], labels, start: int, stop: int) -> list[int]:
+    """``cells`` plus the flat cells of rows ``start`` to ``stop`` of ``labels``.
 
-    Entry ``i`` counts the rows whose values, read as bits with the first
-    column highest, spell ``i``. A column is anything with ``&``, such as a
-    numpy block or a big int; ``ones(x)`` counts the rows where ``x`` is 1.
-    For each subset of columns, ``ones`` of their AND counts the rows where
-    all are 1; Möbius inversion gives the rows where exactly they are.
+    ``labels`` are aligned 0/1 byte columns (pred, corr, group, true), each a
+    ``bytearray`` or an ``int8`` vector; a true of None is left out. Cell i
+    counts the rows whose (group, pred, corr[, true]) labels, read as bits
+    with the first highest, spell i; ``cells`` starts as ``[0] * 16``, which
+    the sum cuts to 8 cells without true labels. A column's rows are one big
+    int, a byte a row, so ``int.bit_count`` of an AND of columns counts the
+    rows where all of them are 1; Möbius inversion over the subsets of
+    columns gives the rows where exactly they are. A corr that is pred
+    itself is counted once, and its rows go in the cells where corr equals
+    pred. Nothing here grows with n, and nothing needs numpy.
     """
-    columns = columns[::-1]  # bit b of a subset's index: the b-th column from the last
-    counts = [rows]  # counts[s]: rows in which every column of subset s is 1
+    pred, corr, group, true = labels
+    columns = [group, pred] + [corr] * (corr is not pred) + [true] * (true is not None)
+    # Bit b of a subset's index: the b-th column from the last.
+    columns = [int.from_bytes(memoryview(col).cast("B")[start:stop], "big")
+               for col in reversed(columns)]
+    found = [stop - start]  # found[s]: rows in which every column of subset s is 1
     for subset in range(1, 1 << len(columns)):
-        counts.append(ones(reduce(and_, [col for bit, col in enumerate(columns)
-                                          if subset >> bit & 1])))
+        found.append(reduce(and_, [col for bit, col in enumerate(columns)
+                                   if subset >> bit & 1]).bit_count())
     for bit in range(len(columns)):
-        for subset in range(len(counts)):
+        for subset in range(len(found)):
             if not subset >> bit & 1:
-                counts[subset] -= counts[subset | 1 << bit]
-    return counts
+                found[subset] -= found[subset | 1 << bit]
+    if corr is pred:
+        # Cell i of (group, pred, corr[, true]) is cell (group, pred[, true]) of
+        # found where its corr bit equals its pred bit, and 0 where they differ.
+        t = int(true is not None)
+        found = [found[i >> 1 + t << t | i & t] if (i >> t & 1) == (i >> 1 + t & 1) else 0
+                 for i in range(2 * len(found))]
+    return [total + count for total, count in zip(cells, found)]
 
 
-def tally(*vectors) -> np.ndarray:
-    """Joint counts of aligned binary vectors, as a ``(2,) * len(vectors)`` array.
-
-    ``tally(a, b)[i, j]`` is the number of positions where ``a == i`` and
-    ``b == j``. Every count the audit reports is read from such a table.
-    ``joint_counts`` counts them a block of ``BLOCK`` rows at a time.
-    """
-    import numpy as np
-
-    counts = [0] * (1 << len(vectors))
-    for start in range(0, len(vectors[0]), BLOCK):
-        block = [vec[start:start + BLOCK] for vec in vectors]
-        found = joint_counts(block, len(block[0]), np.count_nonzero)
-        counts = [total + count for total, count in zip(counts, found)]
-    return np.array(counts, np.int64).reshape((2,) * len(vectors))
+def column_counts(pred, corr, group, true) -> FlipCounts:
+    """The count table of aligned 0/1 ``bytearray`` or ``int8`` columns; ``true`` may be None."""
+    cells, n = [0] * 16, len(memoryview(group).cast("B"))
+    for start in range(0, n, BLOCK):
+        cells = add_cells(cells, (pred, corr, group, true), start, min(n, start + BLOCK))
+    return FlipCounts.of_cells(cells)
 
 
 def _cells(table):
@@ -230,6 +240,13 @@ def _cells(table):
     else:
         for part in table:
             yield from _cells(part)
+
+
+def _nested(cells: list):
+    """Flat ``cells``, 2**d of them, as d levels of nested pairs in tuples; d = 0 gives the cell."""
+    while len(cells) > 1:
+        cells = [tuple(cells[i:i + 2]) for i in range(0, len(cells), 2)]
+    return cells[0]
 
 
 def _pairs(value, depth: int):
@@ -252,7 +269,7 @@ class FlipCounts(Record):
     the number of rows. It is given as nested lists or an integer array
     and held as nested tuples of Python ints, and both groups must have
     instances. Readers ask for the margin they need, by axis name, so only
-    this class and the table's builders know the axis order.
+    this class and ``add_cells`` know the axis order.
     """
 
     table: tuple
@@ -277,6 +294,11 @@ class FlipCounts(Record):
                 raise ValidationError(f"group {gid} has no instances", code="missing_group")
         object.__setattr__(self, "table", table)
 
+    @classmethod
+    def of_cells(cls, cells: list[int]) -> FlipCounts:
+        """The table of ``add_cells``' flat cells, 8 or 16, nested in the order of ``AXES``."""
+        return cls(_nested(cells))
+
     @property
     def n(self) -> int:
         return self.margin()
@@ -300,10 +322,7 @@ class FlipCounts(Record):
         sums = dict.fromkeys(product((0, 1), repeat=len(axes)), 0)
         for index, count in zip(product((0, 1), repeat=len(names)), _cells(self.table)):
             sums[tuple(index[i] for i in where)] += count
-        cells = list(sums.values())  # in the order of the nested table's cells
-        for _ in axes:
-            cells = [tuple(cells[i:i + 2]) for i in range(0, len(cells), 2)]
-        return cells[0]
+        return _nested(list(sums.values()))  # in the order of the nested table's cells
 
 
 class AuditFrame(Record):
@@ -364,8 +383,7 @@ class AuditFrame(Record):
 
     def counts(self) -> FlipCounts:
         """The frame's (group, pred, corr[, true]) count table."""
-        vectors = [self.group, self.y_predicted, self.y_corrected, self.y_true]
-        return FlipCounts(tally(*(vec for vec in vectors if vec is not None)))
+        return column_counts(self.y_predicted, self.y_corrected, self.group, self.y_true)
 
     def with_corrected(self, y_corrected) -> "AuditFrame":
         """Return a copy with a different corrected-label vector.

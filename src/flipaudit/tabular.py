@@ -6,12 +6,14 @@ rows silently would change n and therefore every rate downstream.
 
 A file of bare 0/1 cells is checked with bytes operations, one block of
 rows at a time, and read into 0/1 byte label columns (``ingest_columns``,
-or ``ingest`` for a frame), or into columns a block long that are counted
-(``ingest_counts``). Polarity is applied as a column is read. Any other file
-goes through ``csv.reader`` and ``_mapped_rows``, the one place that reports
-data errors, into the same results. One leading UTF-8 byte order mark is
-skipped on either path. Only a frame needs numpy.
-``csv`` is imported only for a file that goes through its reader.
+or ``ingest`` for a frame), or into columns a block long that
+``frame.add_cells`` counts (``ingest_counts``). Polarity is applied as a
+column is read. Any other file goes through ``csv.reader`` and
+``_mapped_rows``, the one place that reports data errors, into the same
+results. One leading UTF-8 byte order mark is skipped on either path. The
+counting, and the count table's axis order, are ``frame``'s alone. Only a
+frame needs numpy. ``csv`` is imported only for a file that goes through
+its reader.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import io
 from typing import TYPE_CHECKING
 
 from .frame import (
-    BLOCK, AuditFrame, FlipCounts, Record, ValidationError, encoding_error, joint_counts,
+    BLOCK, AuditFrame, FlipCounts, Record, ValidationError, add_cells, encoding_error,
 )
 
 if TYPE_CHECKING:
@@ -200,67 +202,40 @@ class _Vectors(_Columns):
     def labels(mapping: ColumnMapping, columns: dict) -> AuditFrame:
         import numpy as np
 
-        vectors = {name: np.asarray(col) for name, col in columns.items()}
-        for vec in vectors.values():
+        # A bytearray column is copied into an int8 vector and dropped before the
+        # next is, so the labels are held twice one column at a time.
+        vectors = {}
+        for name in list(columns):
+            vectors[name] = vec = np.asarray(columns.pop(name), np.int8)
             vec.setflags(write=False)
         return AuditFrame(*_Columns.labels(mapping, vectors))
 
 
 class _Counts(_Columns):
-    """``_Columns`` one block long, adding up the counts of each block's labels; gives the table.
+    """``_Columns`` one block long, whose labels ``add_cells`` counts; gives the table.
 
-    A column's rows are one big int, a byte a row, so ``int.bit_count`` of an AND of
-    columns counts the rows where all of them are 1, for ``joint_counts``. Nothing
-    here grows with n, and nothing needs numpy.
+    Nothing here grows with n, and nothing needs numpy.
     """
 
     def __init__(self, mapping: ColumnMapping, n=0, row_len=0, offsets=None):
         super().__init__(mapping, min(n, BLOCK), row_len, offsets)
-        self.block, self.counts = self.labels(mapping, self.columns), [0] * 16
-
-    def count(self, labels, start: int, stop: int):
-        """Add the counts of rows ``start`` to ``stop`` of ``labels``, (pred, corr, group, true).
-
-        A true of None is left out. A corr that is pred itself is counted once.
-        """
-        pred, corr, group, true = labels
-        columns = [group, pred] + [corr] * (corr is not pred) + [true] * (true is not None)
-        found = joint_counts([int.from_bytes(memoryview(col).cast("B")[start:stop], "big")
-                              for col in columns], stop - start, int.bit_count)
-        if corr is pred:
-            # Cell i of (group, pred, corr[, true]) is cell (group, pred[, true]) of
-            # found where its corr bit equals its pred bit, and 0 where they differ.
-            t = int(true is not None)
-            found = [found[i >> 1 + t << t | i & t] if (i >> t & 1) == (i >> 1 + t & 1) else 0
-                     for i in range(2 * len(found))]
-        # The first zip cuts [0] * 16 to a table's 8 cells when it has no true labels.
-        self.counts = [total + count for total, count in zip(self.counts, found)]
+        self.block, self.cells = self.labels(mapping, self.columns), [0] * 16
 
     def add(self, first: int, buffer: bytearray, length: int):
         super().add(0, buffer, length)
-        self.count(self.block, 0, -(-length // self.row_len))
+        self.cells = add_cells(self.cells, self.block, 0, -(-length // self.row_len))
 
     def result(self) -> FlipCounts:
-        cells = self.counts
-        while len(cells) > 2:
-            cells = [cells[i:i + 2] for i in range(0, len(cells), 2)]
-        return FlipCounts(cells)
+        return FlipCounts.of_cells(self.cells)
 
     @classmethod
     def of_rows(cls, cells, mapping: ColumnMapping) -> FlipCounts:
         """The count table of ``_mapped_rows``' cells, counted as they are checked."""
         into = cls(mapping)
         for block in _packed(cells, mapping):
-            into.count(cls.labels(mapping, block), 0, len(block[mapping.pred_col]))
+            into.cells = add_cells(into.cells, cls.labels(mapping, block), 0,
+                                   len(block[mapping.pred_col]))
         return into.result()
-
-
-def column_counts(pred, corr, group, true) -> FlipCounts:
-    """The count table of aligned 0/1 ``bytearray`` or ``int8`` columns; ``true`` may be None."""
-    into, n = _Counts(ColumnMapping()), len(memoryview(group).cast("B"))
-    for start in range(0, n, BLOCK):
-        into.count((pred, corr, group, true), start, min(n, start + BLOCK))
-    return into.result()
 
 
 def _ingest_strict(fh, mapping: ColumnMapping,

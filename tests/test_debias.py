@@ -509,3 +509,46 @@ class TestPlan:
         with pytest.raises(ValidationError) as exc:
             plan_split(counts, math.nan)
         assert exc.value.code == "bad_epsilon"
+
+    @pytest.mark.parametrize("kinds", [
+        ((0, 1, 5, 3),), ((0, 1, -1, 3),), ((2, 1, 0, 3),), ((0, 2, 0, 3),),
+        ((0, 1, 1.0, 3),), ((0, True, 0, 3),), ((0, 1, 0),), ((0, 1, 0, 3, 0),),
+        (0, 1, 0, 3), None,
+    ])
+    def test_bad_kinds(self, kinds):
+        with pytest.raises(ValidationError) as exc:
+            Plan(kinds)
+        assert exc.value.code == "bad_plan"
+
+    def test_more_flips_than_candidates_fail_before_any_draw(self):
+        # Floyd's draw of 5 ranks from 3 would never end: the plan is refused
+        # when it is made.
+        with pytest.raises(ValidationError) as exc:
+            place(Plan(((0, 1, 5, 3),)), bytearray(b"\0\0\0\1"), bytearray(4), 0)
+        assert exc.value.code == "bad_plan"
+
+    def test_kinds_are_held_as_python_ints(self):
+        plan = Plan([(np.int64(0), np.int8(1), 0, 3)])
+        assert plan.kinds == ((0, 1, 0, 3),)
+        assert all(type(v) is int for v in plan.kinds[0])
+
+    @pytest.mark.parametrize("k, count", [(1, 2), (2, 2), (1, 4), (3, 10)])
+    def test_place_checks_each_kinds_candidates(self, k, count):
+        # Rows 0, 1 and 2 are group 0's candidates to get a 1: a kind that
+        # flips and counts any other number of them fails. A kind that flips
+        # nothing is not read.
+        labels, group = bytearray(b"\0\0\0\1\1"), bytearray(b"\0\0\0\0\1")
+        with pytest.raises(ValidationError) as exc:
+            place(Plan(((0, 1, k, count),)), labels, group, 0)
+        assert exc.value.code == "bad_plan"
+        assert place(Plan(((0, 1, 3, 3),)), labels, group, 0) == b"\1\1\1\1\1"
+        assert place(Plan(((0, 1, 0, count),)), labels, group, 0) == labels
+
+    @pytest.mark.parametrize("k, count", [(0, 2), (2, 2), (0, 4), (3, 10)])
+    def test_apply_checks_each_kinds_candidates(self, k, count):
+        counts = AuditFrame([0, 0, 0, 1, 1], [0, 0, 0, 1, 1], [0, 0, 0, 0, 1]).counts()
+        with pytest.raises(ValidationError) as exc:
+            Plan(((0, 1, k, count),)).apply(counts)
+        assert exc.value.code == "bad_plan"
+        applied = Plan(((0, 1, 3, 3),)).apply(counts)
+        assert applied.margin("group", "corr") == ((0, 4), (0, 1))

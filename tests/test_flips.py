@@ -1,6 +1,8 @@
+from functools import cache
 from itertools import permutations
 
 import numpy as np
+import oracle
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -14,7 +16,7 @@ from flipaudit import (
     flip_rate,
     harmful_flip_proportion,
 )
-from flipaudit.frame import AXES, BLOCK, FlipCounts, tally
+from flipaudit.frame import AXES, BLOCK, FlipCounts
 from flipaudit.metrics import (
     NO_FLIPS,
     NO_HARMFUL,
@@ -269,41 +271,64 @@ class TestSummarizeCounts:
         assert s.hfp.value == 0.0
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4])
-def test_tally_int8_equals_int64(k):
-    vectors = np.random.default_rng(k).integers(0, 2, size=(k, 1000))
-    narrow = [vec.astype(np.int8) for vec in vectors]
-    assert np.array_equal(tally(*narrow), tally(*vectors))
-    assert tally(*narrow).sum() == 1000
+# Each kind of label input a frame takes, made from a 0/1 int64 vector.
+INPUTS = {
+    "list": lambda bits: bits.tolist(),
+    "bool": lambda bits: bits.astype(bool),
+    "int64": lambda bits: bits,
+    "int8": lambda bits: bits.astype(np.int8),
+}
 
 
-@pytest.mark.parametrize("n", [2 * BLOCK - 1, 2 * BLOCK, 2 * BLOCK + 1])
-def test_tally_across_blocks_matches_bincount(n):
-    for k in (1, 2, 3, 4):
-        bits = np.random.default_rng(n + k).integers(0, 2, size=(k, n))
-        key = sum(vec << (k - 1 - i) for i, vec in enumerate(bits))
-        expected = np.bincount(key, minlength=1 << k).reshape((2,) * k)
-        for dtype in (np.int8, np.bool_, np.int64):
-            assert np.array_equal(tally(*bits.astype(dtype)), expected), (k, dtype)
+@cache
+def labels_and_table(n, with_true):
+    """Random (pred, corr, group, true) vectors of length n, and their oracle count table."""
+    pred, corr, group, true = np.random.default_rng(n).integers(0, 2, size=(4, n))
+    labels = (pred, corr, group, true if with_true else None)
+    return labels, oracle.count_table(*(None if v is None else v.tolist() for v in labels))
 
 
-def test_tally_scratch_does_not_grow_with_rows(traced_peak):
+@pytest.mark.parametrize("kind", list(INPUTS))
+@pytest.mark.parametrize("with_true", [False, True])
+@pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, 2 * BLOCK + 1])
+def test_frame_counts_match_the_oracle(n, with_true, kind):
+    labels, table = labels_and_table(n, with_true)
+    frame = AuditFrame(*(None if v is None else INPUTS[kind](v) for v in labels))
+    assert frame.counts() == FlipCounts(table)
+
+
+@pytest.mark.parametrize("with_true", [False, True])
+@pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, 2 * BLOCK + 1])
+def test_pred_given_as_corr_is_counted_on_the_diagonal(n, with_true):
+    # The frame holds one vector under both names, and its rows go in the
+    # cells where corr equals pred, as a copy of pred counted on its own does.
+    (pred, _, group, true), _ = labels_and_table(n, with_true)
+    frame = AuditFrame(pred, pred, group, true)
+    assert frame.y_corrected is frame.y_predicted
+    counts = frame.counts()
+    assert counts == FlipCounts(oracle.count_table(pred.tolist(), pred.tolist(), group.tolist(),
+                                                   None if true is None else true.tolist()))
+    assert counts == AuditFrame(pred, pred.copy(), group, true).counts()
+    assert counts.margin("pred", "corr") == ((n - pred.sum(), 0), (0, pred.sum()))
+
+
+def test_frame_counts_scratch_does_not_grow_with_rows(traced_peak):
     n = 1_000_000
-    a, b = np.random.default_rng(0).integers(0, 2, size=(2, n), dtype=np.int8)
-    table, peak = traced_peak(tally, a, b)
-    assert table.sum() == n
-    assert peak <= n + 2**20
+    frame = AuditFrame(*np.random.default_rng(0).integers(0, 2, size=(4, n), dtype=np.int8))
+    counts, peak = traced_peak(frame.counts)
+    assert counts.n == n
+    assert peak <= 2**20  # a block of each column as a big int, and its ANDs
 
 
 class TestFlipCounts:
-    def test_frame_counts_are_its_tally(self):
-        pred, corr, group, true = np.random.default_rng(7).integers(0, 2, size=(4, 500))
+    def test_frame_counts_are_its_oracle_table(self):
+        pred, corr, group, true = np.random.default_rng(7).integers(0, 2, size=(4, 500)).tolist()
         counts = AuditFrame(pred, corr, group).counts()
-        assert np.array_equal(counts.table, tally(group, pred, corr))
+        assert counts == FlipCounts(oracle.count_table(pred, corr, group))
         assert (counts.n, counts.has_true) == (500, False)
         assert counts.margin("group", "pred", "corr") == counts.table
         with_true = AuditFrame(pred, corr, group, true).counts()
-        assert np.array_equal(with_true.table, tally(group, pred, corr, true))
+        assert with_true == FlipCounts(oracle.count_table(pred, corr, group, true))
         assert (with_true.n, with_true.has_true) == (500, True)
         assert with_true.margin("group", "pred", "corr") == counts.table
 

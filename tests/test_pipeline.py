@@ -175,14 +175,14 @@ def test_each_frame_counted_once(fair, passes, monkeypatch):
     group = np.repeat([0, 1], 1000)
     y_true = np.tile([0, 1], 1000)
     pred = y_true if fair else group
-    tally = frame_module.tally
+    add_cells = frame_module.add_cells
     calls = []
 
-    def counting_tally(*vectors):
-        calls.append(len(vectors[0]))
-        return tally(*vectors)
+    def counting_add_cells(cells, labels, start, stop):
+        calls.append(stop - start)
+        return add_cells(cells, labels, start, stop)
 
-    monkeypatch.setattr(frame_module, "tally", counting_tally)
+    monkeypatch.setattr(frame_module, "add_cells", counting_add_cells)
     frame = identity(pred, group, y_true)
     repair = vector_repair(frame, lambda y, g: sp_equalizing_debiaser(y, g, 0.1))
     outcome = run_audit_pipeline(frame.counts(), repair)

@@ -22,12 +22,11 @@ from flipaudit import (
     render_structured,
 )
 from flipaudit.cli import _VERDICT_CODES, main
-from flipaudit.frame import BLOCK, tally
+from flipaudit.frame import BLOCK, column_counts
 from flipaudit.tabular import (
     ColumnMapping,
     _Counts,
     _ingest_strict,
-    column_counts,
     frame_to_csv,
     ingest_columns,
     ingest_rows,
@@ -79,6 +78,19 @@ def counts_agree(path, mapping):
     """Whether ``ingest_counts`` gives the frame's counts, or the same error."""
     return (outcome(lambda: ingest_counts(path, mapping))
             == outcome(lambda: ingest(path, mapping).counts()))
+
+
+def oracle_counts(data, mapping):
+    """The oracle's count table of the CSV bytes ``data`` read under ``mapping``."""
+    rows = list(csv.reader(io.StringIO(data.decode("utf-8-sig"))))
+    names = [name.strip() for name in rows[0]]
+    label = {}
+    for name in mapping.columns():
+        polarity = mapping.privileged if name == mapping.group_col else mapping.favorable
+        label[name] = [int(row[names.index(name)]) ^ 1 - polarity for row in rows[1:]]
+    return FlipCounts(oracle.count_table(label[mapping.pred_col],
+                                         label[mapping.corr_col or mapping.pred_col],
+                                         label[mapping.group_col], label.get(mapping.true_col)))
 
 
 def reference(path, mapping):
@@ -294,6 +306,7 @@ def test_ingest_counts_across_blocks(ncols, term, terminated, mapping, tmp_path)
     path.write_bytes(data)
     counts = strict_counts(data, mapping)
     assert counts == ingest_counts(path, mapping) == ingest(path, mapping).counts()
+    assert counts == oracle_counts(data, mapping)
 
 
 @pytest.mark.parametrize("change", ["spaced_cell", "quoted_header"])
@@ -309,7 +322,7 @@ def test_ingest_counts_of_declined_file(change, tmp_path):
     path.write_bytes(data)
     assert strict_counts(data, mapping) is None
     counts = ingest_counts(path, mapping)
-    assert counts == ingest(path, mapping).counts()
+    assert counts == ingest(path, mapping).counts() == oracle_counts(data, mapping)
     assert counts.n == 2 * BLOCK + 1
 
 
@@ -430,6 +443,19 @@ def test_ingest_holds_no_file_bytes(traced_peak, tmp_path):
     assert peak <= 4 * frame.n + 2**20  # the four vectors it returns, and fixed scratch
 
 
+def test_ingest_of_a_declined_file_holds_its_columns_once(traced_peak, tmp_path):
+    names = ["pred", "corr", "group"]
+    data = csv_of(names, np.random.default_rng(0).integers(0, 2, size=(3, 1_000_000)))
+    # One cell " 1", which csv.reader reads as 1, sends the file to the csv path.
+    path = tmp_path / "d.csv"
+    path.write_bytes(data.replace(b"\n1,", b"\n 1,", 1))
+    frame, peak = traced_peak(ingest, path)
+    assert frame.n == 1_000_000
+    # The three byte columns, one of them copied into its vector at a time,
+    # and fixed scratch.
+    assert peak <= (3 + 1) * frame.n + 2**21
+
+
 def test_counting_a_declined_file_keeps_no_rows(traced_peak, tmp_path):
     names = ["pred", "corr", "group"]
     data = csv_of(names, np.random.default_rng(0).integers(0, 2, size=(3, 250_000)))
@@ -458,7 +484,7 @@ def test_audit_memory_does_not_grow_with_rows(rows, traced_peak, tmp_path):
     argv = ["audit", "-i", str(path), "--format", "structured", "-o", str(out)]
     code, peak = traced_peak(main, argv)
     path.unlink()
-    want = build_report(FlipCounts(repeats * tally(chunk[2], chunk[0], chunk[1])))
+    want = build_report(FlipCounts(repeats * np.array(oracle.count_table(*chunk.tolist()))))
     assert (code, out.read_text()) == (_VERDICT_CODES[want.verdict], render_structured(want))
     assert peak <= 2**21  # block buffers only: no vector as long as the file
 
