@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from bisect import bisect_left
 from typing import TYPE_CHECKING
 
 from .frame import BLOCK, AuditFrame, FlipCounts, Record, ValidationError, check_seed, real_or_nan
@@ -45,15 +46,16 @@ def _minimal_flip_split(pos_over: int, n_over: int, pos_under: int, n_under: int
     unrepaired gap's ``rate_gap`` numerator, and a split passes when its
     absolute value is at most ``scaled_floor(epsilon, n_over * n_under)``:
     the SP gate's exact test. ``_least_total`` finds the least total of a
-    passing split, stepping along the flip kind that moves it more; for that
-    total the passing ``down`` values form an interval, and the value in it
-    nearest ``total / 2`` wins. Raises ``DebiasError`` when no split passes.
+    passing split in Python ints, solving along the flip kind that moves it
+    more; for that total the passing ``down`` values form an interval, and
+    the value in it nearest ``total / 2`` wins. Raises ``DebiasError`` when
+    no split passes.
     """
     max_down = pos_over
     max_up = n_under - pos_under
     _, p, den = rate_gap((n_over - pos_over, pos_over), (n_under - pos_under, pos_under))
     bound = scaled_floor(epsilon, den)
-    # Count along the flip kind that moves the gap more; the other solves to an interval.
+    # Solve along the flip kind that moves the gap more; the other solves to an interval.
     if n_over > n_under:
         x_coef, y_max, y_coef = n_over, max_down, n_under
     else:
@@ -72,42 +74,52 @@ def _least_total(p: int, x_coef: int, y_max: int, y_coef: int,
     """Least ``x + y`` with ``|p - x*x_coef - y*y_coef| <= bound``, x and y in range.
 
     Needs ``x_coef >= y_coef``, ``0 <= p <= x_max*x_coef`` for x's maximum
-    ``x_max``, and ``bound >= 0``. Returns the total and None, or, when no
-    total passes, None and the least ``|p - x*x_coef - y*y_coef|`` in range.
-    No total below ``x0 = ceil((p - bound) / x_coef)`` passes, and below x0
-    an x's least passing total ``x + ceil((p - bound - x*x_coef) / y_coef)``
-    never falls as x falls; if x0 overshoots, so does every larger x. So the
-    answer is the first x, counting down from x0 (or 0), with a passing y;
-    ``p <= x_max*x_coef`` keeps x0 within range. At x0 the residual with no
-    y flips is at most ``bound``, so y = 0 passes there unless it is below
-    ``-bound``, and then every y does worse. That x is tried first, in plain
-    ints: it answers whenever ``x_coef <= 2*bound + 1`` and any total passes.
-    Otherwise x counts down in int64 blocks, since a pure-Python count is
-    over 100 times slower, to the first x at which even ``y_max`` falls
-    short, as it then does at every smaller x.
+    ``x_max``, ``p <= y_max*y_coef`` and ``bound >= 0``. Returns the total
+    and None, or, when no total passes, None and the least
+    ``|p - x*x_coef - y*y_coef|`` in range. No total below
+    ``x0 = ceil((p - bound) / x_coef)`` passes, and below x0 an x's least
+    passing total never falls as x falls; if x0 overshoots, so does every
+    larger x. So the answer is the first x, counting down from x0 (or 0),
+    with a passing y. At x0 only y = 0 can pass. Below it, x = x0 - t leaves
+    a residual r in ``(bound, y_max*y_coef]``, and a y is within d of r when
+    ``(r + d) % y_coef <= 2*d``: ``_first_hit`` finds the least such t. With
+    none at d = bound, the least d with one is bisected.
     """
     top = max(0, -((bound - p) // x_coef))
-    if p - top * x_coef >= -bound:
+    r0 = p - top * x_coef
+    if r0 >= -bound:
         return top, None
+    a = x_coef % y_coef
 
-    # The first x passes whenever bound >= |p|, so here bound < |p| <= den
-    # and the block arithmetic stays well inside int64.
-    import numpy as np
+    def first(d):  # the least t, from 1, with a y within d of x0 - t's residual r0 + t*x_coef
+        c = (r0 + x_coef + d) % y_coef
+        t = 0 if c <= 2 * d else _first_hit(a, y_coef, y_coef - c, y_coef - c + 2 * d)
+        return math.inf if t is None else t + 1
 
-    # x counts down to the first x at which even y_max falls short, or to 0.
-    stop = max(0, min(top, -((bound + y_max * y_coef - p) // x_coef) - 1))
-    least = abs(p)
-    for start in range(top, stop - 1, -BLOCK):
-        r = p - x_coef * np.arange(start, max(start - BLOCK, stop - 1), -1, dtype=np.int64)
-        lo = np.maximum(-((bound - r) // y_coef), 0)  # ceil((r - bound) / y_coef), at least 0
-        hi = np.minimum((r + bound) // y_coef, y_max)  # floor((r + bound) / y_coef), at most y_max
-        keep = lo <= hi
-        if keep.any():
-            i = int(keep.argmax())
-            return start - i + int(lo[i]), None
-        for y in (lo, hi):  # with no y passing, the least residual is at one of the two ends
-            least = min(least, int(np.abs(r - y_coef * np.clip(y, 0, y_max)).min()))
+    t = first(bound)
+    if t <= top:
+        return top - t - ((bound - r0 - t * x_coef) // y_coef), None
+    least = -r0  # x0's, with y = 0
+    if top:  # t = 1 passes at d = y_coef // 2
+        gaps = range(bound + 1, y_coef // 2 + 1)
+        least = min(least, gaps[bisect_left(gaps, True, key=lambda d: first(d) <= top)])
     return None, least
+
+
+def _first_hit(a: int, m: int, lo: int, hi: int) -> int | None:
+    """Least t >= 0 with ``lo <= a*t % m <= hi``, for ``0 <= a < m`` and ``0 < lo <= hi < m``.
+
+    None if there is none. Unless a multiple of a lies in [lo, hi], the
+    least t follows from the least k with ``m*k % a`` in ``[-hi % a, -lo % a]``:
+    Euclid's recursion on ``(m % a, a)``.
+    """
+    if a == 0:
+        return None
+    t = -(-lo // a)
+    if a * t <= hi:
+        return t
+    k = _first_hit(m % a, a, -hi % a, -lo % a)
+    return None if k is None else -(-(m * k + lo) // a)
 
 
 def _interval(offset: int, slope: int, bound: int, lo: int, hi: int) -> tuple[int, int]:
@@ -137,8 +149,9 @@ class Plan(Record):
     the order their rows are drawn: k of the ``count`` rows of group
     ``gid`` whose prediction is not ``value`` get ``value``. The
     over-favored group's kind, which sets labels to 0, comes first. Each is
-    four ints, with gid and value 0 or 1 and 0 <= k <= count, else
-    ``bad_plan``; they are held as tuples of Python ints.
+    four ints, with gid and value 0 or 1 and 0 <= k <= count, and no two
+    share a (gid, value), as those would draw from the same candidates;
+    else ``bad_plan``. They are held as tuples of Python ints.
     """
 
     kinds: tuple
@@ -151,10 +164,10 @@ class Plan(Record):
         if kinds is None or not all(
                 all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in kind)
                 and kind[0] in (0, 1) and kind[1] in (0, 1) and 0 <= kind[2] <= kind[3]
-                for kind in kinds):
+                for kind in kinds) or len({kind[:2] for kind in kinds}) < len(kinds):
             raise ValidationError(f"plan kinds must be (gid, value, k, count) ints with gid and "
-                                  f"value 0 or 1 and 0 <= k <= count, got {self.kinds!r}",
-                                  code="bad_plan")
+                                  f"value 0 or 1, 0 <= k <= count and no (gid, value) twice, "
+                                  f"got {self.kinds!r}", code="bad_plan")
         object.__setattr__(self, "kinds", tuple(tuple(map(int, kind)) for kind in kinds))
 
     def apply(self, counts: FlipCounts) -> FlipCounts | None:

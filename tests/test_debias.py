@@ -17,7 +17,7 @@ from flipaudit import (
 )
 from flipaudit.cli import main
 from flipaudit.debias import (
-    Plan, _minimal_flip_split, check_options, place, plan_split, sp_repair,
+    Plan, _first_hit, _minimal_flip_split, check_options, place, plan_split, sp_repair,
 )
 
 # Epsilons that land exactly on rate grids, where float rounding decides ties.
@@ -366,13 +366,16 @@ class TestMinimalFlipSplit:
         for counts in random_flip_counts(np.random.default_rng(53), 3000):
             assert split_or_best_gap(*counts) == oracle.minimal_flip_split(*counts), counts
 
-    @pytest.mark.parametrize("block", [1, 7])
-    def test_matches_oracle_across_blocks(self, block, monkeypatch):
-        # Blocks this small make the downward scan, for a total or for the
-        # best unreachable gap, span many blocks.
-        monkeypatch.setattr("flipaudit.debias.BLOCK", block)
-        for counts in random_flip_counts(np.random.default_rng(block), 1000):
-            assert split_or_best_gap(*counts) == oracle.minimal_flip_split(*counts), counts
+    def test_first_hit_matches_brute_force(self):
+        # Every a < m <= 40 and window 0 < lo <= hi < m: a*t % m repeats
+        # with period m, so a t below m hits or none does.
+        for m in range(1, 41):
+            for a in range(m):
+                values = [a * t % m for t in range(m)]
+                for lo in range(1, m):
+                    for hi in range(lo, m):
+                        want = next((t for t, v in enumerate(values) if lo <= v <= hi), None)
+                        assert _first_hit(a, m, lo, hi) == want, (a, m, lo, hi)
 
     @pytest.mark.parametrize("counts, split", [
         # Equal group sizes: every split of the winning total sits exactly on
@@ -424,12 +427,22 @@ class TestMinimalFlipSplit:
         assert _minimal_flip_split(300_000, 599_999, 159_600, 400_001, 1e300) == (0, 0)
 
     def test_benchmark_counts_solve_without_numpy(self):
-        # debias-1m's and pipeline-50k's counts: the first x tried passes, in plain ints.
+        # debias-1m's and pipeline-50k's counts, where the first x tried
+        # passes; counts whose answer lies below it; and counts no split
+        # reaches, whose best gap is searched for.
         proc = run_python(["-c", "import sys\n"
+                           "from flipaudit.debias import DebiasError\n"
                            "from flipaudit.debias import _minimal_flip_split as solve\n"
                            "print(solve(300_000, 599_999, 159_600, 400_001, 0.1),\n"
-                           "      solve(15_000, 29_999, 6_000, 20_001, 0.1), 'numpy' in sys.modules)"])
-        assert (proc.returncode, proc.stdout) == (0, "(0, 401) (0, 2001) False\n"), proc.stderr
+                           "      solve(15_000, 29_999, 6_000, 20_001, 0.1),\n"
+                           "      solve(50_000, 100_000, 0, 3, 1e-3))\n"
+                           "try:\n"
+                           "    solve(300_000, 600_001, 200_000, 400_003, 1e-13)\n"
+                           "except DebiasError as exc:\n"
+                           "    print(exc.code)\n"
+                           "print('numpy' in sys.modules)"])
+        assert (proc.returncode, proc.stdout) == (
+            0, "(0, 401) (0, 2001) (16567, 1)\nunreachable_epsilon\nFalse\n"), proc.stderr
 
     @pytest.mark.parametrize("counts, bound, checked", [
         # debias-1m's counts, and ten times them: 240,401 and 2,404,010 up
@@ -437,8 +450,8 @@ class TestMinimalFlipSplit:
         pytest.param((300_000, 599_999, 159_600, 400_001, 0.1), 2 * 2**20, True, id="1"),
         pytest.param((3_000_000, 5_999_990, 1_596_000, 4_000_010, 0.1), 2 * 2**20, False,
                      id="10"),
-        # No split reaches these epsilons. The first takes 3 up choices to
-        # find the best gap, the second 401,437 up choices, in 7 blocks.
+        # No split reaches these epsilons. The first's best gap is searched
+        # over 3 up choices, the second's over 401,437.
         pytest.param((300_000, 600_001, 200_000, 400_003, 1e-13), 3 * 2**20, False,
                      id="unreachable"),
         pytest.param((762_047, 838_706, 199_954, 661_887, 1e-13), 3 * 2**20, False,
@@ -514,6 +527,8 @@ class TestPlan:
         ((0, 1, 5, 3),), ((0, 1, -1, 3),), ((2, 1, 0, 3),), ((0, 2, 0, 3),),
         ((0, 1, 1.0, 3),), ((0, True, 0, 3),), ((0, 1, 0),), ((0, 1, 0, 3, 0),),
         (0, 1, 0, 3), None,
+        # Two kinds that draw from the same candidates.
+        ((0, 1, 1, 4), (0, 1, 1, 4)), ((1, 0, 0, 2), (0, 1, 0, 3), (1, 0, 1, 2)),
     ])
     def test_bad_kinds(self, kinds):
         with pytest.raises(ValidationError) as exc:
