@@ -30,7 +30,7 @@ from .frame import ValidationError, decode_utf8, read_text
 # calls ingest or sp_equalizing_debiaser: they resolve for a tracer's sites.
 __getattr__, __dir__ = lazy_names(globals(), {
     "chart": ("emit_chart",),
-    "debias": ("check_options", "place", "plan_split", "sp_equalizing_debiaser", "sp_repair"),
+    "debias": ("check_options", "flip_rows", "plan_split", "sp_equalizing_debiaser", "sp_repair"),
     "frame": ("column_counts",),
     "pipeline": ("run_audit_pipeline",),
     "report": ("build_report", "parse_structured", "render_structured", "render_text"),
@@ -191,8 +191,8 @@ def _cmd_debias(args):
     pred, _, group, true = _cli.ingest_columns(args.input, _mapping(args))
     _cli.check_options(args.epsilon, args.seed)
     plan = _cli.plan_split(_cli.column_counts(pred, pred, group, None), args.epsilon)
-    labels = (pred, _cli.place(plan, pred, group, args.seed), group, true)
-    return _cli.columns_to_csv_blocks(labels, args.favorable, args.privileged), EXIT_OK
+    labels, flips = (pred, pred, group, true), _cli.flip_rows(plan, pred, group, args.seed)
+    return _cli.columns_to_csv_blocks(labels, args.favorable, args.privileged, flips), EXIT_OK
 
 
 def _cmd_pipeline(args):
@@ -214,9 +214,10 @@ def _cmd_pipeline(args):
     if missing is not None:
         raise missing
 
-    def placed(plan):
+    def placed(plan):  # the table of the drawn flips: each kind's true = 1 rows decide it
         pred, _, group, true = columns or _cli.ingest_columns(args.input, mapping)
-        return _cli.column_counts(pred, _cli.place(plan, pred, group, args.seed), group, true)
+        flips = _cli.flip_rows(plan, pred, group, args.seed)
+        return plan.apply(counts, [sum(map(true.__getitem__, rows)) for _, rows in flips])
 
     outcome = _cli.run_audit_pipeline(counts, _cli.sp_repair(args.epsilon, placed), config)
     if args.format == "structured":

@@ -6,17 +6,17 @@ over-favored group and/or raise the under-favored group's, preferring a
 balanced split between the two when several minimal solutions exist.
 
 The repair is made in two steps: ``plan_split`` solves the flip counts from
-the count table, and ``place`` draws the rows that flip.
+the count table, and ``flip_rows`` draws the rows that flip, which ``place`` sets.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from typing import TYPE_CHECKING
 
-from .frame import BLOCK, AuditFrame, FlipCounts, Record, ValidationError, check_seed, real_or_nan
+from .frame import AuditFrame, FlipCounts, Record, ValidationError, check_seed, real_or_nan
 from .fairness import rate_gap, scaled_floor
 
 if TYPE_CHECKING:
@@ -170,7 +170,7 @@ class Plan(Record):
                                   f"got {self.kinds!r}", code="bad_plan")
         object.__setattr__(self, "kinds", tuple(tuple(map(int, kind)) for kind in kinds))
 
-    def apply(self, counts: FlipCounts) -> FlipCounts | None:
+    def apply(self, counts: FlipCounts, ones=None) -> FlipCounts | None:
         """The table of ``counts``' predictions corrected by the plan; None if draws decide it.
 
         ``counts`` is the table the plan was made from; its corr axis is
@@ -178,16 +178,18 @@ class Plan(Record):
         candidates or takes them from one non-empty cell: always, without
         true labels, and with them whenever its candidates share one true
         value. Then each of its cells loses ``min(cell, k)``, which adds up
-        to k; in every other case those add up to more.
+        to k; in every other case those add up to more. ``ones``, each kind's
+        placed flips with true label 1, decides them: its cells lose k - one and one.
         """
         truth = ("true",) if counts.has_true else ()
         # Each (group, pred)'s rows by true value; without true labels, one value.
         rows = [[cells if truth else (cells,) for cells in row]
                 for row in counts.margin("group", "pred", *truth)]
         flips = {}  # (group, pred): the flips taken from each of its cells
-        for gid, value, k, count in self.kinds:
+        for i, (gid, value, k, count) in enumerate(self.kinds):
             _check_candidates(count, sum(rows[gid][1 - value]), "table")
-            flips[gid, 1 - value] = [min(cell, k) for cell in rows[gid][1 - value]]
+            flips[gid, 1 - value] = ((k - ones[i], ones[i]) if truth and ones is not None
+                                     else [min(cell, k) for cell in rows[gid][1 - value]])
             if sum(flips[gid, 1 - value]) != k:
                 return None
         table = [[[[cell - flip if corr == pred else flip
@@ -239,16 +241,32 @@ def sp_equalizing_debiaser(y_predicted, group, epsilon: float, rng_seed: int = 0
 
 
 _BIT = bytes.maketrans(b"01", b"\0\1")  # a binary digit to its bit, a byte
+_SPAN = 1 << 14  # rows read as one big int: few, as the emit holds both kinds' spans at once
 _RUN = 256  # rows whose candidates are listed together when one of them is drawn
+_OFFSETS = tuple(range(_RUN))  # a run's row offsets: small ints, which are never allocated
 
 
 def place(plan: Plan, labels, group, seed: int):
-    """A copy of ``labels`` with the plan's flips drawn by ``seed``, a non-negative int.
+    """A copy of ``labels`` with each kind's ``flip_rows`` set to its value.
 
     ``labels`` and ``group`` are aligned 0/1 byte columns, a ``bytearray`` or
-    an ``int8`` vector each; the copy has the type of ``labels``. For each kind that
-    flips, in the plan's order, one ``random.Random(seed)`` draws k of its
-    candidates' ranks (``_draw``), and the rows of those ranks get its value.
+    an ``int8`` vector each; the copy has the type of ``labels``.
+    """
+    flips = flip_rows(plan, labels, group, seed)
+    corrected = labels.copy()
+    out = memoryview(corrected).cast("B")
+    for value, rows in flips:
+        for row in rows:
+            out[row] = value
+    return corrected
+
+
+def flip_rows(plan: Plan, labels, group, seed: int) -> list:
+    """For each of the plan's kinds, its value and an iterator of its rows, in row order.
+
+    ``labels`` and ``group`` are as ``place`` takes them. Before this returns, one
+    ``random.Random(seed)`` draws (``_draw``) k ranks of each flipping kind, in the
+    plan's order; an iterator finds rows as it is read (``_drawn_rows``), none if k is 0.
     """
     import random
 
@@ -256,13 +274,8 @@ def place(plan: Plan, labels, group, seed: int):
     if memoryview(labels).itemsize != 1 or memoryview(group).itemsize != 1:
         raise TypeError("labels and group must hold one byte a row")
     rng = random.Random(int(seed))
-    corrected = labels.copy()
-    out = memoryview(corrected).cast("B")
-    for gid, value, k, count in plan.kinds:
-        if k:  # a kind that flips nothing is not read, nor its count checked
-            for row in _drawn_rows(_draw(rng, k, count), labels, group, gid, value, count):
-                out[row] = value
-    return corrected
+    return [(value, _drawn_rows(_draw(rng, k, count), labels, group, gid, value, count)
+             if k else iter(())) for gid, value, k, count in plan.kinds]
 
 
 def _draw(rng, k: int, count: int) -> bytearray:
@@ -287,40 +300,43 @@ def _drawn_rows(drawn: bytearray, labels, group, gid: int, value: int, total: in
     """The rows, in order, of the candidates whose ranks ``drawn`` holds.
 
     The candidates, the rows of group ``gid`` whose label is not ``value``,
-    are ranked in row order; once every block is read, there must be ``total``
-    of them, else ``bad_plan``. A block of rows of each column is one big int,
-    a byte a row, XORed with a row of ones where the byte sought is 0;
-    their AND marks the block's candidates, and its ``bit_count`` counts
-    them. Only in a block, and then a run of ``_RUN`` rows, that holds a
-    drawn rank are candidates listed, by ``itertools.compress``.
+    are ranked in row order; there must be ``total`` of them, else ``bad_plan``.
+    A span of ``_SPAN`` rows of each column is one big int, a byte a row,
+    XORed with a row of ones where the byte sought is 0; their AND marks the
+    span's candidates, counted by ``bit_count``. In a span with a drawn rank,
+    ``adler32`` from 0 sums each run of ``_RUN`` rows' marks, ``bisect`` finds
+    a drawn rank's run in their ``accumulate``, and ``compress`` over ``_OFFSETS``
+    lists that run's candidates alone: no Python step runs per run or per candidate.
     """
-    from itertools import compress
+    from itertools import accumulate, compress, repeat
+    from zlib import adler32
 
     labels, group = memoryview(labels).cast("B"), memoryview(group).cast("B")
-    first = 0  # the rank of the block's first candidate
-    for start in range(0, len(labels), BLOCK):
-        size = min(BLOCK, len(labels) - start)
-        ones = int.from_bytes(b"\1" * size, "big")
-        in_group = int.from_bytes(group[start:start + size], "big") ^ (0 if gid else ones)
-        other = int.from_bytes(labels[start:start + size], "big") ^ (ones if value else 0)
-        candidates = in_group & other
-        count = candidates.bit_count()
+    ones = int.from_bytes(b"\1" * _SPAN, "big")
+    runs = [slice(at, at + _RUN) for at in range(0, _SPAN, _RUN)]
+    first = 0  # the rank of the span's first candidate
+    for start in range(0, len(labels), _SPAN):
+        size = min(_SPAN, len(labels) - start)
+        ones >>= 8 * (_SPAN - size)
+        mask = ((int.from_bytes(group[start:start + size], "big") ^ (0 if gid else ones))
+                & (int.from_bytes(labels[start:start + size], "big") ^ (ones if value else 0)))
+        count = mask.bit_count()
         bits = int.from_bytes(drawn[first >> 3:(first + count + 7) >> 3], "little")
         picked = bits >> (first & 7) & ((1 << count) - 1)
         first += count
         if not picked:
             continue
-        mask = candidates.to_bytes(size, "big")
-        picks = bin(picked)[:1:-1].encode().translate(_BIT)  # 1 at each drawn rank in the block
-        seen = 0  # the block's candidates before the run
-        for at in range(0, size, _RUN):
-            found = mask.count(b"\1", at, at + _RUN)
-            if picks.find(b"\1", seen, seen + found) >= 0:
-                rows = compress(range(start + at, start + at + _RUN), mask[at:at + _RUN])
-                yield from compress(rows, picks[seen:seen + found])
-            seen += found
-            if seen >= len(picks):
-                break
+        mask = mask.to_bytes(size, "big")  # 1 at each of the span's candidates
+        picks = bin(picked)[:1:-1].encode().translate(_BIT)  # 1 at each drawn rank in the span
+        ranks = list(accumulate(map((0xFFFF).__and__, map(
+            adler32, map(memoryview(mask).__getitem__, runs), repeat(0))), initial=0))
+        rank = picks.find(b"\1")
+        while rank >= 0:
+            run = bisect_right(ranks, rank) - 1
+            at = run * _RUN
+            rows = compress(_OFFSETS, mask[at:at + _RUN])
+            yield from map((start + at).__add__, compress(rows, picks[ranks[run]:ranks[run + 1]]))
+            rank = picks.find(b"\1", ranks[run + 1])
     _check_candidates(total, first, "columns")
 
 

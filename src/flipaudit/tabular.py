@@ -365,15 +365,16 @@ def ingest_counts(path, mapping: ColumnMapping | None = None) -> FlipCounts:
     return _ingest(path, mapping or ColumnMapping(), _Counts)
 
 
-def columns_to_csv_blocks(labels, favorable: int, privileged: int):
+def columns_to_csv_blocks(labels, favorable: int, privileged: int, flips=()):
     """The bytes of 0/1 byte columns (pred, corr, group, true) in the canonical layout.
 
     A column is a ``bytearray`` or an ``int8`` vector; a true of None is
-    left out. They come as the header and then blocks of up to ``BLOCK``
-    rows, views of one reused buffer, so each is valid only until the next
-    is drawn: write it, or copy it, first. The labels are written in the raw
-    polarity ``ColumnMapping`` reads with the same ``favorable``, and the
-    group in that of ``privileged``: a 0 writes each value v as 1 - v.
+    left out; each (value, rows) of ``flips``, rows in order, sets corr to value
+    in those rows, so corr may be pred, uncopied. They come as the header and
+    then blocks of up to ``BLOCK`` rows, views of one reused buffer, so each is
+    valid only until the next is drawn: write it, or copy it, first. The labels
+    are written in the raw polarity ``ColumnMapping`` reads with the same
+    ``favorable``, and the group in that of ``privileged``: a 0 writes v as 1 - v.
     """
     named = [(name, memoryview(col).cast("B"), _CELL[polarity])
              for name, col, polarity in zip(("pred", "corr", "group", "true"), labels,
@@ -381,13 +382,20 @@ def columns_to_csv_blocks(labels, favorable: int, privileged: int):
              if col is not None]
     yield (",".join(name for name, _, _ in named) + "\n").encode("ascii")
     n, width = len(named[0][1]), 2 * len(named)
-    rows = bytearray(b",".join([b"0"] * len(named)) + b"\n")
-    rows *= min(n, BLOCK)  # in place: no second copy of the block's bytes
+    pending = [(next(rows, n), rows, _CELL[favorable][value]) for value, rows in flips]
+    buffer = bytearray(b",".join([b"0"] * len(named)) + b"\n")
+    buffer *= min(n, BLOCK)  # in place: no second copy of the block's bytes
     for start in range(0, n, BLOCK):
-        size = width * min(n - start, BLOCK)
+        end = min(n, start + BLOCK)
+        size = width * (end - start)
         for j, (_, col, cells) in enumerate(named):
-            rows[2 * j:size:width] = bytes(col[start:start + BLOCK]).translate(cells)
-        yield memoryview(rows)[:size]
+            buffer[2 * j:size:width] = bytes(col[start:end]).translate(cells)
+        for i, (row, rows, cell) in enumerate(pending):
+            while row < end:  # corr's cell in each of the kind's rows in the block
+                buffer[2 + width * (row - start)] = cell
+                row = next(rows, n)
+            pending[i] = row, rows, cell
+        yield memoryview(buffer)[:size]
 
 
 def frame_to_csv_blocks(frame: AuditFrame, favorable: int = 1, privileged: int = 1):

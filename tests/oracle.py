@@ -5,6 +5,7 @@ edge cases, deliberately sharing no code with the package under test.
 Fairness bounds are compared exactly, with ``Fraction``.
 """
 
+import random
 from fractions import Fraction
 
 INF = "inf"
@@ -196,3 +197,37 @@ def minimal_flip_split(pos_over, n_over, pos_under, n_under, epsilon):
         if winner is not None:
             return winner[1], None
     return None, float(best_gap)
+
+
+def placement(kinds, labels, group, seed):
+    """``labels`` with each plan kind's flips placed, by drawing ranks and scanning rows.
+
+    ``kinds`` are ``(gid, value, k, count)``: k of the ``count`` rows of
+    group ``gid`` whose label is not ``value`` get ``value``. One
+    ``random.Random(seed)`` draws every kind's ranks in turn by Floyd's
+    algorithm: for each j from count - k to count - 1, t is
+    ``getrandbits(j.bit_length())``, drawn again while above j, and t is
+    taken, or j if t already is. Then each kind's candidates are ranked in
+    row order, one row at a time, and the rows of the drawn ranks are set.
+    """
+    draw = random.Random(seed)
+    drawn = []
+    for gid, value, k, count in kinds:
+        taken = set()
+        for j in range(count - k, count):
+            t = draw.getrandbits(j.bit_length())
+            while t > j:
+                t = draw.getrandbits(j.bit_length())
+            if t in taken:
+                t = j
+            taken.add(t)
+        drawn.append(taken)
+    corrected = list(labels)
+    for (gid, value, k, count), taken in zip(kinds, drawn):
+        rank = 0
+        for row in range(len(labels)):
+            if group[row] == gid and labels[row] != value:
+                if rank in taken:
+                    corrected[row] = value
+                rank += 1
+    return corrected

@@ -690,7 +690,7 @@ def test_package_resolves_each_name_on_first_use():
     ("ingest_columns", ["debias", "-i", "{golden}/reference.csv"]),
     ("run_audit_pipeline", ["pipeline", "-i", "{golden}/reference.csv"]),
     # Mixed true values: the flips' rows decide the table, so they are placed.
-    ("place", ["pipeline", "-i", "{golden}/reference.csv", "--true-col", "true"]),
+    ("flip_rows", ["pipeline", "-i", "{golden}/reference.csv", "--true-col", "true"]),
 ])
 def test_commands_call_the_names_set_on_the_cli_module(name, argv, tmp_path, monkeypatch):
     calls = []
