@@ -14,13 +14,9 @@ from __future__ import annotations
 import math
 import numbers
 from bisect import bisect_left, bisect_right
-from typing import TYPE_CHECKING
 
 from .frame import AuditFrame, FlipCounts, Record, ValidationError, check_seed, real_or_nan
 from .fairness import rate_gap, scaled_floor
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 class DebiasError(ValidationError):
@@ -226,18 +222,16 @@ def plan_split(counts: FlipCounts, epsilon: float) -> Plan:
     return Plan(((over, 0, down, pos_over), (under, 1, up, neg_under)))
 
 
-def sp_equalizing_debiaser(y_predicted, group, epsilon: float, rng_seed: int = 0) -> np.ndarray:
+def sp_equalizing_debiaser(y_predicted, group, epsilon: float, rng_seed: int = 0) -> memoryview:
     """Return corrected labels with |SP difference| <= epsilon, flipping minimally.
 
     The ``plan_split`` of the predictions' counts, placed by ``place``: a
-    new read-only int8 vector.
+    read-only view of the new ``bytearray``, which a frame shares uncopied.
     """
     check_options(epsilon, rng_seed)
     frame = AuditFrame(y_predicted, y_predicted, group)
-    corrected = place(plan_split(frame.counts(), epsilon), frame.y_predicted, frame.group,
-                      rng_seed)
-    corrected.setflags(write=False)
-    return corrected
+    plan = plan_split(frame.counts(), epsilon)
+    return memoryview(place(plan, frame.y_predicted, frame.group, rng_seed)).toreadonly()
 
 
 _BIT = bytes.maketrans(b"01", b"\0\1")  # a binary digit to its bit, a byte
@@ -246,18 +240,16 @@ _RUN = 256  # rows whose candidates are listed together when one of them is draw
 _OFFSETS = tuple(range(_RUN))  # a run's row offsets: small ints, which are never allocated
 
 
-def place(plan: Plan, labels, group, seed: int):
-    """A copy of ``labels`` with each kind's ``flip_rows`` set to its value.
+def place(plan: Plan, labels, group, seed: int) -> bytearray:
+    """A ``bytearray`` copy of ``labels`` with each kind's ``flip_rows`` set to its value.
 
-    ``labels`` and ``group`` are aligned 0/1 byte columns, a ``bytearray`` or
-    an ``int8`` vector each; the copy has the type of ``labels``.
+    ``labels`` and ``group`` are aligned 0/1 byte columns, bytes-like.
     """
     flips = flip_rows(plan, labels, group, seed)
-    corrected = labels.copy()
-    out = memoryview(corrected).cast("B")
+    corrected = bytearray(labels)
     for value, rows in flips:
         for row in rows:
-            out[row] = value
+            corrected[row] = value
     return corrected
 
 
@@ -267,12 +259,18 @@ def flip_rows(plan: Plan, labels, group, seed: int) -> list:
     ``labels`` and ``group`` are as ``place`` takes them. Before this returns, one
     ``random.Random(seed)`` draws (``_draw``) k ranks of each flipping kind, in the
     plan's order; an iterator finds rows as it is read (``_drawn_rows``), none if k is 0.
+    A flipping kind that counts more candidates than the columns have rows fails
+    ``bad_plan`` before anything is drawn.
     """
     import random
 
     check_seed(seed, "bad_seed")
     if memoryview(labels).itemsize != 1 or memoryview(group).itemsize != 1:
         raise TypeError("labels and group must hold one byte a row")
+    for _, _, k, count in plan.kinds:
+        if k and count > len(labels):
+            raise ValidationError(f"a plan kind counts {count} candidates, but the columns "
+                                  f"have {len(labels)} rows", code="bad_plan")
     rng = random.Random(int(seed))
     return [(value, _drawn_rows(_draw(rng, k, count), labels, group, gid, value, count)
              if k else iter(())) for gid, value, k, count in plan.kinds]
@@ -311,7 +309,7 @@ def _drawn_rows(drawn: bytearray, labels, group, gid: int, value: int, total: in
     from itertools import accumulate, compress, repeat
     from zlib import adler32
 
-    labels, group = memoryview(labels).cast("B"), memoryview(group).cast("B")
+    labels, group = memoryview(labels), memoryview(group)
     ones = int.from_bytes(b"\1" * _SPAN, "big")
     runs = [slice(at, at + _RUN) for at in range(0, _SPAN, _RUN)]
     first = 0  # the rank of the span's first candidate

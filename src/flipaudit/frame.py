@@ -1,11 +1,10 @@
-"""Validated label vectors, and the count table an audit reads from them.
+"""Validated label columns, and the count table an audit reads from them.
 
-``add_cells`` is the one counter: it adds aligned 0/1 byte columns' flat
-cells, a block of rows at a time, and ``FlipCounts.of_cells`` nests them.
-A frame's counts and every table the CLI reads come from it, so only this
-module knows the table's axis order. The count table is plain Python;
-numpy is imported only where label vectors are made or read, so counting
-and reporting do not load it.
+A label column is 0/1 bytes, one a row; a frame holds read-only memoryviews.
+``add_cells`` is the one counter of every table: it adds aligned columns' flat
+cells, a block of rows at a time, and ``FlipCounts.of_cells`` nests them, so
+only this module knows the table's axis order. numpy is imported only to check
+labels that are not a list, a tuple or a C-contiguous buffer of 1-byte labels.
 """
 
 from __future__ import annotations
@@ -15,10 +14,6 @@ import numbers
 from functools import reduce
 from itertools import product
 from operator import and_
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    import numpy as np
 
 UNPRIVILEGED = 0
 PRIVILEGED = 1
@@ -29,6 +24,7 @@ AXES = ("group", "pred", "corr", "true")
 # that would otherwise make a temporary as long as the data works in blocks
 # of this size, so its scratch memory does not grow with n.
 BLOCK = 1 << 16
+_BAD_BYTE = bytes([0, 0] + [1] * 254)  # 1 at each byte that is not a 0/1 label
 
 
 class ValidationError(ValueError):
@@ -52,8 +48,7 @@ class Record:
     annotated class attribute is its field's default. ``__init__`` binds
     arguments as a signature of the fields would, then calls
     ``__post_init__``; fields are read-only. Equality and hashing are over
-    the tuple of fields, unless the class defines its own ``__eq__``, which
-    leaves it unhashable.
+    the tuple of fields; a class that sets ``__hash__ = None`` is unhashable.
     """
 
     def __init_subclass__(cls, **kwargs):
@@ -150,63 +145,97 @@ def real_or_nan(value) -> float:
     return math.nan
 
 
-def _as_binary_vector(values, name: str) -> np.ndarray:
+def _not_binary(name: str, row: int, value) -> ValidationError:
+    return ValidationError(f"{name}[{row}] = {value} is not a binary value (expected 0 or 1)",
+                           code="non_binary")
+
+
+def _list_bytes(values, name: str) -> bytes:
+    """A list or tuple of integer-valued numbers as bytes; else its error, in numpy's order."""
+    try:
+        return bytes(values)  # ints from 0 to 255, bools and numpy's included
+    except (TypeError, ValueError):
+        pass
+    if any(isinstance(v, (list, tuple)) or getattr(v, "ndim", 0) for v in values):
+        raise ValidationError(f"{name} must be one-dimensional", code="bad_shape")
+    if not all(hasattr(v, "real") and not isinstance(v, (str, bytes)) for v in values):
+        raise ValidationError(f"{name} contains non-numeric values", code="non_binary")
+    ints = [int(v.real) if v.real % 1 == 0 == v.imag else None for v in values]
+    if None in ints:
+        row = ints.index(None)
+        raise ValidationError(f"{name}[{row}] = {values[row]!r} is not an integer label",
+                              code="non_binary")
+    bad = [row for row, v in enumerate(ints) if v not in (0, 1)]
+    if bad:
+        raise _not_binary(name, bad[0], ints[bad[0]])
+    return bytes(ints)
+
+
+def _array_labels(values, name: str):
+    """Array-like 0/1 ``values`` as a read-only ``uint8`` array; else ``_list_bytes`` of them."""
     import numpy as np
 
     arr = np.asarray(values)
     if arr.ndim != 1:
         raise ValidationError(f"{name} must be one-dimensional", code="bad_shape")
-    if arr.size == 0:
-        raise ValidationError(f"{name} is empty", code="empty")
+    # Native bool or integer values are 0/1 if, read as unsigned, none is above 1.
     dtype = arr.dtype
-    if dtype.kind in "biu" and dtype.isnative and arr.view(f"u{dtype.itemsize}").max() <= 1:
-        # A bool or integer vector whose values read as unsigned are at most 1
-        # (a negative one reads above it) is 0/1, so one range pass checks it.
-        # A read-only int8 array that owns its data cannot change under the
-        # frame, so it is not copied.
-        if dtype != np.int8 or arr.flags.writeable or not arr.flags.owndata:
-            arr = arr.astype(np.int8)
-            arr.setflags(write=False)
-        return arr
-    try:
-        as_int = arr.astype(np.int64)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{name} contains non-numeric values", code="non_binary")
-    if not np.array_equal(as_int, arr):
-        bad = int(np.nonzero(as_int != arr)[0][0])
-        raise ValidationError(
-            f"{name}[{bad}] = {arr[bad]!r} is not an integer label", code="non_binary"
-        )
-    bad_mask = (as_int != 0) & (as_int != 1)
-    if bad_mask.any():
-        bad = int(np.nonzero(bad_mask)[0][0])
-        raise ValidationError(
-            f"{name}[{bad}] = {as_int[bad]} is not a binary value (expected 0 or 1)",
-            code="non_binary",
-        )
-    labels = as_int.astype(np.int8)
+    native = dtype.kind in "biu" and dtype.isnative
+    if not (arr.view(f"u{dtype.itemsize}").max(initial=0) <= 1 if native
+            else ((arr == 0) | (arr == 1)).all()):
+        return _list_bytes(list(arr), name)  # its values, numpy's scalars, checked one by one
+    labels = arr.astype(np.uint8)
     labels.setflags(write=False)
     return labels
+
+
+def _as_binary_vector(values, name: str) -> memoryview:
+    """``values`` as a read-only memoryview of format ``B``: one 0/1 byte a row.
+
+    A list or tuple is checked in Python, and a C-contiguous buffer of 1-byte
+    labels with ``bytes.translate``, a ``BLOCK`` at a time; anything else is
+    converted by numpy (``_array_labels``). ``bytes``, a read-only memoryview
+    and a read-only array that owns its data cannot change under the frame,
+    so they are shared; any other buffer is copied once.
+    """
+    if isinstance(values, (list, tuple)):
+        values = _list_bytes(values, name)
+    try:
+        view = memoryview(values)
+    except (TypeError, ValueError):
+        view = None
+    if (view is None or view.ndim != 1 or not view.c_contiguous
+            or view.format not in ("B", "b", "?")):
+        values = _array_labels(values, name)
+        view = memoryview(values)
+    if not view:
+        raise ValidationError(f"{name} is empty", code="empty")
+    for start in range(0, len(view), BLOCK):
+        bad = view[start:start + BLOCK].tobytes().translate(_BAD_BYTE).find(1)
+        if bad >= 0:
+            raise _not_binary(name, start + bad, view[start + bad])
+    if view.readonly and getattr(getattr(values, "flags", None), "owndata", True):
+        return values if type(values) is memoryview and values.format == "B" else view.cast("B")
+    return memoryview(view.tobytes())
 
 
 def add_cells(cells: list[int], labels, start: int, stop: int) -> list[int]:
     """``cells`` plus the flat cells of rows ``start`` to ``stop`` of ``labels``.
 
-    ``labels`` are aligned 0/1 byte columns (pred, corr, group, true), each a
-    ``bytearray`` or an ``int8`` vector; a true of None is left out. Cell i
-    counts the rows whose (group, pred, corr[, true]) labels, read as bits
-    with the first highest, spell i; ``cells`` starts as ``[0] * 16``, which
-    the sum cuts to 8 cells without true labels. A column's rows are one big
-    int, a byte a row, so ``int.bit_count`` of an AND of columns counts the
-    rows where all of them are 1; Möbius inversion over the subsets of
-    columns gives the rows where exactly they are. A corr that is pred
-    itself is counted once, and its rows go in the cells where corr equals
-    pred. Nothing here grows with n, and nothing needs numpy.
+    ``labels`` are aligned 0/1 byte columns (pred, corr, group, true); a
+    true of None is left out. Cell i counts the rows whose (group, pred,
+    corr[, true]) labels, read as bits with the first highest, spell i;
+    ``cells`` starts as ``[0] * 16``, which the sum cuts to 8 cells without
+    true labels. A column's rows are one big int, a byte a row, so
+    ``int.bit_count`` of an AND of columns counts the rows where all of them
+    are 1; Möbius inversion over the subsets of columns gives the rows where
+    exactly they are. A corr that is pred itself is counted once, and its
+    rows go in the cells where corr equals pred. Nothing here grows with n.
     """
     pred, corr, group, true = labels
     columns = [group, pred] + [corr] * (corr is not pred) + [true] * (true is not None)
     # Bit b of a subset's index: the b-th column from the last.
-    columns = [int.from_bytes(memoryview(col).cast("B")[start:stop], "big")
+    columns = [int.from_bytes(memoryview(col)[start:stop], "big")
                for col in reversed(columns)]
     found = [stop - start]  # found[s]: rows in which every column of subset s is 1
     for subset in range(1, 1 << len(columns)):
@@ -226,8 +255,8 @@ def add_cells(cells: list[int], labels, start: int, stop: int) -> list[int]:
 
 
 def column_counts(pred, corr, group, true) -> FlipCounts:
-    """The count table of aligned 0/1 ``bytearray`` or ``int8`` columns; ``true`` may be None."""
-    cells, n = [0] * 16, len(memoryview(group).cast("B"))
+    """The count table of aligned 0/1 byte columns; ``true`` may be None."""
+    cells, n = [0] * 16, len(group)
     for start in range(0, n, BLOCK):
         cells = add_cells(cells, (pred, corr, group, true), start, min(n, start + BLOCK))
     return FlipCounts.of_cells(cells)
@@ -275,18 +304,14 @@ class FlipCounts(Record):
     table: tuple
 
     def __post_init__(self):
-        given = self.table
+        given, got = self.table, type(self.table).__name__
         if hasattr(given, "dtype"):  # an array: its cells as Python ints
             got = f"shape {given.shape} of {given.dtype}"
             given = given.tolist() if given.dtype.kind in "iu" else None
-        else:
-            got = type(given).__name__
         table = _pairs(given, 3) or _pairs(given, 4)
         if table is None:
-            raise ValidationError(
-                f"counts must be a 2x2x2 or 2x2x2x2 integer table, got {got}",
-                code="bad_counts",
-            )
+            raise ValidationError(f"counts must be a 2x2x2 or 2x2x2x2 integer table, got {got}",
+                                  code="bad_counts")
         if min(_cells(table)) < 0:
             raise ValidationError("counts must not be negative", code="bad_counts")
         for gid in (UNPRIVILEGED, PRIVILEGED):
@@ -334,66 +359,41 @@ class AuditFrame(Record):
     coercion would corrupt every downstream count.
 
     Every label vector the package reads from outside is checked here: each
-    must be binary, one-dimensional, non-empty and as long as
-    ``y_predicted``; only ``y_true`` may be None. An object given under two
-    names is checked and converted once, and both get the result.
+    must be binary, one-dimensional, non-empty and as long as ``y_predicted``;
+    only ``y_true`` may be None. Each is held as a read-only memoryview of
+    format ``B``, one 0/1 byte a row (``_as_binary_vector``); an object given
+    under two names is checked and converted once, and both get the result.
+    Frames are equal when their labels are, and are unhashable.
     """
 
-    y_predicted: np.ndarray
-    y_corrected: np.ndarray
-    group: np.ndarray
-    y_true: np.ndarray | None = None
+    y_predicted: memoryview
+    y_corrected: memoryview
+    group: memoryview
+    y_true: memoryview | None = None
+
+    __hash__ = None
 
     def __post_init__(self):
         # Every vector is converted before any length is compared.
-        names = ("y_predicted", "y_corrected", "group", "y_true")
-        given = [getattr(self, name) for name in names]  # alive, so their ids stay unique
-        checked = {}
-        for name, values in zip(names, given):
+        checked = {}  # by id: the dict iterated keeps each given object alive
+        for name, values in self._asdict().items():
             if values is not None or name != "y_true":  # only y_true may be None
                 if id(values) not in checked:
                     checked[id(values)] = _as_binary_vector(values, name)
                 object.__setattr__(self, name, checked[id(values)])
-        n = self.n
-        for name in names:
-            vec = getattr(self, name)
-            if vec is not None and vec.size != n:
-                raise ValidationError(
-                    f"{name} has length {vec.size}, expected {n}", code="length_mismatch"
-                )
+        for name, vec in self._asdict().items():
+            if vec is not None and len(vec) != self.n:
+                raise ValidationError(f"{name} has length {len(vec)}, expected {self.n}",
+                                      code="length_mismatch")
 
     @property
     def n(self) -> int:
-        return int(self.y_predicted.size)
-
-    def __eq__(self, other) -> bool:
-        import numpy as np
-
-        if not isinstance(other, AuditFrame):
-            return NotImplemented
-        if not (
-            np.array_equal(self.y_predicted, other.y_predicted)
-            and np.array_equal(self.y_corrected, other.y_corrected)
-            and np.array_equal(self.group, other.group)
-        ):
-            return False
-        if (self.y_true is None) != (other.y_true is None):
-            return False
-        return self.y_true is None or np.array_equal(self.y_true, other.y_true)
+        return len(self.y_predicted)
 
     def counts(self) -> FlipCounts:
         """The frame's (group, pred, corr[, true]) count table."""
         return column_counts(self.y_predicted, self.y_corrected, self.group, self.y_true)
 
     def with_corrected(self, y_corrected) -> "AuditFrame":
-        """Return a copy with a different corrected-label vector.
-
-        The other vectors are shared, and so is ``y_corrected`` when it is a
-        read-only int8 array that owns its data.
-        """
-        return AuditFrame(
-            y_predicted=self.y_predicted,
-            y_corrected=y_corrected,
-            group=self.group,
-            y_true=self.y_true,
-        )
+        """A copy with ``y_corrected`` checked in; the other columns are shared as they are."""
+        return AuditFrame(self.y_predicted, y_corrected, self.group, self.y_true)

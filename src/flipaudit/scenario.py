@@ -108,9 +108,14 @@ def _generate_group(spec: GroupScenario, rng: np.random.Generator):
 def generate_scenario(spec: ScenarioSpec) -> AuditFrame:
     """Build a deterministic frame realizing the spec's counts exactly.
 
-    A spec whose arrays do not fit in memory fails with ``bad_scenario``.
+    A spec whose arrays do not fit in memory fails with ``bad_scenario``. It
+    needs numpy, the ``synth`` extra; without it, it fails ``missing_dependency``.
     """
-    import numpy as np
+    try:
+        import numpy as np
+    except ImportError:
+        raise ValidationError("generating a scenario needs numpy: pip install "
+                              "'flipaudit[synth]'", code="missing_dependency") from None
 
     n = spec.group0.size + spec.group1.size
     try:
@@ -128,7 +133,7 @@ def generate_scenario(spec: ScenarioSpec) -> AuditFrame:
                       np.ones(spec.group1.size, dtype=np.int64))
         pred = place(pred0, pred1)
         corr = place(corr0, corr1)
-        return AuditFrame(y_predicted=pred, y_corrected=corr, group=group, y_true=corr.copy())
+        return AuditFrame(y_predicted=pred, y_corrected=corr, group=group, y_true=corr)
     except MemoryError:
         raise ValidationError(f"scenario of {n} rows does not fit in memory",
                               code="bad_scenario") from None

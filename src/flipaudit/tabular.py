@@ -6,27 +6,23 @@ rows silently would change n and therefore every rate downstream.
 
 A file of bare 0/1 cells is checked with bytes operations, one block of
 rows at a time, and read into 0/1 byte label columns (``ingest_columns``,
-or ``ingest`` for a frame), or into columns a block long that
-``frame.add_cells`` counts (``ingest_counts``). Polarity is applied as a
-column is read. Any other file goes through ``csv.reader`` and
-``_mapped_rows``, the one place that reports data errors, into the same
-results. One leading UTF-8 byte order mark is skipped on either path. The
-counting, and the count table's axis order, are ``frame``'s alone. Only a
-frame needs numpy. ``csv`` is imported only for a file that goes through
-its reader.
+or ``ingest`` for a frame that holds read-only views of them), or into
+columns a block long that ``frame.add_cells`` counts (``ingest_counts``).
+Polarity is applied as a column is read. Any other file goes through
+``csv.reader`` and ``_mapped_rows``, the one place that reports data
+errors, into the same results. One leading UTF-8 byte order mark is
+skipped on either path. The counting, and the count table's axis order,
+are ``frame``'s alone. Nothing here needs numpy. ``csv`` is imported only
+for a file that goes through its reader.
 """
 
 from __future__ import annotations
 
 import io
-from typing import TYPE_CHECKING
 
 from .frame import (
     BLOCK, AuditFrame, FlipCounts, Record, ValidationError, add_cells, encoding_error,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 _BOM = "\ufeff"
 _BARE = {"0": 0, "1": 1}
@@ -130,9 +126,15 @@ def _read_rows(rows, mapping: ColumnMapping, consume):
                               code="bad_csv") from None
 
 
+def _frame(labels: tuple) -> AuditFrame:
+    """The frame of ``_Columns``' labels, handed over as read-only views of its columns."""
+    views = {id(col): memoryview(col).toreadonly() for col in labels if col is not None}
+    return AuditFrame(*[views.get(id(col)) for col in labels])
+
+
 def ingest_rows(rows, mapping: ColumnMapping) -> AuditFrame:
     """The frame of ``rows``, a ``csv.reader`` or any iterable of cell lists."""
-    return _read_rows(rows, mapping, _Vectors.of_rows)
+    return _frame(_read_rows(rows, mapping, _Columns.of_rows))
 
 
 def _polarity(mapping: ColumnMapping, name: str) -> int:
@@ -157,17 +159,14 @@ class _Columns:
     ``offsets[name]``, which one ``bytes.translate`` turns into labels of its polarity.
     """
 
-    new = bytearray  # an n-long column
-
     def __init__(self, mapping: ColumnMapping, n: int, row_len: int, offsets: dict[str, int]):
         self.mapping, self.row_len, self.offsets = mapping, row_len, offsets
-        self.columns = {name: self.new(n) for name in mapping.columns()}
+        self.columns = {name: bytearray(n) for name in mapping.columns()}
 
     def add(self, first: int, buffer: bytearray, length: int):
         for name, col in self.columns.items():
             cells = buffer[self.offsets[name]:length:self.row_len]
-            memoryview(col).cast("B")[first:first + len(cells)] = cells.translate(
-                _LABEL[_polarity(self.mapping, name)])
+            col[first:first + len(cells)] = cells.translate(_LABEL[_polarity(self.mapping, name)])
 
     def result(self):
         return self.labels(self.mapping, self.columns)
@@ -189,32 +188,10 @@ class _Columns:
                 columns.get(mapping.true_col))
 
 
-class _Vectors(_Columns):
-    """``_Columns`` giving a frame, which keeps the ``int8`` vectors ``new`` makes uncopied."""
-
-    @staticmethod
-    def new(n: int) -> np.ndarray:
-        import numpy as np
-
-        return np.empty(n, np.int8)
-
-    @staticmethod
-    def labels(mapping: ColumnMapping, columns: dict) -> AuditFrame:
-        import numpy as np
-
-        # A bytearray column is copied into an int8 vector and dropped before the
-        # next is, so the labels are held twice one column at a time.
-        vectors = {}
-        for name in list(columns):
-            vectors[name] = vec = np.asarray(columns.pop(name), np.int8)
-            vec.setflags(write=False)
-        return AuditFrame(*_Columns.labels(mapping, vectors))
-
-
 class _Counts(_Columns):
     """``_Columns`` one block long, whose labels ``add_cells`` counts; gives the table.
 
-    Nothing here grows with n, and nothing needs numpy.
+    Nothing here grows with n.
     """
 
     def __init__(self, mapping: ColumnMapping, n=0, row_len=0, offsets=None):
@@ -238,19 +215,18 @@ class _Counts(_Columns):
         return into.result()
 
 
-def _ingest_strict(fh, mapping: ColumnMapping,
-                   sink=_Vectors) -> AuditFrame | tuple | FlipCounts | None:
+def _ingest_strict(fh, mapping: ColumnMapping, sink) -> tuple | FlipCounts | None:
     """A file of bare 0/1 cells, read in blocks of rows into ``sink``; None for any other file.
 
-    ``fh`` is a seekable binary file at its start. ``sink`` is ``_Vectors``,
-    which gives the frame, ``_Columns``, which gives its label columns, or
-    ``_Counts``, which gives its count table. The file is taken only when
-    ``ingest_rows`` would read it the same way: an ASCII header with no
-    quote, stray CR or NUL, then rows of exactly ``d,d,...,d`` with each
-    ``d`` 0 or 1, each ended by the header's terminator (the last row may
-    lack it). Anything else, valid or not, is declined, never rejected, so
-    the csv path stays the one place that reports data errors and accepts
-    lenient input. A file that changes size while it is read is declined too.
+    ``fh`` is a seekable binary file at its start. ``sink`` is ``_Columns``,
+    which gives its label columns, or ``_Counts``, which gives its count
+    table. The file is taken only when ``ingest_rows`` would read it the same
+    way: an ASCII header with no quote, stray CR or NUL, then rows of exactly
+    ``d,d,...,d`` with each ``d`` 0 or 1, each ended by the header's
+    terminator (the last row may lack it). Anything else, valid or not, is
+    declined, never rejected, so the csv path stays the one place that
+    reports data errors and accepts lenient input. A file that changes size
+    while it is read is declined too.
     """
     line = fh.readline().removeprefix(_BOM.encode())
     if not line.endswith(b"\n"):
@@ -315,7 +291,7 @@ def _check_utf8(fh) -> None:
         row += block.count(b"\n")
 
 
-def _ingest(path, mapping: ColumnMapping, sink) -> AuditFrame | tuple | FlipCounts:
+def _ingest(path, mapping: ColumnMapping, sink) -> tuple | FlipCounts:
     """``_ingest_strict(file, mapping, sink)``, or ``sink.of_rows`` of the file's rows.
 
     A file the strict path declines is checked for UTF-8, a block at a
@@ -347,11 +323,11 @@ def ingest(path, mapping: ColumnMapping | None = None) -> AuditFrame:
     ``csv.reader``. An input that cannot seek, such as a pipe, is read
     whole first.
     """
-    return _ingest(path, mapping or ColumnMapping(), _Vectors)
+    return _frame(_ingest(path, mapping or ColumnMapping(), _Columns))
 
 
 def ingest_columns(path, mapping: ColumnMapping) -> tuple:
-    """``ingest``'s labels (pred, corr, group, true) as 0/1 ``bytearray`` columns, without numpy."""
+    """``ingest``'s labels (pred, corr, group, true) as the 0/1 ``bytearray`` columns it views."""
     return _ingest(path, mapping, _Columns)
 
 
@@ -360,7 +336,7 @@ def ingest_counts(path, mapping: ColumnMapping | None = None) -> FlipCounts:
 
     Label columns are counted a block of rows at a time, as they are read and
     checked, so a seekable file is counted in memory that does not grow with
-    its rows, every error keeps its code, message and order, and no numpy is imported.
+    its rows, and every error keeps its code, message and order.
     """
     return _ingest(path, mapping or ColumnMapping(), _Counts)
 
@@ -368,15 +344,15 @@ def ingest_counts(path, mapping: ColumnMapping | None = None) -> FlipCounts:
 def columns_to_csv_blocks(labels, favorable: int, privileged: int, flips=()):
     """The bytes of 0/1 byte columns (pred, corr, group, true) in the canonical layout.
 
-    A column is a ``bytearray`` or an ``int8`` vector; a true of None is
-    left out; each (value, rows) of ``flips``, rows in order, sets corr to value
+    A column is bytes-like, one 0/1 byte a row; a true of None is left
+    out; each (value, rows) of ``flips``, rows in order, sets corr to value
     in those rows, so corr may be pred, uncopied. They come as the header and
     then blocks of up to ``BLOCK`` rows, views of one reused buffer, so each is
     valid only until the next is drawn: write it, or copy it, first. The labels
     are written in the raw polarity ``ColumnMapping`` reads with the same
     ``favorable``, and the group in that of ``privileged``: a 0 writes v as 1 - v.
     """
-    named = [(name, memoryview(col).cast("B"), _CELL[polarity])
+    named = [(name, memoryview(col), _CELL[polarity])
              for name, col, polarity in zip(("pred", "corr", "group", "true"), labels,
                                             (favorable, favorable, privileged, favorable))
              if col is not None]

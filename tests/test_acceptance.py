@@ -191,7 +191,8 @@ def test_criterion_4_invariant_suite():
 
         # Group-swap symmetry of all eight proportionality metrics.
         p = report_metrics(frame)
-        q = report_metrics(AuditFrame(frame.y_predicted, frame.y_corrected, 1 - frame.group))
+        swapped = [1 - g for g in frame.group]
+        q = report_metrics(AuditFrame(frame.y_predicted, frame.y_corrected, swapped))
         for name in ("frd", "hfpd", "di", "hdi", "fd", "hfd", "rfd", "rhfd"):
             a, b = p[name], q[name]
             assert a.kind == b.kind
@@ -224,10 +225,10 @@ def test_criterion_5_debiaser_contract():
     contract_checked = minimal_checked = 0
     while contract_checked < 200:
         frame = random_frame(rng, max_n=60)
-        labels, group = frame.y_predicted, frame.group
+        labels, group = np.asarray(frame.y_predicted), np.asarray(frame.group)
         try:
-            corrected = sp_equalizing_debiaser(labels, group, epsilon,
-                                               rng_seed=int(rng.integers(1 << 30)))
+            corrected = np.asarray(sp_equalizing_debiaser(labels, group, epsilon,
+                                                          rng_seed=int(rng.integers(1 << 30))))
         except DebiasError:
             assert oracle.min_sp_flips(labels.tolist(), group.tolist(), epsilon) is None
             continue
@@ -243,9 +244,9 @@ def test_criterion_5_debiaser_contract():
 
     while minimal_checked < 50:
         frame = random_frame(rng, max_n=20)
-        labels, group = frame.y_predicted, frame.group
+        labels, group = np.asarray(frame.y_predicted), np.asarray(frame.group)
         try:
-            corrected = sp_equalizing_debiaser(labels, group, epsilon)
+            corrected = np.asarray(sp_equalizing_debiaser(labels, group, epsilon))
         except DebiasError:
             assert oracle.min_sp_flips(labels.tolist(), group.tolist(), epsilon) is None
             continue

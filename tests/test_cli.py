@@ -654,6 +654,60 @@ def test_each_command_loads_only_the_modules_it_runs(case, tmp_path):
         assert out.read_bytes() == (golden / "pipeline.txt").read_bytes()
 
 
+# A fresh interpreter: the library's label API on lists, files and frames,
+# then whether numpy was imported.
+LIBRARY_PROBE = """
+import sys
+import flipaudit
+from flipaudit import AuditFrame, frame_to_csv, ingest, sp_equalizing_debiaser
+from flipaudit.tabular import ColumnMapping, ingest_rows
+strict, declined = sys.argv[1:]
+frame = AuditFrame([1, 0, 1, 0], [1, 1, 0, 0], [0, 0, 1, 1], (1, 0, 0, 1))
+assert frame.counts().n == 4
+mapping = ColumnMapping(true_col="true")
+assert ingest(strict, mapping) == ingest(declined, mapping)
+rows = ingest_rows([["pred", "corr", "group"], ["1", "0", "0"], [" 0", "1", "1"]],
+                   ColumnMapping())
+assert rows == AuditFrame([1, 0], [0, 1], [0, 1])
+corrected = sp_equalizing_debiaser([1, 1, 1, 0, 0, 0], [0, 0, 0, 1, 1, 1], 0.1)
+print(frame_to_csv(AuditFrame([1, 1, 1, 0, 0, 0], corrected, [0, 0, 0, 1, 1, 1])), end="")
+print("numpy" in sys.modules)
+"""
+
+
+def test_library_labels_need_no_numpy(tmp_path):
+    strict = Path(__file__).parent / "golden" / "reference.csv"
+    data = strict.read_bytes()
+    declined = tmp_path / "declined.csv"
+    declined.write_bytes(data.replace(b"\n1,", b"\n 1,", 1))
+    proc = run_python(["-c", LIBRARY_PROBE, str(strict), str(declined)])
+    assert proc.returncode == 0, proc.stderr
+    *csv_lines, numpy_loaded = proc.stdout.splitlines()
+    assert numpy_loaded == "False"
+    assert csv_lines[0] == "pred,corr,group" and len(csv_lines) == 7
+
+
+# A fresh interpreter in which numpy cannot be imported.
+NO_NUMPY = "import sys\nsys.modules['numpy'] = None\n"
+
+
+def test_synth_without_numpy_names_the_extra(tmp_path):
+    proc = run_python(["-c", NO_NUMPY + "from flipaudit import REFERENCE_EXAMPLE\n"
+                       "from flipaudit import generate_scenario\n"
+                       "try:\n    generate_scenario(REFERENCE_EXAMPLE)\n"
+                       "except ValueError as exc:\n    print(exc.code, exc)\n"])
+    assert proc.returncode == 0, proc.stderr
+    code, message = proc.stdout.rstrip("\n").split(" ", 1)
+    assert code == "missing_dependency" and "pip install 'flipaudit[synth]'" in message
+    out = tmp_path / "out.csv"
+    proc = run_python(["-c", NO_NUMPY + "from flipaudit.cli import main\n"
+                       "sys.exit(main(sys.argv[1:]))",
+                       "synth", "--scenario", "reference-example", "-o", str(out)])
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == f"error [missing_dependency]: {message}\n"
+    assert not out.exists()
+
+
 # A fresh interpreter: resolves every submodule as an attribute of the
 # package, then each public name, and prints what ``dir`` lists.
 PACKAGE_PROBE = """

@@ -40,7 +40,7 @@ class TestSpEqualizingDebiaser:
         # 4/5 vs 3/5 positive: one flip suffices to reach |SP| <= 0.1.
         labels = np.array([1, 1, 1, 1, 0, 1, 1, 1, 0, 0])
         group = np.array([1, 1, 1, 1, 1, 0, 0, 0, 0, 0])
-        corrected = sp_equalizing_debiaser(labels, group, epsilon=0.1, rng_seed=4)
+        corrected = np.asarray(sp_equalizing_debiaser(labels, group, epsilon=0.1, rng_seed=4))
         assert oracle.within(oracle.sp_difference(corrected, group), 0.1)
         flips = int((corrected != labels).sum())
         assert flips == oracle.min_sp_flips(labels.tolist(), group.tolist(), 0.1)
@@ -48,7 +48,7 @@ class TestSpEqualizingDebiaser:
     def test_already_within_epsilon_is_identity(self):
         labels = np.array([1, 0, 1, 0])
         group = np.array([0, 0, 1, 1])
-        corrected = sp_equalizing_debiaser(labels, group, epsilon=0.1)
+        corrected = np.asarray(sp_equalizing_debiaser(labels, group, epsilon=0.1))
         assert np.array_equal(corrected, labels)
 
     @pytest.mark.parametrize("epsilon", [0.1, 1.0])  # flips, and the early return
@@ -56,7 +56,7 @@ class TestSpEqualizingDebiaser:
         labels = np.array([1, 1, 1, 1, 0, 1, 1, 1, 0, 0])
         group = np.array([1, 1, 1, 1, 1, 0, 0, 0, 0, 0])
         corrected = sp_equalizing_debiaser(labels, group, epsilon)
-        with pytest.raises(ValueError, match="read-only"):
+        with pytest.raises(TypeError, match="read-only"):
             corrected[0] = 0
         frame = AuditFrame(labels, labels, group)
         assert frame.with_corrected(corrected).y_corrected is corrected
@@ -65,7 +65,7 @@ class TestSpEqualizingDebiaser:
         rng = np.random.default_rng(9)
         for _ in range(20):
             labels, group = random_labeled_groups(rng, 30)
-            corrected = sp_equalizing_debiaser(labels, group, epsilon=1.0)
+            corrected = np.asarray(sp_equalizing_debiaser(labels, group, epsilon=1.0))
             assert np.array_equal(corrected, labels)
 
     def test_contract_on_random_frames(self):
@@ -73,8 +73,8 @@ class TestSpEqualizingDebiaser:
         epsilon = 0.1
         for _ in range(200):
             labels, group = random_labeled_groups(rng, 80)
-            corrected = sp_equalizing_debiaser(labels, group, epsilon,
-                                               rng_seed=int(rng.integers(1 << 30)))
+            corrected = np.asarray(sp_equalizing_debiaser(labels, group, epsilon,
+                                                          rng_seed=int(rng.integers(1 << 30))))
             assert oracle.within(oracle.sp_difference(corrected, group), epsilon)
             changed = corrected != labels
             # Over-favored group only loses positives, under-favored only gains.
@@ -96,7 +96,7 @@ class TestSpEqualizingDebiaser:
         for _ in range(120):
             labels, group = random_labeled_groups(rng, 20)
             try:
-                corrected = sp_equalizing_debiaser(labels, group, epsilon)
+                corrected = np.asarray(sp_equalizing_debiaser(labels, group, epsilon))
             except DebiasError:
                 assert oracle.min_sp_flips(labels.tolist(), group.tolist(),
                                            epsilon) is None
@@ -130,7 +130,8 @@ class TestSpEqualizingDebiaser:
             labels, group = random_labeled_groups(rng, 60)
             epsilon = float(rng.choice(GRID_EPSILONS))
             try:
-                corrected = sp_equalizing_debiaser(labels, group, epsilon, rng_seed=seed)
+                corrected = np.asarray(sp_equalizing_debiaser(labels, group, epsilon,
+                                                              rng_seed=seed))
             except DebiasError:
                 continue
             down = int(np.sum((labels == 1) & (corrected == 0)))
@@ -162,10 +163,15 @@ class TestSpEqualizingDebiaser:
         assert all(abs(count - 200) <= 5 * sigma for count in seen.values()), seen
 
     @pytest.mark.parametrize("epsilon", [0.1, 1.0])  # flips, and the early return
-    def test_result_is_int8(self, epsilon):
+    def test_result_is_a_read_only_byte_view(self, epsilon):
         labels = np.array([1, 1, 1, 1, 0, 1, 1, 1, 0, 0], dtype=np.int64)
         group = np.array([1, 1, 1, 1, 1, 0, 0, 0, 0, 0], dtype=np.int64)
-        assert sp_equalizing_debiaser(labels, group, epsilon).dtype == np.int8
+        corrected = sp_equalizing_debiaser(labels, group, epsilon)
+        assert corrected.readonly and corrected.format == "B"
+        assert type(corrected.obj) is bytearray  # place's copy, viewed
+        assert AuditFrame(labels, corrected, group).y_corrected is corrected  # shared
+        if epsilon == 1.0:
+            assert corrected.tolist() == labels.tolist()
 
     def test_unreachable_epsilon_reports_best_gap(self):
         # Rate grids 1/2 and 1/3 share no pair within 0.05 given the
@@ -223,7 +229,7 @@ class TestSpEqualizingDebiaser:
     def test_scratch_does_not_grow_with_rows(self, traced_peak):
         labels, group, candidates = self.debias_1m()
         corrected, peak = traced_peak(sp_equalizing_debiaser, labels, group, 0.1)
-        assert int(np.count_nonzero(corrected != labels)) == 401
+        assert int(np.count_nonzero(np.asarray(corrected) != labels)) == 401
         # The corrected copy and one candidate mask, the larger candidate set's
         # indices, and fixed scratch.
         assert peak <= 2 * group.size + 8 * candidates + 2**20
@@ -231,7 +237,7 @@ class TestSpEqualizingDebiaser:
     def test_placement_holds_no_row_mask_or_wide_indices(self, traced_peak):
         labels, group, candidates = self.debias_1m()
         corrected, peak = traced_peak(sp_equalizing_debiaser, labels, group, 0.1)
-        assert int(np.count_nonzero(corrected != labels)) == 401
+        assert int(np.count_nonzero(np.asarray(corrected) != labels)) == 401
         # The corrected copy, the larger candidate set's int32 indices, and
         # fixed scratch: no mask over all rows, no int64 indices.
         assert peak <= group.size + 4 * candidates + 2**20
@@ -239,7 +245,7 @@ class TestSpEqualizingDebiaser:
     def test_labels_are_copied_after_the_flips_are_drawn(self, traced_peak):
         labels, group, candidates = self.debias_1m()
         corrected, peak = traced_peak(sp_equalizing_debiaser, labels, group, 0.1)
-        assert int(np.count_nonzero(corrected != labels)) == 401
+        assert int(np.count_nonzero(np.asarray(corrected) != labels)) == 401
         # The corrected copy or the larger candidate set's int32 indices, never
         # both at once, and fixed scratch.
         assert peak <= max(group.size, 4 * candidates) + 2**19
@@ -248,7 +254,7 @@ class TestSpEqualizingDebiaser:
         # 75,000 flips of each kind, from 300,000 down and 400,000 up candidates.
         labels, group, candidates = self.debias_1m(300_000, 500_000, 100_000, 500_000)
         corrected, peak = traced_peak(sp_equalizing_debiaser, labels, group, 0.1)
-        flips = int(np.count_nonzero(corrected != labels))
+        flips = int(np.count_nonzero(np.asarray(corrected) != labels))
         assert flips == 150_000
         # One kind's int32 indices or the corrected copy, the rows kept, and
         # fixed scratch.
@@ -329,7 +335,7 @@ class TestSpEqualizingDebiaser:
         # bring the large group down to the small group's 1/3 grid point.
         labels = np.r_[np.ones(50_000, int), np.zeros(50_003, int)]
         group = np.r_[np.zeros(100_000, int), np.ones(3, int)]
-        corrected = sp_equalizing_debiaser(labels, group, 1e-3, rng_seed=5)
+        corrected = np.asarray(sp_equalizing_debiaser(labels, group, 1e-3, rng_seed=5))
         (down, up), _ = oracle.minimal_flip_split(50_000, 100_000, 0, 3, 1e-3)
         assert int((corrected != labels).sum()) == down + up
         assert int(corrected[group == 1].sum()) == up
@@ -572,6 +578,17 @@ class TestPlan:
             place(Plan(((0, 1, 5, 3),)), bytearray(b"\0\0\0\1"), bytearray(4), 0)
         assert exc.value.code == "bad_plan"
 
+    def test_a_count_beyond_the_rows_fails_before_its_bitset_is_made(self, traced_peak):
+        # A kind's ranks are drawn into a bitset of one bit per candidate it
+        # counts: a count larger than the columns have rows is refused first.
+        def refused():
+            with pytest.raises(ValidationError) as exc:
+                place(Plan(((0, 1, 1, 10**8),)), bytearray(b"\0\0\0\1"), bytearray(4), 0)
+            return exc.value.code
+
+        code, peak = traced_peak(refused)
+        assert code == "bad_plan" and peak < 2**20
+
     def test_kinds_are_held_as_python_ints(self):
         plan = Plan([(np.int64(0), np.int8(1), 0, 3)])
         assert plan.kinds == ((0, 1, 0, 3),)
@@ -635,7 +652,7 @@ class TestPlacement:
         want = oracle.placement(plan.kinds, labels, group, seed)
         assert list(place(plan, labels, group, seed)) == want
         vectors = (np.frombuffer(labels, np.int8), np.frombuffer(group, np.int8))
-        assert place(plan, *vectors, seed).tolist() == want
+        assert list(place(plan, *vectors, seed)) == want
         # Each kind's rows come in row order, k of them, and, set to its
         # value, give the oracle's labels.
         placed = bytearray(labels)

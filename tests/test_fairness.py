@@ -52,7 +52,7 @@ class TestStatisticalParity:
         for _ in range(20):
             frame = random_frame(rng, max_n=50)
             sp = sp_of(frame.y_predicted, frame.group)
-            swapped = sp_of(frame.y_predicted, 1 - frame.group)
+            swapped = sp_of(frame.y_predicted, [1 - g for g in frame.group])
             assert sp == pytest.approx(-swapped)
 
 

@@ -128,13 +128,17 @@ class TestFrameValidation:
         np.array([1, 0, 1], np.int64), np.array([1.0, 0.0, 1.0]),
         np.array([1, 0, 1, 1], np.int8)[::-1][1:],
     ], ids=["list", "bool", "uint16", "int64", "float", "int8_view"])
-    def test_vectors_are_read_only_int8(self, values):
+    def test_vectors_are_read_only_byte_views(self, values):
         frame = AuditFrame(values, values, [0, 1, 0], values)
         other = frame.with_corrected(values)
         for vec in (frame.y_predicted, frame.y_corrected, frame.group, frame.y_true,
                     other.y_corrected):
-            assert vec.dtype == np.int8 and not vec.flags.writeable
+            assert isinstance(vec, memoryview) and vec.readonly and vec.format == "B"
         assert frame.y_predicted.tolist() == [1, 0, 1]
+        # numpy reads a frame's column as a zero-copy, read-only uint8 array.
+        array = np.asarray(frame.y_predicted)
+        assert array.dtype == np.uint8 and not array.flags.writeable
+        assert np.shares_memory(array, np.asarray(frame.y_predicted))
 
     def test_big_endian_checked_by_value(self):
         # Big-endian 1 << 56 has the bytes of a native 1; big-endian 1 does not.
@@ -151,8 +155,63 @@ class TestFrameValidation:
         pred = np.array([1, 0, 1], dtype=np.int8)
         pred.setflags(write=False)
         frame = AuditFrame(pred, pred, [0, 1, 0])
-        assert frame.y_predicted is pred and frame.y_corrected is pred
-        assert frame.with_corrected(pred).y_corrected is pred
+        assert frame.y_predicted.obj is pred and frame.y_corrected is frame.y_predicted
+        assert frame.with_corrected(pred).y_corrected.obj is pred
+        assert frame.y_predicted.readonly and frame.y_predicted.format == "B"
+        assert frame.y_predicted.tolist() == [1, 0, 1]
+
+    @pytest.mark.parametrize("kind, shared", [
+        ("bytes", True), ("read-only memoryview", True), ("frozen owning int8", True),
+        ("bytearray", False), ("writable int8", False), ("int8 view", False),
+        ("read-only view of a writable int8", False), ("int64", False),
+    ])
+    def test_sharing_rule(self, kind, shared):
+        # What cannot change under the frame is shared as given; anything else
+        # is copied once, so writing to it later leaves the frame as it was.
+        labels = [1, 0, 1, 1]
+        given = {
+            "bytes": lambda: bytes(labels),
+            "read-only memoryview": lambda: memoryview(bytearray(labels)).toreadonly(),
+            "frozen owning int8": lambda: np.array(labels, np.int8),
+            "bytearray": lambda: bytearray(labels),
+            "writable int8": lambda: np.array(labels, np.int8),
+            "int8 view": lambda: np.repeat(np.array(labels, np.int8), 2)[::2],
+            "read-only view of a writable int8": lambda: np.array(labels, np.int8)[:],
+            "int64": lambda: np.array(labels),
+        }[kind]()
+        if kind in ("frozen owning int8", "read-only view of a writable int8"):
+            given.setflags(write=False)
+        frame = AuditFrame(given, labels, [0, 1, 0, 1])
+        column = frame.y_predicted
+        assert column.readonly and column.format == "B" and column.tolist() == labels
+        owner = given.obj if isinstance(given, memoryview) else given
+        assert (column.obj is owner) == shared
+        if not shared:
+            writable = given if getattr(given, "base", None) is None else given.base
+            writable[0] = 0  # the caller writes what it gave, or the array under it
+            assert column.tolist() == labels
+
+    @pytest.mark.parametrize("values, code, message", [
+        ([1, 0.5, 2], "non_binary", "y_predicted[1] = 0.5 is not an integer label"),
+        # The first non-integer is reported before an earlier non-binary value.
+        ([2, 1.0, 0.5], "non_binary", "y_predicted[2] = 0.5 is not an integer label"),
+        ([1.0, 300, 2], "non_binary",
+         "y_predicted[1] = 300 is not a binary value (expected 0 or 1)"),
+        ((1, 10**30), "non_binary", f"y_predicted[1] = {10**30} is not a binary value "
+                                    "(expected 0 or 1)"),
+        ([1, "a"], "non_binary", "y_predicted contains non-numeric values"),
+        ([[1], [0]], "bad_shape", "y_predicted must be one-dimensional"),
+        # A numpy array that is not 0/1 integers is checked value by value, as
+        # its numpy scalars: their reprs are kept.
+        (np.array([1.0, 0.25]), "non_binary", "y_predicted[1] = np.float64(0.25) is not an "
+                                              "integer label"),
+        (np.array([1, 7]), "non_binary", "y_predicted[1] = 7 is not a binary value "
+                                         "(expected 0 or 1)"),
+    ], ids=["half", "half_after_two", "300", "huge", "string", "nested", "float64", "int64"])
+    def test_errors_keep_numpys_order(self, values, code, message):
+        with pytest.raises(ValidationError) as exc:
+            AuditFrame(values, [1, 0], [0, 1])
+        assert (exc.value.code, str(exc.value)) == (code, message)
 
     @pytest.mark.parametrize("kind", ["list", "int64"])
     def test_vector_given_twice_checked_once(self, kind):
@@ -172,6 +231,8 @@ class TestFrameValidation:
         frame = AuditFrame(pred, pred, [0, 1, 0])
         pred[0] = 0
         assert frame.y_predicted.tolist() == [1, 0, 1]
+        assert frame.y_predicted.obj is not pred and frame.y_predicted.readonly
+        assert frame.y_predicted.format == "B"
 
     def test_writable_vector_copied(self):
         pred = np.array([1, 0, 1], dtype=np.int64)

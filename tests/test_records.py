@@ -151,9 +151,13 @@ def test_repr_has_the_dataclass_form():
     )
 
 
-def test_audit_frame_compares_arrays_and_is_unhashable():
+def test_audit_frame_compares_labels_and_is_unhashable():
+    # Record's equality compares the frames' read-only byte views by content.
     frame = AuditFrame([1, 0, 1], [1, 1, 0], [0, 1, 1])
     assert frame == AuditFrame(np.array([1, 0, 1]), (1, 1, 0), np.array([0, 1, 1], np.int8))
+    assert frame == AuditFrame(b"\1\0\1", bytearray(b"\1\1\0"), memoryview(b"\0\1\1"))
+    assert all(isinstance(vec, memoryview) and vec.readonly and vec.format == "B"
+               for vec in (frame.y_predicted, frame.y_corrected, frame.group))
     assert frame != AuditFrame([1, 0, 1], [1, 1, 0], [0, 1, 1], [0, 1, 0])
     assert frame != frame.with_corrected([1, 1, 1])
     with pytest.raises(TypeError):

@@ -25,7 +25,9 @@ from flipaudit.cli import _VERDICT_CODES, main
 from flipaudit.frame import BLOCK, column_counts
 from flipaudit.tabular import (
     ColumnMapping,
+    _Columns,
     _Counts,
+    _frame,
     _ingest_strict,
     frame_to_csv,
     ingest_columns,
@@ -65,7 +67,8 @@ def outcome(read):
 
 def strict_frame(data, mapping):
     """The byte fast path's frame of the file ``data``, or None where it declines."""
-    return _ingest_strict(io.BytesIO(data), mapping)
+    labels = _ingest_strict(io.BytesIO(data), mapping, _Columns)
+    return None if labels is None else _frame(labels)
 
 
 def strict_counts(data, mapping):
@@ -429,7 +432,7 @@ def csv_of(names, vectors):
 def test_strict_ingest_scratch_does_not_grow_with_rows(traced_peak):
     names = ["pred", "corr", "group", "true"]
     data = csv_of(names, np.random.default_rng(0).integers(0, 2, size=(4, 1_000_000)))
-    frame, peak = traced_peak(_ingest_strict, io.BytesIO(data), WITH_TRUE)
+    frame, peak = traced_peak(strict_frame, data, WITH_TRUE)
     assert frame is not None
     assert peak <= 4 * frame.n + 2**20  # the four vectors it returns, and fixed scratch
 
@@ -451,9 +454,21 @@ def test_ingest_of_a_declined_file_holds_its_columns_once(traced_peak, tmp_path)
     path.write_bytes(data.replace(b"\n1,", b"\n 1,", 1))
     frame, peak = traced_peak(ingest, path)
     assert frame.n == 1_000_000
-    # The three byte columns, one of them copied into its vector at a time,
-    # and fixed scratch.
+    # The three byte columns, room for one more, and fixed scratch.
     assert peak <= (3 + 1) * frame.n + 2**21
+
+
+def test_ingest_of_a_declined_file_holds_what_ingest_columns_does(traced_peak, tmp_path):
+    # The frame takes over the byte columns as read-only views: no copy of any.
+    names = ["pred", "corr", "group"]
+    data = csv_of(names, np.random.default_rng(0).integers(0, 2, size=(3, 1_000_000)))
+    path = tmp_path / "d.csv"
+    path.write_bytes(data.replace(b"\n1,", b"\n 1,", 1))
+    frame, peak = traced_peak(ingest, path)
+    columns, columns_peak = traced_peak(ingest_columns, path, DEFAULT)
+    assert [vec.tolist() for vec in (frame.y_predicted, frame.y_corrected, frame.group)] == [
+        list(col) for col in columns[:3]]
+    assert peak <= columns_peak + 2**18
 
 
 def test_counting_a_declined_file_keeps_no_rows(traced_peak, tmp_path):
@@ -504,11 +519,12 @@ class Resized(io.BytesIO):
 @pytest.mark.parametrize("rows", [5, 2 * BLOCK + 1])
 def test_strict_ingest_declines_a_file_that_changes_size(rows):
     data, mapping = strict_file(3, "\n", 5, rows)
-    assert _ingest_strict(Resized(data, 0), mapping) == strict_frame(data, mapping)
+    assert (_ingest_strict(Resized(data, 0), mapping, _Columns)
+            == _ingest_strict(io.BytesIO(data), mapping, _Columns))
     # One row more than the size taken at the start, one fewer (a short read),
     # or a byte either way: each declines, so the csv path reads the file as it is.
     for delta in (-6, 6, -1, 1):
-        assert _ingest_strict(Resized(data, delta), mapping) is None
+        assert _ingest_strict(Resized(data, delta), mapping, _Columns) is None
 
 
 def through_fifo(data, read, tmp_path):
@@ -615,7 +631,7 @@ def test_bad_mapping_rejected(fields, message):
 
 @pytest.mark.parametrize("mapping", MAPPINGS)
 @pytest.mark.parametrize("strict", [True, False])
-def test_ingested_vectors_are_read_only_int8(mapping, strict, tmp_path):
+def test_ingested_vectors_are_read_only_byte_views(mapping, strict, tmp_path):
     pred, corr, group, true = np.random.default_rng(3).integers(0, 2, size=(4, 50))
     path = tmp_path / "d.csv"
     write_frame(AuditFrame(pred, corr, group, true), path)
@@ -626,5 +642,9 @@ def test_ingested_vectors_are_read_only_int8(mapping, strict, tmp_path):
     assert (strict_frame(data, mapping) is not None) == strict
     frame = ingest(path, mapping)
     vectors = [frame.y_predicted, frame.y_corrected, frame.group, frame.y_true]
-    for vec in vectors[:3] + ([vectors[3]] if mapping.true_col else []):
-        assert vec.dtype == np.int8 and not vec.flags.writeable
+    columns = ingest_columns(path, mapping)
+    for vec, col in list(zip(vectors, columns))[:3 + bool(mapping.true_col)]:
+        # A read-only view of the bytearray ingest read, handed over uncopied.
+        assert vec.readonly and vec.format == "B" and type(vec.obj) is bytearray
+        assert vec.tolist() == list(col)
+    assert (frame.y_corrected is frame.y_predicted) == (mapping.corr_col is None)
