@@ -214,10 +214,10 @@ def _cmd_pipeline(args):
     if missing is not None:
         raise missing
 
-    def placed(plan):  # the table of the drawn flips: each kind's true = 1 rows decide it
+    def placed(plan):  # the table of the drawn flips: each cell's true = 1 rows decide it
         pred, _, group, true = columns or _cli.ingest_columns(args.input, mapping)
         flips = _cli.flip_rows(plan, pred, group, args.seed)
-        return plan.apply(counts, [sum(map(true.__getitem__, rows)) for _, rows in flips])
+        return plan.apply([sum(map(true.__getitem__, rows)) for _, rows in flips])
 
     outcome = _cli.run_audit_pipeline(counts, _cli.sp_repair(args.epsilon, placed), config)
     if args.format == "structured":

@@ -12,10 +12,9 @@ the count table, and ``flip_rows`` draws the rows that flip, which ``place`` set
 from __future__ import annotations
 
 import math
-import numbers
 from bisect import bisect_left, bisect_right
 
-from .frame import AuditFrame, FlipCounts, Record, ValidationError, check_seed, real_or_nan
+from .frame import AuditFrame, FlipCounts, Record, ValidationError, _pairs, check_seed, real_or_nan
 from .fairness import rate_gap, scaled_floor
 
 
@@ -138,78 +137,66 @@ def check_options(epsilon: float, seed: int) -> None:
     check_seed(seed, "bad_seed")
 
 
-class Plan(Record):
-    """A minimal SP repair as flip counts: how many rows of each kind flip, not which.
+# The (group, pred) cells of a plan, in the order their rows are drawn:
+# predicted 1 first, so a repair's down-flips are drawn before its up-flips.
+CELLS = ((0, 1), (1, 1), (0, 0), (1, 0))
 
-    ``kinds`` holds one ``(gid, value, k, count)`` for each flip kind, in
-    the order their rows are drawn: k of the ``count`` rows of group
-    ``gid`` whose prediction is not ``value`` get ``value``. The
-    over-favored group's kind, which sets labels to 0, comes first. Each is
-    four ints, with gid and value 0 or 1 and 0 <= k <= count, and no two
-    share a (gid, value), as those would draw from the same candidates;
-    else ``bad_plan``. They are held as tuples of Python ints.
+
+class Plan(Record):
+    """A repair as flip counts over the table it was made from: how many rows flip, not which.
+
+    ``counts`` is that table, and ``flips[g][p]`` of its rows of group g
+    with prediction p flip to 1 - p: an int from 0 to that cell of
+    ``counts.margin("group", "pred")``, else ``bad_plan``, held as a 2x2
+    tuple of Python ints. A table names each cell once, so no two cells'
+    flips draw from the same rows.
     """
 
-    kinds: tuple
+    counts: FlipCounts
+    flips: tuple
 
     def __post_init__(self):
-        try:
-            kinds = [(gid, value, k, count) for gid, value, k, count in self.kinds]
-        except (TypeError, ValueError):  # not a sequence of four-item kinds
-            kinds = None
-        if kinds is None or not all(
-                all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in kind)
-                and kind[0] in (0, 1) and kind[1] in (0, 1) and 0 <= kind[2] <= kind[3]
-                for kind in kinds) or len({kind[:2] for kind in kinds}) < len(kinds):
-            raise ValidationError(f"plan kinds must be (gid, value, k, count) ints with gid and "
-                                  f"value 0 or 1, 0 <= k <= count and no (gid, value) twice, "
-                                  f"got {self.kinds!r}", code="bad_plan")
-        object.__setattr__(self, "kinds", tuple(tuple(map(int, kind)) for kind in kinds))
+        flips, cells = _pairs(self.flips, 2), self.counts.margin("group", "pred")
+        if flips is None or not all(0 <= k <= cell for k, cell in zip(sum(flips, ()),
+                                                                      sum(cells, ()))):
+            raise ValidationError(f"plan flips must be a 2x2 table of ints from 0 to each cell "
+                                  f"of {cells}, got {self.flips!r}", code="bad_plan")
+        object.__setattr__(self, "flips", flips)
 
-    def apply(self, counts: FlipCounts, ones=None) -> FlipCounts | None:
-        """The table of ``counts``' predictions corrected by the plan; None if draws decide it.
+    def apply(self, ones=None) -> FlipCounts | None:
+        """The plan's table with its flips made; None if the draws decide it.
 
-        ``counts`` is the table the plan was made from; its corr axis is
-        not read. A kind fixes its flips' cells when it takes all of its
-        candidates or takes them from one non-empty cell: always, without
-        true labels, and with them whenever its candidates share one true
-        value. Then each of its cells loses ``min(cell, k)``, which adds up
-        to k; in every other case those add up to more. ``ones``, each kind's
-        placed flips with true label 1, decides them: its cells lose k - one and one.
+        The corrected labels are the predictions with the flips made, so the
+        table's corr axis is not read. A cell's k flips decide its true
+        values' flips when they take all of its rows or its rows share one
+        true value: always, without true labels. Then each true value loses
+        ``min(rows, k)``, which adds up to k; in every other case those add
+        up to more. ``ones``, each cell's flips with true label 1 in
+        ``CELLS`` order, decides them: k - one and one.
         """
-        truth = ("true",) if counts.has_true else ()
-        # Each (group, pred)'s rows by true value; without true labels, one value.
-        rows = [[cells if truth else (cells,) for cells in row]
-                for row in counts.margin("group", "pred", *truth)]
-        flips = {}  # (group, pred): the flips taken from each of its cells
-        for i, (gid, value, k, count) in enumerate(self.kinds):
-            _check_candidates(count, sum(rows[gid][1 - value]), "table")
-            flips[gid, 1 - value] = ((k - ones[i], ones[i]) if truth and ones is not None
-                                     else [min(cell, k) for cell in rows[gid][1 - value]])
-            if sum(flips[gid, 1 - value]) != k:
-                return None
-        table = [[[[cell - flip if corr == pred else flip
-                    for cell, flip in zip(cells, flips.get((gid, pred), (0, 0)))]
-                   for corr in (0, 1)]
-                  for pred, cells in enumerate(row)]
-                 for gid, row in enumerate(rows)]
-        if not truth:
-            table = [[[cells[0] for cells in corrs] for corrs in preds] for preds in table]
+        truth = self.counts.has_true
+        rows = self.counts.margin("group", "pred", *(("true",) if truth else ()))
+        table = [[None, None], [None, None]]  # [group][pred]: its rows by corr
+        for (gid, pred), one in zip(CELLS, ones or [None] * len(CELLS)):
+            k, cells = self.flips[gid][pred], rows[gid][pred]
+            if truth:
+                taken = (k - one, one) if one is not None else [min(cell, k) for cell in cells]
+                if sum(taken) != k:
+                    return None
+                kept = [cell - flip for cell, flip in zip(cells, taken)]
+            else:
+                taken, kept = k, cells - k
+            table[gid][pred] = (taken, kept) if pred else (kept, taken)
         return FlipCounts(table)
 
 
-def _check_candidates(count: int, found: int, where: str) -> None:
-    """Fail ``bad_plan`` unless a kind's ``count`` is the ``found`` candidates in ``where``."""
-    if count != found:
-        raise ValidationError(f"a plan kind counts {count} candidates, but the {where} "
-                              f"hold {found}", code="bad_plan")
-
-
 def plan_split(counts: FlipCounts, epsilon: float) -> Plan:
-    """The fewest flips of predictions that bring the |SP| of ``counts`` within epsilon.
+    """The plan over ``counts`` of the fewest flips that bring its |SP| within epsilon.
 
     Reads the (group, pred) margin, so the table's corrected labels do not
-    matter. The split is ``_minimal_flip_split``'s; ``DebiasError`` if none.
+    matter. The split is ``_minimal_flip_split``'s: down-flips of the
+    over-favored group's predicted-1 cell and up-flips of the other group's
+    predicted-0 cell. ``DebiasError`` if none.
     """
     _check_epsilon(epsilon)
     table = counts.margin("group", "pred")  # each group's (negatives, positives)
@@ -219,7 +206,7 @@ def plan_split(counts: FlipCounts, epsilon: float) -> Plan:
     neg_under, pos_under = table[under]
     down, up = _minimal_flip_split(pos_over, neg_over + pos_over,
                                    pos_under, neg_under + pos_under, epsilon)
-    return Plan(((over, 0, down, pos_over), (under, 1, up, neg_under)))
+    return Plan(counts, ((0, down), (up, 0)) if over == 0 else ((up, 0), (0, down)))
 
 
 def sp_equalizing_debiaser(y_predicted, group, epsilon: float, rng_seed: int = 0) -> memoryview:
@@ -235,15 +222,16 @@ def sp_equalizing_debiaser(y_predicted, group, epsilon: float, rng_seed: int = 0
 
 
 _BIT = bytes.maketrans(b"01", b"\0\1")  # a binary digit to its bit, a byte
-_SPAN = 1 << 14  # rows read as one big int: few, as the emit holds both kinds' spans at once
+_SPAN = 1 << 14  # rows read as one big int: few, as the emit holds a span of each cell at once
 _RUN = 256  # rows whose candidates are listed together when one of them is drawn
 _OFFSETS = tuple(range(_RUN))  # a run's row offsets: small ints, which are never allocated
 
 
 def place(plan: Plan, labels, group, seed: int) -> bytearray:
-    """A ``bytearray`` copy of ``labels`` with each kind's ``flip_rows`` set to its value.
+    """A ``bytearray`` copy of ``labels`` with the plan's ``flip_rows`` flipped.
 
-    ``labels`` and ``group`` are aligned 0/1 byte columns, bytes-like.
+    ``labels`` and ``group`` are aligned 0/1 byte columns, bytes-like, whose
+    count table is the plan's.
     """
     flips = flip_rows(plan, labels, group, seed)
     corrected = bytearray(labels)
@@ -254,26 +242,29 @@ def place(plan: Plan, labels, group, seed: int) -> bytearray:
 
 
 def flip_rows(plan: Plan, labels, group, seed: int) -> list:
-    """For each of the plan's kinds, its value and an iterator of its rows, in row order.
+    """For each cell of ``CELLS``, the label it flips to and an iterator of its flipping rows.
 
-    ``labels`` and ``group`` are as ``place`` takes them. Before this returns, one
-    ``random.Random(seed)`` draws (``_draw``) k ranks of each flipping kind, in the
-    plan's order; an iterator finds rows as it is read (``_drawn_rows``), none if k is 0.
-    A flipping kind that counts more candidates than the columns have rows fails
-    ``bad_plan`` before anything is drawn.
+    ``labels`` and ``group`` are as ``place`` takes them; a plan whose table
+    does not have the columns' rows fails ``bad_plan`` before anything is
+    drawn. Before this returns, one ``random.Random(seed)`` draws
+    (``_draw``) k ranks of each flipping cell's rows, in ``CELLS`` order; an
+    iterator finds rows, in row order, as it is read (``_drawn_rows``); none if k is 0.
     """
     import random
 
     check_seed(seed, "bad_seed")
     if memoryview(labels).itemsize != 1 or memoryview(group).itemsize != 1:
         raise TypeError("labels and group must hold one byte a row")
-    for _, _, k, count in plan.kinds:
-        if k and count > len(labels):
-            raise ValidationError(f"a plan kind counts {count} candidates, but the columns "
-                                  f"have {len(labels)} rows", code="bad_plan")
-    rng = random.Random(int(seed))
-    return [(value, _drawn_rows(_draw(rng, k, count), labels, group, gid, value, count)
-             if k else iter(())) for gid, value, k, count in plan.kinds]
+    if plan.counts.n != len(labels):
+        raise ValidationError(f"the plan's table counts {plan.counts.n} rows, but the columns "
+                              f"have {len(labels)}", code="bad_plan")
+    rng, cells = random.Random(int(seed)), plan.counts.margin("group", "pred")
+    flips = []
+    for gid, pred in CELLS:
+        k, count = plan.flips[gid][pred], cells[gid][pred]
+        rows = _drawn_rows(_draw(rng, k, count), labels, group, gid, pred, count) if k else ()
+        flips.append((1 - pred, iter(rows)))
+    return flips
 
 
 def _draw(rng, k: int, count: int) -> bytearray:
@@ -294,11 +285,11 @@ def _draw(rng, k: int, count: int) -> bytearray:
     return drawn
 
 
-def _drawn_rows(drawn: bytearray, labels, group, gid: int, value: int, total: int):
+def _drawn_rows(drawn: bytearray, labels, group, gid: int, pred: int, total: int):
     """The rows, in order, of the candidates whose ranks ``drawn`` holds.
 
-    The candidates, the rows of group ``gid`` whose label is not ``value``,
-    are ranked in row order; there must be ``total`` of them, else ``bad_plan``.
+    The candidates, the rows of group ``gid`` with label ``pred``, are
+    ranked in row order; there must be ``total`` of them, else ``bad_plan``.
     A span of ``_SPAN`` rows of each column is one big int, a byte a row,
     XORed with a row of ones where the byte sought is 0; their AND marks the
     span's candidates, counted by ``bit_count``. In a span with a drawn rank,
@@ -317,7 +308,7 @@ def _drawn_rows(drawn: bytearray, labels, group, gid: int, value: int, total: in
         size = min(_SPAN, len(labels) - start)
         ones >>= 8 * (_SPAN - size)
         mask = ((int.from_bytes(group[start:start + size], "big") ^ (0 if gid else ones))
-                & (int.from_bytes(labels[start:start + size], "big") ^ (ones if value else 0)))
+                & (int.from_bytes(labels[start:start + size], "big") ^ (0 if pred else ones)))
         count = mask.bit_count()
         bits = int.from_bytes(drawn[first >> 3:(first + count + 7) >> 3], "little")
         picked = bits >> (first & 7) & ((1 << count) - 1)
@@ -335,15 +326,17 @@ def _drawn_rows(drawn: bytearray, labels, group, gid: int, value: int, total: in
             rows = compress(_OFFSETS, mask[at:at + _RUN])
             yield from map((start + at).__add__, compress(rows, picks[ranks[run]:ranks[run + 1]]))
             rank = picks.find(b"\1", ranks[run + 1])
-    _check_candidates(total, first, "columns")
+    if first != total:
+        raise ValidationError(f"the plan's table counts {total} rows of group {gid} with "
+                              f"label {pred}, but the columns hold {first}", code="bad_plan")
 
 
 def sp_repair(epsilon: float, place):
     """The pipeline's repair to |SP| <= epsilon: count table in, repaired table out.
 
-    The table is repaired by ``plan_split``; when the plan's post-repair
-    table does not follow from the counts alone, ``place(plan)`` gives it,
-    from the flips the debiaser would place. Epsilon is checked here, so a
+    The table is repaired by ``plan_split``; when the plan's ``apply`` does
+    not decide the post-repair table, ``place(plan)`` gives it, from the
+    flips the debiaser would place. Epsilon is checked here, so a
     bad value fails even when the pipeline's first gate passes and the
     repair never runs.
     """
@@ -351,7 +344,7 @@ def sp_repair(epsilon: float, place):
 
     def repair(counts: FlipCounts) -> FlipCounts:
         plan = plan_split(counts, epsilon)
-        repaired = plan.apply(counts)
+        repaired = plan.apply()
         return place(plan) if repaired is None else repaired
 
     return repair

@@ -97,7 +97,10 @@ class Record:
         return hash(tuple(self._asdict().values()))
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{key}={value!r}" for key, value in self._asdict().items())
+        # A memoryview field is a label column: it shows its labels.
+        fields = ", ".join(
+            f"{key}={(value.tolist() if isinstance(value, memoryview) else value)!r}"
+            for key, value in self._asdict().items())
         return f"{type(self).__qualname__}({fields})"
 
 
@@ -172,8 +175,20 @@ def _list_bytes(values, name: str) -> bytes:
 
 
 def _array_labels(values, name: str):
-    """Array-like 0/1 ``values`` as a read-only ``uint8`` array; else ``_list_bytes`` of them."""
-    import numpy as np
+    """Array-like 0/1 ``values`` as a read-only ``uint8`` array; else ``_list_bytes`` of them.
+
+    Without numpy, a sequence other than a string is read as the list of its
+    labels, and anything else fails ``bad_shape``, as numpy reads it as 0-d.
+    """
+    try:
+        import numpy as np
+    except ImportError:
+        from collections.abc import Sequence
+
+        if (isinstance(values, Sequence) and not isinstance(values, str)
+                and getattr(values, "ndim", 1) == 1):
+            return _list_bytes(list(values), name)
+        raise ValidationError(f"{name} must be one-dimensional", code="bad_shape") from None
 
     arr = np.asarray(values)
     if arr.ndim != 1:

@@ -7,6 +7,7 @@ Fairness bounds are compared exactly, with ``Fraction``.
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 INF = "inf"
 FIN = "finite"
@@ -199,20 +200,20 @@ def minimal_flip_split(pos_over, n_over, pos_under, n_under, epsilon):
     return None, float(best_gap)
 
 
-def placement(kinds, labels, group, seed):
-    """``labels`` with each plan kind's flips placed, by drawing ranks and scanning rows.
+def placement(draws, labels, group, seed):
+    """``labels`` with a plan's flips placed, by drawing ranks and scanning rows.
 
-    ``kinds`` are ``(gid, value, k, count)``: k of the ``count`` rows of
-    group ``gid`` whose label is not ``value`` get ``value``. One
-    ``random.Random(seed)`` draws every kind's ranks in turn by Floyd's
-    algorithm: for each j from count - k to count - 1, t is
+    ``draws`` are ``(gid, pred, k, count)`` in the order they are drawn: k
+    of the ``count`` rows of group ``gid`` with label ``pred`` get
+    ``1 - pred``. One ``random.Random(seed)`` draws every cell's ranks in
+    turn by Floyd's algorithm: for each j from count - k to count - 1, t is
     ``getrandbits(j.bit_length())``, drawn again while above j, and t is
-    taken, or j if t already is. Then each kind's candidates are ranked in
-    row order, one row at a time, and the rows of the drawn ranks are set.
+    taken, or j if t already is. Then each cell's rows are ranked in row
+    order, one row at a time, and the rows of the drawn ranks are flipped.
     """
     draw = random.Random(seed)
     drawn = []
-    for gid, value, k, count in kinds:
+    for gid, pred, k, count in draws:
         taken = set()
         for j in range(count - k, count):
             t = draw.getrandbits(j.bit_length())
@@ -223,11 +224,36 @@ def placement(kinds, labels, group, seed):
             taken.add(t)
         drawn.append(taken)
     corrected = list(labels)
-    for (gid, value, k, count), taken in zip(kinds, drawn):
+    for (gid, pred, k, count), taken in zip(draws, drawn):
         rank = 0
         for row in range(len(labels)):
-            if group[row] == gid and labels[row] != value:
+            if group[row] == gid and labels[row] == pred:
                 if rank in taken:
-                    corrected[row] = value
+                    corrected[row] = 1 - pred
                 rank += 1
     return corrected
+
+
+def flip_outcomes(trues, pred, k, truth):
+    """A cell's possible counts after k of its rows flip, by trying every set of k rows.
+
+    ``trues`` lists the true labels of the cell's rows, all predicted
+    ``pred``; k of them get 1 - pred. Every k-subset of the rows is flipped
+    in turn and the cell recounted, as ``[corr][true]`` nested tuples, or as
+    ``[corr]`` when ``truth`` is false. Returns the set of recounts. Cells
+    hold disjoint rows, so a table's recounts are every choice of one
+    recount for each cell.
+    """
+    found = set()
+    for taken in combinations(range(len(trues)), k):
+        cell = [[0, 0], [0, 0]]
+        for i, true in enumerate(trues):
+            if i in taken:
+                cell[1 - pred][true] += 1
+            else:
+                cell[pred][true] += 1
+        if truth:
+            found.add((tuple(cell[0]), tuple(cell[1])))
+        else:
+            found.add((sum(cell[0]), sum(cell[1])))
+    return found

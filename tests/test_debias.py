@@ -1,6 +1,7 @@
 import math
 import random
 from collections import Counter
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -20,10 +21,26 @@ from flipaudit.cli import main
 from flipaudit.debias import (
     Plan, _first_hit, _minimal_flip_split, check_options, flip_rows, place, plan_split, sp_repair,
 )
-from flipaudit.frame import column_counts
+from flipaudit.frame import FlipCounts, column_counts
 
 # Epsilons that land exactly on rate grids, where float rounding decides ties.
 GRID_EPSILONS = (0.05, 0.15, 0.3, 0.125)
+
+
+# The (group, pred) cells in the order a plan's rows are drawn: predicted 1
+# first, group 0 first within each.
+DRAW_ORDER = ((0, 1), (1, 1), (0, 0), (1, 0))
+
+
+def plan_over(labels, group, flips):
+    """The plan of ``flips`` over the count table of ``labels`` as predictions and ``group``."""
+    return Plan(column_counts(labels, labels, group, None), flips)
+
+
+def draws(plan):
+    """The plan's cells as ``oracle.placement`` takes them: ``(gid, pred, k, count)``, in order."""
+    cells = plan.counts.margin("group", "pred")
+    return [(gid, pred, plan.flips[gid][pred], cells[gid][pred]) for gid, pred in DRAW_ORDER]
 
 
 def random_labeled_groups(rng, max_n):
@@ -117,11 +134,11 @@ class TestSpEqualizingDebiaser:
     @pytest.mark.parametrize("span", [None, 1, 7])
     @pytest.mark.parametrize("idle", ["up", "down", "neither"])
     def test_placement_matches_floyd_reference(self, idle, span, monkeypatch):
-        # A kind with no flips draws nothing, and the rows of the drawn ranks
+        # A cell with no flips draws nothing, and the rows of the drawn ranks
         # are found a span at a time (spans of 1 and 7 rows split the
         # candidates anywhere); the bits must stay those of drawing each
-        # kind's ranks among its candidates in row order, down-flips first,
-        # from one generator seeded with the seed.
+        # cell's ranks among its rows in row order, down-flips first, from
+        # one generator seeded with the seed.
         if span:
             monkeypatch.setattr("flipaudit.debias._SPAN", span)
         rng = np.random.default_rng(11)
@@ -140,19 +157,20 @@ class TestSpEqualizingDebiaser:
             if idle_kinds != ([] if idle == "neither" else [idle]):
                 continue
             over = int(labels[group == 1].mean() > labels[group == 0].mean())
-            kinds = ((over, 0, down, int(np.sum((group == over) & (labels == 1)))),
-                     (1 - over, 1, up, int(np.sum((group != over) & (labels == 0)))))
-            assert corrected.tolist() == oracle.placement(kinds, labels, group, seed)
+            cells = ((over, 1, down, int(np.sum((group == over) & (labels == 1)))),
+                     (1 - over, 0, up, int(np.sum((group != over) & (labels == 0)))))
+            assert corrected.tolist() == oracle.placement(cells, labels, group, seed)
             checked += 1
         assert checked >= (20 if span is None else 5)
 
     def test_placement_draws_each_subset_uniformly(self):
-        # One kind takes 2 of 6 candidates, rows 0, 2, 5, 6, 7 and 8; the
-        # other flips none. Over 3,000 seeds each of the 15 pairs is expected
-        # 200 times, with a standard deviation of sqrt(3000 * 1/15 * 14/15).
+        # Group 0's predicted-1 cell flips 2 of its 6 rows, 0, 2, 5, 6, 7 and
+        # 8; no other cell flips. Over 3,000 seeds each of the 15 pairs is
+        # expected 200 times, with a standard deviation of
+        # sqrt(3000 * 1/15 * 14/15).
         labels = bytearray([1, 1, 1, 0, 0, 1, 1, 1, 1])
         group = bytearray([0, 1, 0, 0, 1, 0, 0, 0, 0])
-        plan = Plan(((0, 0, 2, 6), (1, 1, 0, 1)))
+        plan = plan_over(labels, group, ((0, 2), (0, 0)))
         seen = Counter()
         for seed in range(3000):
             corrected = place(plan, labels, group, seed)
@@ -207,7 +225,8 @@ class TestSpEqualizingDebiaser:
             assert exc.value.code == "bad_seed"
             # And place's own, of the seed it draws with.
             with pytest.raises(ValidationError) as exc:
-                place(Plan(((0, 0, 1, 1), (1, 1, 0, 0))), bytearray([1, 0]), bytearray([0, 1]), seed)
+                place(plan_over(b"\1\0", b"\0\1", ((0, 1), (0, 0))), bytearray([1, 0]),
+                      bytearray([0, 1]), seed)
             assert exc.value.code == "bad_seed"
 
     @staticmethod
@@ -309,7 +328,7 @@ class TestSpEqualizingDebiaser:
         calls, real = [], cli.flip_rows
         monkeypatch.setattr(cli, "flip_rows", lambda *args: calls.append(args[0]) or real(*args))
         code, peak = traced_peak(main, argv)
-        assert code == 3 and [sum(k for _, _, k, _ in plan.kinds) for plan in calls] == [401]
+        assert code == 3 and [sum(map(sum, plan.flips)) for plan in calls] == [401]
         # pred, group and true as byte columns, and fixed scratch: the
         # repaired table is counted from the flips' rows, not a copied column.
         assert peak <= 3 * group.size + 2**20
@@ -516,16 +535,16 @@ class TestPlan:
         except DebiasError:
             assume(False)
         placed = frame.with_corrected(place(plan, frame.y_predicted, frame.group, seed)).counts()
-        applied = plan.apply(frame.counts())
+        applied = plan.apply()
         assert applied is None or applied == placed
         if frame.y_true is None or frame.y_true is frame.y_predicted:
             assert applied == placed
-        # Given how many of each kind's rows have true label 1, the table is
-        # always the placed one.
+        # Given how many of each cell's flipped rows have true label 1, the
+        # table is always the placed one.
         if frame.y_true is not None:
             ones = [sum(int(frame.y_true[row]) for row in rows)
                     for _, rows in flip_rows(plan, frame.y_predicted, frame.group, seed)]
-            assert plan.apply(frame.counts(), ones) == placed
+            assert plan.apply(ones) == placed
 
     def test_candidates_of_two_true_values_need_the_draws(self):
         # Group 0's rate is 1, group 1's 0: flips go both ways, and group 0's
@@ -533,13 +552,13 @@ class TestPlan:
         frame = AuditFrame([1, 1, 1, 1, 0, 0], [1, 1, 1, 1, 0, 0], [0, 0, 0, 0, 1, 1],
                            [1, 0, 1, 0, 0, 0])
         plan = plan_split(frame.counts(), 0.3)
-        assert [k for _, _, k, _ in plan.kinds] == [1, 1]
-        assert plan.apply(frame.counts()) is None
+        assert plan.flips == ((0, 1), (1, 0))
+        assert plan.apply() is None
         # At a tighter epsilon every flip is up, and takes all of group 1's
         # negatives: nothing is left to draw.
         plan = plan_split(frame.counts(), 0.01)
-        assert [k for _, _, k, _ in plan.kinds] == [0, 2]
-        assert plan.apply(frame.counts()).margin("group", "corr") == ((0, 4), (0, 2))
+        assert plan.flips == ((0, 0), (2, 0))
+        assert plan.apply().margin("group", "corr") == ((0, 4), (0, 2))
 
     def test_debiaser_is_plan_then_place(self):
         rng = np.random.default_rng(3)
@@ -559,88 +578,107 @@ class TestPlan:
             plan_split(counts, math.nan)
         assert exc.value.code == "bad_epsilon"
 
-    @pytest.mark.parametrize("kinds", [
-        ((0, 1, 5, 3),), ((0, 1, -1, 3),), ((2, 1, 0, 3),), ((0, 2, 0, 3),),
-        ((0, 1, 1.0, 3),), ((0, True, 0, 3),), ((0, 1, 0),), ((0, 1, 0, 3, 0),),
-        (0, 1, 0, 3), None,
-        # Two kinds that draw from the same candidates.
-        ((0, 1, 1, 4), (0, 1, 1, 4)), ((1, 0, 0, 2), (0, 1, 0, 3), (1, 0, 1, 2)),
-    ])
-    def test_bad_kinds(self, kinds):
-        with pytest.raises(ValidationError) as exc:
-            Plan(kinds)
-        assert exc.value.code == "bad_plan"
+    # Group 0 holds 3 rows predicted 0 and 1 predicted 1; group 1, 1 predicted 1.
+    COUNTS = column_counts(b"\0\0\0\1\1", b"\0\0\0\1\1", b"\0\0\0\0\1", None)
 
-    def test_more_flips_than_candidates_fail_before_any_draw(self):
-        # Floyd's draw of 5 ranks from 3 would never end: the plan is refused
+    @pytest.mark.parametrize("flips", [
+        # Floyd's draw of 4 ranks from 3 would never end: the plan is refused
         # when it is made.
+        ((4, 0), (0, 0)), ((0, 2), (0, 0)), ((0, 0), (1, 0)), ((-1, 0), (0, 0)),
+        ((1.0, 0), (0, 0)), ((True, 0), (0, 0)), ((0, 0),), ((0, 0, 0), (0, 0)),
+        (0, 0, 0, 0), None, ((0, 0), (0, 0), (0, 0)),
+    ], ids=["over-cell", "over-cell-pred1", "over-empty-cell", "negative", "float", "bool",
+            "one-row", "three-columns", "flat", "none", "three-rows"])
+    def test_bad_flips(self, flips):
         with pytest.raises(ValidationError) as exc:
-            place(Plan(((0, 1, 5, 3),)), bytearray(b"\0\0\0\1"), bytearray(4), 0)
+            Plan(self.COUNTS, flips)
         assert exc.value.code == "bad_plan"
 
-    def test_a_count_beyond_the_rows_fails_before_its_bitset_is_made(self, traced_peak):
-        # A kind's ranks are drawn into a bitset of one bit per candidate it
-        # counts: a count larger than the columns have rows is refused first.
+    def test_a_table_beyond_the_rows_fails_before_its_bitset_is_made(self, traced_peak):
+        # A cell's ranks are drawn into a bitset of one bit per row it
+        # counts: a table of more rows than the columns have is refused first.
+        counts = FlipCounts((((10**8, 0), (0, 0)), ((0, 0), (0, 1))))
+
         def refused():
             with pytest.raises(ValidationError) as exc:
-                place(Plan(((0, 1, 1, 10**8),)), bytearray(b"\0\0\0\1"), bytearray(4), 0)
+                place(Plan(counts, ((1, 0), (0, 0))), bytearray(b"\0\0\0\1"),
+                      bytearray(b"\0\0\0\1"), 0)
             return exc.value.code
 
         code, peak = traced_peak(refused)
         assert code == "bad_plan" and peak < 2**20
 
-    def test_kinds_are_held_as_python_ints(self):
-        plan = Plan([(np.int64(0), np.int8(1), 0, 3)])
-        assert plan.kinds == ((0, 1, 0, 3),)
-        assert all(type(v) is int for v in plan.kinds[0])
+    def test_flips_are_held_as_python_ints(self):
+        plan = Plan(self.COUNTS, [[np.int64(0), np.int8(1)], (0, 0)])
+        assert plan.flips == ((0, 1), (0, 0))
+        assert all(type(k) is int for row in plan.flips for k in row)
 
-    @pytest.mark.parametrize("k, count", [(1, 2), (2, 2), (1, 4), (3, 10)])
-    def test_place_checks_each_kinds_candidates(self, k, count):
-        # Rows 0, 1 and 2 are group 0's candidates to get a 1: a kind that
-        # flips and counts any other number of them fails. A kind that flips
-        # nothing is not read.
+    @pytest.mark.parametrize("k, count", [(1, 2), (2, 2), (1, 4), (3, 4)])
+    def test_place_checks_each_cell_against_the_columns(self, k, count):
+        # Rows 0, 1 and 2 are group 0's predicted 0: a plan whose table
+        # counts any other number of them, over the same 5 rows, fails when
+        # that cell flips. A cell that flips nothing is not read.
         labels, group = bytearray(b"\0\0\0\1\1"), bytearray(b"\0\0\0\0\1")
+        counts = FlipCounts((((count, 0), (0, 4 - count)), ((0, 0), (0, 1))))
         with pytest.raises(ValidationError) as exc:
-            place(Plan(((0, 1, k, count),)), labels, group, 0)
+            place(Plan(counts, ((k, 0), (0, 0))), labels, group, 0)
         assert exc.value.code == "bad_plan"
-        assert place(Plan(((0, 1, 3, 3),)), labels, group, 0) == b"\1\1\1\1\1"
-        assert place(Plan(((0, 1, 0, count),)), labels, group, 0) == labels
+        assert place(Plan(self.COUNTS, ((3, 0), (0, 0))), labels, group, 0) == b"\1\1\1\1\1"
+        assert place(Plan(counts, ((0, 0), (0, 0))), labels, group, 0) == labels
 
-    @pytest.mark.parametrize("k, count", [(0, 2), (2, 2), (0, 4), (3, 10)])
-    def test_apply_checks_each_kinds_candidates(self, k, count):
-        counts = AuditFrame([0, 0, 0, 1, 1], [0, 0, 0, 1, 1], [0, 0, 0, 0, 1]).counts()
-        with pytest.raises(ValidationError) as exc:
-            Plan(((0, 1, k, count),)).apply(counts)
-        assert exc.value.code == "bad_plan"
-        applied = Plan(((0, 1, 3, 3),)).apply(counts)
-        assert applied.margin("group", "corr") == ((0, 4), (0, 1))
+    @settings(max_examples=25, deadline=None)
+    @given(st.booleans(), st.lists(st.integers(0, 5), min_size=8, max_size=8))
+    def test_apply_matches_every_set_of_flipped_rows(self, truth, sizes):
+        # Every flip table over a table of up to 5 rows in each (group, pred,
+        # true) cell, up to four flipping cells: apply's table is each set of
+        # flipped rows' recount, and None only where two sets disagree.
+        rows = [[[0] * sizes[4 * g + 2 * p] + [1] * sizes[4 * g + 2 * p + 1] for p in (0, 1)]
+                for g in (0, 1)]
+        assume(all(any(row) for row in rows))
+        cells = [(g, p, true) for g in (0, 1) for p in (0, 1) for true in rows[g][p]]
+        group, pred, true = (bytes(column) for column in zip(*cells))
+        counts = column_counts(pred, pred, group, true if truth else None)
+        outcomes = {(g, p, k): oracle.flip_outcomes(rows[g][p], p, k, truth)
+                    for g in (0, 1) for p in (0, 1) for k in range(len(rows[g][p]) + 1)}
+        for flips in product(*[range(len(rows[g][p]) + 1) for g in (0, 1) for p in (0, 1)]):
+            applied = Plan(counts, (flips[:2], flips[2:])).apply()
+            found = [[outcomes[g, p, flips[2 * g + p]] for p in (0, 1)] for g in (0, 1)]
+            if applied is None:
+                assert any(len(cell) > 1 for row in found for cell in row)
+            else:
+                assert all(len(cell) == 1 for row in found for cell in row)
+                assert applied.table == tuple(tuple(next(iter(cell)) for cell in row)
+                                              for row in found)
 
 
 # Sizes at the edges of a run of 256 rows and of a block of 65,536 rows,
 # whose last block is then short, and small sizes.
 PLACEMENT_SIZES = [pytest.param(st.just(n), id=str(n))
                    for n in (255, 256, 257, 65_535, 65_536, 65_537)]
-PLACEMENT_SIZES.append(pytest.param(st.integers(1, 600), id="small"))
+PLACEMENT_SIZES.append(pytest.param(st.integers(2, 600), id="small"))
 
 
 @st.composite
 def placements(draw, sizes):
-    """Label and group columns, a plan of one or two kinds over them, and a seed.
+    """Label and group columns, a plan over them of one to four flipping cells, and a seed.
 
-    Each kind flips none, one, all or some of its candidates.
+    Each flipping cell flips none, one, all or some of its rows. The first
+    row is in group 0 and the last in group 1, as a count table needs both.
     """
     n = draw(sizes)
     rng = random.Random(draw(st.integers(0, 2**32)))
     group_rate, label_rate = draw(st.tuples(*[st.sampled_from((0.05, 0.5, 0.95))] * 2))
-    group = bytearray(rng.random() < group_rate for _ in range(n))
+    group = bytearray([0] + [rng.random() < group_rate for _ in range(n - 2)] + [1])
     labels = bytearray(rng.random() < label_rate for _ in range(n))
-    kinds = []
-    for gid, value in draw(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)),
-                                    min_size=1, max_size=2, unique=True)):
-        count = sum(g == gid and label != value for g, label in zip(group, labels))
-        k = draw(st.one_of(st.sampled_from((0, min(1, count), count)), st.integers(0, count)))
-        kinds.append((gid, value, k, count))
-    return labels, group, Plan(kinds), draw(st.integers(0, 2**32))
+    counts = column_counts(labels, labels, group, None)
+    cells = counts.margin("group", "pred")
+    flips = [[0, 0], [0, 0]]
+    for gid, pred in draw(st.lists(st.sampled_from(DRAW_ORDER), min_size=1, max_size=4,
+                                   unique=True)):
+        count = cells[gid][pred]
+        flips[gid][pred] = draw(st.one_of(st.sampled_from((0, min(1, count), count)),
+                                          st.integers(0, count)))
+    return labels, group, Plan(counts, flips), draw(st.integers(0, 2**32))
 
 
 class TestPlacement:
@@ -649,17 +687,17 @@ class TestPlacement:
     @given(data=st.data())
     def test_place_and_row_iterators_match_the_oracle(self, sizes, data):
         labels, group, plan, seed = data.draw(placements(sizes))
-        want = oracle.placement(plan.kinds, labels, group, seed)
+        want = oracle.placement(draws(plan), labels, group, seed)
         assert list(place(plan, labels, group, seed)) == want
         vectors = (np.frombuffer(labels, np.int8), np.frombuffer(group, np.int8))
         assert list(place(plan, *vectors, seed)) == want
-        # Each kind's rows come in row order, k of them, and, set to its
-        # value, give the oracle's labels.
+        # Each cell's rows come in row order, k of them, and, set to 1 - pred,
+        # give the oracle's labels.
         placed = bytearray(labels)
-        for (_, value, k, _), (kind_value, rows) in zip(plan.kinds,
-                                                        flip_rows(plan, labels, group, seed)):
+        for (_, pred, k, _), (value, rows) in zip(draws(plan),
+                                                  flip_rows(plan, labels, group, seed)):
             rows = list(rows)
-            assert kind_value == value and len(rows) == k and rows == sorted(set(rows))
+            assert value == 1 - pred and len(rows) == k and rows == sorted(set(rows))
             for row in rows:
                 placed[row] = value
         assert list(placed) == want
@@ -673,7 +711,6 @@ class TestPlacement:
         # debias writes corr as pred with the flips of its own plan set, in
         # the polarity the columns were read with.
         labels, group, _, seed = data.draw(placements(sizes))
-        assume(0 < sum(group) < len(group))
         path, out = tmp_path / "d.csv", tmp_path / "out.csv"
         cells = b"01" if polarity else b"10"  # the cells of labels 0 and 1
         path.write_bytes(b"pred,group\n" + b"".join(
@@ -688,4 +725,4 @@ class TestPlacement:
         assert main(argv) == 0
         corr = out.read_bytes()[len("pred,corr,group\n") + 2::6]
         assert list(corr.translate(bytes.maketrans(cells, b"\0\1"))) == oracle.placement(
-            plan.kinds, labels, group, seed)
+            draws(plan), labels, group, seed)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from conftest import flip_summaries
+from conftest import flip_summaries, run_python
 from flipaudit import (
     AuditFrame,
     ValidationError,
@@ -74,6 +74,27 @@ class TestFrameValidation:
         with pytest.raises(ValidationError, match=f"{name} must be one-dimensional") as exc:
             AuditFrame(**{**vectors, name: None, "y_true": [0, 1, 0, 1]})
         assert exc.value.code == "bad_shape"
+
+    def test_labels_are_read_alike_without_numpy(self):
+        # A label input that is not a list, a tuple or a 1-byte buffer is read
+        # as numpy reads it, whether or not numpy is installed: None and other
+        # inputs numpy sees as 0-d fail bad_shape, and a range is its labels.
+        probe = ("from flipaudit import AuditFrame, ValidationError\n"
+                 "for values in (None, range(2), range(3), range(0), 'ab', iter([0, 1])):\n"
+                 "    try:\n"
+                 "        print(list(AuditFrame([1, 0], values, [0, 1]).y_corrected))\n"
+                 "    except ValidationError as exc:\n"
+                 "        print(exc.code, exc)\n")
+        lines = [run_python(["-c", blocked + probe]).stdout.splitlines()
+                 for blocked in ("", "import sys\nsys.modules['numpy'] = None\n")]
+        assert lines[0] == lines[1] == [
+            "bad_shape y_corrected must be one-dimensional",
+            "[0, 1]",
+            "non_binary y_corrected[2] = 2 is not a binary value (expected 0 or 1)",
+            "empty y_corrected is empty",
+            "bad_shape y_corrected must be one-dimensional",
+            "bad_shape y_corrected must be one-dimensional",
+        ]
 
     def test_no_float_coercion(self):
         with pytest.raises(ValidationError):

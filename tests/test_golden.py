@@ -25,6 +25,9 @@ CASES = {
     "audit.txt": (["audit", "-i", "reference.csv"], 3),
     "audit.json": (["audit", "-i", "reference.csv", "--format", "structured"], 3),
     "chart.svg": (["plot", "-i", "audit.json"], 0),
+    # Flips in two cells: 9 down in group 0, then 105 up in group 1.
+    "debias.csv": (["debias", "-i", "reference.csv", "--true-col", "true",
+                    "--epsilon", "1e-4"], 0),
     "pipeline.txt": (["pipeline", "-i", "reference.csv", "--true-col", "true"], 3),
     "pipeline.json": (["pipeline", "-i", "reference.csv", "--true-col", "true",
                        "--format", "structured"], 3),
@@ -40,6 +43,16 @@ def test_cli_output_matches_fixture(name, tmp_path, monkeypatch):
     out = tmp_path / name
     assert main([*argv, "-o", str(out)]) == exit_code
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def test_debias_fixture_does_not_depend_on_the_privileged_flag(tmp_path, monkeypatch):
+    # With --privileged 0 the file's group 0 is read as group 1, so the
+    # over-favored group is internally group 1: the same rows still flip.
+    argv, exit_code = CASES["debias.csv"]
+    monkeypatch.chdir(GOLDEN)
+    out = tmp_path / "debias.csv"
+    assert main([*argv, "--privileged", "0", "-o", str(out)]) == exit_code
+    assert out.read_bytes() == (GOLDEN / "debias.csv").read_bytes()
 
 
 @pytest.mark.parametrize("name", ["audit.json", "identity.json", "pipeline.json"])

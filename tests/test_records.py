@@ -33,7 +33,7 @@ ARGS = {
     ScenarioSpec: (GroupScenario(5, 2, 1, 1), GroupScenario(4, 2, 0, 0), 3),
     ColumnMapping: ("p", "c", "g", "t", 0, 0),
     PipelineOutcome: (FAIR, FAIR, REPORT, Decision.FAIR_BUT_DISPROPORTIONATE),
-    Plan: (((0, 0, 1, 2), (1, 1, 0, 3)),),
+    Plan: (FlipCounts(TABLE), ((1, 0), (0, 2))),
 }
 # The trailing fields that have defaults, and those defaults.
 DEFAULTS = {
@@ -118,7 +118,10 @@ class TestContract:
 
     def test_repr_names_every_field(self, record):
         obj = make(record)
-        shown = ", ".join(f"{key}={getattr(obj, key)!r}" for key in record._fields)
+        values = {key: getattr(obj, key) for key in record._fields}
+        # A memoryview field, a frame's label column, shows its labels.
+        shown = ", ".join(f"{key}={value.tolist() if isinstance(value, memoryview) else value!r}"
+                          for key, value in values.items())
         assert repr(obj) == f"{record.__name__}({shown})"
 
 
@@ -129,6 +132,7 @@ class TestContract:
     (GroupScenario, (0, 0, 0, 0), "bad_scenario"),
     (ScenarioSpec, (GroupScenario(5, 2, 1, 1), GroupScenario(4, 2, 0, 0), -1), "bad_scenario"),
     (ColumnMapping, ("a", "a"), "bad_mapping"),
+    (Plan, (FlipCounts(TABLE), ((1, 3), (0, 0))), "bad_plan"),
 ], ids=lambda case: getattr(case, "__name__", None))
 def test_post_init_still_validates(record, args, code):
     with pytest.raises(ValidationError) as exc:
@@ -149,6 +153,12 @@ def test_repr_has_the_dataclass_form():
         "unfavorable_flips=1), group1=GroupScenario(size=4, positive_predictions=2, "
         "favorable_flips=0, unfavorable_flips=0), seed=0)"
     )
+
+
+def test_audit_frame_repr_shows_its_labels():
+    frame = AuditFrame(b"\1\0", [1, 1], np.array([0, 1]))
+    assert repr(frame) == ("AuditFrame(y_predicted=[1, 0], y_corrected=[1, 1], group=[0, 1], "
+                           "y_true=None)")
 
 
 def test_audit_frame_compares_labels_and_is_unhashable():
